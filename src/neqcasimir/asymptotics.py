@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import QuadratureControls, _u_seeds
-from .materials import thermal_wavelength
-from .quadrature import adaptive_vector
-from .units import C_LIGHT, HBAR, K_BOLTZMANN
+from .engine import QuadratureControls
+from .materials import eps_function, thermal_wavelength
+from .quadrature import bose_integral
+from .units import C_LIGHT, HBAR
 
 NEAR_FIELD = "near_field"
 FAR_FIELD = "far_field"
@@ -210,49 +210,11 @@ def f1(eps01, eps02):
     return out[()] if np.ndim(out) == 0 else out
 
 
-def _eps_function(material):
-    """Return a vectorized eps(omega) from a model object or callable."""
-    if hasattr(material, "epsilon"):
-        return material.epsilon
-    if callable(material):
-        return material
-    raise TypeError("expected a material model with .epsilon(omega) or "
-                    "a callable eps(omega), got %r" % (type(material),))
-
-
 def _warn_violations(regime, violations):
     if violations:
         warnings.warn("closed-form %s evaluation outside its regime: %s"
                       % (regime.tag, "; ".join(violations)),
                       stacklevel=3)
-
-
-def _bose_integral(weight, source_temperature, controls):
-    """Adaptive integral of weight(omega) / (exp(hw/kT) - 1) d omega.
-
-    Substitutes u = hbar w / k T so the window [u_min, x_max] covers
-    the thermal band uniformly across temperatures.
-    """
-    if source_temperature == 0.0:
-        return 0.0
-    kt = K_BOLTZMANN * source_temperature
-    scale = kt / HBAR
-
-    def integrand(u):
-        u = np.asarray(u, dtype=float)
-        w = scale * u
-        vals = np.zeros((u.size, 1))
-        pos = u > 0
-        if np.any(pos):
-            nb = 1.0 / np.expm1(u[pos])
-            vals[pos, 0] = weight(w[pos]) * nb
-        return vals
-
-    totals, _ = adaptive_vector(integrand, controls.u_min,
-                                controls.x_max, controls.rel_tol,
-                                seed_edges=_u_seeds(controls),
-                                max_panels=controls.max_panels)
-    return scale * totals[0]
 
 
 def interaction_near(radius1, radius2, material1, material2,
@@ -266,8 +228,8 @@ def interaction_near(radius1, radius2, material1, material2,
     cylinders, d much below the source thermal wavelength).
     """
     controls = controls or QuadratureControls()
-    eps1 = _eps_function(material1)
-    eps2 = _eps_function(material2)
+    eps1 = eps_function(material1)
+    eps2 = eps_function(material2)
     regime = AsymptoticRegime(NEAR_FIELD)
     _warn_violations(regime, regime.violations(
         radius1=radius1, radius2=radius2, separation=separation,
@@ -281,7 +243,7 @@ def interaction_near(radius1, radius2, material1, material2,
         return (g6(e1, e2) / separation ** 6
                 + w ** 2 * g4(e1, e2) / (C_LIGHT ** 2 * separation ** 4))
 
-    value = HBAR * _bose_integral(weight, source_temperature, controls)
+    value = HBAR * bose_integral(weight, source_temperature, controls)
     return radius1 ** 2 * radius2 ** 2 * value
 
 
@@ -294,8 +256,8 @@ def interaction_far(radius1, radius2, material1, material2,
     (d much above the source thermal wavelength, thin cylinders).
     """
     controls = controls or QuadratureControls()
-    eps1 = _eps_function(material1)
-    eps2 = _eps_function(material2)
+    eps1 = eps_function(material1)
+    eps2 = eps_function(material2)
     regime = AsymptoticRegime(FAR_FIELD)
     _warn_violations(regime, regime.violations(
         radius1=radius1, radius2=radius2, separation=separation,
@@ -306,7 +268,7 @@ def interaction_far(radius1, radius2, material1, material2,
     def weight(w):
         return w ** 5 * g1(eps1(w), eps2(w)) / C_LIGHT ** 5
 
-    value = HBAR * _bose_integral(weight, source_temperature, controls)
+    value = HBAR * bose_integral(weight, source_temperature, controls)
     return radius1 ** 2 * radius2 ** 2 * value / separation
 
 

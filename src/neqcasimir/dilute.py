@@ -32,8 +32,9 @@ import warnings
 
 import numpy as np
 
-from .engine import QuadratureControls, _u_seeds
-from .quadrature import adaptive_vector, composite_nodes
+from .engine import QuadratureControls
+from .materials import eps_function
+from .quadrature import bose_integral, composite_nodes
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _ALL_TERMS = ("d2", "d3", "d5", "d7")
@@ -46,15 +47,6 @@ _T_BASE_EDGES = (0.0, 0.375, 0.75, 1.125, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0,
                  6.5, 8.0, 10.0, 12.0)
 _T_TAIL_BLOCKS = ((12.0, 15.0, 18.0), (18.0, 22.0, 25.0),
                   (25.0, 30.0, 35.0))
-
-
-def _eps_function(material):
-    if hasattr(material, "epsilon"):
-        return material.epsilon
-    if callable(material):
-        return material
-    raise TypeError("expected a material model with .epsilon(omega) or "
-                    "a callable eps(omega), got %r" % (type(material),))
 
 
 def _check_terms(terms):
@@ -77,27 +69,6 @@ def _warn_if_not_dilute(eps1, eps2, source_temperature):
         warnings.warn("permittivity departs from 1 by %.3g at thermal "
                       "frequencies; the dilute expansion is unreliable "
                       "there" % (worst,), stacklevel=3)
-
-
-def _bose_integral(weight, source_temperature, controls):
-    """Adaptive integral of weight(omega)/(exp(hw/kT)-1) d omega."""
-    kt = K_BOLTZMANN * source_temperature
-    scale = kt / HBAR
-
-    def integrand(u):
-        u = np.asarray(u, dtype=float)
-        vals = np.zeros((u.size, 1))
-        pos = u > 0
-        if np.any(pos):
-            nb = 1.0 / np.expm1(u[pos])
-            vals[pos, 0] = weight(scale * u[pos]) * nb
-        return vals
-
-    totals, _ = adaptive_vector(integrand, controls.u_min,
-                                controls.x_max, controls.rel_tol,
-                                seed_edges=_u_seeds(controls),
-                                max_panels=controls.max_panels)
-    return scale * totals[0]
 
 
 def _sphere_weight(omega, eps1, eps2, separation, terms):
@@ -139,8 +110,8 @@ def sphere_pair_force(volume1, volume2, material1, material2,
         raise ValueError("separation must be positive")
     controls = controls or QuadratureControls()
     terms = _check_terms(terms)
-    eps1 = _eps_function(material1)
-    eps2 = _eps_function(material2)
+    eps1 = eps_function(material1)
+    eps2 = eps_function(material2)
     _warn_if_not_dilute(eps1, eps2, source_temperature)
     if source_temperature == 0.0:
         return 0.0
@@ -148,7 +119,7 @@ def sphere_pair_force(volume1, volume2, material1, material2,
     def weight(w):
         return _sphere_weight(w, eps1, eps2, separation, terms)
 
-    value = _bose_integral(weight, source_temperature, controls)
+    value = bose_integral(weight, source_temperature, controls)
     return (volume1 * volume2 * HBAR
             / (4.0 * math.pi ** 3 * C_LIGHT ** 7) * value)
 
@@ -198,8 +169,8 @@ def cylinder_force_by_summation(radius1, radius2, material1, material2,
         raise ValueError("separation must be positive")
     controls = controls or QuadratureControls()
     terms = _check_terms(terms)
-    eps1 = _eps_function(material1)
-    eps2 = _eps_function(material2)
+    eps1 = eps_function(material1)
+    eps2 = eps_function(material2)
     _warn_if_not_dilute(eps1, eps2, source_temperature)
     if source_temperature == 0.0:
         return 0.0
@@ -217,7 +188,7 @@ def cylinder_force_by_summation(radius1, radius2, material1, material2,
             total = total + axial[term] * single
         return total
 
-    value = _bose_integral(weight, source_temperature, controls)
+    value = bose_integral(weight, source_temperature, controls)
     pref = (math.pi ** 2 * radius1 ** 2 * radius2 ** 2 * HBAR
             / (4.0 * math.pi ** 3 * C_LIGHT ** 7))
     return pref * value
@@ -241,8 +212,8 @@ def dilute_closed_forms(radius1, radius2, material1, material2,
     if separation <= 0:
         raise ValueError("separation must be positive")
     controls = controls or QuadratureControls()
-    eps1 = _eps_function(material1)
-    eps2 = _eps_function(material2)
+    eps1 = eps_function(material1)
+    eps2 = eps_function(material2)
     _warn_if_not_dilute(eps1, eps2, source_temperature)
     if source_temperature == 0.0:
         return 0.0
@@ -262,7 +233,7 @@ def dilute_closed_forms(radius1, radius2, material1, material2,
                              / (2.0 * math.pi * C_LIGHT ** 5 * d))
         return total
 
-    value = _bose_integral(weight, source_temperature, controls)
+    value = bose_integral(weight, source_temperature, controls)
     return HBAR * rr * value
 
 
@@ -279,8 +250,8 @@ def excluded_d2_term(radius1, radius2, material1, material2,
     dielectrics).
     """
     controls = controls or QuadratureControls()
-    eps1 = _eps_function(material1)
-    eps2 = _eps_function(material2)
+    eps1 = eps_function(material1)
+    eps2 = eps_function(material2)
     if source_temperature == 0.0:
         return 0.0
 
@@ -289,6 +260,6 @@ def excluded_d2_term(radius1, radius2, material1, material2,
         e2 = np.asarray(eps2(w), dtype=complex)
         return w ** 4 * e2.imag * (e1.real - 1.0)
 
-    value = _bose_integral(weight, source_temperature, controls)
+    value = bose_integral(weight, source_temperature, controls)
     return (-HBAR * radius1 ** 2 * radius2 ** 2
             / (8.0 * C_LIGHT ** 4 * separation ** 2) * value)

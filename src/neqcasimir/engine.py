@@ -45,25 +45,16 @@ import numpy as np
 from . import kernels
 from .equilibrium import EquilibriumTable
 from .materials import CylinderSpec, Vacuum
-from .quadrature import adaptive_vector, composite_nodes, uniform_edges
+from .quadrature import (adaptive_vector, composite_nodes,
+                         thermal_seed_edges, uniform_edges)
 from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _EVAN_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
-_SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 0.5, 1.0)
 _PROBE_US = (2.5, 7.0, 15.0)
 _MAX_GRID_BUMPS = 4
 
-
-def _u_seeds(controls):
-    """Seed edges of the outer frequency integral on [u_min, x_max]."""
-    edges = {controls.u_min, controls.x_max}
-    for fr in _SEED_FRACTIONS:
-        u = fr * controls.x_max
-        if u > controls.u_min:
-            edges.add(u)
-    return sorted(edges)
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
                        "radii; the one-reflection approximation "
@@ -291,11 +282,10 @@ def _inner_prop(src_prov, tgt_prov, omega, d, orders, controls,
     ttgt = tsrc if _same_provider(src_prov, tgt_prov) \
         else tgt_prov.blocks(orders, ktz, omega)
     hp, h, jp = kernels.hankel_tables(qd, nu_max)
+    amp = kernels.prop_amplitude(tsrc, include_quad)
     if kernel == "f":
-        amp = kernels.prop_amplitude(tsrc, include_quad)
         vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max, include_quad)
     else:
-        amp = kernels.prop_amplitude(tsrc, include_quad)
         vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
     total = k * k * float(np.dot(wts, sin_psi * sin_psi * vals))
     if controls.kz_symmetry:
@@ -303,15 +293,21 @@ def _inner_prop(src_prov, tgt_prov, omega, d, orders, controls,
     return total
 
 
-def _inner_evan(src_prov, tgt_prov, omega, d, orders, controls,
-                factor, grid=None):
+def _evan_tables(controls, factor, orders):
+    """Evanescent y-grid (nodes, weights) at a grid-density factor and
+    its K-product table.  Neither depends on the frequency, so one
+    integral builds them once and reuses them at every outer node."""
+    nodes, wts = _evan_grid(controls.y_cut, factor)
+    return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
+
+
+def _inner_evan(src_prov, tgt_prov, omega, d, orders, controls, tables):
     """Axial integral over the evanescent branch at one frequency,
-    in the decay variable y = |q| d."""
+    in the decay variable y = |q| d, on tables from _evan_tables."""
     kd = omega * d / C_LIGHT
-    nodes, wts = _evan_grid(controls.y_cut, factor) if grid is None else grid
+    nodes, wts, kk = tables
     ktz = np.sqrt(1.0 + (nodes / kd) ** 2)
     nu_max = int(orders[-1]) * 2
-    kk = kernels.k_product_table(nodes, nu_max)
     same = _same_provider(src_prov, tgt_prov)
 
     def branch(sign):
@@ -441,9 +437,9 @@ def _int_core(src_prov, tgt_prov, temperature, d, controls, include_quad):
         controls.rel_tol)
     fac_e = _bump_factor(
         lambda f: _inner_evan(src_prov, tgt_prov, omega_star, d, orders,
-                              controls, f),
+                              controls, _evan_tables(controls, f, orders)),
         controls.rel_tol)
-    evan_grid = _evan_grid(controls.y_cut, fac_e)
+    evan = _evan_tables(controls, fac_e, orders)
 
     def integrand(u_nodes):
         out = np.empty((u_nodes.shape[0], 2))
@@ -455,14 +451,14 @@ def _int_core(src_prov, tgt_prov, temperature, d, controls, include_quad):
                              controls, include_quad, "f",
                              _npanels_f(kd) * fac_p)
             ie = _inner_evan(src_prov, tgt_prov, omega, d, orders,
-                             controls, fac_e, grid=evan_grid)
+                             controls, evan)
             out[i, 0] = nb * ip
             out[i, 1] = nb * ie
         return out
 
     vals, _ = adaptive_vector(integrand, controls.u_min, controls.x_max,
                               controls.rel_tol,
-                              seed_edges=_u_seeds(controls),
+                              seed_edges=thermal_seed_edges(controls),
                               max_panels=controls.max_panels)
     pref = K_BOLTZMANN * temperature / (2.0 * math.pi ** 2)
     return -pref * float(vals[0]), pref * float(vals[1])
@@ -504,7 +500,7 @@ def _pair_core(src_prov, oth_prov, temperature, d, controls, include_quad):
 
     vals, _ = adaptive_vector(integrand, controls.u_min, controls.x_max,
                               controls.rel_tol,
-                              seed_edges=_u_seeds(controls),
+                              seed_edges=thermal_seed_edges(controls),
                               max_panels=controls.max_panels)
     pref = K_BOLTZMANN * temperature / (2.0 * math.pi ** 2)
     return pref * float(vals[0])

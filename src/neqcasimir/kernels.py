@@ -248,16 +248,71 @@ def s_kernel(n, m, k_z, omega, a1, t2_m, t2_mp1, d):
 
 
 # --- vectorized tables and folded sums ---------------------------------------
+#
+# The tables come from the integer-order functions J_0, J_1, Y_0, Y_1,
+# K_0 and K_1 and three-term recurrences in the order (Gautschi, SIAM
+# Rev. 9, 24 (1967); DLMF 10.6.1, 10.29.1, 10.74(iv)).  Each recurrence
+# runs in the direction in which the wanted solution dominates, so
+# rounding errors stay at the level of the values themselves.
 
 @lru_cache(maxsize=64)
-def _gather_indices(n_orders, nu_offset):
-    """Index matrix idx[i, j] = (n_i - m_j) + nu_offset for contiguous
-    symmetric orders; plus the alternating sign matrix (-1)^(n+m)."""
-    half = (n_orders - 1) // 2
-    orders = np.arange(-half, half + 1)
-    nu = orders[:, None] - orders[None, :]
-    sign = np.where((orders[:, None] + orders[None, :]) % 2 == 0, 1.0, -1.0)
-    return nu + nu_offset, sign
+def _signed_rows(lo, hi):
+    """Row |nu| for nu = lo .. hi, and the mask of rows to negate, that
+    turn a table of orders 0, 1, ... into orders lo .. hi by the
+    reflection Z_(-n) = (-1)^n Z_n of integer-order J, Y and H."""
+    nu = np.arange(lo, hi + 1)
+    rows, flip = np.abs(nu), (nu < 0) & (nu % 2 == 1)
+    rows.flags.writeable = flip.flags.writeable = False
+    return rows, flip
+
+
+def _recur_up(z0, z1, two_over_x, top, step):
+    """Rows Z_0 .. Z_top of Z_(n+1) = step((2n / x) Z_n, Z_(n-1)), run
+    upward from Z_0 and Z_1: step = np.subtract for J, Y and H,
+    np.add for the modified function K (and its scaled form e^x K)."""
+    rows = np.empty((top + 1,) + z0.shape, dtype=z0.dtype)
+    rows[0] = z0
+    rows[1] = z1
+    coef = np.arange(top)[:, None] * two_over_x
+    for n in range(1, top):
+        np.multiply(coef[n], rows[n], out=rows[n + 1])
+        step(rows[n + 1], rows[n - 1], out=rows[n + 1])
+    return rows
+
+
+def _miller_j(x, two_over_x, top, j0, j1):
+    """J_0 .. J_top at 0 < x < top by Miller's backward recurrence.
+
+    The ratio r_(top+1) = J_(top+1) / J_top comes from the continued
+    fraction r_k = 1 / (2k / x - r_(k+1)), started at r = 0 at order
+    top + k_extra; it involves only ratios, so it cannot overflow.
+    The truncation error of that start falls like
+    (x / 2)^(2k) (top! / (top + k)!)^2 in the extra order k, and
+    k_extra = 8 + sqrt(12 top) leaves it below rounding up to x -> top
+    (k = 11 suffices at top = 4, k = 27 at top = 66).
+
+    From J_top = 1e-300 the recurrence J_(k-1) = (2k / x) J_k - J_(k+1)
+    then runs down to order 0, where J is dominant, and the rows are
+    scaled to the larger in magnitude of the exact J_0 and J_1 (they
+    have no common zero, so the scale keeps full relative accuracy
+    next to a zero of either).  The tiny start lets the run grow by
+    J_0 / J_top up to 1e608 before it overflows; by then Y_top is far
+    beyond the double range anyway.
+    """
+    start = top + 8 + int(math.sqrt(12.0 * top))
+    coef = np.arange(start + 1)[:, None] * two_over_x
+    r = np.zeros_like(x)
+    for k in range(start, top, -1):
+        r = 1.0 / (coef[k] - r)
+    rows = np.empty((top + 2,) + x.shape)
+    rows[top] = 1e-300
+    rows[top + 1] = rows[top] * r
+    for k in range(top, 0, -1):
+        np.multiply(coef[k], rows[k], out=rows[k - 1])
+        rows[k - 1] -= rows[k + 1]
+    use_j0 = np.abs(j0) >= np.abs(j1)
+    scale = np.where(use_j0, j0, j1) / np.where(use_j0, rows[0], rows[1])
+    return rows[:top + 1] * scale
 
 
 def hankel_tables(qd, nu_max):
@@ -268,85 +323,112 @@ def hankel_tables(qd, nu_max):
                j = 0 .. 2 nu_max + 1 (one extra column at nu_max + 1),
     h[:, j]  = H1_nu(qd) for nu = j - nu_max, j = 0 .. 2 nu_max,
     jp[:, j] = J'_nu(qd) (recurrence) same layout as h.
+
+    H1_n = J_n + i Y_n for n = 0 .. nu_max + 2 follows from J_0, J_1,
+    Y_0 and Y_1 by the upward recurrence
+    Z_(n+1) = (2n / qd) Z_n - Z_(n-1).  Y grows with the order, so the
+    upward run is stable for Y at every argument, and for J while the
+    order stays at or below qd, where J and Y oscillate with one
+    envelope.  At qd below the top order J is the decaying solution,
+    and there its upward values are replaced by Miller's backward
+    recurrence (`_miller_j`).  Negative orders follow from
+    Z_(-n) = (-1)^n Z_n.  qd must be positive.
     """
-    qd = np.asarray(qd, dtype=float)
-    hi = nu_max + 2  # need orders up to nu_max + 1 and one more for J'
-    j_tab = np.empty((qd.shape[0], 2 * hi + 1), dtype=float)
-    y_tab = np.empty_like(j_tab)
-    for order in range(hi + 1):
-        jv = _sp.jv(order, qd)
-        yv = _sp.yv(order, qd)
-        j_tab[:, hi + order] = jv
-        y_tab[:, hi + order] = yv
-        if order:
-            sgn = -1.0 if order % 2 else 1.0
-            j_tab[:, hi - order] = sgn * jv
-            y_tab[:, hi - order] = sgn * yv
-    h_all = j_tab + 1j * y_tab  # columns: order = col - hi
-
-    def col(nu):
-        return nu + hi
-
-    nus = np.arange(-nu_max, nu_max + 2)
-    hp = h_all[:, col(nus)] * np.conj(h_all[:, col(nus - 1)])
-    nus_h = np.arange(-nu_max, nu_max + 1)
-    h = h_all[:, col(nus_h)]
-    jp = 0.5 * (j_tab[:, col(nus_h - 1)] - j_tab[:, col(nus_h + 1)])
+    x = np.asarray(qd, dtype=float)
+    top = nu_max + 2
+    two_over_x = 2.0 / x
+    j0, j1 = _sp.j0(x), _sp.j1(x)
+    h_pos = _recur_up(j0 + 1j * _sp.y0(x), j1 + 1j * _sp.y1(x),
+                      two_over_x, top, np.subtract)
+    small = x < top
+    if np.any(small):
+        h_pos.real[:, small] = _miller_j(x[small], two_over_x[small], top,
+                                         j0[small], j1[small])
+    rows, flip = _signed_rows(-nu_max - 1, nu_max + 1)
+    h_all = h_pos[rows]  # row r holds order r - nu_max - 1
+    h_all[flip] = -h_all[flip]
+    hp = (h_all[1:] * np.conj(h_all[:-1])).T
+    h = h_all[1:-1].T
+    jp = 0.5 * (h_all[:-2].real - h_all[2:].real).T
     return hp, h, jp
 
 
 def k_product_table(y, nu_max):
     """Evanescent wave products (4 / pi^2) K_nu (K_[nu-1] + K_[nu+1])
-    at y = |q| d, for nu = column - nu_max.  Scaled Bessel functions
-    keep the product representable; underflow to zero is harmless.
+    at y = |q| d, for nu = column - nu_max.
+
+    The scaled functions e^y K_n for n = 0 .. nu_max + 1 follow from
+    e^y K_0 and e^y K_1 by the upward recurrence
+    K_(n+1) = (2n / y) K_n + K_(n-1), which is stable at every
+    argument because K grows with the order; no fallback is needed.
+    Scaling keeps the product representable until the factor
+    e^(-2y) is applied; underflow to zero is harmless.  y must be
+    positive.
     """
     y = np.asarray(y, dtype=float)
     hi = nu_max + 1
-    kve = np.empty((y.shape[0], hi + 1), dtype=float)
-    for order in range(hi + 1):
-        kve[:, order] = _sp.kve(order, y)
-    damp = np.exp(-2.0 * y)
+    kve = _recur_up(_sp.k0e(y), _sp.k1e(y), 2.0 / y, hi, np.add)
+    rows, _ = _signed_rows(-hi, hi)
+    k_all = kve[rows]  # row r holds order r - hi; K_(-n) = K_n
+    out = k_all[1:-1] * (k_all[:-2] + k_all[2:])
+    return (_FOUR_OVER_PI2 * out * np.exp(-2.0 * y)).T
 
-    def k(nu):
-        return kve[:, np.abs(nu)]
 
-    out = np.empty((y.shape[0], 2 * nu_max + 1), dtype=float)
-    for j, nu in enumerate(range(-nu_max, nu_max + 1)):
-        out[:, j] = k(nu) * (k(nu - 1) + k(nu + 1))
-    return _FOUR_OVER_PI2 * out * damp[:, None]
+@lru_cache(maxsize=64)
+def _diagonal_projector(n_src, n_tgt, nu_max, alternate):
+    """0/1 matrix P of shape (n_src * n_tgt, 2 nu_max + 1) that sums a
+    flattened (n, m) order matrix along its diagonals: P[(n, m), j] = 1
+    where n - m = j - nu_max.  Source orders are the contiguous
+    symmetric set of n_src; target orders are its first n_tgt.  With
+    alternate, each entry carries (-1)^(n+m)."""
+    half = (n_src - 1) // 2
+    n = np.arange(-half, half + 1)[:, None]
+    m = np.arange(-half, half + 1)[None, :n_tgt]
+    p = np.zeros((n_src * n_tgt, 2 * nu_max + 1))
+    p[np.arange(n_src * n_tgt), (n - m + nu_max).ravel()] = 1.0
+    if alternate:
+        p *= np.where((n + m) % 2 == 0, 1.0, -1.0).reshape(-1, 1)
+    p.flags.writeable = False  # shared by every caller through the cache
+    return p
+
+
+def _order_sums(a, b, nu_max, alternate=False):
+    """D[k, j] = sum over order pairs (n, m) with n - m = j - nu_max of
+    G[k, n, m] (times (-1)^(n+m) when alternate), where
+    G[k, n, m] = sum_PP' a[k, n, P, P'] b[k, m, P, P'].
+
+    G is one batched matmul over the flattened 2x2 polarization axis.
+    Every folded kernel depends on n and m only through nu = n - m, so
+    its order sum is sum_j kernel[k, j] D[k, j], and the diagonal sums
+    are one more matmul with a fixed projector.
+    """
+    nk, n_src = a.shape[:2]
+    n_tgt = b.shape[1]
+    g = np.matmul(a.reshape(nk, n_src, 4),
+                  b.reshape(nk, n_tgt, 4).swapaxes(1, 2))
+    return g.reshape(nk, n_src * n_tgt) @ _diagonal_projector(
+        n_src, n_tgt, nu_max, alternate)
 
 
 def prop_kernel_sum(a2, t1, hp, nu_max, include_quadratic=True):
     """Folded propagating interaction sum over orders and polarizations.
 
     a2, t1 : (Nk, No, 2, 2) stacked source factors and target blocks on
-        the same contiguous symmetric order set.
+        the same contiguous symmetric order set, No <= 2 nu_max + 1.
     hp : (Nk, 2 nu_max + 2) products from hankel_tables.
     Returns (Nk,) real.
+
+    With D the diagonal sums of G = sum_PP' Re a2[n] t1[m], the linear
+    part is sum_nu Im(HP_nu D_nu + HP_[nu+1] conj(D_nu)); the
+    quadratic part is 2 sum_nu Im(HP_nu Dq_nu), with Dq the diagonal
+    sums of sum_PP' a2[n] (t1[m] t1[m+1]^dagger).
     """
-    no = a2.shape[1]
-    idx, _ = _gather_indices(no, nu_max)
-    hp_n = hp[:, idx]          # (Nk, No, No): HP_nu
-    hp_np1 = hp[:, idx + 1]    # HP_[nu + 1]
-    re_a2 = a2.real
-    im_hp_sum = hp_n.imag + hp_np1.imag
-    re_hp_diff = hp_n.real - hp_np1.real
-    out = np.einsum("knab,knm,kmab->k", re_a2, im_hp_sum, t1.real,
-                    optimize=True)
-    out += np.einsum("knab,knm,kmab->k", re_a2, re_hp_diff, t1.imag,
-                     optimize=True)
-    if include_quadratic and no > 1:
+    d = _order_sums(a2.real, t1, nu_max)
+    out = (hp[:, :-1] * d + hp[:, 1:] * np.conj(d)).imag.sum(axis=1)
+    if include_quadratic and a2.shape[1] > 1:
         q = np.matmul(t1[:, :-1], np.conj(t1[:, 1:]))
-        hp_q = hp_n[:, :, :-1]
-        im_a2 = a2.imag
-        out += 2.0 * np.einsum("knab,knm,kmab->k", re_a2,
-                               hp_q.imag, q.real, optimize=True)
-        out += 2.0 * np.einsum("knab,knm,kmab->k", re_a2,
-                               hp_q.real, q.imag, optimize=True)
-        out += 2.0 * np.einsum("knab,knm,kmab->k", im_a2,
-                               hp_q.real, q.real, optimize=True)
-        out -= 2.0 * np.einsum("knab,knm,kmab->k", im_a2,
-                               hp_q.imag, q.imag, optimize=True)
+        dq = _order_sums(a2, q, nu_max)
+        out += 2.0 * (hp[:, :-1] * dq).imag.sum(axis=1)
     return out
 
 
@@ -356,13 +438,11 @@ def evan_kernel_sum(t2, t1, kk, nu_max):
 
     t2, t1 : (Nk, No, 2, 2) source and target blocks.
     kk : (Nk, 2 nu_max + 1) table from k_product_table.
-    Returns (Nk,) real.
+    Returns (Nk,) real: sum_nu KK_nu D_nu with D the alternating
+    diagonal sums of sum_PP' Re t2[n] Im t1[m].
     """
-    no = t2.shape[1]
-    idx, sign = _gather_indices(no, nu_max)
-    kern = kk[:, idx] * sign[None, :, :]
-    return np.einsum("knab,knm,kmab->k", t2.real, kern, t1.imag,
-                     optimize=True)
+    d = _order_sums(t2.real, t1.imag, nu_max, alternate=True)
+    return (kk * d).sum(axis=1)
 
 
 def pair_kernel_sum(a1, t2, h, jp, nu_max):
@@ -372,14 +452,8 @@ def pair_kernel_sum(a1, t2, h, jp, nu_max):
     t2 : (Nk, No, 2, 2) blocks of the other cylinder.
     h, jp : tables from hankel_tables (values and J' at the same nu
         layout).
-    Returns (Nk,) real.
+    Returns (Nk,) real: 4 sum_nu J'_nu Im(H_nu D_nu) with D the
+    diagonal sums of sum_PP' Re a1[n] t2[m].
     """
-    no = a1.shape[1]
-    idx, _ = _gather_indices(no, nu_max)
-    jre = jp[:, idx] * h.real[:, idx]
-    jim = jp[:, idx] * h.imag[:, idx]
-    out = np.einsum("knab,knm,kmab->k", a1.real, jre, t2.imag,
-                    optimize=True)
-    out += np.einsum("knab,knm,kmab->k", a1.real, jim, t2.real,
-                     optimize=True)
-    return 4.0 * out
+    d = _order_sums(a1.real, t2, nu_max)
+    return 4.0 * (jp * (h * d).imag).sum(axis=1)

@@ -176,6 +176,16 @@ def epsilon(model, omega):
     return model.epsilon(omega)
 
 
+def eps_function(material):
+    """Return a vectorized eps(omega) from a model object or callable."""
+    if hasattr(material, "epsilon"):
+        return material.epsilon
+    if callable(material):
+        return material
+    raise TypeError("expected a material model with .epsilon(omega) or "
+                    "a callable eps(omega), got %r" % (type(material),))
+
+
 def thermal_wavelength(temperature):
     """hbar c / (k_B T) in meters; the scale separating near and far
     thermal regimes.  About 7.6 um at 300 K."""

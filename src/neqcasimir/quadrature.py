@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureError
+from .units import HBAR, K_BOLTZMANN
 
 # 15-point Kronrod nodes on [-1, 1] with Kronrod weights and the
 # embedded 7-point Gauss weights (zero at Kronrod-only nodes).
@@ -40,6 +41,10 @@ GK_NODES = np.array([_GK15[i][0] for i in _order])
 GK_WEIGHTS_GAUSS = np.array([_GK15[i][1] for i in _order])
 GK_WEIGHTS_KRONROD = np.array([_GK15[i][2] for i in _order])
 N_GK = 15
+
+# Seed panel edges of thermal frequency integrals, as fractions of the
+# upper cutoff: dense near u = 0, where the Bose factor varies fastest.
+_SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
 
 def panel_nodes(a, b):
@@ -164,3 +169,42 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
     error = np.array([math.fsum(p[3][c] for p in final)
                       for c in range(n_channels)])
     return value, error
+
+
+def thermal_seed_edges(controls):
+    """Seed edges of an outer frequency integral on [u_min, x_max] in
+    u = hbar omega / (k_B T); controls carries u_min and x_max."""
+    edges = {controls.u_min, controls.x_max}
+    for fr in _SEED_FRACTIONS:
+        u = fr * controls.x_max
+        if u > controls.u_min:
+            edges.add(u)
+    return sorted(edges)
+
+
+def bose_integral(weight, temperature, controls):
+    """Adaptive integral of weight(omega) / (exp(hbar omega / k T) - 1)
+    d omega; zero at T = 0.
+
+    Substitutes u = hbar omega / k T so the window [u_min, x_max] of
+    controls covers the thermal band uniformly across temperatures;
+    rel_tol and max_panels come from controls as well.
+    """
+    if temperature == 0.0:
+        return 0.0
+    scale = K_BOLTZMANN * temperature / HBAR
+
+    def integrand(u):
+        u = np.asarray(u, dtype=float)
+        vals = np.zeros((u.size, 1))
+        pos = u > 0
+        if np.any(pos):
+            nb = 1.0 / np.expm1(u[pos])
+            vals[pos, 0] = weight(scale * u[pos]) * nb
+        return vals
+
+    totals, _ = adaptive_vector(integrand, controls.u_min,
+                                controls.x_max, controls.rel_tol,
+                                seed_edges=thermal_seed_edges(controls),
+                                max_panels=controls.max_panels)
+    return scale * totals[0]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neqcasimir import asymptotics, materials
+from neqcasimir import asymptotics, engine, kernels, materials
 from neqcasimir.engine import (QuadratureControls, Scenario,
                                interaction_force, pair_source_force,
                                self_force, sweep, total_force)
@@ -177,6 +177,58 @@ def test_kz_symmetry_flag_agrees():
         C1, C2, 300.0, 2e-6,
         controls=QuadratureControls(rel_tol=1e-3, kz_symmetry=True))
     assert abs(sym - V2UM) <= 2e-3 * abs(V2UM)
+
+
+@pytest.mark.parametrize("provider, rel_tol", [
+    ("thin", 1e-2), ("thin", 1e-4), ("full", 1e-3)])
+def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
+    # the evanescent y-grid is fixed for the whole integral, so past the
+    # order probe and the grid-bump probes the outer frequency integral
+    # builds its K-product table once, however many nodes it takes
+    calls = []
+    phase = {"name": "outside"}
+    real_table = kernels.k_product_table
+
+    def counting_table(y, nu_max):
+        calls.append(phase["name"])
+        return real_table(y, nu_max)
+
+    def in_phase(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, phase["name"] = phase["name"], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase["name"] = outer
+        return wrapped
+
+    nodes = []
+
+    def counting_outer(f, *args, **kwargs):
+        def integrand(u):
+            nodes.append(len(u))
+            return f(u)
+        return real_outer(integrand, *args, **kwargs)
+
+    real_outer = engine.adaptive_vector
+    monkeypatch.setattr(kernels, "k_product_table", counting_table)
+    monkeypatch.setattr(engine, "_probe_orders",
+                        in_phase("probe", engine._probe_orders))
+    monkeypatch.setattr(engine, "_bump_factor",
+                        in_phase("bump", engine._bump_factor))
+    monkeypatch.setattr(engine, "adaptive_vector",
+                        in_phase("outer", counting_outer))
+    ctl = QuadratureControls(rel_tol=rel_tol, n_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        interaction_force(C1, C2, 300.0, 2e-6, provider=provider,
+                          controls=ctl)
+    assert sum(nodes) >= 120
+    assert calls.count("outer") == 0
+    assert calls.count("bump") >= 2
+    assert calls.count("probe") == (3 if provider == "full" else 0)
+    assert calls.count("outside") == 1
+    assert len(calls) == (calls.count("probe") + calls.count("bump") + 1)
 
 
 def test_memo_reuse_is_bitwise():

@@ -208,6 +208,56 @@ def test_k_product_table_columns():
         assert abs(kk[0, j] - direct) < 1e-14 * abs(direct)
 
 
+# --- tables over their whole argument range ---------------------------------
+# the recurrences switch method at qd = nu_max + 2 (J upward above,
+# Miller's backward recurrence below), so the grids include the points
+# just below and at every order, and the first two zeros of J_0, where
+# the backward run is scaled to J_1 instead
+
+J0_ZEROS = (2.404825557695773, 5.520078110286311)
+
+
+def _qd_grid(nu_max):
+    orders = np.arange(1.0, nu_max + 4.0)
+    return np.sort(np.concatenate([np.geomspace(1e-4, 400.0, 1500),
+                                   orders - 1e-9, orders, J0_ZEROS]))
+
+
+@pytest.mark.parametrize("nu_max", [2, 16])
+def test_hankel_tables_over_range(nu_max):
+    qd = _qd_grid(nu_max)
+    hp, h, jp = kernels.hankel_tables(qd, nu_max)
+    nus = np.arange(-nu_max, nu_max + 2)
+    ref = sp.hankel1(nus[None, :], qd[:, None])  # orders -nu_max..nu_max+1
+    ref_m1 = sp.hankel1(nus[None, :] - 1, qd[:, None])
+    mag = np.abs(ref)
+    assert np.all(np.abs(h - ref[:, :-1]) <= 1e-13 * mag[:, :-1])
+    assert np.all(np.abs(jp - sp.jvp(nus[None, :-1], qd[:, None]))
+                  <= 1e-13 * mag[:, :-1])
+    assert np.all(np.abs(hp - ref * np.conj(ref_m1))
+                  <= 1e-13 * mag * np.abs(ref_m1))
+
+
+@pytest.mark.parametrize("nu_max", [2, 16])
+def test_hankel_tables_wronskian_over_range(nu_max):
+    # Im[H_nu conj(H_(nu-1))] = J_nu Y_(nu-1) - Y_nu J_(nu-1) = -2/(pi x)
+    qd = _qd_grid(nu_max)
+    hp, _, _ = kernels.hankel_tables(qd, nu_max)
+    exact = -2.0 / (np.pi * qd[:, None])
+    assert np.all(np.abs(hp.imag - exact) <= 1e-13 * np.abs(exact))
+
+
+@pytest.mark.parametrize("nu_max", [2, 16])
+def test_k_product_table_over_range(nu_max):
+    y = np.geomspace(1e-3, 35.0, 1500)
+    kk = kernels.k_product_table(y, nu_max)
+    nus = np.arange(-nu_max, nu_max + 1)[None, :]
+    yy = y[:, None]
+    direct = (4.0 / np.pi ** 2) * sp.kv(nus, yy) \
+        * (sp.kv(nus - 1, yy) + sp.kv(nus + 1, yy))
+    assert np.all(np.abs(kk - direct) <= 1e-13 * direct)
+
+
 # --- folded sums against literal double sums ---------------------------------
 # with thin blocks every order beyond |n| = 1 is zero, so the folded
 # edge handling and the literal block-pair convention coincide exactly
@@ -266,6 +316,64 @@ def test_pair_kernel_sum_matches_literal():
                          _blk(int(m) + 1), D)
         for n in ORDERS for m in ORDERS)
     assert abs(folded - literal) < 1e-12 * abs(literal)
+
+
+# --- folded sums on full blocks at several nodes ------------------------------
+# every order of the full solve is nonzero, so these catch an order or
+# node mix-up that the single-node thin-block checks above cannot
+
+FULL = tmatrix.FullSolve(SIC, 1e-6)   # size parameter 2 at OMEGA
+FULL_HALF = 3
+FULL_ORDERS = np.arange(-FULL_HALF, FULL_HALF + 1)
+FULL_NU_MAX = 2 * FULL_HALF
+
+
+def _loop_sum(a, b, kern):
+    """sum_(n, m, P, P') kern(k, n - m, n, m) a[k, n, P, P'] b[k, m, P, P']
+    per node k, for b on the first b.shape[1] orders of a's set."""
+    out = np.zeros(a.shape[0], dtype=complex)
+    for k in range(a.shape[0]):
+        for i, n in enumerate(FULL_ORDERS):
+            for j, m in enumerate(FULL_ORDERS[:b.shape[1]]):
+                w = kern(k, int(n - m) + FULL_NU_MAX, int(n), int(m))
+                for p in range(2):
+                    for q in range(2):
+                        out[k] += w * a[k, i, p, q] * b[k, j, p, q]
+    return out
+
+
+def test_folded_sums_against_loops_on_full_blocks():
+    ktz_p = np.array([-0.8, -0.25, 0.1, 0.55, 0.9])
+    qd = np.sqrt(1.0 - ktz_p ** 2) * OMEGA / C_LIGHT * D * 3.0
+    t = FULL.blocks(FULL_ORDERS, ktz_p, OMEGA)
+    assert np.all(np.abs(t[:, 0]) > 0) and np.all(np.abs(t[:, -1]) > 0)
+    hp, h, jp = kernels.hankel_tables(qd, FULL_NU_MAX)
+    for inc in (True, False):
+        amp = kernels.prop_amplitude(t, inc)
+        ref = _loop_sum(amp.real, t.real, lambda k, c, n, m:
+                        hp[k, c].imag + hp[k, c + 1].imag)
+        ref += _loop_sum(amp.real, t.imag, lambda k, c, n, m:
+                         hp[k, c].real - hp[k, c + 1].real)
+        if inc:
+            q = np.matmul(t[:, :-1], np.conj(t[:, 1:]))
+            ref += 2.0 * _loop_sum(amp, q, lambda k, c, n, m:
+                                   hp[k, c]).imag
+        folded = kernels.prop_kernel_sum(amp, t, hp, FULL_NU_MAX, inc)
+        assert np.all(np.abs(folded - ref.real) <= 1e-12 * np.abs(ref.real))
+    amp = kernels.prop_amplitude(t, True)
+    ref = 4.0 * _loop_sum(amp.real, t, lambda k, c, n, m:
+                          jp[k, c] * h[k, c]).imag
+    folded = kernels.pair_kernel_sum(amp, t, h, jp, FULL_NU_MAX)
+    assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
+
+    ktz_e = np.array([-2.5, -1.3, 1.1, 1.7, 3.0])
+    y = np.sqrt(ktz_e ** 2 - 1.0) * OMEGA / C_LIGHT * D
+    te = FULL.blocks(FULL_ORDERS, ktz_e, OMEGA)
+    kk = kernels.k_product_table(y, FULL_NU_MAX)
+    ref = _loop_sum(te.real, te.imag, lambda k, c, n, m:
+                    kk[k, c] * (-1.0) ** (n + m)).real
+    folded = kernels.evan_kernel_sum(te, te, kk, FULL_NU_MAX)
+    assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_mode_point_branches():

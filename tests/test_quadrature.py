@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from neqcasimir import quadrature
+from neqcasimir.engine import QuadratureControls
 from neqcasimir.errors import QuadratureError
+from neqcasimir.units import HBAR, K_BOLTZMANN
 
 
 def test_polynomial_exactness_single_panel():
@@ -136,6 +138,25 @@ def test_composite_nodes_fixed_rule():
 def test_uniform_edges():
     edges = quadrature.uniform_edges(0.0, 1.0, 4)
     assert np.allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_bose_integral_planck_moment():
+    # integral of w^3 / (exp(hbar w / k T) - 1) dw = (k T / hbar)^4 pi^4 / 15,
+    # and a cold source gives exactly zero
+    ctl = QuadratureControls(rel_tol=1e-8)
+    scale = K_BOLTZMANN * 300.0 / HBAR
+    value = quadrature.bose_integral(lambda w: w ** 3, 300.0, ctl)
+    exact = scale ** 4 * np.pi ** 4 / 15.0
+    assert abs(value - exact) <= 1e-8 * exact
+    assert quadrature.bose_integral(lambda w: w ** 3, 0.0, ctl) == 0.0
+
+
+def test_thermal_seed_edges_window():
+    edges = quadrature.thermal_seed_edges(QuadratureControls())
+    assert edges[0] == 0.0 and edges[-1] == 40.0
+    assert np.all(np.diff(edges) > 0)
+    edges = quadrature.thermal_seed_edges(QuadratureControls(u_min=1.0))
+    assert edges == [1.0, 1.2, 2.5, 5.0, 10.0, 20.0, 40.0]
 
 
 if __name__ == "__main__":
