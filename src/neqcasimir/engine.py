@@ -54,6 +54,8 @@ _EVAN_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
 _PROBE_US = (2.5, 7.0, 15.0)
 _MAX_GRID_BUMPS = 4
+# blocks(-ktilde_z) = blocks(ktilde_z) * _KZ_FLIP (see tmatrix)
+_KZ_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
@@ -85,9 +87,13 @@ class QuadratureControls:
         counts as converged.
     y_cut : upper cutoff of the evanescent decay variable y = |q| d.
     max_panels : outer adaptive panel budget before giving up.
-    kz_symmetry : exploit the exact evenness in k_z and integrate half
-        the axial range.  Off by default so the symmetry stays a
-        testable property instead of an assumption.
+    kz_symmetry : exploit the exact evenness in k_z of the kernel sums
+        and integrate half the axial range.  Off by default so that
+        evenness stays a testable property instead of an assumption.
+        Either way the -k_z evanescent blocks come from the exact
+        block parity T(-k_z) = T(k_z) * [[1, -1], [-1, 1]], which the
+        tmatrix tests check bitwise; only the kernel sum over both
+        branches depends on this flag.
     include_quadratic : force the quadratic part of the source
         amplitude on or off; None defers to the provider default
         (off for thin, on for full).
@@ -308,18 +314,16 @@ def _inner_evan(src_prov, tgt_prov, omega, d, orders, controls, tables):
     nodes, wts, kk = tables
     ktz = np.sqrt(1.0 + (nodes / kd) ** 2)
     nu_max = int(orders[-1]) * 2
-    same = _same_provider(src_prov, tgt_prov)
-
-    def branch(sign):
-        tsrc = src_prov.blocks(orders, sign * ktz, omega)
-        ttgt = tsrc if same else tgt_prov.blocks(orders, sign * ktz, omega)
-        return kernels.evan_kernel_sum(tsrc, ttgt, kk, nu_max)
-
-    vals = branch(1.0)
+    tsrc = src_prov.blocks(orders, ktz, omega)
+    ttgt = tsrc if _same_provider(src_prov, tgt_prov) \
+        else tgt_prov.blocks(orders, ktz, omega)
+    vals = kernels.evan_kernel_sum(tsrc, ttgt, kk, nu_max)
     if controls.kz_symmetry:
         vals = 2.0 * vals
     else:
-        vals = vals + branch(-1.0)
+        # the -k_z blocks by the exact k_z parity of every provider
+        vals = vals + kernels.evan_kernel_sum(
+            tsrc * _KZ_FLIP, ttgt * _KZ_FLIP, kk, nu_max)
     measure = nodes * nodes / np.sqrt(kd * kd + nodes * nodes)
     return float(np.dot(wts, measure * vals)) / (d * d)
 

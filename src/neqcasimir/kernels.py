@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
+from .errors import QuadratureError
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _FOUR_OVER_PI2 = 4.0 / math.pi ** 2
@@ -315,6 +316,23 @@ def _miller_j(x, two_over_x, top, j0, j1):
     return rows[:top + 1] * scale
 
 
+def _require_finite(name, table, args, nu_max, arg_name):
+    """Raise QuadratureError if a column of table (column j holds order
+    j - nu_max, one row per argument in args) is not finite, naming the
+    lowest such order and the smallest argument where it fails.  The
+    tables overflow at small arguments and high orders, where Y_n and
+    K_n grow like (n - 1)! (2 / x)^n."""
+    bad = ~np.isfinite(table)
+    if not bad.any():
+        return
+    nu = np.flatnonzero(bad.any(axis=0)) - nu_max
+    nu = nu[np.argmin(np.abs(nu))]
+    arg = float(np.min(args[bad[:, nu + nu_max]]))
+    raise QuadratureError(
+        "%s: order %d is not finite at %s = %.6g; the azimuthal order "
+        "cap is too high for this argument" % (name, nu, arg_name, arg))
+
+
 def hankel_tables(qd, nu_max):
     """Products of outgoing waves for the propagating kernels.
 
@@ -348,6 +366,7 @@ def hankel_tables(qd, nu_max):
     h_all = h_pos[rows]  # row r holds order r - nu_max - 1
     h_all[flip] = -h_all[flip]
     hp = (h_all[1:] * np.conj(h_all[:-1])).T
+    _require_finite("hankel_tables", hp, x, nu_max, "qd")
     h = h_all[1:-1].T
     jp = 0.5 * (h_all[:-2].real - h_all[2:].real).T
     return hp, h, jp
@@ -371,7 +390,9 @@ def k_product_table(y, nu_max):
     rows, _ = _signed_rows(-hi, hi)
     k_all = kve[rows]  # row r holds order r - hi; K_(-n) = K_n
     out = k_all[1:-1] * (k_all[:-2] + k_all[2:])
-    return (_FOUR_OVER_PI2 * out * np.exp(-2.0 * y)).T
+    out = (_FOUR_OVER_PI2 * out * np.exp(-2.0 * y)).T
+    _require_finite("k_product_table", out, y, nu_max, "y")
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -12,8 +12,12 @@ thin_t
     Closed-form leading order in the size parameter x = omega R / c,
     valid for x << 1 and orders |n| <= 1.  Entries scale as x^2.
 full_t
-    Exact solution of the 4x4 boundary-matching system (tangential E
+    Exact solution of the boundary-matching conditions (tangential E
     and H continuity at the surface), any order, any size parameter.
+    The E_z and H_z conditions each fix one interior coefficient;
+    eliminating both leaves a closed-form 2x2 system for the outgoing
+    (M, N) amplitudes (Rahi, Emig, Graham, Jaffe, Kardar, PRD 80,
+    085021 (2009)).
 
 Providers (ThinExpansion, FullSolve) bind a material and radius and
 produce batched blocks over nodes in (order, ktilde_z) for the force
@@ -21,11 +25,13 @@ integrator.  Index convention everywhere: P = 0 is M, P = 1 is N.
 
 The axial fraction enters only through ktilde_z^2 and ktilde_z * n, so
 blocks obey T[diag](-n) = T[diag](n) and T[offdiag](-n) = -T[offdiag](n),
-and the same parity in ktilde_z.  Off-diagonal entries are equal
-(T^MN = T^NM) by reciprocity.
+and the same parity in ktilde_z: T(-ktilde_z) = T(ktilde_z) * [[1, -1],
+[-1, 1]].  Both providers keep the ktilde_z parity bitwise (a sign flip
+of ktilde_z * n is exact), and the engine takes its -k_z evanescent
+blocks from it.  Off-diagonal entries are equal (T^MN = T^NM) by
+reciprocity.
 """
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -116,56 +122,29 @@ def thin_t(n, ktilde_z, eps, mu, x):
 
 # --- full boundary-matching solve -------------------------------------------
 
-def _det2(a, b, c, d):
-    return a * d - b * c
-
-
-def _det4(m):
-    """Determinant of stacked 4x4 matrices, shape (..., 4, 4).
-
-    Laplace expansion over the first two rows: six 2x2 minors times
-    their complementary minors in the last two rows.
-    """
-    r0 = m[..., 0, :]
-    r1 = m[..., 1, :]
-    r2 = m[..., 2, :]
-    r3 = m[..., 3, :]
-
-    def top(i, j):
-        return _det2(r0[..., i], r0[..., j], r1[..., i], r1[..., j])
-
-    def bot(i, j):
-        return _det2(r2[..., i], r2[..., j], r3[..., i], r3[..., j])
-
-    return (top(0, 1) * bot(2, 3)
-            - top(0, 2) * bot(1, 3)
-            + top(0, 3) * bot(1, 2)
-            + top(1, 2) * bot(0, 3)
-            - top(1, 3) * bot(0, 2)
-            + top(2, 3) * bot(0, 1))
-
-
-def _cyl_tables(orders_lo, orders_hi, z):
-    """Tables of H1_n(z) and J_n(z) for signed integer orders in
-    [orders_lo, orders_hi], complex argument allowed.
-
-    Returns dict order -> (array over z).  Negative orders via the
-    exact integer reflection (-1)^n.
-    """
-    n_abs_max = max(abs(orders_lo), abs(orders_hi))
-    h_pos = [_sp.hankel1(n, z) for n in range(n_abs_max + 1)]
-    j_pos = [_sp.jv(n, z) for n in range(n_abs_max + 1)]
-    h = {}
-    j = {}
-    for n in range(orders_lo, orders_hi + 1):
-        sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
-        h[n] = sign * h_pos[abs(n)]
-        j[n] = sign * j_pos[abs(n)]
-    return h, j
+def _with_prime(z):
+    """Split a table of Z_0 .. Z_(top+1) (orders along the last axis)
+    into Z_n and Z'_n = (Z_(n-1) - Z_(n+1)) / 2 for n = 0 .. top, with
+    Z_(-1) = -Z_1."""
+    lower = np.concatenate([-z[:, 1:2], z[:, :-2]], axis=1)
+    return z[:, :-1], 0.5 * (lower - z[:, 1:])
 
 
 def _full_blocks_batch(orders, ktz, eps, mu, x):
-    """Solve the boundary system for every (ktz node, order).
+    """Closed-form blocks for every (ktz node, order).
+
+    Tangential E_z and H_z continuity each fix one interior
+    coefficient.  Substituting them into the E_phi and H_phi rows,
+    multiplied through by p1 J_n(p1), leaves for the outgoing
+    amplitudes (T_MP', T_NP') of an incident wave P'
+
+        [[a_M, c H_n], [c H_n, a_N]] T = -[[b_M, c J_n], [c J_n, b_N]]
+
+    with a_P = s_P p J_n'(p1) H_n(p) - p1 J_n(p1) H_n'(p), b_P the same
+    with J_n(p) for H_n(p), s_M = mu, s_N = eps, and the coupling
+    c = ktilde_z n J_n(p1) x^2 (1 - eps mu) / (p p1).  Nothing divides
+    by an interior Bessel value.  Negative orders follow from the
+    parity of the blocks in n.
 
     Parameters
     ----------
@@ -186,6 +165,8 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
         raise TMatrixError("size parameter must be positive")
     eps = complex(eps)
     mu = complex(mu)
+    if eps * mu == 0:
+        raise TMatrixError("eps * mu = 0 is not a propagating medium")
 
     # transverse arguments outside and inside; principal sqrt puts the
     # evanescent exterior argument on the positive imaginary axis and
@@ -194,83 +175,53 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     p1 = x * np.sqrt(eps * mu - ktz ** 2 + 0.0j)
     p1 = np.where(p1.imag < 0.0, -p1, p1)
 
-    lo = int(orders.min()) - 1
-    hi = int(orders.max()) + 1
-    h_tab, j_tab = _cyl_tables(lo, hi, p)
-    _, j1_tab = _cyl_tables(lo, hi, p1)
+    n = np.arange(int(np.abs(orders).max()) + 2)
+    hn, hp = _with_prime(_sp.hankel1(n, p[:, None]))
+    jn, jp = _with_prime(_sp.jv(n, p[:, None]))
+    j1n, j1p = _with_prime(_sp.jv(n, p1[:, None]))
+    n = n[:-1]
+    p = p[:, None]
+    p1 = p1[:, None]
 
-    root_em = cmath.sqrt(eps * mu)
-    if root_em.imag < 0:
-        root_em = -root_em
-    if root_em == 0:
-        raise TMatrixError("eps * mu = 0 is not a propagating medium")
-    root_e_over_m = cmath.sqrt(eps / mu)
+    inner = p * j1p
+    outer = p1 * j1n
+    a_m = mu * inner * hn - outer * hp
+    a_n = eps * inner * hn - outer * hp
+    b_m = mu * inner * jn - outer * jp
+    b_n = eps * inner * jn - outer * jp
+    c = ktz[:, None] * n * j1n * (x * x * (1.0 - eps * mu) / (p * p1))
+    ch = c * hn
+    cj = c * jn
 
-    Nk = ktz.shape[0]
-    No = orders.shape[0]
-    A = np.zeros((Nk, No, 4, 4), dtype=complex)
-    B = np.zeros((Nk, No, 4, 2), dtype=complex)
-
-    for io, n in enumerate(orders):
-        n = int(n)
-        Hn = h_tab[n]
-        Hp = 0.5 * (h_tab[n - 1] - h_tab[n + 1])
-        Jn = j_tab[n]
-        Jp = 0.5 * (j_tab[n - 1] - j_tab[n + 1])
-        J1n = j1_tab[n]
-        J1p = 0.5 * (j1_tab[n - 1] - j1_tab[n + 1])
-
-        px = p / x
-        p1x = p1 / x
-        knp = ktz * n / p
-        kn1 = ktz * n / p1
-
-        # tangential E_z
-        A[:, io, 0, 1] = px * Hn
-        A[:, io, 0, 3] = -(p1x / root_em) * J1n
-        B[:, io, 0, POL_N] = -px * Jn
-        # tangential E_phi
-        A[:, io, 1, 0] = -Hp
-        A[:, io, 1, 1] = -knp * Hn
-        A[:, io, 1, 2] = J1p
-        A[:, io, 1, 3] = (kn1 / root_em) * J1n
-        B[:, io, 1, POL_M] = Jp
-        B[:, io, 1, POL_N] = knp * Jn
-        # tangential H_z
-        A[:, io, 2, 0] = px * Hn
-        A[:, io, 2, 2] = -(p1x / mu) * J1n
-        B[:, io, 2, POL_M] = -px * Jn
-        # tangential H_phi
-        A[:, io, 3, 0] = -knp * Hn
-        A[:, io, 3, 1] = -Hp
-        A[:, io, 3, 2] = (kn1 / mu) * J1n
-        A[:, io, 3, 3] = root_e_over_m * J1p
-        B[:, io, 3, POL_M] = knp * Jn
-        B[:, io, 3, POL_N] = Jp
-
-    det = _det4(A)
+    det = a_m * a_n - ch * ch
     if np.any(det == 0) or not np.all(np.isfinite(det)):
         raise TMatrixError(
             "singular boundary system (accidental resonance) at "
             "x = %g" % (x,))
-
-    out = np.empty((Nk, No, 2, 2), dtype=complex)
-    for col, pol_out in ((0, POL_M), (1, POL_N)):
-        for pol_in in (POL_M, POL_N):
-            mod = A.copy()
-            mod[..., :, col] = B[..., :, pol_in]
-            out[:, :, pol_out, pol_in] = _det4(mod) / det
-    if not np.all(np.isfinite(out)):
+    blk = np.empty(det.shape + (2, 2), dtype=complex)
+    blk[..., POL_M, POL_M] = (ch * cj - a_n * b_m) / det
+    blk[..., POL_N, POL_M] = (ch * b_m - a_m * cj) / det
+    blk[..., POL_M, POL_N] = (ch * b_n - a_n * cj) / det
+    blk[..., POL_N, POL_N] = (ch * cj - a_m * b_n) / det
+    if not np.all(np.isfinite(blk)):
         raise TMatrixError("non-finite scattering entries at x = %g" % (x,))
+
+    out = blk[:, np.abs(orders)]
+    neg = orders < 0
+    out[:, neg, POL_M, POL_N] = -out[:, neg, POL_M, POL_N]
+    out[:, neg, POL_N, POL_M] = -out[:, neg, POL_N, POL_M]
     return out
 
 
 def full_t(n, ktilde_z, eps, mu, x):
-    """Exact scattering block from the boundary-matching system.
+    """Exact scattering block from the boundary-matching conditions.
 
     Same signature as thin_t but valid at any order and size parameter.
-    Raises TMatrixError on the light line (|ktilde_z| = 1) or when the
-    boundary system is numerically singular.
+    The interior coefficients are eliminated in closed form and the
+    remaining 2x2 system for the outgoing (M, N) amplitudes is solved
+    directly (see _full_blocks_batch).  Raises TMatrixError on the light
+    line (|ktilde_z| = 1) or when the 2x2 system is numerically
+    singular.
     """
     if int(n) != n:
         raise TMatrixError("order must be an integer, got %r" % (n,))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neqcasimir import asymptotics, engine, kernels, materials
+from neqcasimir import asymptotics, engine, kernels, materials, tmatrix
 from neqcasimir.engine import (QuadratureControls, Scenario,
                                interaction_force, pair_source_force,
                                self_force, sweep, total_force)
@@ -229,6 +229,54 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     assert calls.count("probe") == (3 if provider == "full" else 0)
     assert calls.count("outside") == 1
     assert len(calls) == (calls.count("probe") + calls.count("bump") + 1)
+
+
+@pytest.mark.parametrize("provider, rel_tol, radius2", [
+    ("thin", 1e-2, R), ("thin", 1e-2, 2.0 * R), ("full", 1e-3, R)])
+def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
+                                         radius2):
+    # the -k_z evanescent blocks come from the exact k_z parity, so an
+    # interaction integral never asks a provider for ktilde_z < -1, and
+    # each outer node evaluates its evanescent blocks once per distinct
+    # provider
+    calls = []
+    phase = {"outer": False}
+
+    def counting(blocks):
+        def wrapped(self, orders, ktz, omega):
+            ktz = np.asarray(ktz)
+            kind = ("negative" if np.any(ktz < -1.0) else
+                    "evanescent" if np.all(ktz > 1.0) else "propagating")
+            calls.append((phase["outer"], kind))
+            return blocks(self, orders, ktz, omega)
+        return wrapped
+
+    nodes = []
+
+    def counting_outer(f, *args, **kwargs):
+        def integrand(u):
+            nodes.append(len(u))
+            phase["outer"] = True
+            try:
+                return f(u)
+            finally:
+                phase["outer"] = False
+        return real_outer(integrand, *args, **kwargs)
+
+    real_outer = engine.adaptive_vector
+    for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
+        monkeypatch.setattr(cls, "blocks", counting(cls.blocks))
+    monkeypatch.setattr(engine, "adaptive_vector", counting_outer)
+    ctl = QuadratureControls(rel_tol=rel_tol, n_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        interaction_force(C1, CylinderSpec(radius2, SIC, 300.0), 300.0,
+                          2e-6, provider=provider, controls=ctl)
+    distinct = 1 if radius2 == R else 2
+    assert sum(nodes) >= 120
+    assert not any(kind == "negative" for _, kind in calls)
+    assert calls.count((True, "evanescent")) == distinct * sum(nodes)
+    assert calls.count((True, "propagating")) == distinct * sum(nodes)
 
 
 def test_memo_reuse_is_bitwise():

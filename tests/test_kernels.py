@@ -2,11 +2,14 @@
 literal f / f-tilde / s kernels against independent oracles, and the
 folded vectorized sums against the literal double sums."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from neqcasimir import kernels, materials, tmatrix
+from neqcasimir.errors import QuadratureError
 from neqcasimir.units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _, SIC = materials.load_material("sic")
@@ -256,6 +259,29 @@ def test_k_product_table_over_range(nu_max):
     direct = (4.0 / np.pi ** 2) * sp.kv(nus, yy) \
         * (sp.kv(nus - 1, yy) + sp.kv(nus + 1, yy))
     assert np.all(np.abs(kk - direct) <= 1e-13 * direct)
+
+
+@pytest.mark.parametrize("table", [kernels.hankel_tables,
+                                   kernels.k_product_table])
+def test_table_overflow_raises(table):
+    # Y_n and K_n grow like (n - 1)! (2 / x)^n, so at an argument of
+    # 1e-6 a table of order 64 (twice the order probe's cap of 32)
+    # overflows; the table raises, naming the lowest order that is not
+    # finite and the argument, instead of handing inf on to the sums
+    arg = np.array([1e-6, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError) as err:
+            table(arg, 64)
+        found = re.search(r"order (-?\d+) is not finite at \w+ = 1e-06",
+                          str(err.value))
+        assert found
+        order = abs(int(found.group(1)))
+        assert 16 < order < 64
+        below = table(arg, order - 1)
+        for out in below if isinstance(below, tuple) else (below,):
+            assert np.all(np.isfinite(out))
+        with pytest.raises(QuadratureError):
+            table(arg, order)
 
 
 # --- folded sums against literal double sums ---------------------------------

@@ -6,12 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from neqcasimir import materials, tmatrix
 from neqcasimir.errors import TMatrixError
+from neqcasimir.units import HBAR, K_BOLTZMANN
 
 EPS = 2.0 + 0.3j
 _, SIC = materials.load_material("sic")
+_, TUNGSTEN = materials.load_material("tungsten_2400K")
 OMEGA = 2.0 * materials.C_LIGHT / 1e-6
 
 
@@ -71,6 +74,22 @@ def test_kz_reflection_parity():
         assert np.all(np.diag(tp) == np.diag(tm))
         assert tp[0, 1] == -tm[0, 1]
         assert tp[1, 0] == -tm[1, 0]
+    # the same parity holds bitwise for the batched provider blocks over
+    # the propagating range and the engine's evanescent range; the
+    # engine takes its -k_z evanescent blocks from it
+    flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    d = 1e-6
+    for prov, orders in ((tmatrix.ThinExpansion(SIC, 0.1e-6), range(-2, 3)),
+                         (tmatrix.FullSolve(SIC, 0.1e-6), range(-8, 9)),
+                         (tmatrix.FullSolve(TUNGSTEN, 20e-9), range(-8, 9))):
+        for omega in (0.1 * OMEGA, 0.5 * OMEGA, OMEGA):
+            kd = omega * d / materials.C_LIGHT
+            ktz = np.concatenate([
+                np.cos(np.linspace(0.0, np.pi, 41)[1:-1]),
+                np.sqrt(1.0 + (np.linspace(0.0, 35.0, 71)[1:] / kd) ** 2)])
+            plus = prov.blocks(orders, ktz, omega)
+            assert np.array_equal(prov.blocks(orders, -ktz, omega),
+                                  flip * plus)
 
 
 def test_full_matches_thin_at_small_x():
@@ -110,6 +129,84 @@ def test_evanescent_branch_continuation():
         t = maker(1, 1.7, EPS, 1.0, 0.05).entries
         assert np.all(np.isfinite(t.view(float)))
         assert abs(t[0, 1] - t[1, 0]) < 1e-10 * np.max(np.abs(t))
+
+
+def _boundary_solve(orders, ktz, eps, x):
+    """Blocks (Nk, No, 2, 2) from np.linalg.solve of the 4x4 boundary
+    system (mu = 1): tangential E_z, E_phi, H_z and H_phi continuity
+    for the unknowns (T_M, T_N, interior M, interior N), one right-hand
+    side per incident polarization."""
+    n = np.asarray(orders)[None, :]
+    ktz = np.asarray(ktz)[:, None]
+    p = x * np.sqrt(1.0 + 0j - ktz ** 2)
+    p1 = x * np.sqrt(eps - ktz ** 2 + 0j)
+    p1 = np.where(p1.imag < 0, -p1, p1)
+    root = np.sqrt(complex(eps))
+    root = -root if root.imag < 0 else root
+    h, hp = sp.hankel1(n, p), sp.h1vp(n, p)
+    j, jp = sp.jv(n, p), sp.jvp(n, p)
+    j1, j1p = sp.jv(n, p1), sp.jvp(n, p1)
+    px, p1x = p / x, p1 / x
+    knp, kn1 = ktz * n / p, ktz * n / p1
+    zero = np.zeros_like(h)
+    a = np.stack([
+        np.stack([zero, px * h, zero, -(p1x / root) * j1], -1),
+        np.stack([-hp, -knp * h, j1p, (kn1 / root) * j1], -1),
+        np.stack([px * h, zero, -p1x * j1, zero], -1),
+        np.stack([-knp * h, -hp, kn1 * j1, root * j1p], -1)], -2)
+    b = np.stack([
+        np.stack([zero, -px * j], -1),
+        np.stack([jp, knp * j], -1),
+        np.stack([-px * j, zero], -1),
+        np.stack([knp * j, jp], -1)], -2)
+    return np.linalg.solve(a, b)[..., :2, :]
+
+
+def _oracle_deviation(prov, orders, ktz, omega):
+    got = prov.blocks(orders, ktz, omega)
+    want = _boundary_solve(orders, ktz, complex(prov.material.epsilon(omega)),
+                           prov.size_parameter(omega))
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    return float(np.max(np.abs(got - want) / scale))
+
+
+def test_full_blocks_match_boundary_solve():
+    # closed-form elimination against a direct solve of the 4x4 system,
+    # per block relative to its largest entry.  Closer to the light line
+    # than y = 0.05 both routes lose digits like 1e-16 / (1 - ktilde_z^2)
+    # (the determinant cancels at that relative order), so neither is
+    # an oracle for the other there.  Worst measured: 7.6e-11
+    orders = np.arange(-8, 9)
+    temp, d = 2400.0, 0.5e-6
+    prov = tmatrix.FullSolve(TUNGSTEN, 20e-9)
+    worst = 0.0
+    for u in np.geomspace(0.05, 40.0, 12):
+        omega = u * K_BOLTZMANN * temp / HBAR
+        kd = omega * d / materials.C_LIGHT
+        ktz = np.concatenate([
+            np.cos(np.linspace(0.0, np.pi, 11)[1:-1]),
+            np.sqrt(1.0 + (np.geomspace(0.05, 35.0, 10) / kd) ** 2)])
+        worst = max(worst, _oracle_deviation(prov, orders, ktz, omega))
+    assert worst < 1e-8
+
+
+def test_full_blocks_at_interior_bessel_zero():
+    # lossless eps with p1 = 2 x on a zero of J_0 or J_1, propagating
+    # and evanescent: the elimination never divides by J_n(p1).  For J_0
+    # p1 lands on the float where scipy's J_0 returns exactly 0, so a
+    # division by it would give inf.  Measured: 5e-16
+    radius = 25e-9
+    for order in (0, 1):
+        zero = sp.jn_zeros(order, 1)[0]
+        near = zero + np.arange(-8, 9) * np.spacing(zero)
+        target = near[np.argmin(np.abs(sp.jv(order, near + 0j)))]
+        omega = 0.5 * target * materials.C_LIGHT / radius
+        for eps, ktz in ((4.25, 0.5), (6.25, 1.5)):  # eps - ktz^2 = 4
+            prov = tmatrix.FullSolve(materials.Constant(eps + 0j), radius)
+            p1 = 2.0 * prov.size_parameter(omega)
+            assert abs(sp.jv(order, p1 + 0j)) < 1e-15
+            assert _oracle_deviation(prov, np.arange(-8, 9),
+                                     np.array([ktz]), omega) < 1e-8
 
 
 def test_thin_argument_errors():
