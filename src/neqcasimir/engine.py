@@ -291,8 +291,10 @@ def _inner_prop(src_prov, tgt_prov, omega, d, orders, controls,
     amp = kernels.prop_amplitude(tsrc, include_quad)
     if kernel == "f":
         vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max, include_quad)
+        vals = kernels.require_finite(vals, hp, qd, nu_max, "qd")
     else:
         vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
+        vals = kernels.require_finite(vals, h, qd, nu_max, "qd")
     total = k * k * float(np.dot(wts, sin_psi * sin_psi * vals))
     if controls.kz_symmetry:
         total *= 2.0
@@ -324,6 +326,7 @@ def _inner_evan(src_prov, tgt_prov, omega, d, orders, controls, tables):
         # the -k_z blocks by the exact k_z parity of every provider
         vals = vals + kernels.evan_kernel_sum(
             tsrc * _KZ_FLIP, ttgt * _KZ_FLIP, kk, nu_max)
+    vals = kernels.require_finite(vals, kk, nodes, nu_max, "y")
     measure = nodes * nodes / np.sqrt(kd * kd + nodes * nodes)
     return float(np.dot(wts, measure * vals)) / (d * d)
 
@@ -371,17 +374,23 @@ def _probe_orders(src_prov, tgt_prov, omega_scale, d, controls,
             jp_c = jp[:, off: off + 4 * n_cur + 1]
             if kind == "int":
                 amp = kernels.prop_amplitude(ts_p[:, lo:hi], include_quad)
-                fsum = kernels.prop_kernel_sum(amp, tt_p[:, lo:hi], hp_c,
-                                               nu_cur, include_quad)
+                fsum = kernels.require_finite(
+                    kernels.prop_kernel_sum(amp, tt_p[:, lo:hi], hp_c,
+                                            nu_cur, include_quad),
+                    hp_c, qd, nu_cur, "qd")
                 ip = float(np.dot(wts, sin_psi ** 2 * fsum))
-                esum = kernels.evan_kernel_sum(ts_e[:, lo:hi],
-                                               tt_e[:, lo:hi], kk_c, nu_cur)
+                esum = kernels.require_finite(
+                    kernels.evan_kernel_sum(ts_e[:, lo:hi], tt_e[:, lo:hi],
+                                            kk_c, nu_cur),
+                    kk_c, y_nodes, nu_cur, "y")
                 ie = float(np.dot(y_wts, meas_e * esum))
                 cur = (ip, ie)
             else:
                 amp = kernels.prop_amplitude(ts_p[:, lo:hi], include_quad)
-                ssum = kernels.pair_kernel_sum(amp, tt_p[:, lo:hi],
-                                               h_c, jp_c, nu_cur)
+                ssum = kernels.require_finite(
+                    kernels.pair_kernel_sum(amp, tt_p[:, lo:hi], h_c, jp_c,
+                                            nu_cur),
+                    h_c, qd, nu_cur, "qd")
                 cur = (float(np.dot(wts, sin_psi ** 2 * ssum)),)
             if prev is not None:
                 shell = sum(abs(a - b) for a, b in zip(cur, prev))

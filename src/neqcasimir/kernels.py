@@ -316,21 +316,30 @@ def _miller_j(x, two_over_x, top, j0, j1):
     return rows[:top + 1] * scale
 
 
-def _require_finite(name, table, args, nu_max, arg_name):
-    """Raise QuadratureError if a column of table (column j holds order
-    j - nu_max, one row per argument in args) is not finite, naming the
-    lowest such order and the smallest argument where it fails.  The
-    tables overflow at small arguments and high orders, where Y_n and
-    K_n grow like (n - 1)! (2 / x)^n."""
+def require_finite(vals, table, args, nu_max, arg_name):
+    """Return the kernel sum vals, or raise QuadratureError where it is
+    not finite.
+
+    The tables overflow at small arguments and high orders, where Y_n
+    and K_n grow like (n - 1)! (2 / x)^n; they return inf there, and a
+    folded sum turns the inf into nan.  Only the sums are checked, so a
+    table column that a caller never reads may overflow freely.  The
+    error names the lowest order whose column of table (column j holds
+    order j - nu_max, one row per argument in args) is not finite and
+    the smallest argument where it fails.
+    """
+    if np.all(np.isfinite(vals)):
+        return vals
     bad = ~np.isfinite(table)
     if not bad.any():
-        return
+        raise QuadratureError("kernel sum is not finite")
     nu = np.flatnonzero(bad.any(axis=0)) - nu_max
     nu = nu[np.argmin(np.abs(nu))]
     arg = float(np.min(args[bad[:, nu + nu_max]]))
     raise QuadratureError(
-        "%s: order %d is not finite at %s = %.6g; the azimuthal order "
-        "cap is too high for this argument" % (name, nu, arg_name, arg))
+        "kernel sum is not finite: its table of order %d overflows at "
+        "%s = %.6g; the azimuthal order cap is too high for this "
+        "argument" % (nu, arg_name, arg))
 
 
 def hankel_tables(qd, nu_max):
@@ -350,26 +359,26 @@ def hankel_tables(qd, nu_max):
     envelope.  At qd below the top order J is the decaying solution,
     and there its upward values are replaced by Miller's backward
     recurrence (`_miller_j`).  Negative orders follow from
-    Z_(-n) = (-1)^n Z_n.  qd must be positive.
+    Z_(-n) = (-1)^n Z_n.  qd must be positive.  At small qd and high
+    orders Y overflows and the columns hold inf; see require_finite.
     """
     x = np.asarray(qd, dtype=float)
     top = nu_max + 2
     two_over_x = 2.0 / x
     j0, j1 = _sp.j0(x), _sp.j1(x)
-    h_pos = _recur_up(j0 + 1j * _sp.y0(x), j1 + 1j * _sp.y1(x),
-                      two_over_x, top, np.subtract)
-    small = x < top
-    if np.any(small):
-        h_pos.real[:, small] = _miller_j(x[small], two_over_x[small], top,
-                                         j0[small], j1[small])
     rows, flip = _signed_rows(-nu_max - 1, nu_max + 1)
-    h_all = h_pos[rows]  # row r holds order r - nu_max - 1
-    h_all[flip] = -h_all[flip]
-    hp = (h_all[1:] * np.conj(h_all[:-1])).T
-    _require_finite("hankel_tables", hp, x, nu_max, "qd")
-    h = h_all[1:-1].T
-    jp = 0.5 * (h_all[:-2].real - h_all[2:].real).T
-    return hp, h, jp
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_pos = _recur_up(j0 + 1j * _sp.y0(x), j1 + 1j * _sp.y1(x),
+                          two_over_x, top, np.subtract)
+        small = x < top
+        if np.any(small):
+            h_pos.real[:, small] = _miller_j(
+                x[small], two_over_x[small], top, j0[small], j1[small])
+        h_all = h_pos[rows]  # row r holds order r - nu_max - 1
+        h_all[flip] = -h_all[flip]
+        hp = (h_all[1:] * np.conj(h_all[:-1])).T
+        jp = 0.5 * (h_all[:-2].real - h_all[2:].real).T
+    return hp, h_all[1:-1].T, jp
 
 
 def k_product_table(y, nu_max):
@@ -381,18 +390,18 @@ def k_product_table(y, nu_max):
     K_(n+1) = (2n / y) K_n + K_(n-1), which is stable at every
     argument because K grows with the order; no fallback is needed.
     Scaling keeps the product representable until the factor
-    e^(-2y) is applied; underflow to zero is harmless.  y must be
-    positive.
+    e^(-2y) is applied; underflow to zero is harmless.  At small y and
+    high orders the product overflows to inf; see require_finite.  y
+    must be positive.
     """
     y = np.asarray(y, dtype=float)
     hi = nu_max + 1
-    kve = _recur_up(_sp.k0e(y), _sp.k1e(y), 2.0 / y, hi, np.add)
     rows, _ = _signed_rows(-hi, hi)
-    k_all = kve[rows]  # row r holds order r - hi; K_(-n) = K_n
-    out = k_all[1:-1] * (k_all[:-2] + k_all[2:])
-    out = (_FOUR_OVER_PI2 * out * np.exp(-2.0 * y)).T
-    _require_finite("k_product_table", out, y, nu_max, "y")
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        kve = _recur_up(_sp.k0e(y), _sp.k1e(y), 2.0 / y, hi, np.add)
+        k_all = kve[rows]  # row r holds order r - hi; K_(-n) = K_n
+        out = k_all[1:-1] * (k_all[:-2] + k_all[2:])
+        return (_FOUR_OVER_PI2 * out * np.exp(-2.0 * y)).T
 
 
 @lru_cache(maxsize=64)

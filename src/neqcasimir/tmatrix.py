@@ -27,9 +27,10 @@ The axial fraction enters only through ktilde_z^2 and ktilde_z * n, so
 blocks obey T[diag](-n) = T[diag](n) and T[offdiag](-n) = -T[offdiag](n),
 and the same parity in ktilde_z: T(-ktilde_z) = T(ktilde_z) * [[1, -1],
 [-1, 1]].  Both providers keep the ktilde_z parity bitwise (a sign flip
-of ktilde_z * n is exact), and the engine takes its -k_z evanescent
-blocks from it.  Off-diagonal entries are equal (T^MN = T^NM) by
-reciprocity.
+of ktilde_z * n is exact, and the full solve forms 1 - ktilde_z^2 as
+(1 - ktilde_z)(1 + ktilde_z), whose factors only swap), and the engine
+takes its -k_z evanescent blocks from it.  Off-diagonal entries are
+equal (T^MN = T^NM) by reciprocity.
 """
 
 import math
@@ -122,12 +123,10 @@ def thin_t(n, ktilde_z, eps, mu, x):
 
 # --- full boundary-matching solve -------------------------------------------
 
-def _with_prime(z):
-    """Split a table of Z_0 .. Z_(top+1) (orders along the last axis)
-    into Z_n and Z'_n = (Z_(n-1) - Z_(n+1)) / 2 for n = 0 .. top, with
-    Z_(-1) = -Z_1."""
-    lower = np.concatenate([-z[:, 1:2], z[:, :-2]], axis=1)
-    return z[:, :-1], 0.5 * (lower - z[:, 1:])
+def _lower(z):
+    """Z_(n-1) for a table of Z_0, Z_1, ... (orders along the last
+    axis), with Z_(-1) = -Z_1; the last order is dropped."""
+    return np.concatenate([-z[:, 1:2], z[:, :-1]], axis=1)
 
 
 def _full_blocks_batch(orders, ktz, eps, mu, x):
@@ -135,16 +134,31 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
 
     Tangential E_z and H_z continuity each fix one interior
     coefficient.  Substituting them into the E_phi and H_phi rows,
-    multiplied through by p1 J_n(p1), leaves for the outgoing
-    amplitudes (T_MP', T_NP') of an incident wave P'
+    multiplied through by p p1 J_n(p1), leaves for the outgoing
+    amplitudes (T_MP', T_NP') of an incident wave P' the 2x2 system
 
-        [[a_M, c H_n], [c H_n, a_N]] T = -[[b_M, c J_n], [c J_n, b_N]]
+        [[A_M, g u], [g u, A_N]] T = -[[B_M, g v], [g v, B_N]]
 
-    with a_P = s_P p J_n'(p1) H_n(p) - p1 J_n(p1) H_n'(p), b_P the same
-    with J_n(p) for H_n(p), s_M = mu, s_N = eps, and the coupling
-    c = ktilde_z n J_n(p1) x^2 (1 - eps mu) / (p p1).  Nothing divides
-    by an interior Bessel value.  Negative orders follow from the
-    parity of the blocks in n.
+    with u = n p1 J_n(p1) H_n(p), v the same with J_n(p) for H_n(p),
+    g = ktilde_z x^2 (1 - eps mu) / p1^2, A_P = u + R_P, B_P = v + S_P,
+
+        R_P = s_P p^2 J_n'(p1) H_n(p) - p p1 J_n(p1) H_(n-1)(p),
+
+    S_P the same with J for H, s_M = mu and s_N = eps.  The derivative
+    H_n' = H_(n-1) - (n / p) H_n is what puts u in A_P.  Near the light
+    line (p -> 0) u dominates R_P and g^2 -> 1, so the determinant
+    A_M A_N - g^2 u^2 cancels at relative order p^2; it is summed
+    instead from u^2 (1 - g^2) + u R_N + R_M A_N, with
+
+        1 - g^2 = p^2 x^2 (eps^2 mu^2 - ktilde_z^2) / p1^4
+
+    exactly, and the off-diagonal numerator g (u S_P - R_P v) is
+    (2i / pi) n g (p1 J_n(p1))^2 by the Wronskian of J and H, so
+    T^MN = T^NM.  Nothing divides by an interior Bessel value, and
+    p^2 = x^2 (1 - ktilde_z)(1 + ktilde_z) keeps its digits next to the
+    light line.  The tables run over orders 0 .. max |n|, and only the
+    requested orders are checked for a singular or non-finite system.
+    Negative orders follow from the parity of the blocks in n.
 
     Parameters
     ----------
@@ -165,51 +179,65 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
         raise TMatrixError("size parameter must be positive")
     eps = complex(eps)
     mu = complex(mu)
-    if eps * mu == 0:
+    em = eps * mu
+    if em == 0:
         raise TMatrixError("eps * mu = 0 is not a propagating medium")
 
     # transverse arguments outside and inside; principal sqrt puts the
     # evanescent exterior argument on the positive imaginary axis and
     # the absorbing interior argument in the upper half plane
-    p = x * np.sqrt((1.0 + 0.0j) - ktz ** 2)
-    p1 = x * np.sqrt(eps * mu - ktz ** 2 + 0.0j)
+    p = x * np.sqrt((1.0 - ktz) * (1.0 + ktz) + 0.0j)
+    p1 = x * np.sqrt(em - ktz ** 2 + 0.0j)
     p1 = np.where(p1.imag < 0.0, -p1, p1)
 
-    n = np.arange(int(np.abs(orders).max()) + 2)
-    hn, hp = _with_prime(_sp.hankel1(n, p[:, None]))
-    jn, jp = _with_prime(_sp.jv(n, p[:, None]))
-    j1n, j1p = _with_prime(_sp.jv(n, p1[:, None]))
-    n = n[:-1]
+    # tables over orders 0 .. top (0 .. top + 1 inside)
+    absn = np.abs(orders)
+    top = int(absn.max())
+    ext = np.arange(max(top, 1) + 1)
+    h = _sp.hankel1(ext, p[:, None])
+    jx = _sp.jv(ext, p[:, None])
+    j1 = _sp.jv(np.arange(top + 2), p1[:, None])
     p = p[:, None]
     p1 = p1[:, None]
+    p1sq = p1 * p1
 
-    inner = p * j1p
-    outer = p1 * j1n
-    a_m = mu * inner * hn - outer * hp
-    a_n = eps * inner * hn - outer * hp
-    b_m = mu * inner * jn - outer * jp
-    b_n = eps * inner * jn - outer * jp
-    c = ktz[:, None] * n * j1n * (x * x * (1.0 - eps * mu) / (p * p1))
-    ch = c * hn
-    cj = c * jn
+    g1 = p1 * j1[:, :-1]  # p1 J_n(p1)
+    q = (0.5 * p * p) * (_lower(j1)[:, :-1] - j1[:, 1:])  # p^2 J_n'(p1)
+    hn, jn = h[:, :top + 1], jx[:, :top + 1]
+    ng1 = np.arange(top + 1.0) * g1
+    u, v = ng1 * hn, ng1 * jn
+    qh, qj = q * hn, q * jn
+    pg1 = p * g1
+    ph = pg1 * _lower(h)[:, :top + 1]
+    pj = pg1 * _lower(jx)[:, :top + 1]
+    r_m, r_n = mu * qh - ph, eps * qh - ph
+    s_m, s_n = mu * qj - pj, eps * qj - pj
+    g = ktz[:, None] * (x * x * (1.0 - em)) / p1sq
+    one_m_g2 = ((p * p) * (x * x) * (em * em - ktz[:, None] ** 2)
+                / (p1sq * p1sq))
+    uv = u * v * one_m_g2
 
-    det = a_m * a_n - ch * ch
-    if np.any(det == 0) or not np.all(np.isfinite(det)):
+    det = u * u * one_m_g2 + u * r_n + r_m * (u + r_n)
+    used = det[:, absn]
+    if not (used.all() and np.isfinite(used).all()):
         raise TMatrixError(
             "singular boundary system (accidental resonance) at "
             "x = %g" % (x,))
+    with np.errstate(all="ignore"):  # orders below top not requested
+        inv = 1.0 / det
     blk = np.empty(det.shape + (2, 2), dtype=complex)
-    blk[..., POL_M, POL_M] = (ch * cj - a_n * b_m) / det
-    blk[..., POL_N, POL_M] = (ch * b_m - a_m * cj) / det
-    blk[..., POL_M, POL_N] = (ch * b_n - a_n * cj) / det
-    blk[..., POL_N, POL_N] = (ch * cj - a_m * b_n) / det
-    if not np.all(np.isfinite(blk)):
-        raise TMatrixError("non-finite scattering entries at x = %g" % (x,))
+    blk[..., POL_M, POL_M] = -(uv + u * s_m + r_n * (v + s_m)) * inv
+    blk[..., POL_N, POL_N] = -(uv + u * s_n + r_m * (v + s_n)) * inv
+    off = (2j / math.pi) * ng1 * g1 * g * inv
+    blk[..., POL_M, POL_N] = off
+    blk[..., POL_N, POL_M] = off
 
-    out = blk[:, np.abs(orders)]
-    neg = orders < 0
-    out[:, neg, POL_M, POL_N] = -out[:, neg, POL_M, POL_N]
-    out[:, neg, POL_N, POL_M] = -out[:, neg, POL_N, POL_M]
+    out = blk[:, absn]
+    if not np.isfinite(out).all():
+        raise TMatrixError("non-finite scattering entries at x = %g" % (x,))
+    sign = np.where(orders < 0, -1.0, 1.0)
+    out[..., POL_M, POL_N] *= sign
+    out[..., POL_N, POL_M] *= sign
     return out
 
 
@@ -219,23 +247,14 @@ def full_t(n, ktilde_z, eps, mu, x):
     Same signature as thin_t but valid at any order and size parameter.
     The interior coefficients are eliminated in closed form and the
     remaining 2x2 system for the outgoing (M, N) amplitudes is solved
-    directly (see _full_blocks_batch).  Raises TMatrixError on the light
-    line (|ktilde_z| = 1) or when the 2x2 system is numerically
-    singular.
+    directly (see _full_blocks_batch); T^MN = T^NM holds by
+    construction.  Raises TMatrixError on the light line
+    (|ktilde_z| = 1) or when the 2x2 system is numerically singular.
     """
     if int(n) != n:
         raise TMatrixError("order must be an integer, got %r" % (n,))
     entries = _full_blocks_batch(
         np.array([int(n)]), np.array([float(ktilde_z)]), eps, mu, x)[0, 0]
-    # cheap conditioning proxy: reciprocity violation of the solution
-    scale = float(np.max(np.abs(entries)))
-    if scale > 0:
-        asym = abs(entries[POL_M, POL_N] - entries[POL_N, POL_M]) / scale
-        if asym > 1e-6:
-            warnings.warn(
-                "boundary system poorly conditioned (reciprocity residual "
-                "%.2e) at n=%d, ktilde_z=%g, x=%g"
-                % (asym, int(n), float(ktilde_z), float(x)))
     return TMatrixBlock(entries=entries, order=int(n),
                         ktilde_z=float(ktilde_z), size_parameter=float(x))
 

@@ -12,6 +12,7 @@ from neqcasimir.engine import (QuadratureControls, Scenario,
                                interaction_force, pair_source_force,
                                self_force, sweep, total_force)
 from neqcasimir.equilibrium import EquilibriumTable
+from neqcasimir.errors import QuadratureError
 from neqcasimir.materials import (CylinderSpec, Vacuum, thermal_wavelength)
 
 _, SIC = materials.load_material("sic")
@@ -277,6 +278,59 @@ def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
     assert not any(kind == "negative" for _, kind in calls)
     assert calls.count((True, "evanescent")) == distinct * sum(nodes)
     assert calls.count((True, "propagating")) == distinct * sum(nodes)
+
+
+def test_full_provider_with_a_high_order_cap():
+    # the order probe builds its tables at the cap and reads only the
+    # central columns; at n_max = 20 the outer columns overflow at the
+    # probe's smallest arguments, which must neither fail the run nor
+    # warn, and the probe settles on the same truncation as at n_max = 8
+    wire = CylinderSpec(20e-9, materials.load_material("tungsten_2400K")[1],
+                        2400.0)
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_max in (8, 20):
+            ctl = QuadratureControls(rel_tol=1e-2, n_max=n_max)
+            results.append((
+                interaction_force(wire, wire, 2400.0, 0.5e-6,
+                                  provider="full", controls=ctl)[0],
+                pair_source_force(wire, wire, 2400.0, 0.5e-6,
+                                  provider="full", controls=ctl)))
+    assert np.all(np.isfinite(results))
+    assert results[1] == pytest.approx(results[0], rel=1e-12)
+
+
+def test_overflowing_tables_raise_at_the_first_sum():
+    # orders -32 .. 32 need table orders up to 64, which overflow at the
+    # smallest y and qd nodes; the first kernel sum that reads them
+    # raises, naming the order and the argument, instead of passing nan
+    # on to the outer integral
+    prov = tmatrix.ThinExpansion(SIC, R)
+    ctl = QuadratureControls(rel_tol=1e-3)
+    orders = np.arange(-32, 33)
+    d = 2e-6
+    omega = 1e-3 * materials.C_LIGHT / d  # kd = 1e-3
+    with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
+        with pytest.raises(QuadratureError, match=r"order -?\d+ "
+                           r"overflows at y = 0\.00106"):
+            engine._inner_evan(prov, prov, omega, d, orders, ctl,
+                               engine._evan_tables(ctl, 1, orders))
+        for kernel in ("f", "s"):
+            with pytest.raises(QuadratureError,
+                               match=r"order -?\d+ overflows at qd = "):
+                engine._inner_prop(prov, prov, omega, d, orders, ctl,
+                                   True, kernel, 4)
+    # end to end: 8 um cylinders need more orders than the order probe
+    # can represent at its smallest y node, and it stops there at once
+    thick = CylinderSpec(8e-6, SIC, 300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(QuadratureError,
+                           match=r"order -?\d+ overflows at y = "):
+            interaction_force(thick, thick, 300.0, 20e-6, provider="full",
+                              controls=QuadratureControls(rel_tol=1e-2,
+                                                          n_max=32))
 
 
 def test_memo_reuse_is_bitwise():

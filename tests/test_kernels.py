@@ -3,6 +3,7 @@ literal f / f-tilde / s kernels against independent oracles, and the
 folded vectorized sums against the literal double sums."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -263,25 +264,35 @@ def test_k_product_table_over_range(nu_max):
 
 @pytest.mark.parametrize("table", [kernels.hankel_tables,
                                    kernels.k_product_table])
-def test_table_overflow_raises(table):
+def test_table_overflow_caught_at_the_sums(table):
     # Y_n and K_n grow like (n - 1)! (2 / x)^n, so at an argument of
     # 1e-6 a table of order 64 (twice the order probe's cap of 32)
-    # overflows; the table raises, naming the lowest order that is not
-    # finite and the argument, instead of handing inf on to the sums
+    # overflows in its outer columns.  The table returns inf there
+    # without a warning; a sum that reads no such column passes
+    # require_finite unchanged, and one that does raises, naming the
+    # lowest order that overflows and the argument
     arg = np.array([1e-6, 1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureError) as err:
-            table(arg, 64)
-        found = re.search(r"order (-?\d+) is not finite at \w+ = 1e-06",
-                          str(err.value))
-        assert found
-        order = abs(int(found.group(1)))
-        assert 16 < order < 64
-        below = table(arg, order - 1)
-        for out in below if isinstance(below, tuple) else (below,):
-            assert np.all(np.isfinite(out))
-        with pytest.raises(QuadratureError):
-            table(arg, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = table(arg, 64)
+    out = out[0] if isinstance(out, tuple) else out
+    assert not np.all(np.isfinite(out))
+    vals = np.array([0.5, 1.5])
+    assert kernels.require_finite(vals, out, arg, 64, "x") is vals
+    with pytest.raises(QuadratureError) as err:
+        kernels.require_finite(np.array([np.nan, 1.0]), out, arg, 64, "x")
+    found = re.search(r"order (-?\d+) overflows at x = 1e-06",
+                      str(err.value))
+    assert found
+    order = abs(int(found.group(1)))
+    assert 16 < order < 64
+    below = table(arg, order - 1)
+    below = below if isinstance(below, tuple) else (below,)
+    assert all(np.all(np.isfinite(part)) for part in below)
+    # a non-finite sum over a finite table still raises
+    with pytest.raises(QuadratureError, match="kernel sum is not finite"):
+        kernels.require_finite(np.array([np.inf, 1.0]), below[0], arg,
+                               order - 1, "x")
 
 
 # --- folded sums against literal double sums ---------------------------------

@@ -10,6 +10,7 @@ from scipy import special as sp
 
 from neqcasimir import materials, tmatrix
 from neqcasimir.errors import TMatrixError
+from neqcasimir.quadrature import composite_nodes
 from neqcasimir.units import HBAR, K_BOLTZMANN
 
 EPS = 2.0 + 0.3j
@@ -173,9 +174,10 @@ def _oracle_deviation(prov, orders, ktz, omega):
 def test_full_blocks_match_boundary_solve():
     # closed-form elimination against a direct solve of the 4x4 system,
     # per block relative to its largest entry.  Closer to the light line
-    # than y = 0.05 both routes lose digits like 1e-16 / (1 - ktilde_z^2)
-    # (the determinant cancels at that relative order), so neither is
-    # an oracle for the other there.  Worst measured: 7.6e-11
+    # than y = 0.05 the float 4x4 solve loses digits like
+    # 1e-16 / (1 - ktilde_z^2), so the test below takes an mpmath solve
+    # there.  Worst measured: 1.6e-10, the float 4x4 solve's own error
+    # (the blocks are within 2e-14 of a 40-digit solve)
     orders = np.arange(-8, 9)
     temp, d = 2400.0, 0.5e-6
     prov = tmatrix.FullSolve(TUNGSTEN, 20e-9)
@@ -190,11 +192,73 @@ def test_full_blocks_match_boundary_solve():
     assert worst < 1e-8
 
 
+def _mp_block(n, ktz, eps, x):
+    """One block (mu = 1) from a 40-digit mpmath solve of the 4x4
+    boundary system, taking the float ktilde_z as exact.  The exterior
+    unknowns are scaled by |H_n(p)| and the interior ones by
+    |J_n(p1)|, so the LU pivots stay clear of mpmath's singularity
+    threshold at high orders."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        k, x = mp.mpf(float(ktz)), mp.mpf(float(x))
+        eps = mp.mpc(complex(eps))
+        p = x * mp.sqrt(1 - k * k + 0j)
+        p1 = x * mp.sqrt(eps - k * k)
+        p1 = -p1 if mp.im(p1) < 0 else p1
+        root = mp.sqrt(eps)
+        root = -root if mp.im(root) < 0 else root
+        h, j, j1 = mp.hankel1(n, p), mp.besselj(n, p), mp.besselj(n, p1)
+        hp = (mp.hankel1(n - 1, p) - mp.hankel1(n + 1, p)) / 2
+        jp = (mp.besselj(n - 1, p) - mp.besselj(n + 1, p)) / 2
+        j1p = (mp.besselj(n - 1, p1) - mp.besselj(n + 1, p1)) / 2
+        sh, sj = abs(h), abs(j1)
+        px, p1x = p / x, p1 / x
+        knp, kn1 = k * n / p, k * n / p1
+        a = mp.matrix([
+            [0, px * h / sh, 0, -(p1x / root) * j1 / sj],
+            [-hp / sh, -knp * h / sh, j1p / sj, (kn1 / root) * j1 / sj],
+            [px * h / sh, 0, -p1x * j1 / sj, 0],
+            [-knp * h / sh, -hp / sh, kn1 * j1 / sj, root * j1p / sj]])
+        rhs = (mp.matrix([0, jp, -px * j, knp * j]),
+               mp.matrix([-px * j, knp * j, 0, jp]))
+        cols = [mp.lu_solve(a, b) for b in rhs]
+        return np.array([[complex(c[row] / sh) for c in cols]
+                         for row in (0, 1)])
+
+
+def test_full_blocks_next_to_the_light_line():
+    # the engine's evanescent grid starts at the first Gauss-Kronrod
+    # node on [0, 0.25], y = 1.07e-3, and its refinements go below;
+    # there 1 - ktilde_z^2 ~ 1e-9 at u = 40, and a determinant formed
+    # as A_M A_N - g^2 u^2 loses ~1e-16 / (1 - ktilde_z^2): 4e-5 at
+    # y = 1e-4.  Against a 40-digit solve from the same float ktilde_z,
+    # per block relative to its largest entry.  Worst measured: 2.0e-14
+    prov = tmatrix.FullSolve(TUNGSTEN, 20e-9)
+    temp, d = 2400.0, 0.5e-6
+    y_first = composite_nodes(np.array([0.0, 0.25]))[0][0]
+    orders = np.arange(0, 9)
+    worst = 0.0
+    for u in (0.05, 2.5, 40.0):
+        omega = u * K_BOLTZMANN * temp / HBAR
+        kd = omega * d / materials.C_LIGHT
+        y = np.array([1e-4, y_first, 1e-2])
+        ktz = np.concatenate([np.cos([1e-4, 1e-2]),
+                              np.sqrt(1.0 + (y / kd) ** 2)])
+        got = prov.blocks(orders, ktz, omega)
+        eps = complex(prov.material.epsilon(omega))
+        for i, k in enumerate(ktz):
+            for j, n in enumerate(orders):
+                want = _mp_block(int(n), k, eps, prov.size_parameter(omega))
+                dev = np.max(np.abs(got[i, j] - want)) / np.max(np.abs(want))
+                worst = max(worst, dev)
+    assert worst < 1e-12
+
+
 def test_full_blocks_at_interior_bessel_zero():
     # lossless eps with p1 = 2 x on a zero of J_0 or J_1, propagating
     # and evanescent: the elimination never divides by J_n(p1).  For J_0
     # p1 lands on the float where scipy's J_0 returns exactly 0, so a
-    # division by it would give inf.  Measured: 5e-16
+    # division by it would give inf.  Measured: 1.2e-15
     radius = 25e-9
     for order in (0, 1):
         zero = sp.jn_zeros(order, 1)[0]
@@ -207,6 +271,25 @@ def test_full_blocks_at_interior_bessel_zero():
             assert abs(sp.jv(order, p1 + 0j)) < 1e-15
             assert _oracle_deviation(prov, np.arange(-8, 9),
                                      np.array([ktz]), omega) < 1e-8
+
+
+def test_full_checks_only_the_requested_orders(monkeypatch):
+    # an order that cannot be evaluated (here a non-finite H_0) fails
+    # the requests that need it and no other
+    want = tmatrix.full_t(5, 0.5, EPS, 1.0, 0.3).entries
+    real = sp.hankel1
+
+    def broken(n, z):
+        out = real(n, z)
+        out[..., 0] = np.nan
+        return out
+
+    monkeypatch.setattr(sp, "hankel1", broken)
+    assert np.array_equal(tmatrix.full_t(5, 0.5, EPS, 1.0, 0.3).entries,
+                          want)
+    for n in (0, 1, -1):
+        with pytest.raises(TMatrixError):
+            tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3)
 
 
 def test_thin_argument_errors():
