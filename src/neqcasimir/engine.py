@@ -28,8 +28,10 @@ psi with k_z = (omega / c) cos(psi); the evanescent side uses the
 decaying scale y = |q| d.  Inner grids are fixed composite
 Gauss-Kronrod rules whose density is calibrated once per integral by a
 doubling probe; the azimuthal truncation is calibrated by a multipole
-shell probe.  The outer frequency integral is globally adaptive with
-one error channel per light-line branch.
+shell probe.  F1_int and the pair force are one thermal integral with
+different kernels, run by one driver (_integral) whose outer frequency
+integral is globally adaptive with one error channel per light-line
+branch (the pair force has no evanescent one).
 
 Identical inputs produce bitwise identical outputs: panel sums are
 accumulated in a fixed order, and repeated sub-integrals inside one
@@ -54,8 +56,6 @@ _EVAN_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
 _PROBE_US = (2.5, 7.0, 15.0)
 _MAX_GRID_BUMPS = 4
-# blocks(-ktilde_z) = blocks(ktilde_z) * _KZ_FLIP (see tmatrix)
-_KZ_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
@@ -87,13 +87,13 @@ class QuadratureControls:
         counts as converged.
     y_cut : upper cutoff of the evanescent decay variable y = |q| d.
     max_panels : outer adaptive panel budget before giving up.
-    kz_symmetry : exploit the exact evenness in k_z of the kernel sums
-        and integrate half the axial range.  Off by default so that
-        evenness stays a testable property instead of an assumption.
-        Either way the -k_z evanescent blocks come from the exact
-        block parity T(-k_z) = T(k_z) * [[1, -1], [-1, 1]], which the
-        tmatrix tests check bitwise; only the kernel sum over both
-        branches depends on this flag.
+    kz_symmetry : exploit the exact evenness in k_z of the propagating
+        kernel sums and integrate half the psi range.  Off by default
+        so that evenness stays a testable property instead of an
+        assumption.  The evanescent branch does not depend on it: by
+        the exact block parity T(-k_z) = T(k_z) * [[1, -1], [-1, 1]],
+        which the tmatrix tests check bitwise, its -k_z sum equals its
+        +k_z sum bitwise, so it is always twice the +k_z sum.
     include_quadratic : force the quadratic part of the source
         amplitude on or off; None defers to the provider default
         (off for thin, on for full).
@@ -226,13 +226,7 @@ def _resolve_quadratic(arg, controls, provider):
     return provider == "full"
 
 
-def _resolve_n_cap(controls, provider):
-    if controls.n_max is not None:
-        return int(controls.n_max)
-    return 1 if provider == "thin" else 8
-
-
-def _check_geometry(source, target, separation):
+def _check_geometry(source, target, separation, stacklevel=3):
     rsum = source.radius + target.radius
     if not (separation > 0 and math.isfinite(separation)):
         raise ValueError("separation must be positive and finite")
@@ -240,20 +234,12 @@ def _check_geometry(source, target, separation):
         raise ValueError("cylinders overlap: separation must exceed "
                          "the sum of the radii")
     if separation < 5.0 * rsum:
-        warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning, stacklevel=3)
+        warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning,
+                      stacklevel=stacklevel)
 
 
-def _same_provider(a, b):
-    return (type(a) is type(b) and a.material == b.material
-            and a.radius == b.radius)
-
-
-def _npanels_f(kd):
-    return max(4, int(math.ceil(kd / 10.0)))
-
-
-def _npanels_s(kd):
-    return max(4, int(math.ceil(kd / 3.0)))
+def _npanels(kd, per_panel):
+    return max(4, int(math.ceil(kd / per_panel)))
 
 
 def _evan_grid(y_cut, factor):
@@ -264,6 +250,39 @@ def _evan_grid(y_cut, factor):
             refined.extend(np.linspace(lo, hi, factor + 1)[1:])
         base = refined
     return composite_nodes(np.asarray(base, dtype=float))
+
+
+def _blocks(src_prov, tgt_prov, orders, ktz, omega):
+    """Source and target blocks at one frequency, with one provider
+    call when both cylinders are the same."""
+    tsrc = src_prov.blocks(orders, ktz, omega)
+    same = (type(src_prov) is type(tgt_prov)
+            and src_prov.material == tgt_prov.material
+            and src_prov.radius == tgt_prov.radius)
+    return tsrc, (tsrc if same else tgt_prov.blocks(orders, ktz, omega))
+
+
+def _prop_dot(kernel, tsrc, ttgt, tables, nu_max, include_quad, qd, wts,
+              sin_psi):
+    """Propagating ('f') or pair ('s') kernel sum on hankel_tables
+    output (hp, h, jp), checked finite, dotted with wts sin(psi)^2."""
+    amp = kernels.prop_amplitude(tsrc, include_quad)
+    hp, h, jp = tables
+    if kernel == "f":
+        vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max, include_quad)
+        vals = kernels.require_finite(vals, hp, qd, nu_max, "qd")
+    else:
+        vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
+        vals = kernels.require_finite(vals, h, qd, nu_max, "qd")
+    return float(np.dot(wts, sin_psi * sin_psi * vals))
+
+
+def _evan_dot(tsrc, ttgt, kk, nu_max, y, wts, kd):
+    """Evanescent kernel sum of +k_z blocks on a K-product table,
+    checked finite, dotted with wts y^2 / sqrt(kd^2 + y^2)."""
+    vals = kernels.evan_kernel_sum(tsrc, ttgt, kk, nu_max)
+    vals = kernels.require_finite(vals, kk, y, nu_max, "y")
+    return float(np.dot(wts, y * y / np.sqrt(kd * kd + y * y) * vals))
 
 
 def _inner_prop(src_prov, tgt_prov, omega, d, orders, controls,
@@ -281,21 +300,12 @@ def _inner_prop(src_prov, tgt_prov, omega, d, orders, controls,
         hi = math.pi
     nodes, wts = composite_nodes(uniform_edges(0.0, hi, n_panels))
     sin_psi = np.sin(nodes)
-    ktz = np.cos(nodes)
     qd = kd * sin_psi
     nu_max = int(orders[-1]) * 2
-    tsrc = src_prov.blocks(orders, ktz, omega)
-    ttgt = tsrc if _same_provider(src_prov, tgt_prov) \
-        else tgt_prov.blocks(orders, ktz, omega)
-    hp, h, jp = kernels.hankel_tables(qd, nu_max)
-    amp = kernels.prop_amplitude(tsrc, include_quad)
-    if kernel == "f":
-        vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max, include_quad)
-        vals = kernels.require_finite(vals, hp, qd, nu_max, "qd")
-    else:
-        vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
-        vals = kernels.require_finite(vals, h, qd, nu_max, "qd")
-    total = k * k * float(np.dot(wts, sin_psi * sin_psi * vals))
+    tsrc, ttgt = _blocks(src_prov, tgt_prov, orders, np.cos(nodes), omega)
+    total = k * k * _prop_dot(kernel, tsrc, ttgt,
+                              kernels.hankel_tables(qd, nu_max), nu_max,
+                              include_quad, qd, wts, sin_psi)
     if controls.kz_symmetry:
         total *= 2.0
     return total
@@ -309,98 +319,71 @@ def _evan_tables(controls, factor, orders):
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
-def _inner_evan(src_prov, tgt_prov, omega, d, orders, controls, tables):
+def _inner_evan(src_prov, tgt_prov, omega, d, orders, tables):
     """Axial integral over the evanescent branch at one frequency,
-    in the decay variable y = |q| d, on tables from _evan_tables."""
+    in the decay variable y = |q| d, on tables from _evan_tables.  The
+    -k_z blocks are T(k_z) * [[1, -1], [-1, 1]] on both cylinders and
+    the sum multiplies their entries pairwise, so the -k_z sum is the
+    +k_z sum bitwise and the branch is twice the +k_z sum."""
     kd = omega * d / C_LIGHT
     nodes, wts, kk = tables
-    ktz = np.sqrt(1.0 + (nodes / kd) ** 2)
     nu_max = int(orders[-1]) * 2
-    tsrc = src_prov.blocks(orders, ktz, omega)
-    ttgt = tsrc if _same_provider(src_prov, tgt_prov) \
-        else tgt_prov.blocks(orders, ktz, omega)
-    vals = kernels.evan_kernel_sum(tsrc, ttgt, kk, nu_max)
-    if controls.kz_symmetry:
-        vals = 2.0 * vals
-    else:
-        # the -k_z blocks by the exact k_z parity of every provider
-        vals = vals + kernels.evan_kernel_sum(
-            tsrc * _KZ_FLIP, ttgt * _KZ_FLIP, kk, nu_max)
-    vals = kernels.require_finite(vals, kk, nodes, nu_max, "y")
-    measure = nodes * nodes / np.sqrt(kd * kd + nodes * nodes)
-    return float(np.dot(wts, measure * vals)) / (d * d)
+    tsrc, ttgt = _blocks(src_prov, tgt_prov, orders,
+                         np.sqrt(1.0 + (nodes / kd) ** 2), omega)
+    return 2.0 * _evan_dot(tsrc, ttgt, kk, nu_max, nodes, wts, kd) / (d * d)
 
 
 def _probe_orders(src_prov, tgt_prov, omega_scale, d, controls,
-                  include_quad, kind, n_cap):
+                  include_quad, kernel, n_cap):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell is
-    negligible."""
+    negligible.  Shells read the central orders of blocks and tables
+    built at the cap; the K-product table is built once, and only for
+    the interaction kernel 'f', the one with an evanescent channel."""
     if n_cap <= 1:
         return 1
     probe_us = [u for u in _PROBE_US if u <= 0.9 * controls.x_max]
     if not probe_us:
         probe_us = [0.5 * controls.x_max]
+    nodes, wts = composite_nodes(uniform_edges(0.0, math.pi, 2))
+    sin_psi = np.sin(nodes)
+    cap_orders = np.arange(-n_cap, n_cap + 1)
+    if kernel == "f":
+        y_nodes, y_wts = _evan_grid(min(12.0, controls.y_cut), 1)
+        kk = kernels.k_product_table(y_nodes, 2 * n_cap)
     need = 1
     for u in probe_us:
         omega = u * omega_scale
         kd = omega * d / C_LIGHT
-        prop_grid = composite_nodes(uniform_edges(0.0, math.pi, 2))
-        nodes, wts = prop_grid
-        sin_psi = np.sin(nodes)
-        ktz_p = np.cos(nodes)
         qd = kd * sin_psi
-        y_nodes, y_wts = _evan_grid(min(12.0, controls.y_cut), 1)
-        ktz_e = np.sqrt(1.0 + (y_nodes / kd) ** 2)
-        cap_orders = np.arange(-n_cap, n_cap + 1)
-        ts_p = src_prov.blocks(cap_orders, ktz_p, omega)
-        tt_p = ts_p if _same_provider(src_prov, tgt_prov) \
-            else tgt_prov.blocks(cap_orders, ktz_p, omega)
-        ts_e = src_prov.blocks(cap_orders, ktz_e, omega)
-        tt_e = ts_e if _same_provider(src_prov, tgt_prov) \
-            else tgt_prov.blocks(cap_orders, ktz_e, omega)
+        ts_p, tt_p = _blocks(src_prov, tgt_prov, cap_orders, np.cos(nodes),
+                             omega)
         hp, h, jp = kernels.hankel_tables(qd, 2 * n_cap)
-        kk = kernels.k_product_table(y_nodes, 2 * n_cap)
-        meas_e = y_nodes * y_nodes / np.sqrt(kd * kd + y_nodes ** 2)
+        if kernel == "f":
+            ts_e, tt_e = _blocks(src_prov, tgt_prov, cap_orders,
+                                 np.sqrt(1.0 + (y_nodes / kd) ** 2), omega)
         prev = None
-        converged = False
         for n_cur in range(1, n_cap + 1):
             lo, hi = n_cap - n_cur, n_cap + n_cur + 1
             nu_cur = 2 * n_cur
             off = 2 * (n_cap - n_cur)
-            hp_c = hp[:, off: off + 4 * n_cur + 2]
-            kk_c = kk[:, off: off + 4 * n_cur + 1]
-            h_c = h[:, off: off + 4 * n_cur + 1]
-            jp_c = jp[:, off: off + 4 * n_cur + 1]
-            if kind == "int":
-                amp = kernels.prop_amplitude(ts_p[:, lo:hi], include_quad)
-                fsum = kernels.require_finite(
-                    kernels.prop_kernel_sum(amp, tt_p[:, lo:hi], hp_c,
-                                            nu_cur, include_quad),
-                    hp_c, qd, nu_cur, "qd")
-                ip = float(np.dot(wts, sin_psi ** 2 * fsum))
-                esum = kernels.require_finite(
-                    kernels.evan_kernel_sum(ts_e[:, lo:hi], tt_e[:, lo:hi],
-                                            kk_c, nu_cur),
-                    kk_c, y_nodes, nu_cur, "y")
-                ie = float(np.dot(y_wts, meas_e * esum))
-                cur = (ip, ie)
-            else:
-                amp = kernels.prop_amplitude(ts_p[:, lo:hi], include_quad)
-                ssum = kernels.require_finite(
-                    kernels.pair_kernel_sum(amp, tt_p[:, lo:hi], h_c, jp_c,
-                                            nu_cur),
-                    h_c, qd, nu_cur, "qd")
-                cur = (float(np.dot(wts, sin_psi ** 2 * ssum)),)
+            end = off + 4 * n_cur + 1
+            cur = (_prop_dot(kernel, ts_p[:, lo:hi], tt_p[:, lo:hi],
+                             (hp[:, off:end + 1], h[:, off:end],
+                              jp[:, off:end]),
+                             nu_cur, include_quad, qd, wts, sin_psi),)
+            if kernel == "f":
+                cur += (_evan_dot(ts_e[:, lo:hi], tt_e[:, lo:hi],
+                                  kk[:, off:end], nu_cur, y_nodes, y_wts,
+                                  kd),)
             if prev is not None:
                 shell = sum(abs(a - b) for a, b in zip(cur, prev))
                 scale = max(sum(abs(a) for a in cur), 1e-300)
                 if shell <= controls.series_tol * scale:
                     need = max(need, n_cur)
-                    converged = True
                     break
             prev = cur
-        if not converged:
+        else:
             need = n_cap
             warnings.warn(_ORDER_CAP_WARNING, RuntimeWarning, stacklevel=4)
     return need
@@ -425,48 +408,54 @@ def _bump_factor(evaluate, rel_tol):
     return factor
 
 
-def _int_core(src_prov, tgt_prov, temperature, d, controls, include_quad):
-    """Interaction force channels (propagating, evanescent) on the
-    target cylinder from thermal sources in the source cylinder, on
-    the axis running source -> target.  Negative means attraction."""
+def _integral(kind, src_prov, tgt_prov, temperature, d, controls,
+              include_quad):
+    """Force channels from thermal sources in the source cylinder.
+
+    kind 'int': the interaction channels (propagating, evanescent) on
+    the target cylinder, on the axis running source -> target.
+    Negative means attraction.  kind 'pair': the one channel of the
+    force on the rigid pair, on the axis running target -> source.
+    Only propagating modes carry momentum to infinity; the evanescent
+    part vanishes."""
+    kernel, per_panel, signs = (("f", 10.0, (-1.0, 1.0)) if kind == "int"
+                                else ("s", 3.0, (1.0,)))
     if temperature == 0 or isinstance(src_prov.material, Vacuum) \
             or isinstance(tgt_prov.material, Vacuum):
-        return 0.0, 0.0
+        return (0.0,) * len(signs)
     omega_scale = K_BOLTZMANN * temperature / HBAR
-    n_cap = src_prov.max_order if src_prov.max_order is not None \
-        else _resolve_n_cap(controls, "full")
+    n_cap = int(src_prov.max_order or controls.n_max or 8)
     n_use = _probe_orders(src_prov, tgt_prov, omega_scale, d, controls,
-                          include_quad, "int", min(n_cap, 64 // 2))
+                          include_quad, kernel, min(n_cap, 64 // 2))
     orders = np.arange(-n_use, n_use + 1)
 
     u_star = min(2.5, 0.5 * controls.x_max)
     omega_star = u_star * omega_scale
     kd_star = omega_star * d / C_LIGHT
-
     fac_p = _bump_factor(
         lambda f: _inner_prop(src_prov, tgt_prov, omega_star, d, orders,
-                              controls, include_quad, "f",
-                              _npanels_f(kd_star) * f),
+                              controls, include_quad, kernel,
+                              _npanels(kd_star, per_panel) * f),
         controls.rel_tol)
-    fac_e = _bump_factor(
-        lambda f: _inner_evan(src_prov, tgt_prov, omega_star, d, orders,
-                              controls, _evan_tables(controls, f, orders)),
-        controls.rel_tol)
-    evan = _evan_tables(controls, fac_e, orders)
+    if kind == "int":
+        fac_e = _bump_factor(
+            lambda f: _inner_evan(src_prov, tgt_prov, omega_star, d, orders,
+                                  _evan_tables(controls, f, orders)),
+            controls.rel_tol)
+        evan = _evan_tables(controls, fac_e, orders)
 
     def integrand(u_nodes):
-        out = np.empty((u_nodes.shape[0], 2))
+        out = np.empty((u_nodes.shape[0], len(signs)))
         for i, u in enumerate(u_nodes):
             omega = u * omega_scale
             kd = omega * d / C_LIGHT
             nb = 1.0 / math.expm1(u)
-            ip = _inner_prop(src_prov, tgt_prov, omega, d, orders,
-                             controls, include_quad, "f",
-                             _npanels_f(kd) * fac_p)
-            ie = _inner_evan(src_prov, tgt_prov, omega, d, orders,
-                             controls, evan)
-            out[i, 0] = nb * ip
-            out[i, 1] = nb * ie
+            out[i, 0] = nb * _inner_prop(
+                src_prov, tgt_prov, omega, d, orders, controls,
+                include_quad, kernel, _npanels(kd, per_panel) * fac_p)
+            if kind == "int":
+                out[i, 1] = nb * _inner_evan(src_prov, tgt_prov, omega, d,
+                                             orders, evan)
         return out
 
     vals, _ = adaptive_vector(integrand, controls.u_min, controls.x_max,
@@ -474,55 +463,28 @@ def _int_core(src_prov, tgt_prov, temperature, d, controls, include_quad):
                               seed_edges=thermal_seed_edges(controls),
                               max_panels=controls.max_panels)
     pref = K_BOLTZMANN * temperature / (2.0 * math.pi ** 2)
-    return -pref * float(vals[0]), pref * float(vals[1])
+    return tuple(s * pref * float(v) for s, v in zip(signs, vals))
 
 
-def _pair_core(src_prov, oth_prov, temperature, d, controls, include_quad):
-    """Force on the rigid pair from thermal sources in the source
-    cylinder, on the axis running other -> source.  Only propagating
-    modes carry momentum to infinity; the evanescent part vanishes."""
-    if temperature == 0 or isinstance(src_prov.material, Vacuum) \
-            or isinstance(oth_prov.material, Vacuum):
-        return 0.0
-    omega_scale = K_BOLTZMANN * temperature / HBAR
-    n_cap = src_prov.max_order if src_prov.max_order is not None \
-        else _resolve_n_cap(controls, "full")
-    n_use = _probe_orders(src_prov, oth_prov, omega_scale, d, controls,
-                          include_quad, "pair", min(n_cap, 64 // 2))
-    orders = np.arange(-n_use, n_use + 1)
-
-    u_star = min(2.5, 0.5 * controls.x_max)
-    omega_star = u_star * omega_scale
-    kd_star = omega_star * d / C_LIGHT
-    fac_s = _bump_factor(
-        lambda f: _inner_prop(src_prov, oth_prov, omega_star, d, orders,
-                              controls, include_quad, "s",
-                              _npanels_s(kd_star) * f),
-        controls.rel_tol)
-
-    def integrand(u_nodes):
-        out = np.empty((u_nodes.shape[0], 1))
-        for i, u in enumerate(u_nodes):
-            omega = u * omega_scale
-            kd = omega * d / C_LIGHT
-            nb = 1.0 / math.expm1(u)
-            out[i, 0] = nb * _inner_prop(src_prov, oth_prov, omega, d,
-                                         orders, controls, include_quad,
-                                         "s", _npanels_s(kd) * fac_s)
-        return out
-
-    vals, _ = adaptive_vector(integrand, controls.u_min, controls.x_max,
-                              controls.rel_tol,
-                              seed_edges=thermal_seed_edges(controls),
-                              max_panels=controls.max_panels)
-    pref = K_BOLTZMANN * temperature / (2.0 * math.pi ** 2)
-    return pref * float(vals[0])
-
-
-def _memo_call(memo, key, compute):
+def _force(kind, source, target, temperature, separation, provider,
+           controls, include_quadratic, memo):
+    """The checks, defaults and memo lookup of interaction_force and
+    pair_source_force around one _integral of the given kind."""
+    if separation is None:
+        raise TypeError("separation is required")
+    _check_geometry(source, target, separation, stacklevel=5)
+    controls = controls if controls is not None else QuadratureControls()
+    temp = source.temperature if temperature is None else float(temperature)
+    if temp < 0:
+        raise ValueError("temperature must be >= 0")
+    inc = _resolve_quadratic(include_quadratic, controls, provider)
+    key = (kind, provider, source.material, source.radius,
+           target.material, target.radius, temp, separation, controls, inc)
     if memo is not None and key in memo:
         return memo[key]
-    value = compute()
+    value = _integral(kind, _make_provider(provider, source),
+                      _make_provider(provider, target), temp, separation,
+                      controls, inc)
     if memo is not None:
         memo[key] = value
     return value
@@ -550,22 +512,8 @@ def interaction_force(source, target, temperature=None, separation=None,
         Scattering block route: small-radius expansion or the exact
         boundary-value solve.
     """
-    if separation is None:
-        raise TypeError("separation is required")
-    _check_geometry(source, target, separation)
-    controls = controls if controls is not None else QuadratureControls()
-    temp = source.temperature if temperature is None else float(temperature)
-    if temp < 0:
-        raise ValueError("temperature must be >= 0")
-    inc = _resolve_quadratic(include_quadratic, controls, provider)
-    key = ("int", provider, source.material, source.radius,
-           target.material, target.radius, temp, separation, controls, inc)
-    src_prov = _make_provider(provider, source)
-    tgt_prov = _make_provider(provider, target)
-    prop, evan = _memo_call(
-        _memo, key,
-        lambda: _int_core(src_prov, tgt_prov, temp, separation,
-                          controls, inc))
+    prop, evan = _force("int", source, target, temperature, separation,
+                        provider, controls, include_quadratic, _memo)
     return prop + evan, {"propagating": prop, "evanescent": evan}
 
 
@@ -575,39 +523,8 @@ def pair_source_force(source, other, temperature=None, separation=None,
     """Force per length on the rigid two-cylinder pair from thermal
     sources in the source cylinder, on the axis from other to source.
     Only propagating modes contribute."""
-    if separation is None:
-        raise TypeError("separation is required")
-    _check_geometry(source, other, separation)
-    controls = controls if controls is not None else QuadratureControls()
-    temp = source.temperature if temperature is None else float(temperature)
-    if temp < 0:
-        raise ValueError("temperature must be >= 0")
-    inc = _resolve_quadratic(include_quadratic, controls, provider)
-    key = ("pair", provider, source.material, source.radius,
-           other.material, other.radius, temp, separation, controls, inc)
-    src_prov = _make_provider(provider, source)
-    oth_prov = _make_provider(provider, other)
-    return _memo_call(
-        _memo, key,
-        lambda: _pair_core(src_prov, oth_prov, temp, separation,
-                           controls, inc))
-
-
-def _self_force(source, other, temperature, separation, *, provider,
-                controls, include_quadratic, _memo):
-    """Net self-force on the source cylinder along other -> source:
-    the pair force minus the axis-reflected force on the other
-    cylinder, which turns into a plain sum of the two integrals."""
-    pair = pair_source_force(source, other, temperature, separation,
-                             provider=provider, controls=controls,
-                             include_quadratic=include_quadratic,
-                             _memo=_memo)
-    onto_other, _ = interaction_force(source, other, temperature,
-                                      separation, provider=provider,
-                                      controls=controls,
-                                      include_quadratic=include_quadratic,
-                                      _memo=_memo)
-    return pair + onto_other
+    return _force("pair", source, other, temperature, separation,
+                  provider, controls, include_quadratic, _memo)[0]
 
 
 def self_force(index, scenario, separation, *, temperature=None,
@@ -627,11 +544,13 @@ def self_force(index, scenario, separation, *, temperature=None,
         source, other = scenario.cylinder1, scenario.cylinder2
     else:
         source, other = scenario.cylinder2, scenario.cylinder1
-    return _self_force(source, other, temperature, separation,
-                       provider=scenario.provider,
-                       controls=scenario.controls,
-                       include_quadratic=scenario.include_quadratic,
-                       _memo=_memo)
+    kw = dict(provider=scenario.provider, controls=scenario.controls,
+              include_quadratic=scenario.include_quadratic, _memo=_memo)
+    pair = pair_source_force(source, other, temperature, separation, **kw)
+    onto_other, _ = interaction_force(source, other, temperature,
+                                      separation, **kw)
+    # minus the axis-reflected force on the other cylinder: a plain sum
+    return pair + onto_other
 
 
 def total_force(scenario, separation, f_eq=None, *, _memo=None):

@@ -44,8 +44,8 @@ from .units import (
     EPSILON_0,
     HBAR,
     K_BOLTZMANN,
-    ev_to_radps,
-    um_to_radps,
+    frequency_to_radps,
+    length_to_m,
 )
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -211,24 +211,15 @@ def skin_depth(model, omega):
 
 # --- material file handling -------------------------------------------------
 
-def _convert_frequency(value, unit, field):
-    if unit in (None, "rad/s"):
-        return float(value)
-    if unit == "eV":
-        return ev_to_radps(float(value))
-    if unit == "um":
-        return um_to_radps(float(value))
-    raise MaterialError("unsupported unit %r for %s" % (unit, field))
-
-
-def _convert_length(value, unit, field):
-    if unit in (None, "m"):
-        return float(value)
-    if unit == "um":
-        return float(value) * 1e-6
-    if unit == "nm":
-        return float(value) * 1e-9
-    raise MaterialError("unsupported unit %r for %s" % (unit, field))
+def _in_si(convert, si_unit, params, units, field):
+    """params[field] converted from units[field] (si_unit when absent)
+    by one of the units converters; an unsupported unit or a value the
+    converter rejects is a MaterialError naming the field."""
+    unit = units.get(field)
+    try:
+        return convert(float(params[field]), si_unit if unit is None else unit)
+    except ValueError as exc:
+        raise MaterialError("%s for %s" % (exc, field)) from None
 
 
 def _build_model(model_name, params, units):
@@ -244,12 +235,12 @@ def _build_model(model_name, params, units):
         try:
             return Lorentz(
                 eps_inf=float(params["eps_inf"]),
-                omega_lo=_convert_frequency(
-                    params["omega_lo"], units.get("omega_lo"), "omega_lo"),
-                omega_to=_convert_frequency(
-                    params["omega_to"], units.get("omega_to"), "omega_to"),
-                gamma=_convert_frequency(
-                    params["gamma"], units.get("gamma"), "gamma"),
+                omega_lo=_in_si(frequency_to_radps, "rad/s", params, units,
+                                "omega_lo"),
+                omega_to=_in_si(frequency_to_radps, "rad/s", params, units,
+                                "omega_to"),
+                gamma=_in_si(frequency_to_radps, "rad/s", params, units,
+                             "gamma"),
             )
         except KeyError as exc:
             raise MaterialError(
@@ -262,8 +253,7 @@ def _build_model(model_name, params, units):
         for i, term in enumerate(raw):
             try:
                 sigma = float(term["sigma"])
-                lam_r = _convert_length(
-                    term["lambda_r"], units.get("lambda_r"), "lambda_r")
+                lam_r = _in_si(length_to_m, "m", term, units, "lambda_r")
             except KeyError as exc:
                 raise MaterialError(
                     "conductivity term %d missing %s" % (i, exc)) from None
@@ -273,8 +263,8 @@ def _build_model(model_name, params, units):
         try:
             return LowFreqExpansion(
                 eps0=float(params["eps0"]),
-                lambda_in=_convert_length(
-                    params["lambda_in"], units.get("lambda_in"), "lambda_in"),
+                lambda_in=_in_si(length_to_m, "m", params, units,
+                                 "lambda_in"),
             )
         except KeyError as exc:
             raise MaterialError(

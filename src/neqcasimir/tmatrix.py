@@ -94,31 +94,51 @@ def thin_t(n, ktilde_z, eps, mu, x):
     if n not in (-1, 0, 1):
         raise TMatrixError(
             "thin expansion defines orders -1, 0, 1 only; got %r" % (n,))
+    entries = _thin_blocks_batch(np.array([n]), np.array([float(ktilde_z)]),
+                                 eps, mu, x)[0, 0]
+    return TMatrixBlock(entries=entries, order=n, ktilde_z=float(ktilde_z),
+                        size_parameter=float(x))
+
+
+def _thin_blocks_batch(orders, ktz, eps, mu, x):
+    """Leading-order blocks for every (ktz node, order), arguments and
+    shape as in _full_blocks_batch; orders beyond |n| = 1 give zero
+    blocks.
+
+    At |n| = 1 with den = (eps + 1)(mu + 1) the diagonal entries are
+    pref (kz2 a_P + b_P) / den.  T^NN is formed as one quotient per
+    node and T^MM as c2 kz2 + c0 from scalar quotients.  Either
+    arrangement is the same algebra; this pairing keeps the rounding of
+    the mu = 1 provider blocks (c2 = 0 there), so sweep outputs stay
+    reproducible to the last bit across versions.
+    """
+    orders = np.asarray(orders, dtype=int)
+    ktz = np.asarray(ktz, dtype=float)
     if x <= 0:
         raise TMatrixError("size parameter must be positive")
     eps = complex(eps)
     mu = complex(mu)
-    kz2 = float(ktilde_z) ** 2
+    den = (eps + 1.0) * (mu + 1.0)
+    if den == 0 and np.any(np.abs(orders) == 1):
+        raise TMatrixError("thin expansion singular at eps = -1 or mu = -1")
+    out = np.zeros((ktz.shape[0], orders.shape[0], 2, 2), dtype=complex)
     pref = 0.25j * math.pi * x * x
-    ent = np.zeros((2, 2), dtype=complex)
-    if n == 0:
-        ent[POL_N, POL_N] = -pref * (eps - 1.0) * (kz2 - 1.0)
-        ent[POL_M, POL_M] = -pref * (mu - 1.0) * (kz2 - 1.0)
-    else:
-        den = (eps + 1.0) * (mu + 1.0)
-        if den == 0:
-            raise TMatrixError(
-                "thin expansion singular at eps = -1 or mu = -1")
-        ent[POL_N, POL_N] = pref * (
-            kz2 * (mu + 1.0) * (eps - 1.0) + (mu - 1.0) * (eps + 1.0)) / den
-        ent[POL_M, POL_M] = pref * (
-            kz2 * (mu - 1.0) * (eps + 1.0) + (mu + 1.0) * (eps - 1.0)) / den
-        cross = 0.5j * math.pi * x * x * (eps * mu - 1.0) \
-            * float(ktilde_z) / den * n
-        ent[POL_M, POL_N] = cross
-        ent[POL_N, POL_M] = cross
-    return TMatrixBlock(entries=ent, order=n, ktilde_z=float(ktilde_z),
-                        size_parameter=float(x))
+    kz2 = ktz ** 2
+    for io, n in enumerate(orders):
+        if n == 0:
+            out[:, io, POL_N, POL_N] = -pref * (eps - 1.0) * (kz2 - 1.0)
+            out[:, io, POL_M, POL_M] = -pref * (mu - 1.0) * (kz2 - 1.0)
+        elif abs(n) == 1:
+            out[:, io, POL_N, POL_N] = pref * (
+                kz2 * ((mu + 1.0) * (eps - 1.0))
+                + (mu - 1.0) * (eps + 1.0)) / den
+            out[:, io, POL_M, POL_M] = (
+                kz2 * (pref * ((mu - 1.0) * (eps + 1.0)) / den)
+                + pref * ((mu + 1.0) * (eps - 1.0)) / den)
+            cross = 2.0 * pref * (eps * mu - 1.0) * ktz / den * n
+            out[:, io, POL_M, POL_N] = cross
+            out[:, io, POL_N, POL_M] = cross
+    return out
 
 
 # --- full boundary-matching solve -------------------------------------------
@@ -280,41 +300,18 @@ class ThinExpansion:
         return omega * self.radius / C_LIGHT
 
     def block(self, n, ktilde_z, omega):
-        x = self.size_parameter(omega)
-        if x > THIN_VALIDITY_X:
-            warnings.warn(_THIN_WARNING)
-        if abs(int(n)) > 1:
-            return TMatrixBlock(entries=np.zeros((2, 2), dtype=complex),
-                                order=int(n), ktilde_z=float(ktilde_z),
-                                size_parameter=float(x))
-        eps = _epsilon(self.material, omega)
-        return thin_t(n, ktilde_z, eps, 1.0, x)
+        entries = self.blocks([int(n)], [float(ktilde_z)], omega)[0, 0]
+        return TMatrixBlock(entries=entries, order=int(n),
+                            ktilde_z=float(ktilde_z),
+                            size_parameter=float(self.size_parameter(omega)))
 
     def blocks(self, orders, ktz, omega):
         """Batched blocks, shape (len(ktz), len(orders), 2, 2)."""
-        orders = np.asarray(orders, dtype=int)
-        ktz = np.asarray(ktz, dtype=float)
         x = self.size_parameter(omega)
         if x > THIN_VALIDITY_X:
             warnings.warn(_THIN_WARNING)
-        eps = complex(_epsilon(self.material, omega))
-        out = np.zeros((ktz.shape[0], orders.shape[0], 2, 2), dtype=complex)
-        pref = 0.25j * math.pi * x * x
-        kz2 = ktz ** 2
-        den = (eps + 1.0) * 2.0
-        for io, n in enumerate(orders):
-            n = int(n)
-            if n == 0:
-                out[:, io, POL_N, POL_N] = -pref * (eps - 1.0) * (kz2 - 1.0)
-            elif abs(n) == 1:
-                out[:, io, POL_N, POL_N] = pref * (
-                    kz2 * 2.0 * (eps - 1.0)) / den
-                out[:, io, POL_M, POL_M] = pref * (
-                    2.0 * (eps - 1.0)) / den
-                cross = 2.0 * pref * (eps - 1.0) * ktz / den * n
-                out[:, io, POL_M, POL_N] = cross
-                out[:, io, POL_N, POL_M] = cross
-        return out
+        return _thin_blocks_batch(orders, ktz, _epsilon(self.material, omega),
+                                  1.0, x)
 
 
 class FullSolve:

@@ -24,23 +24,11 @@ def ev_to_radps(energy_ev):
     return energy_ev * E_CHARGE / HBAR
 
 
-def radps_to_ev(omega):
-    """Convert an angular frequency in rad/s to a photon energy in eV."""
-    return omega * HBAR / E_CHARGE
-
-
 def um_to_radps(wavelength_um):
     """Angular frequency of a vacuum wavelength given in micrometers."""
     if wavelength_um <= 0:
         raise ValueError("wavelength must be positive, got %r" % (wavelength_um,))
     return 2.0 * math.pi * C_LIGHT / (wavelength_um * 1e-6)
-
-
-def radps_to_um(omega):
-    """Vacuum wavelength in micrometers of an angular frequency in rad/s."""
-    if omega <= 0:
-        raise ValueError("frequency must be positive, got %r" % (omega,))
-    return 2.0 * math.pi * C_LIGHT / omega * 1e6
 
 
 _LENGTH_FACTORS = {

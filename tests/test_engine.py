@@ -174,18 +174,23 @@ def test_tolerance_refinement_consistency():
 
 
 def test_kz_symmetry_flag_agrees():
-    sym, _ = interaction_force(
+    sym, ch = interaction_force(
         C1, C2, 300.0, 2e-6,
         controls=QuadratureControls(rel_tol=1e-3, kz_symmetry=True))
     assert abs(sym - V2UM) <= 2e-3 * abs(V2UM)
+    # the flag halves only the propagating psi range; the evanescent
+    # branch is twice its +k_z sum either way
+    assert ch["evanescent"] == CH2UM["evanescent"]
 
 
 @pytest.mark.parametrize("provider, rel_tol", [
     ("thin", 1e-2), ("thin", 1e-4), ("full", 1e-3)])
 def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
-    # the evanescent y-grid is fixed for the whole integral, so past the
-    # order probe and the grid-bump probes the outer frequency integral
-    # builds its K-product table once, however many nodes it takes
+    # the evanescent y-grids are fixed for the whole integral, so the
+    # order probe builds its K-product table once for all its
+    # frequencies, and past the probe and the grid-bump probes the outer
+    # frequency integral builds its table once, however many nodes it
+    # takes
     calls = []
     phase = {"name": "outside"}
     real_table = kernels.k_product_table
@@ -227,7 +232,7 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     assert sum(nodes) >= 120
     assert calls.count("outer") == 0
     assert calls.count("bump") >= 2
-    assert calls.count("probe") == (3 if provider == "full" else 0)
+    assert calls.count("probe") == (1 if provider == "full" else 0)
     assert calls.count("outside") == 1
     assert len(calls) == (calls.count("probe") + calls.count("bump") + 1)
 
@@ -280,6 +285,26 @@ def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
     assert calls.count((True, "propagating")) == distinct * sum(nodes)
 
 
+def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
+    # only propagating modes enter the pair force, so neither its order
+    # probe nor its outer integral asks a provider for ktilde_z > 1
+    ktz_max = []
+
+    def recording(blocks):
+        def wrapped(self, orders, ktz, omega):
+            ktz_max.append(float(np.max(ktz)))
+            return blocks(self, orders, ktz, omega)
+        return wrapped
+
+    for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
+        monkeypatch.setattr(cls, "blocks", recording(cls.blocks))
+    pair = pair_source_force(C1, C2, 300.0, 2e-6, provider="full",
+                             controls=QuadratureControls(rel_tol=1e-2,
+                                                         n_max=2))
+    assert np.isfinite(pair)
+    assert max(ktz_max) < 1.0
+
+
 def test_full_provider_with_a_high_order_cap():
     # the order probe builds its tables at the cap and reads only the
     # central columns; at n_max = 20 the outer columns overflow at the
@@ -314,7 +339,7 @@ def test_overflowing_tables_raise_at_the_first_sum():
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 0\.00106"):
-            engine._inner_evan(prov, prov, omega, d, orders, ctl,
+            engine._inner_evan(prov, prov, omega, d, orders,
                                engine._evan_tables(ctl, 1, orders))
         for kernel in ("f", "s"):
             with pytest.raises(QuadratureError,

@@ -130,6 +130,29 @@ def test_unit_conversion_in_files(tmp_path):
     _, m1 = materials.load_material(doc_ev)
     assert abs(m1.omega_lo / radps - 1.0) < 1e-9
 
+    # lengths in nm and um load equal to their SI values
+    for unit, scale in (("nm", 1e-9), ("um", 1e-6)):
+        doc = {"name": "m2", "model": "conductivity_sum",
+               "parameters": {"terms": [{"sigma": 5e6, "lambda_r": 3.0}]},
+               "units": {"lambda_r": unit}}
+        _, m2 = materials.load_material(doc)
+        assert m2.terms[0][1] == pytest.approx(3.0 * scale, rel=1e-15)
+        doc = {"name": "m3", "model": "low_freq",
+               "parameters": {"eps0": 4.0, "lambda_in": 250.0},
+               "units": {"lambda_in": unit}}
+        _, m3 = materials.load_material(doc)
+        assert m3.lambda_in == pytest.approx(250.0 * scale, rel=1e-15)
+
+    # an unsupported unit is a MaterialError naming the field
+    bad_length = {"name": "m4", "model": "low_freq",
+                  "parameters": {"eps0": 4.0, "lambda_in": 1.0},
+                  "units": {"lambda_in": "furlong"}}
+    with pytest.raises(MaterialError, match="lambda_in"):
+        materials.load_material(bad_length)
+    bad_frequency = dict(doc_ev, units={"omega_lo": "GHz"})
+    with pytest.raises(MaterialError, match="omega_lo"):
+        materials.load_material(bad_frequency)
+
 
 def test_cylinder_spec():
     spec = materials.CylinderSpec(radius=1e-7, material=SIC,

@@ -350,6 +350,13 @@ def test_batched_blocks_match_loop():
                 single = prov.block(n, float(kt), OMEGA).entries
                 scale = max(float(np.max(np.abs(single))), 1e-30)
                 assert np.max(np.abs(batch[k, i] - single)) < 1e-10 * scale
+    # the thin provider's block() and blocks() share one formula, bitwise
+    thin = tmatrix.ThinExpansion(SIC, 0.1e-6)
+    batch = thin.blocks(range(-2, 3), ktz, OMEGA)
+    for k, kt in enumerate(ktz):
+        for i, n in enumerate(range(-2, 3)):
+            assert np.array_equal(batch[k, i],
+                                  thin.block(n, float(kt), OMEGA).entries)
 
 
 if __name__ == "__main__":
