@@ -1,6 +1,6 @@
 """Post-processing of force-versus-separation sweeps.
 
-Sign-change detection and bisection refinement locate mechanical
+Sign-change detection and Brent refinement locate mechanical
 equilibria; log-log slope fits and detrended-oscillation statistics
 quantify the power laws and the standing-wave structure of self
 forces.  Everything here works on plain arrays so it applies equally
@@ -8,6 +8,7 @@ to engine output, CSV rows, and closed-form curves.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,37 +61,75 @@ def find_zero_crossings(separations, forces):
 
 
 def refine_zero(func, lower, upper, *, rel_tol=1e-3, max_iter=200):
-    """Bisect a sign change of func to relative width rel_tol.
+    """Refine a sign change of func to relative width rel_tol by
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, Prentice-Hall 1973, ch. 4: zeroin).
 
     func maps separation to force; the initial bracket must straddle a
-    sign change.  Returns the refined ZeroCrossing.
+    sign change.  Each step takes the inverse quadratic or secant
+    estimate of the root when it stays well inside the bracket and
+    shrinks it fast enough, and bisects otherwise, and never steps by
+    less than half the target width, so a smooth force needs
+    far fewer evaluations than bisection.  Returns the refined
+    ZeroCrossing: both ends are evaluated points that straddle the
+    sign change, at most rel_tol times their midpoint apart (unless
+    max_iter evaluations run out first).
     """
-    lo, hi = float(lower), float(upper)
-    if not lo < hi:
+    b, c = float(lower), float(upper)
+    if not b < c:
         raise ValueError("need lower < upper")
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if f_lo == 0.0:
-        stability = "stable" if f_hi < 0 else "unstable"
-        return ZeroCrossing(lo, lo, stability)
-    if f_hi == 0.0:
-        stability = "stable" if f_lo > 0 else "unstable"
-        return ZeroCrossing(hi, hi, stability)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise ValueError("no sign change on [%g, %g]" % (lo, hi))
-    stability = "stable" if f_lo > 0 else "unstable"
+    fb = func(b)
+    fc = func(c)
+    if fb == 0.0:
+        stability = "stable" if fc < 0 else "unstable"
+        return ZeroCrossing(b, b, stability)
+    if fc == 0.0:
+        stability = "stable" if fb > 0 else "unstable"
+        return ZeroCrossing(c, c, stability)
+    if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+        raise ValueError("no sign change on [%g, %g]" % (b, c))
+    stability = "stable" if fb > 0 else "unstable"
+    # b is the best estimate and c the other end of the bracket; a is
+    # the previous b, d the last step and e the one before it
+    a, fa = c, fc
+    d = e = b - a
     for _ in range(max_iter):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        lo, hi = min(b, c), max(b, c)
         if hi - lo <= rel_tol * 0.5 * (hi + lo):
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return ZeroCrossing(mid, mid, stability)
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return ZeroCrossing(lo, hi, stability)
+        tol = (0.5 * rel_tol * min(abs(b), abs(c))
+               + 2.0 * sys.float_info.epsilon * abs(b))
+        half = 0.5 * (c - b)
+        interpolated = False
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            interpolated = (2.0 * p < 3.0 * half * q - abs(tol * q)
+                            and p < abs(0.5 * e * q))
+        if interpolated:
+            e, d = d, p / q
+        else:  # bisection
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = func(b)
+        if fb == 0.0:
+            return ZeroCrossing(b, b, stability)
+        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+            c, fc = a, fa
+            d = e = b - a
+    return ZeroCrossing(min(b, c), max(b, c), stability)
 
 
 def log_slope(separations, forces):

@@ -8,7 +8,7 @@ Subcommands:
   ``# scenario:`` comment header, so the output is self-describing and
   re-runnable.
 * ``zeros``: read such a CSV back, bracket every sign change of the
-  total force on cylinder 1, refine each by bisection on the engine,
+  total force on cylinder 1, refine each by Brent's method on the engine,
   and classify it stable/unstable.
 * ``compare-weight`` / ``compare-ampere``: gravitational and magnetic
   reference forces per unit length for putting computed forces in
@@ -28,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import find_zero_crossings, refine_zero
-from .engine import sweep, total_force
+from .engine import _share_temperatures, sweep, total_force
 from .errors import QuadratureError, SchemaError
 from .scenario import load_scenario, parse_scenario
 from .units import G_STANDARD, MU_0
@@ -148,14 +148,22 @@ def _cmd_run(args):
 def _cmd_zeros(args):
     doc, rows = read_sweep_csv(args.csv)
     scenario, _ = parse_scenario(doc, base_dir=Path(args.csv).parent)
+    # the scenario's own floats behind the CSV's 13-digit separations
+    # and temperatures, and every separation covering the temperatures
+    # of the whole file, as in the sweep that wrote it: then grid-point
+    # forces repeat its rows bitwise
+    exact = {_FMT % v: v for v in scenario.separations + sum(
+        scenario.temperature_sets or (), ())}
     groups = {}
     for row in rows:
-        key = (row["T1_K"], row["T2_K"], row["Tenv_K"])
+        key = tuple(exact.get(_FMT % row[c], row[c])
+                    for c in ("T1_K", "T2_K", "Tenv_K"))
         groups.setdefault(key, []).append(row)
     sys.stdout.write("T1_K,T2_K,Tenv_K,d_zero_m,stability\n")
     memo = {}
+    _share_temperatures(memo, [t for key in groups for t in key])
     for (t1, t2, te), group in groups.items():
-        d = [row["d_m"] for row in group]
+        d = [exact.get(_FMT % row["d_m"], row["d_m"]) for row in group]
         f = [row["F1_total"] for row in group]
         one = replace(
             scenario,

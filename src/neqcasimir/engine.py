@@ -21,26 +21,44 @@ the pair route: the force on the pair from 1's sources plus the
 (axis-reflected) force those sources exert on 2.  The equilibrium
 reference F_eq is ingested from tabulated data, never computed here.
 
-Frequency integrals substitute u = hbar omega / (k_B T) of the driving
-temperature and truncate at controls.x_max.  The axial integral is
-split at the light line: the propagating side is mapped to an angle
-psi with k_z = (omega / c) cos(psi); the evanescent side uses the
-decaying scale y = |q| d.  Inner grids are fixed composite
-Gauss-Kronrod rules whose density is calibrated once per integral by a
-doubling probe; the azimuthal truncation is calibrated by a multipole
-shell probe.  F1_int and the pair force are one thermal integral with
-different kernels, run by one driver (_integral) whose outer frequency
-integral is globally adaptive with one error channel per light-line
-branch (the pair force has no evanescent one).
+The spectral kernels do not depend on the temperature, which enters
+only through the Bose factor n(omega, T).  So F1_int and the pair
+force of one source, at every temperature a computation needs, are
+channels of one frequency integral per (source, target, separation),
+run by one driver (_pass) in absolute omega: at each outer node one
+provider call per cylinder gives the blocks of both light-line
+branches, the kernels are summed once, and each temperature weights
+them with its Bose factor inside its own window
+[u_min, x_max] of u = hbar omega / (k_B T).  The outer integral is
+globally adaptive with one tolerance group per temperature and kind,
+so each channel converges as if it were integrated alone.  Its first
+seed panel [omega_0, omega_1] is integrated in x with
+omega = x^2 / omega_1, which makes the u^(-1/2) endpoint singularity
+of a conductor's evanescent integrand regular.
+
+The axial integral is split at the light line: the propagating side is
+mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
+side uses the decaying scale y = |q| d.  Inner grids are fixed
+composite Gauss-Kronrod rules whose density is calibrated once per
+pass by a doubling probe at u = 2.5 of every temperature; the
+azimuthal truncation is calibrated once per pass by a multipole shell
+probe of both kernels.  Both take the largest value any temperature
+needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
-accumulated in a fixed order, and repeated sub-integrals inside one
-sweep are memoized, so equal-temperature differences cancel exactly.
+accumulated in a fixed order, and passes are memoized.  total_force,
+self_force and sweep record in their memo the temperatures every pass
+covers (a sweep all of its temperatures, before its first row), so
+every force of one separation comes from one pass: equal-temperature
+differences cancel exactly, and identical cylinders share a pass, so
+mirrored rows agree bitwise.  A lone interaction_force or
+pair_source_force call integrates only its own kind and temperature.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +73,13 @@ from .units import C_LIGHT, HBAR, K_BOLTZMANN
 _EVAN_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
 _PROBE_US = (2.5, 7.0, 15.0)
+# axial integrals of each kind (see _inner), and psi panels per unit kd
+# of the propagating interaction and pair sums
+_SUMS = {"int": ("f", "e"), "pair": ("s",)}
+_PER_PANEL = {"f": 10.0, "s": 3.0}
 _MAX_GRID_BUMPS = 4
+# memo entry: the temperatures every pass drawn from that memo covers
+_SHARED = "shared temperatures"
 
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
@@ -72,10 +96,14 @@ _GRID_CAP_WARNING = ("inner wavenumber grid still changing at the "
 class QuadratureControls:
     """Tunable accuracy knobs for the force integrals.
 
-    rel_tol : relative accuracy target of the frequency integral.
+    rel_tol : relative accuracy target of the frequency integral,
+        held per temperature channel: each temperature's channels
+        converge as if integrated alone.
     x_max : upper cutoff of the substituted variable
-        u = hbar omega / k_B T; exp(-40) leaves no visible tail.
-    u_min : lower cutoff of the same variable, normally 0.  Needed for
+        u = hbar omega / k_B T of each temperature channel; exp(-40)
+        leaves no visible tail.
+    u_min : lower cutoff of the same variable, normally 0, per
+        temperature channel.  Needed for
         idealized frequency-independent lossy permittivities, whose
         near-field frequency integrand behaves like 1/u at u -> 0 and
         diverges logarithmically; causal materials (Im eps -> 0 with
@@ -86,7 +114,8 @@ class QuadratureControls:
     series_tol : relative shell size at which the multipole series
         counts as converged.
     y_cut : upper cutoff of the evanescent decay variable y = |q| d.
-    max_panels : outer adaptive panel budget before giving up.
+    max_panels : outer adaptive panel budget per temperature channel
+        before giving up.
     kz_symmetry : exploit the exact evenness in k_z of the propagating
         kernel sums and integrate half the psi range.  Off by default
         so that evenness stays a testable property instead of an
@@ -252,6 +281,21 @@ def _evan_grid(y_cut, factor):
     return composite_nodes(np.asarray(base, dtype=float))
 
 
+@lru_cache(maxsize=256)
+def _psi_grid(n_panels, half):
+    """Composite Kronrod nodes and weights on n_panels uniform panels
+    of psi in [0, pi], or on half as many of [0, pi / 2] with half.
+    Read-only: the cache hands the same arrays to every caller."""
+    if half:
+        grid = composite_nodes(uniform_edges(0.0, 0.5 * math.pi,
+                                             max(2, (n_panels + 1) // 2)))
+    else:
+        grid = composite_nodes(uniform_edges(0.0, math.pi, n_panels))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def _blocks(src_prov, tgt_prov, orders, ktz, omega):
     """Source and target blocks at one frequency, with one provider
     call when both cylinders are the same."""
@@ -262,11 +306,11 @@ def _blocks(src_prov, tgt_prov, orders, ktz, omega):
     return tsrc, (tsrc if same else tgt_prov.blocks(orders, ktz, omega))
 
 
-def _prop_dot(kernel, tsrc, ttgt, tables, nu_max, include_quad, qd, wts,
+def _prop_dot(kernel, amp, ttgt, tables, nu_max, include_quad, qd, wts,
               sin_psi):
-    """Propagating ('f') or pair ('s') kernel sum on hankel_tables
-    output (hp, h, jp), checked finite, dotted with wts sin(psi)^2."""
-    amp = kernels.prop_amplitude(tsrc, include_quad)
+    """Propagating ('f') or pair ('s') kernel sum of the source
+    amplitude amp on hankel_tables output (hp, h, jp), checked finite,
+    dotted with wts sin(psi)^2."""
     hp, h, jp = tables
     if kernel == "f":
         vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max, include_quad)
@@ -285,104 +329,114 @@ def _evan_dot(tsrc, ttgt, kk, nu_max, y, wts, kd):
     return float(np.dot(wts, y * y / np.sqrt(kd * kd + y * y) * vals))
 
 
-def _inner_prop(src_prov, tgt_prov, omega, d, orders, controls,
-                include_quad, kernel, n_panels):
-    """Axial integral over the propagating branch at one frequency.
-
-    Returns integral dk_z q * (kernel sum) over |k_z| < omega / c,
-    mapped to psi with k_z = k cos(psi)."""
-    k = omega / C_LIGHT
-    kd = k * d
-    if controls.kz_symmetry:
-        n_panels = max(2, (n_panels + 1) // 2)
-        hi = 0.5 * math.pi
-    else:
-        hi = math.pi
-    nodes, wts = composite_nodes(uniform_edges(0.0, hi, n_panels))
-    sin_psi = np.sin(nodes)
-    qd = kd * sin_psi
-    nu_max = int(orders[-1]) * 2
-    tsrc, ttgt = _blocks(src_prov, tgt_prov, orders, np.cos(nodes), omega)
-    total = k * k * _prop_dot(kernel, tsrc, ttgt,
-                              kernels.hankel_tables(qd, nu_max), nu_max,
-                              include_quad, qd, wts, sin_psi)
-    if controls.kz_symmetry:
-        total *= 2.0
-    return total
-
-
 def _evan_tables(controls, factor, orders):
     """Evanescent y-grid (nodes, weights) at a grid-density factor and
     its K-product table.  Neither depends on the frequency, so one
-    integral builds them once and reuses them at every outer node."""
+    pass builds them once and reuses them at every outer node."""
     nodes, wts = _evan_grid(controls.y_cut, factor)
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
-def _inner_evan(src_prov, tgt_prov, omega, d, orders, tables):
-    """Axial integral over the evanescent branch at one frequency,
-    in the decay variable y = |q| d, on tables from _evan_tables.  The
-    -k_z blocks are T(k_z) * [[1, -1], [-1, 1]] on both cylinders and
-    the sum multiplies their entries pairwise, so the -k_z sum is the
-    +k_z sum bitwise and the branch is twice the +k_z sum."""
-    kd = omega * d / C_LIGHT
-    nodes, wts, kk = tables
+def _inner(src_prov, tgt_prov, omega, d, orders, controls, include_quad,
+           sums, n_panels, evan):
+    """Axial integrals at one frequency, one per entry of sums.
+
+    'f' and 's' are the propagating interaction and pair integrals
+    dk_z q * (kernel sum) over |k_z| < omega / c, mapped to psi with
+    k_z = k cos(psi) on n_panels uniform panels; 'e' is the evanescent
+    interaction integral in the decay variable y = |q| d on the tables
+    evan from _evan_tables.  One provider call per cylinder covers the
+    psi and the y nodes, and one hankel_tables call serves both
+    propagating sums.  The -k_z evanescent blocks are
+    T(k_z) * [[1, -1], [-1, 1]] on both cylinders and the sum
+    multiplies their entries pairwise, so the -k_z sum is the +k_z sum
+    bitwise and the branch is twice the +k_z sum."""
+    k = omega / C_LIGHT
+    kd = k * d
     nu_max = int(orders[-1]) * 2
-    tsrc, ttgt = _blocks(src_prov, tgt_prov, orders,
-                         np.sqrt(1.0 + (nodes / kd) ** 2), omega)
-    return 2.0 * _evan_dot(tsrc, ttgt, kk, nu_max, nodes, wts, kd) / (d * d)
+    ktz = []
+    n_psi = 0
+    if "f" in sums or "s" in sums:
+        nodes, wts = _psi_grid(n_panels, controls.kz_symmetry)
+        n_psi = nodes.size
+        sin_psi = np.sin(nodes)
+        qd = kd * sin_psi
+        ktz.append(np.cos(nodes))
+    if "e" in sums:
+        y, y_wts, kk = evan
+        ktz.append(np.sqrt(1.0 + (y / kd) ** 2))
+    tsrc, ttgt = _blocks(src_prov, tgt_prov, orders, np.concatenate(ktz),
+                         omega)
+    if n_psi:
+        tables = kernels.hankel_tables(qd, nu_max)
+        amp = kernels.prop_amplitude(tsrc[:n_psi], include_quad)
+        sym = 2.0 if controls.kz_symmetry else 1.0
+    out = []
+    for s in sums:
+        if s == "e":
+            out.append(2.0 * _evan_dot(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max,
+                                       y, y_wts, kd) / (d * d))
+        else:
+            out.append(sym * k * k * _prop_dot(
+                s, amp, ttgt[:n_psi], tables, nu_max, include_quad, qd, wts,
+                sin_psi))
+    return out
 
 
-def _probe_orders(src_prov, tgt_prov, omega_scale, d, controls,
-                  include_quad, kernel, n_cap):
+def _probe_orders(src_prov, tgt_prov, omegas, d, controls, include_quad,
+                  kinds, n_cap):
     """Pick the azimuthal truncation by growing shells on coarse grids
-    at a few representative frequencies until the last shell is
-    negligible.  Shells read the central orders of blocks and tables
-    built at the cap; the K-product table is built once, and only for
-    the interaction kernel 'f', the one with an evanescent channel."""
+    at a few representative frequencies until the last shell of every
+    kernel is negligible: the interaction kernel ('f' with 'e') and the
+    pair kernel ('s') each by its own shell test, and the largest order
+    any of them needs wins.  Each frequency makes one provider call per
+    cylinder at the cap, on the psi and y nodes together, and one
+    hankel_tables call; shells read their central orders.  The
+    K-product table is built once, and only for the interaction kind."""
     if n_cap <= 1:
         return 1
-    probe_us = [u for u in _PROBE_US if u <= 0.9 * controls.x_max]
-    if not probe_us:
-        probe_us = [0.5 * controls.x_max]
-    nodes, wts = composite_nodes(uniform_edges(0.0, math.pi, 2))
+    nodes, wts = _psi_grid(2, False)
     sin_psi = np.sin(nodes)
+    n_psi = nodes.size
     cap_orders = np.arange(-n_cap, n_cap + 1)
-    if kernel == "f":
+    if "int" in kinds:
         y_nodes, y_wts = _evan_grid(min(12.0, controls.y_cut), 1)
         kk = kernels.k_product_table(y_nodes, 2 * n_cap)
     need = 1
-    for u in probe_us:
-        omega = u * omega_scale
+    for omega in omegas:
         kd = omega * d / C_LIGHT
         qd = kd * sin_psi
-        ts_p, tt_p = _blocks(src_prov, tgt_prov, cap_orders, np.cos(nodes),
-                             omega)
+        ktz = np.cos(nodes)
+        if "int" in kinds:
+            ktz = np.concatenate([ktz, np.sqrt(1.0 + (y_nodes / kd) ** 2)])
+        ts, tt = _blocks(src_prov, tgt_prov, cap_orders, ktz, omega)
         hp, h, jp = kernels.hankel_tables(qd, 2 * n_cap)
-        if kernel == "f":
-            ts_e, tt_e = _blocks(src_prov, tgt_prov, cap_orders,
-                                 np.sqrt(1.0 + (y_nodes / kd) ** 2), omega)
-        prev = None
+        pending = [_SUMS[k] for k in kinds]
+        prev = {}
         for n_cur in range(1, n_cap + 1):
             lo, hi = n_cap - n_cur, n_cap + n_cur + 1
             nu_cur = 2 * n_cur
             off = 2 * (n_cap - n_cur)
             end = off + 4 * n_cur + 1
-            cur = (_prop_dot(kernel, ts_p[:, lo:hi], tt_p[:, lo:hi],
-                             (hp[:, off:end + 1], h[:, off:end],
-                              jp[:, off:end]),
-                             nu_cur, include_quad, qd, wts, sin_psi),)
-            if kernel == "f":
-                cur += (_evan_dot(ts_e[:, lo:hi], tt_e[:, lo:hi],
-                                  kk[:, off:end], nu_cur, y_nodes, y_wts,
-                                  kd),)
-            if prev is not None:
-                shell = sum(abs(a - b) for a, b in zip(cur, prev))
-                scale = max(sum(abs(a) for a in cur), 1e-300)
-                if shell <= controls.series_tol * scale:
-                    need = max(need, n_cur)
-                    break
-            prev = cur
+            amp = kernels.prop_amplitude(ts[:n_psi, lo:hi], include_quad)
+            tables = (hp[:, off:end + 1], h[:, off:end], jp[:, off:end])
+            for ks in list(pending):
+                cur = tuple(
+                    _evan_dot(ts[n_psi:, lo:hi], tt[n_psi:, lo:hi],
+                              kk[:, off:end], nu_cur, y_nodes, y_wts, kd)
+                    if s == "e" else
+                    _prop_dot(s, amp, tt[:n_psi, lo:hi], tables, nu_cur,
+                              include_quad, qd, wts, sin_psi)
+                    for s in ks)
+                if ks in prev:
+                    shell = sum(abs(a - b) for a, b in zip(cur, prev[ks]))
+                    scale = max(sum(abs(a) for a in cur), 1e-300)
+                    if shell <= controls.series_tol * scale:
+                        need = max(need, n_cur)
+                        pending.remove(ks)
+                prev[ks] = cur
+            if not pending:
+                break
         else:
             need = n_cap
             warnings.warn(_ORDER_CAP_WARNING, RuntimeWarning, stacklevel=4)
@@ -404,72 +458,126 @@ def _bump_factor(evaluate, rel_tol):
         factor *= 2
         prev = cur
     if rel > rel_tol:
-        warnings.warn(_GRID_CAP_WARNING, RuntimeWarning, stacklevel=4)
+        warnings.warn(_GRID_CAP_WARNING, RuntimeWarning, stacklevel=5)
     return factor
 
 
-def _integral(kind, src_prov, tgt_prov, temperature, d, controls,
-              include_quad):
-    """Force channels from thermal sources in the source cylinder.
+def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls,
+                 include_quad):
+    """Grid-density factor that the axial integral s of _inner needs
+    at frequency omega: its psi panels per _PER_PANEL[s], or its
+    evanescent y-grid, doubled until the integral stops moving."""
+    if s == "e":
+        def evaluate(f):
+            return _inner(src_prov, tgt_prov, omega, d, orders, controls,
+                          include_quad, ("e",), 0,
+                          _evan_tables(controls, f, orders))[0]
+    else:
+        n_panels = _npanels(omega * d / C_LIGHT, _PER_PANEL[s])
+
+        def evaluate(f):
+            return _inner(src_prov, tgt_prov, omega, d, orders, controls,
+                          include_quad, (s,), n_panels * f, None)[0]
+    return _bump_factor(evaluate, controls.rel_tol)
+
+
+def _pass(kinds, temps, src_prov, tgt_prov, d, controls, include_quad):
+    """Every channel of kinds at every temperature of temps (positive,
+    increasing) in one adaptive frequency integral.
 
     kind 'int': the interaction channels (propagating, evanescent) on
     the target cylinder, on the axis running source -> target.
     Negative means attraction.  kind 'pair': the one channel of the
     force on the rigid pair, on the axis running target -> source.
     Only propagating modes carry momentum to infinity; the evanescent
-    part vanishes."""
-    kernel, per_panel, signs = (("f", 10.0, (-1.0, 1.0)) if kind == "int"
-                                else ("s", 3.0, (1.0,)))
-    if temperature == 0 or isinstance(src_prov.material, Vacuum) \
-            or isinstance(tgt_prov.material, Vacuum):
-        return (0.0,) * len(signs)
-    omega_scale = K_BOLTZMANN * temperature / HBAR
+    part vanishes.  Returns {(kind, T): channels}.
+
+    The kernels do not depend on the temperature, which enters only
+    through the Bose factor, so each outer node evaluates them once and
+    weights them for every temperature whose window [u_min, x_max] in
+    its own u = hbar omega / k_B T holds the node.  The orders and the
+    grid factors are the largest that any temperature needs.
+    """
+    sums = sum((_SUMS[k] for k in kinds), ())
+    scales = [K_BOLTZMANN * t / HBAR for t in temps]
     n_cap = int(src_prov.max_order or controls.n_max or 8)
-    n_use = _probe_orders(src_prov, tgt_prov, omega_scale, d, controls,
-                          include_quad, kernel, min(n_cap, 64 // 2))
+    probe_us = [u for u in _PROBE_US if u <= 0.9 * controls.x_max] \
+        or [0.5 * controls.x_max]
+    n_use = _probe_orders(src_prov, tgt_prov,
+                          sorted({u * s for s in scales for u in probe_us}),
+                          d, controls, include_quad, kinds,
+                          min(n_cap, 64 // 2))
     orders = np.arange(-n_use, n_use + 1)
 
-    u_star = min(2.5, 0.5 * controls.x_max)
-    omega_star = u_star * omega_scale
-    kd_star = omega_star * d / C_LIGHT
-    fac_p = _bump_factor(
-        lambda f: _inner_prop(src_prov, tgt_prov, omega_star, d, orders,
-                              controls, include_quad, kernel,
-                              _npanels(kd_star, per_panel) * f),
-        controls.rel_tol)
-    if kind == "int":
-        fac_e = _bump_factor(
-            lambda f: _inner_evan(src_prov, tgt_prov, omega_star, d, orders,
-                                  _evan_tables(controls, f, orders)),
-            controls.rel_tol)
-        evan = _evan_tables(controls, fac_e, orders)
+    omega_stars = [min(2.5, 0.5 * controls.x_max) * s for s in scales]
+    fac = {s: max(_grid_factor(s, src_prov, tgt_prov, w, d, orders, controls,
+                               include_quad) for w in omega_stars)
+           for s in sums}
+    evan = _evan_tables(controls, fac["e"], orders) if "e" in sums else None
 
-    def integrand(u_nodes):
-        out = np.empty((u_nodes.shape[0], len(signs)))
-        for i, u in enumerate(u_nodes):
-            omega = u * omega_scale
-            kd = omega * d / C_LIGHT
-            nb = 1.0 / math.expm1(u)
-            out[i, 0] = nb * _inner_prop(
-                src_prov, tgt_prov, omega, d, orders, controls,
-                include_quad, kernel, _npanels(kd, per_panel) * fac_p)
-            if kind == "int":
-                out[i, 1] = nb * _inner_evan(src_prov, tgt_prov, omega, d,
-                                             orders, evan)
-        return out
+    def n_psi(kd):
+        return max(_npanels(kd, _PER_PANEL[s]) * fac[s]
+                   for s in sums if s != "e")
 
-    vals, _ = adaptive_vector(integrand, controls.u_min, controls.x_max,
-                              controls.rel_tol,
-                              seed_edges=thermal_seed_edges(controls),
-                              max_panels=controls.max_panels)
-    pref = K_BOLTZMANN * temperature / (2.0 * math.pi ** 2)
-    return tuple(s * pref * float(v) for s, v in zip(signs, vals))
+    # Seed edges: every temperature's thermal seed edges in absolute
+    # omega.  The first seed panel [omega_0, omega_1] is integrated in
+    # x with omega = x^2 / omega_1, which makes the u^(-1/2) endpoint
+    # singularity of a conductor's evanescent channel regular.
+    edges = sorted({u * s for s in scales
+                    for u in thermal_seed_edges(controls)})
+    omega_1 = edges[1]
+    x_edges = [math.sqrt(w * omega_1) if w < omega_1 else w for w in edges]
+
+    def integrand(x_nodes):
+        out = np.zeros((x_nodes.shape[0], len(temps), len(sums)))
+        for i, x in enumerate(x_nodes):
+            if x < omega_1:
+                omega, jac = x * x / omega_1, 2.0 * x / omega_1
+            else:
+                omega, jac = x, 1.0
+            us = [omega / s for s in scales]
+            live = [j for j, u in enumerate(us)
+                    if controls.u_min <= u <= controls.x_max]
+            if live:
+                vals = np.array(_inner(src_prov, tgt_prov, omega, d, orders,
+                                       controls, include_quad, sums,
+                                       n_psi(omega * d / C_LIGHT), evan))
+                for j in live:
+                    out[i, j] = jac / math.expm1(us[j]) * vals
+        return out.reshape(x_nodes.shape[0], -1)
+
+    # one tolerance group per (temperature, kind): the interaction
+    # channels share one, the pair channel has its own
+    groups = [2 * j + (s == "s") for j in range(len(temps)) for s in sums]
+    vals, _ = adaptive_vector(integrand, x_edges[0], x_edges[-1],
+                              controls.rel_tol, seed_edges=x_edges,
+                              max_panels=controls.max_panels * len(temps),
+                              groups=groups)
+    vals = HBAR / (2.0 * math.pi ** 2) * vals.reshape(len(temps), len(sums))
+    out = {}
+    for t, v in zip(temps, vals):
+        if "int" in kinds:
+            out["int", t] = (-float(v[0]), float(v[1]))
+        if "pair" in kinds:
+            out["pair", t] = (float(v[-1]),)
+    return out
+
+
+def _share_temperatures(memo, temperatures):
+    """Record in memo that every pass drawn from it covers these
+    temperatures and both kinds: then the forces of one separation come
+    from one pass, whatever temperature or kind is asked first, so
+    equal-temperature differences cancel exactly and identical
+    cylinders give mirror-symmetric rows bitwise."""
+    memo[_SHARED] = memo.get(_SHARED, frozenset()) | {
+        float(t) for t in temperatures}
 
 
 def _force(kind, source, target, temperature, separation, provider,
            controls, include_quadratic, memo):
     """The checks, defaults and memo lookup of interaction_force and
-    pair_source_force around one _integral of the given kind."""
+    pair_source_force around one _pass.  Without temperatures shared
+    through memo the pass covers only this kind and temperature."""
     if separation is None:
         raise TypeError("separation is required")
     _check_geometry(source, target, separation, stacklevel=5)
@@ -477,17 +585,26 @@ def _force(kind, source, target, temperature, separation, provider,
     temp = source.temperature if temperature is None else float(temperature)
     if temp < 0:
         raise ValueError("temperature must be >= 0")
+    if temp == 0 or isinstance(source.material, Vacuum) \
+            or isinstance(target.material, Vacuum):
+        return (0.0, 0.0) if kind == "int" else (0.0,)
     inc = _resolve_quadratic(include_quadratic, controls, provider)
-    key = (kind, provider, source.material, source.radius,
-           target.material, target.radius, temp, separation, controls, inc)
+    shared = None if memo is None else memo.get(_SHARED)
+    if shared is None:
+        kinds, temps = (kind,), (temp,)
+    else:
+        kinds = ("int", "pair")
+        temps = tuple(sorted({t for t in shared if t > 0} | {temp}))
+    key = (kinds, provider, source.material, source.radius,
+           target.material, target.radius, temps, separation, controls, inc)
     if memo is not None and key in memo:
-        return memo[key]
-    value = _integral(kind, _make_provider(provider, source),
-                      _make_provider(provider, target), temp, separation,
-                      controls, inc)
+        return memo[key][kind, temp]
+    value = _pass(kinds, temps, _make_provider(provider, source),
+                  _make_provider(provider, target), separation, controls,
+                  inc)
     if memo is not None:
         memo[key] = value
-    return value
+    return value[kind, temp]
 
 
 def interaction_force(source, target, temperature=None, separation=None,
@@ -544,8 +661,12 @@ def self_force(index, scenario, separation, *, temperature=None,
         source, other = scenario.cylinder1, scenario.cylinder2
     else:
         source, other = scenario.cylinder2, scenario.cylinder1
+    memo = {} if _memo is None else _memo
+    _share_temperatures(memo, (scenario.cylinder1.temperature,
+                               scenario.cylinder2.temperature,
+                               scenario.environment_temperature))
     kw = dict(provider=scenario.provider, controls=scenario.controls,
-              include_quadratic=scenario.include_quadratic, _memo=_memo)
+              include_quadratic=scenario.include_quadratic, _memo=memo)
     pair = pair_source_force(source, other, temperature, separation, **kw)
     onto_other, _ = interaction_force(source, other, temperature,
                                       separation, **kw)
@@ -572,6 +693,7 @@ def total_force(scenario, separation, f_eq=None, *, _memo=None):
     t1 = c1.temperature
     t2 = c2.temperature
     te = float(scenario.environment_temperature)
+    _share_temperatures(memo, (t1, t2, te))
     kw = dict(provider=scenario.provider, controls=scenario.controls,
               include_quadratic=scenario.include_quadratic, _memo=memo)
 
@@ -621,10 +743,11 @@ def total_force(scenario, separation, f_eq=None, *, _memo=None):
 def sweep(scenario, d_grid=None, controls=None):
     """Evaluate a scenario over all its temperature sets and
     separations.  Returns a list of ForceBreakdown rows in file order:
-    temperature sets outermost, separations innermost.  Sub-integrals
-    are memoized across the whole sweep, so rows sharing a temperature
-    and separation reuse bitwise-identical values."""
-    memo = {}
+    temperature sets outermost, separations innermost.  The rows of
+    one separation share its passes (one per source cylinder, one for
+    identical cylinders), which cover every temperature of the sweep,
+    so rows sharing a temperature and separation reuse
+    bitwise-identical values."""
     rows = []
     if scenario.temperature_sets is not None:
         sets = scenario.temperature_sets
@@ -632,6 +755,8 @@ def sweep(scenario, d_grid=None, controls=None):
         sets = ((scenario.cylinder1.temperature,
                  scenario.cylinder2.temperature,
                  scenario.environment_temperature),)
+    memo = {}
+    _share_temperatures(memo, [t for s in sets for t in s])
     seps = scenario.separations if d_grid is None \
         else tuple(float(d) for d in np.atleast_1d(d_grid))
     base = scenario if controls is None else replace(scenario,

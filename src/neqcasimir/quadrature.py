@@ -8,7 +8,6 @@ every output channel meets its tolerance, then sums panels in position
 order with math.fsum so reruns are bit-identical.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -87,7 +86,7 @@ def uniform_edges(a, b, n_panels):
 
 
 def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
-                    abs_floor=0.0):
+                    abs_floor=0.0, groups=None):
     """Adaptively integrate a vector-valued function over [a, b].
 
     Parameters
@@ -99,14 +98,25 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         Integration limits, a < b.
     rel_tol : float
         Target relative error per channel.  A channel much smaller than
-        the largest channel is held to the larger channel's scale so a
-        zero crossing cannot demand unbounded refinement.
+        the largest channel of its group is held to 1% of that largest
+        channel's value, so a zero crossing cannot demand unbounded
+        refinement.
     seed_edges : array_like, optional
         Initial panel boundaries (must start at a and end at b).
     max_panels : int
         Refinement budget; exceeded -> QuadratureError.
     abs_floor : float
         Absolute error floor added to every channel tolerance.
+    groups : sequence of int, optional
+        Group label of each channel; None puts all channels in one
+        group.  Channels of different groups do not borrow each other's
+        scale: several independent integrals can share one set of
+        panels and each still converges to its own rel_tol.
+
+    The panel split next is the one with the largest error relative to
+    its channel's group scale.  With one group that is the panel with
+    the largest error; with several, a group of small channels gets
+    its share of the splits.
 
     Returns
     -------
@@ -126,43 +136,49 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         vk, err = panel_estimates(lo, hi, vals)
         return (lo, hi, vk, err)
 
+    # panels stay in the order they were made, so the first of equal
+    # errors is the oldest panel
     panels = [make_panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    heap = []
-    counter = 0
-    for p in panels:
-        heapq.heappush(heap, (-float(np.max(p[3])), counter, p))
-        counter += 1
-
+    if groups is None:
+        labels = np.zeros(panels[0][2].shape[0], dtype=int)
+    else:
+        labels = np.unique(groups, return_inverse=True)[1].ravel()
     while True:
-        total = np.sum([p[2] for _, _, p in heap], axis=0)
-        errs = np.sum([p[3] for _, _, p in heap], axis=0)
-        scale = np.max(np.abs(total)) if heap else 0.0
+        total = np.sum([p[2] for p in panels], axis=0)
+        errs = np.sum([p[3] for p in panels], axis=0)
+        group_max = np.zeros(labels.max() + 1)
+        np.maximum.at(group_max, labels, np.abs(total))
+        scale = group_max[labels]
         tol = rel_tol * np.maximum(np.abs(total), 0.01 * scale) + abs_floor
         if np.all(errs <= tol):
             break
-        if len(heap) >= max_panels:
-            worst = heap[0][2]
+        # errors relative to their group's scale, in units of the
+        # largest group's; with one group every weight is exactly 1
+        nonzero = scale > 0
+        weight = np.ones_like(scale)
+        weight[nonzero] = group_max.max() / scale[nonzero]
+        rank = np.max(np.array([p[3] for p in panels]) * weight, axis=1)
+        i = int(np.argmax(rank))
+        worst = panels[i]
+        if len(panels) >= max_panels:
             raise QuadratureError(
                 "no convergence after %d panels; worst panel [%g, %g] "
-                "error %g" % (len(heap), worst[0], worst[1],
+                "error %g" % (len(panels), worst[0], worst[1],
                               float(np.max(worst[3]))),
                 worst_panel=(worst[0], worst[1], worst[2].tolist(),
                              worst[3].tolist()),
                 reached=float(np.max(errs)),
                 target=float(np.min(tol)))
-        _, _, worst = heapq.heappop(heap)
         lo, hi, _, _ = worst
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise QuadratureError(
                 "panel [%g, %g] cannot be split further" % (lo, hi),
                 worst_panel=(lo, hi, worst[2].tolist(), worst[3].tolist()))
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            p = make_panel(lo2, hi2)
-            heapq.heappush(heap, (-float(np.max(p[3])), counter, p))
-            counter += 1
+        del panels[i]
+        panels.extend((make_panel(lo, mid), make_panel(mid, hi)))
 
-    final = sorted((p for _, _, p in heap), key=lambda p: p[0])
+    final = sorted(panels, key=lambda p: p[0])
     n_channels = final[0][2].shape[0]
     value = np.array([math.fsum(p[2][c] for p in final)
                       for c in range(n_channels)])

@@ -69,6 +69,27 @@ def test_refine_zero_exact_hit():
     assert z.stability == "stable"
 
 
+def test_refine_zero_brent_few_calls_and_bracket():
+    # a smooth nonlinear force: Brent's method needs a fraction of the
+    # calls of bisection, and returns two evaluated points that straddle
+    # the sign change, at most rel_tol times their midpoint apart
+    for rel_tol, most in ((1e-3, 7), (1e-9, 10)):
+        seen = {}
+
+        def force(d):
+            seen[d] = math.exp(-d) * (d - 2.0) * (d + 1.0)
+            return seen[d]
+
+        z = refine_zero(force, 1.0, 3.5, rel_tol=rel_tol)
+        bisection = 2 + math.ceil(math.log2(2.5 / (rel_tol * 2.0)))
+        assert len(seen) <= most < 0.8 * bisection
+        assert z.lower in seen and z.upper in seen
+        assert seen[z.lower] < 0.0 < seen[z.upper]
+        assert 0.0 < z.upper - z.lower <= rel_tol * z.midpoint
+        assert z.lower <= 2.0 <= z.upper
+        assert z.stability == "unstable"
+
+
 def test_log_slope_exact_power_law():
     d = np.geomspace(1e-6, 1e-4, 20)
     assert log_slope(d, -3.7 * d ** -6.0) == pytest.approx(-6.0, abs=1e-10)

@@ -4,16 +4,19 @@ refinement, reference-force comparisons, and the exit code contract."""
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neqcasimir import cli
+from neqcasimir import cli, engine
 from neqcasimir.cli import (CSV_COLUMNS, ampere_force_per_length,
                             read_sweep_csv, weight_per_length)
+from neqcasimir.scenario import load_scenario
 from neqcasimir.units import G_STANDARD, MU_0
 
 REL = 3e-3
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _base_doc():
@@ -243,6 +246,48 @@ def test_zeros_locates_and_classifies_root(tmp_path, capsys):
     assert fields[-1] == "stable"
     root = float(fields[3])
     assert root == pytest.approx(1e-6 * 10 ** 0.2, rel=1e-5)
+
+
+def test_zeros_repeats_the_sweep_rows(tmp_path, capsys, monkeypatch):
+    # one frequency integral per separation covers every temperature of
+    # the sweep, so `zeros` evaluates each separation with the whole
+    # file's temperatures: its force at a grid point is the CSV row's
+    # bitwise, and the row's sign is the sign it refines
+    doc = _base_doc()
+    doc["separations"] = {"values": [6.2, 7.3], "unit": "um"}
+    doc["controls"] = {"rel_tol": 1e-2}
+    doc["temperature_sets"] = {"unit": "K",
+                               "sets": [[300, 0, 0], [450, 0, 0]]}
+    doc["equilibrium_file"] = str(SCENARIOS / "sic_equilibrium_standin.csv")
+    path = _write(tmp_path, "two_sets.json", doc)
+    out = tmp_path / "two_sets.csv"
+    assert _run(["run", path, "--out", str(out)]) == 0
+    _, rows = read_sweep_csv(out)
+    seen = {}
+    real_total = cli.total_force
+
+    def recording(scenario, separation, **kwargs):
+        b = real_total(scenario, separation, **kwargs)
+        seen[b.t1, b.t2, b.t_env, separation] = b.f_total_1
+        return b
+
+    monkeypatch.setattr(cli, "total_force", recording)
+    capsys.readouterr()
+    assert _run(["zeros", str(out), "--rel-tol", "1e-2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "3.000000000000e+02", "4.500000000000e+02"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        swept = engine.sweep(load_scenario(path)[0])
+    grid = 0
+    for row, b in zip(rows, swept):
+        key = (b.t1, b.t2, b.t_env, b.separation)
+        if key in seen:
+            grid += 1
+            assert seen[key] == b.f_total_1
+            assert float(cli._FMT % seen[key]) == row["F1_total"]
+    assert grid == 4
 
 
 def test_zeros_empty_without_sign_change(tmp_path, capsys):

@@ -3,6 +3,7 @@ channel accounting, scaling laws, convergence behavior, and agreement
 with the closed-form asymptotics in their regimes."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,8 +244,8 @@ def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
                                          radius2):
     # the -k_z evanescent blocks come from the exact k_z parity, so an
     # interaction integral never asks a provider for ktilde_z < -1, and
-    # each outer node evaluates its evanescent blocks once per distinct
-    # provider
+    # each outer node evaluates its propagating and evanescent blocks in
+    # one call per distinct provider
     calls = []
     phase = {"outer": False}
 
@@ -252,6 +253,7 @@ def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
         def wrapped(self, orders, ktz, omega):
             ktz = np.asarray(ktz)
             kind = ("negative" if np.any(ktz < -1.0) else
+                    "both" if np.any(ktz > 1.0) and np.any(ktz < 1.0) else
                     "evanescent" if np.all(ktz > 1.0) else "propagating")
             calls.append((phase["outer"], kind))
             return blocks(self, orders, ktz, omega)
@@ -281,8 +283,142 @@ def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
     distinct = 1 if radius2 == R else 2
     assert sum(nodes) >= 120
     assert not any(kind == "negative" for _, kind in calls)
-    assert calls.count((True, "evanescent")) == distinct * sum(nodes)
-    assert calls.count((True, "propagating")) == distinct * sum(nodes)
+    assert calls.count((True, "both")) == distinct * sum(nodes)
+    assert sum(outer for outer, _ in calls) == distinct * sum(nodes)
+
+
+HOT_SETS = ((450.0, 300.0, 300.0), (300.0, 450.0, 300.0),
+            (300.0, 150.0, 300.0), (300.0, 300.0, 300.0))
+
+
+def _counting_outer(monkeypatch, phase=None):
+    """Patch the engine's outer integrator to count its calls and
+    outer nodes; phase["outer"], if given, is True inside its
+    integrand."""
+    counts = {"calls": 0, "nodes": 0}
+    phase = {} if phase is None else phase
+    real_outer = engine.adaptive_vector
+
+    def counting_outer(f, *args, **kwargs):
+        counts["calls"] += 1
+
+        def integrand(u):
+            counts["nodes"] += len(u)
+            phase["outer"] = True
+            try:
+                return f(u)
+            finally:
+                phase["outer"] = False
+        return real_outer(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "adaptive_vector", counting_outer)
+    return counts
+
+
+def test_sweep_shares_one_integral_per_separation(monkeypatch):
+    # every temperature and both kernels of identical cylinders are
+    # channels of one frequency integral per separation, and the sweep
+    # keeps its bitwise equal-temperature and mirror rows
+    counts = _counting_outer(monkeypatch)
+    table = EquilibriumTable([1e-7, 1e-4], [-2.0, -2.0])
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
+                  controls=QuadratureControls(rel_tol=1e-2),
+                  equilibrium=table, environment_temperature=300.0,
+                  temperature_sets=HOT_SETS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = sweep(sc)
+    assert counts["calls"] == 1
+    assert rows[3].f_total_1 == -2.0 and rows[3].f_total_2 == 2.0
+    assert rows[0].f_total_1 == -rows[1].f_total_2
+    assert rows[0].f_total_2 == -rows[1].f_total_1
+    assert rows[0].f_total_1 != -2.0 and rows[2].f_total_1 != -2.0
+
+
+def test_fused_integral_one_blocks_call_per_node(monkeypatch):
+    # one provider call per outer node serves the propagating
+    # interaction and pair sums and the evanescent sum of every
+    # temperature
+    calls = []
+    phase = {"outer": False}
+
+    def counting(blocks):
+        def wrapped(self, orders, ktz, omega):
+            calls.append((phase["outer"], bool(np.any(np.asarray(ktz) > 1.0)),
+                          bool(np.any(np.asarray(ktz) < 1.0))))
+            return blocks(self, orders, ktz, omega)
+        return wrapped
+
+    monkeypatch.setattr(tmatrix.ThinExpansion, "blocks",
+                        counting(tmatrix.ThinExpansion.blocks))
+    counts = _counting_outer(monkeypatch, phase)
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
+                  controls=QuadratureControls(rel_tol=1e-2),
+                  environment_temperature=300.0, temperature_sets=HOT_SETS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sweep(sc)
+    outer = [c for c in calls if c[0]]
+    assert counts["calls"] == 1 and counts["nodes"] >= 120
+    assert len(outer) == counts["nodes"]
+    assert all(evan and prop for _, evan, prop in outer)
+
+
+def test_order_probe_repeats_no_block_call(monkeypatch):
+    # one order probe per pass serves both kernels and every
+    # temperature, and no (provider, orders, ktz, omega) call repeats
+    # in it
+    probes = []
+    real_probe = engine._probe_orders
+
+    def probing(*args, **kwargs):
+        probes.append([])
+        try:
+            return real_probe(*args, **kwargs)
+        finally:
+            probes.append(None)
+
+    def recording(blocks):
+        def wrapped(self, orders, ktz, omega):
+            if probes and probes[-1] is not None:
+                probes[-1].append((self.material, self.radius,
+                                   np.asarray(orders).tobytes(),
+                                   np.asarray(ktz).tobytes(), float(omega)))
+            return blocks(self, orders, ktz, omega)
+        return wrapped
+
+    monkeypatch.setattr(engine, "_probe_orders", probing)
+    monkeypatch.setattr(tmatrix.FullSolve, "blocks",
+                        recording(tmatrix.FullSolve.blocks))
+    wire = CylinderSpec(20e-9, materials.load_material("tungsten_2400K")[1],
+                        2400.0)
+    sc = Scenario(cylinder1=wire, cylinder2=replace(wire, radius=30e-9),
+                  separations=(0.5e-6,), provider="full",
+                  environment_temperature=1200.0,
+                  controls=QuadratureControls(rel_tol=1e-2, n_max=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        total_force(sc, 0.5e-6)
+    probes = [p for p in probes if p is not None]
+    # one pass per source cylinder; each probes 3 frequencies of each
+    # of the 2 temperatures on the 2 cylinders
+    assert len(probes) == 2
+    for calls in probes:
+        assert len(calls) == 3 * 2 * 2
+        assert len(set(calls)) == len(calls)
+
+
+def test_conductor_evanescent_channel_converges():
+    # the evanescent integrand of a conductor diverges like u^(-1/2) at
+    # u -> 0, where the Kronrod - Gauss difference does not bound the
+    # error; the first seed panel's omega = v^2 / omega_1 map makes it
+    # regular, so rel_tol 1e-3 lands within 1e-3 of rel_tol 1e-5
+    wire = CylinderSpec(20e-9, materials.load_material("tungsten_2400K")[1],
+                        2400.0)
+    evan = [interaction_force(wire, wire, 2400.0, 0.486e-6, provider="full",
+                              controls=QuadratureControls(rel_tol=tol)
+                              )[1]["evanescent"] for tol in (1e-3, 1e-5)]
+    assert abs(evan[0] - evan[1]) <= 1e-3 * abs(evan[1])
 
 
 def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
@@ -339,13 +475,13 @@ def test_overflowing_tables_raise_at_the_first_sum():
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 0\.00106"):
-            engine._inner_evan(prov, prov, omega, d, orders,
-                               engine._evan_tables(ctl, 1, orders))
+            engine._inner(prov, prov, omega, d, orders, ctl, True, ("e",),
+                          0, engine._evan_tables(ctl, 1, orders))
         for kernel in ("f", "s"):
             with pytest.raises(QuadratureError,
                                match=r"order -?\d+ overflows at qd = "):
-                engine._inner_prop(prov, prov, omega, d, orders, ctl,
-                                   True, kernel, 4)
+                engine._inner(prov, prov, omega, d, orders, ctl, True,
+                              (kernel,), 4, None)
     # end to end: 8 um cylinders need more orders than the order probe
     # can represent at its smallest y node, and it stops there at once
     thick = CylinderSpec(8e-6, SIC, 300.0)

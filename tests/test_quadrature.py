@@ -1,6 +1,9 @@
 """Gauss-Kronrod panels and the adaptive vector driver: polynomial
 exactness, error-estimate honesty, channel guarding, and determinism."""
 
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,78 @@ def test_near_zero_channel_does_not_stall():
     big = np.exp(2.0 * np.pi) - 1.0
     assert abs(val[0]) < 1e-10 * big
     assert abs(val[1] - big) < 1e-9 * big
+
+
+def _big_and_small(x):
+    # a large smooth channel and a small oscillating one, 1e-6 of its size
+    return np.stack([np.exp(-x), 1e-4 * np.cos(20.0 * x) * np.exp(-x)],
+                    axis=1)
+
+
+_BIG_AND_SMALL = np.array([
+    1.0 - np.exp(-40.0),
+    1e-4 * (1.0 - np.exp(-40.0) * (np.cos(800.0) - 20.0 * np.sin(800.0)))
+    / 401.0])
+
+
+def test_small_channel_in_its_own_group_meets_its_own_tolerance():
+    # in one group the small channel is held to 1% of the large one's
+    # scale and stops far from its own rel_tol; in a group of its own
+    # it converges to it, and its panels get split first
+    one, _ = quadrature.adaptive_vector(_big_and_small, 0.0, 40.0, 1e-6)
+    assert abs(one[1] - _BIG_AND_SMALL[1]) > 1e-3 * abs(_BIG_AND_SMALL[1])
+    val, err = quadrature.adaptive_vector(_big_and_small, 0.0, 40.0, 1e-6,
+                                          groups=[0, 1])
+    off = np.abs(val - _BIG_AND_SMALL)
+    assert np.all(off <= 1e-6 * np.abs(_BIG_AND_SMALL))
+    assert np.all(err <= 1e-6 * np.abs(val))
+    assert np.all(off <= err + 1e-15)
+
+
+def _ungrouped_driver(f, a, b, rel_tol):
+    # the driver before channel groups: every channel held to 1% of the
+    # largest channel, and the panel with the largest error split first
+    # (the oldest of equal ones)
+    def panel(lo, hi):
+        return (lo, hi) + quadrature.panel_estimates(
+            lo, hi, f(quadrature.panel_nodes(lo, hi)))
+
+    heap = [(-float(np.max(p[3])), 0, p) for p in [panel(a, b)]]
+    count = 1
+    while True:
+        total = np.sum([p[2] for _, _, p in heap], axis=0)
+        errs = np.sum([p[3] for _, _, p in heap], axis=0)
+        tol = rel_tol * np.maximum(np.abs(total),
+                                   0.01 * np.max(np.abs(total)))
+        if np.all(errs <= tol):
+            break
+        lo, hi = heapq.heappop(heap)[2][:2]
+        for p in (panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)):
+            heapq.heappush(heap, (-float(np.max(p[3])), count, p))
+            count += 1
+    final = sorted((p for _, _, p in heap), key=lambda p: p[0])
+    return tuple(np.array([math.fsum(p[k][c] for p in final)
+                           for c in range(len(total))]) for k in (2, 3))
+
+
+def test_one_group_reproduces_the_ungrouped_driver():
+    # one group, given or by default, is the old criterion and split
+    # order, bitwise
+    def g(x):
+        return np.stack([np.exp(-x), np.cos(x) * np.exp(-0.5 * x), x ** 2],
+                        axis=1)
+
+    def kink_and_wave(x):
+        # channels of unequal tolerance, whose split order matters
+        return np.stack([np.sqrt(x), 0.05 * np.cos(20.0 * x) * np.exp(-x)],
+                        axis=1)
+
+    for f, b in ((g, 3.0), (_big_and_small, 40.0), (kink_and_wave, 40.0)):
+        v0, e0 = _ungrouped_driver(f, 0.0, b, 1e-9)
+        for groups in (None, [7] * v0.size):
+            v1, e1 = quadrature.adaptive_vector(f, 0.0, b, 1e-9,
+                                                groups=groups)
+            assert np.array_equal(v0, v1) and np.array_equal(e0, e1)
 
 
 def test_budget_exhaustion_raises_with_diagnostics():
