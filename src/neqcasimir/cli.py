@@ -28,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import find_zero_crossings, refine_zero
-from .engine import _share_temperatures, sweep, total_force
+from .engine import sweep, total_force
 from .errors import QuadratureError, SchemaError
 from .scenario import load_scenario, parse_scenario
 from .units import G_STANDARD, MU_0
@@ -149,9 +149,10 @@ def _cmd_zeros(args):
     doc, rows = read_sweep_csv(args.csv)
     scenario, _ = parse_scenario(doc, base_dir=Path(args.csv).parent)
     # the scenario's own floats behind the CSV's 13-digit separations
-    # and temperatures, and every separation covering the temperatures
-    # of the whole file, as in the sweep that wrote it: then grid-point
-    # forces repeat its rows bitwise
+    # and temperatures; each group's scenario keeps the temperature
+    # sets, so its passes cover the temperatures of the whole file, as
+    # in the sweep that wrote it: then grid-point forces repeat its
+    # rows bitwise
     exact = {_FMT % v: v for v in scenario.separations + sum(
         scenario.temperature_sets or (), ())}
     groups = {}
@@ -161,7 +162,6 @@ def _cmd_zeros(args):
         groups.setdefault(key, []).append(row)
     sys.stdout.write("T1_K,T2_K,Tenv_K,d_zero_m,stability\n")
     memo = {}
-    _share_temperatures(memo, [t for key in groups for t in key])
     for (t1, t2, te), group in groups.items():
         d = [exact.get(_FMT % row["d_m"], row["d_m"]) for row in group]
         f = [row["F1_total"] for row in group]
@@ -169,8 +169,7 @@ def _cmd_zeros(args):
             scenario,
             cylinder1=replace(scenario.cylinder1, temperature=t1),
             cylinder2=replace(scenario.cylinder2, temperature=t2),
-            environment_temperature=te,
-            temperature_sets=None)
+            environment_temperature=te)
 
         def force_at(sep):
             return total_force(one, sep, _memo=memo).f_total_1

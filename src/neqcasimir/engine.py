@@ -46,13 +46,15 @@ probe of both kernels.  Both take the largest value any temperature
 needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
-accumulated in a fixed order, and passes are memoized.  total_force,
-self_force and sweep record in their memo the temperatures every pass
-covers (a sweep all of its temperatures, before its first row), so
-every force of one separation comes from one pass: equal-temperature
-differences cancel exactly, and identical cylinders share a pass, so
-mirrored rows agree bitwise.  A lone interaction_force or
-pair_source_force call integrates only its own kind and temperature.
+accumulated in a fixed order, and passes are memoized.  The passes of
+total_force and self_force cover both kinds at every temperature of
+the scenario (its own and all its temperature sets), so a force
+depends only on (scenario, separation): equal-temperature differences
+cancel exactly, identical cylinders share a pass, so mirrored rows
+agree bitwise, and a sweep row is the total_force of its set.  A lone
+interaction_force or pair_source_force call integrates only its own
+kind and temperature.  The provider's quadratic_term decides whether
+the source amplitude keeps T T^dagger.
 """
 
 import math
@@ -78,8 +80,9 @@ _PROBE_US = (2.5, 7.0, 15.0)
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
 _PER_PANEL = {"f": 10.0, "s": 3.0}
 _MAX_GRID_BUMPS = 4
-# memo entry: the temperatures every pass drawn from that memo covers
-_SHARED = "shared temperatures"
+# memo entry: the temperatures of the scenario whose forces the memo
+# is serving, set by total_force and self_force on every call
+_TEMPS = "scenario temperatures"
 
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
@@ -116,16 +119,10 @@ class QuadratureControls:
     y_cut : upper cutoff of the evanescent decay variable y = |q| d.
     max_panels : outer adaptive panel budget per temperature channel
         before giving up.
-    kz_symmetry : exploit the exact evenness in k_z of the propagating
-        kernel sums and integrate half the psi range.  Off by default
-        so that evenness stays a testable property instead of an
-        assumption.  The evanescent branch does not depend on it: by
-        the exact block parity T(-k_z) = T(k_z) * [[1, -1], [-1, 1]],
-        which the tmatrix tests check bitwise, its -k_z sum equals its
-        +k_z sum bitwise, so it is always twice the +k_z sum.
-    include_quadratic : force the quadratic part of the source
-        amplitude on or off; None defers to the provider default
-        (off for thin, on for full).
+
+    The propagating integral runs over the full psi range; the
+    provider decides whether the source amplitude keeps its quadratic
+    term.
     """
 
     rel_tol: float = 1e-4
@@ -135,8 +132,6 @@ class QuadratureControls:
     series_tol: float = 1e-6
     y_cut: float = 35.0
     max_panels: int = 200
-    kz_symmetry: bool = False
-    include_quadratic: bool | None = None
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
@@ -214,7 +209,6 @@ class Scenario:
     separations: tuple
     environment_temperature: float = 0.0
     provider: str = "thin"
-    include_quadratic: bool | None = None
     controls: QuadratureControls = field(default_factory=QuadratureControls)
     equilibrium: EquilibriumTable | None = None
     temperature_sets: tuple | None = None
@@ -247,14 +241,6 @@ def _make_provider(provider, spec):
     raise ValueError("provider must be 'thin' or 'full'")
 
 
-def _resolve_quadratic(arg, controls, provider):
-    if arg is not None:
-        return bool(arg)
-    if controls.include_quadratic is not None:
-        return bool(controls.include_quadratic)
-    return provider == "full"
-
-
 def _check_geometry(source, target, separation, stacklevel=3):
     rsum = source.radius + target.radius
     if not (separation > 0 and math.isfinite(separation)):
@@ -282,15 +268,11 @@ def _evan_grid(y_cut, factor):
 
 
 @lru_cache(maxsize=256)
-def _psi_grid(n_panels, half):
+def _psi_grid(n_panels):
     """Composite Kronrod nodes and weights on n_panels uniform panels
-    of psi in [0, pi], or on half as many of [0, pi / 2] with half.
-    Read-only: the cache hands the same arrays to every caller."""
-    if half:
-        grid = composite_nodes(uniform_edges(0.0, 0.5 * math.pi,
-                                             max(2, (n_panels + 1) // 2)))
-    else:
-        grid = composite_nodes(uniform_edges(0.0, math.pi, n_panels))
+    of psi in [0, pi].  Read-only: the cache hands the same arrays to
+    every caller."""
+    grid = composite_nodes(uniform_edges(0.0, math.pi, n_panels))
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -306,14 +288,16 @@ def _blocks(src_prov, tgt_prov, orders, ktz, omega):
     return tsrc, (tsrc if same else tgt_prov.blocks(orders, ktz, omega))
 
 
-def _prop_dot(kernel, amp, ttgt, tables, nu_max, include_quad, qd, wts,
+def _prop_dot(kernel, src_prov, amp, ttgt, tables, nu_max, qd, wts,
               sin_psi):
     """Propagating ('f') or pair ('s') kernel sum of the source
-    amplitude amp on hankel_tables output (hp, h, jp), checked finite,
-    dotted with wts sin(psi)^2."""
+    amplitude amp on hankel_tables output (hp, h, jp), with the
+    quadratic term when src_prov has one, checked finite, dotted with
+    wts sin(psi)^2."""
     hp, h, jp = tables
     if kernel == "f":
-        vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max, include_quad)
+        vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max,
+                                       src_prov.quadratic_term)
         vals = kernels.require_finite(vals, hp, qd, nu_max, "qd")
     else:
         vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
@@ -337,8 +321,7 @@ def _evan_tables(controls, factor, orders):
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
-def _inner(src_prov, tgt_prov, omega, d, orders, controls, include_quad,
-           sums, n_panels, evan):
+def _inner(src_prov, tgt_prov, omega, d, orders, sums, n_panels, evan):
     """Axial integrals at one frequency, one per entry of sums.
 
     'f' and 's' are the propagating interaction and pair integrals
@@ -357,7 +340,7 @@ def _inner(src_prov, tgt_prov, omega, d, orders, controls, include_quad,
     ktz = []
     n_psi = 0
     if "f" in sums or "s" in sums:
-        nodes, wts = _psi_grid(n_panels, controls.kz_symmetry)
+        nodes, wts = _psi_grid(n_panels)
         n_psi = nodes.size
         sin_psi = np.sin(nodes)
         qd = kd * sin_psi
@@ -369,22 +352,19 @@ def _inner(src_prov, tgt_prov, omega, d, orders, controls, include_quad,
                          omega)
     if n_psi:
         tables = kernels.hankel_tables(qd, nu_max)
-        amp = kernels.prop_amplitude(tsrc[:n_psi], include_quad)
-        sym = 2.0 if controls.kz_symmetry else 1.0
+        amp = kernels.prop_amplitude(tsrc[:n_psi], src_prov.quadratic_term)
     out = []
     for s in sums:
         if s == "e":
             out.append(2.0 * _evan_dot(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max,
                                        y, y_wts, kd) / (d * d))
         else:
-            out.append(sym * k * k * _prop_dot(
-                s, amp, ttgt[:n_psi], tables, nu_max, include_quad, qd, wts,
-                sin_psi))
+            out.append(k * k * _prop_dot(s, src_prov, amp, ttgt[:n_psi],
+                                         tables, nu_max, qd, wts, sin_psi))
     return out
 
 
-def _probe_orders(src_prov, tgt_prov, omegas, d, controls, include_quad,
-                  kinds, n_cap):
+def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
     kernel is negligible: the interaction kernel ('f' with 'e') and the
@@ -395,7 +375,7 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, include_quad,
     K-product table is built once, and only for the interaction kind."""
     if n_cap <= 1:
         return 1
-    nodes, wts = _psi_grid(2, False)
+    nodes, wts = _psi_grid(2)
     sin_psi = np.sin(nodes)
     n_psi = nodes.size
     cap_orders = np.arange(-n_cap, n_cap + 1)
@@ -418,15 +398,16 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, include_quad,
             nu_cur = 2 * n_cur
             off = 2 * (n_cap - n_cur)
             end = off + 4 * n_cur + 1
-            amp = kernels.prop_amplitude(ts[:n_psi, lo:hi], include_quad)
+            amp = kernels.prop_amplitude(ts[:n_psi, lo:hi],
+                                         src_prov.quadratic_term)
             tables = (hp[:, off:end + 1], h[:, off:end], jp[:, off:end])
             for ks in list(pending):
                 cur = tuple(
                     _evan_dot(ts[n_psi:, lo:hi], tt[n_psi:, lo:hi],
                               kk[:, off:end], nu_cur, y_nodes, y_wts, kd)
                     if s == "e" else
-                    _prop_dot(s, amp, tt[:n_psi, lo:hi], tables, nu_cur,
-                              include_quad, qd, wts, sin_psi)
+                    _prop_dot(s, src_prov, amp, tt[:n_psi, lo:hi], tables,
+                              nu_cur, qd, wts, sin_psi)
                     for s in ks)
                 if ks in prev:
                     shell = sum(abs(a - b) for a, b in zip(cur, prev[ks]))
@@ -462,26 +443,24 @@ def _bump_factor(evaluate, rel_tol):
     return factor
 
 
-def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls,
-                 include_quad):
+def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls):
     """Grid-density factor that the axial integral s of _inner needs
     at frequency omega: its psi panels per _PER_PANEL[s], or its
     evanescent y-grid, doubled until the integral stops moving."""
     if s == "e":
         def evaluate(f):
-            return _inner(src_prov, tgt_prov, omega, d, orders, controls,
-                          include_quad, ("e",), 0,
+            return _inner(src_prov, tgt_prov, omega, d, orders, ("e",), 0,
                           _evan_tables(controls, f, orders))[0]
     else:
         n_panels = _npanels(omega * d / C_LIGHT, _PER_PANEL[s])
 
         def evaluate(f):
-            return _inner(src_prov, tgt_prov, omega, d, orders, controls,
-                          include_quad, (s,), n_panels * f, None)[0]
+            return _inner(src_prov, tgt_prov, omega, d, orders, (s,),
+                          n_panels * f, None)[0]
     return _bump_factor(evaluate, controls.rel_tol)
 
 
-def _pass(kinds, temps, src_prov, tgt_prov, d, controls, include_quad):
+def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     """Every channel of kinds at every temperature of temps (positive,
     increasing) in one adaptive frequency integral.
 
@@ -505,13 +484,12 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls, include_quad):
         or [0.5 * controls.x_max]
     n_use = _probe_orders(src_prov, tgt_prov,
                           sorted({u * s for s in scales for u in probe_us}),
-                          d, controls, include_quad, kinds,
-                          min(n_cap, 64 // 2))
+                          d, controls, kinds, min(n_cap, 64 // 2))
     orders = np.arange(-n_use, n_use + 1)
 
     omega_stars = [min(2.5, 0.5 * controls.x_max) * s for s in scales]
-    fac = {s: max(_grid_factor(s, src_prov, tgt_prov, w, d, orders, controls,
-                               include_quad) for w in omega_stars)
+    fac = {s: max(_grid_factor(s, src_prov, tgt_prov, w, d, orders, controls)
+                  for w in omega_stars)
            for s in sums}
     evan = _evan_tables(controls, fac["e"], orders) if "e" in sums else None
 
@@ -540,8 +518,8 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls, include_quad):
                     if controls.u_min <= u <= controls.x_max]
             if live:
                 vals = np.array(_inner(src_prov, tgt_prov, omega, d, orders,
-                                       controls, include_quad, sums,
-                                       n_psi(omega * d / C_LIGHT), evan))
+                                       sums, n_psi(omega * d / C_LIGHT),
+                                       evan))
                 for j in live:
                     out[i, j] = jac / math.expm1(us[j]) * vals
         return out.reshape(x_nodes.shape[0], -1)
@@ -563,21 +541,21 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls, include_quad):
     return out
 
 
-def _share_temperatures(memo, temperatures):
-    """Record in memo that every pass drawn from it covers these
-    temperatures and both kinds: then the forces of one separation come
-    from one pass, whatever temperature or kind is asked first, so
-    equal-temperature differences cancel exactly and identical
-    cylinders give mirror-symmetric rows bitwise."""
-    memo[_SHARED] = memo.get(_SHARED, frozenset()) | {
-        float(t) for t in temperatures}
+def _scenario_temperatures(scenario):
+    """The positive temperatures of a scenario: its own (T1, T2, T_env)
+    and every entry of its temperature sets."""
+    own = (scenario.cylinder1.temperature, scenario.cylinder2.temperature,
+           scenario.environment_temperature)
+    return frozenset(float(t) for t in own + sum(
+        scenario.temperature_sets or (), ()) if t > 0)
 
 
 def _force(kind, source, target, temperature, separation, provider,
-           controls, include_quadratic, memo):
+           controls, memo):
     """The checks, defaults and memo lookup of interaction_force and
-    pair_source_force around one _pass.  Without temperatures shared
-    through memo the pass covers only this kind and temperature."""
+    pair_source_force around one _pass.  The pass covers both kinds at
+    the scenario temperatures that total_force or self_force set in
+    memo, or else only this kind and temperature."""
     if separation is None:
         raise TypeError("separation is required")
     _check_geometry(source, target, separation, stacklevel=5)
@@ -588,28 +566,25 @@ def _force(kind, source, target, temperature, separation, provider,
     if temp == 0 or isinstance(source.material, Vacuum) \
             or isinstance(target.material, Vacuum):
         return (0.0, 0.0) if kind == "int" else (0.0,)
-    inc = _resolve_quadratic(include_quadratic, controls, provider)
-    shared = None if memo is None else memo.get(_SHARED)
-    if shared is None:
+    scenario_temps = None if memo is None else memo.get(_TEMPS)
+    if scenario_temps is None:
         kinds, temps = (kind,), (temp,)
     else:
         kinds = ("int", "pair")
-        temps = tuple(sorted({t for t in shared if t > 0} | {temp}))
+        temps = tuple(sorted(scenario_temps | {temp}))
     key = (kinds, provider, source.material, source.radius,
-           target.material, target.radius, temps, separation, controls, inc)
+           target.material, target.radius, temps, separation, controls)
     if memo is not None and key in memo:
         return memo[key][kind, temp]
     value = _pass(kinds, temps, _make_provider(provider, source),
-                  _make_provider(provider, target), separation, controls,
-                  inc)
+                  _make_provider(provider, target), separation, controls)
     if memo is not None:
         memo[key] = value
     return value[kind, temp]
 
 
 def interaction_force(source, target, temperature=None, separation=None,
-                      *, provider="thin", controls=None,
-                      include_quadratic=None, _memo=None):
+                      *, provider="thin", controls=None, _memo=None):
     """Force per length on the target cylinder from thermal sources in
     the source cylinder at the given temperature.
 
@@ -630,18 +605,17 @@ def interaction_force(source, target, temperature=None, separation=None,
         boundary-value solve.
     """
     prop, evan = _force("int", source, target, temperature, separation,
-                        provider, controls, include_quadratic, _memo)
+                        provider, controls, _memo)
     return prop + evan, {"propagating": prop, "evanescent": evan}
 
 
 def pair_source_force(source, other, temperature=None, separation=None,
-                      *, provider="thin", controls=None,
-                      include_quadratic=None, _memo=None):
+                      *, provider="thin", controls=None, _memo=None):
     """Force per length on the rigid two-cylinder pair from thermal
     sources in the source cylinder, on the axis from other to source.
     Only propagating modes contribute."""
     return _force("pair", source, other, temperature, separation,
-                  provider, controls, include_quadratic, _memo)[0]
+                  provider, controls, _memo)[0]
 
 
 def self_force(index, scenario, separation, *, temperature=None,
@@ -662,11 +636,9 @@ def self_force(index, scenario, separation, *, temperature=None,
     else:
         source, other = scenario.cylinder2, scenario.cylinder1
     memo = {} if _memo is None else _memo
-    _share_temperatures(memo, (scenario.cylinder1.temperature,
-                               scenario.cylinder2.temperature,
-                               scenario.environment_temperature))
+    memo[_TEMPS] = _scenario_temperatures(scenario)
     kw = dict(provider=scenario.provider, controls=scenario.controls,
-              include_quadratic=scenario.include_quadratic, _memo=memo)
+              _memo=memo)
     pair = pair_source_force(source, other, temperature, separation, **kw)
     onto_other, _ = interaction_force(source, other, temperature,
                                       separation, **kw)
@@ -674,29 +646,26 @@ def self_force(index, scenario, separation, *, temperature=None,
     return pair + onto_other
 
 
-def total_force(scenario, separation, f_eq=None, *, _memo=None):
+def total_force(scenario, separation, *, _memo=None):
     """Full nonequilibrium force breakdown at one separation.
 
     Combines the equilibrium force at the environment temperature
-    (given directly as f_eq, or interpolated from the scenario's
-    ingested table, defaulting to zero) with temperature-difference
-    corrections built from the interaction and self-force integrals.
-    Returns a ForceBreakdown.
+    (interpolated from the scenario's ingested table, zero without
+    one) with temperature-difference corrections built from the
+    interaction and self-force integrals.  Returns a ForceBreakdown.
     """
     c1, c2 = scenario.cylinder1, scenario.cylinder2
     _check_geometry(c1, c2, separation)
     memo = {} if _memo is None else _memo
-    if f_eq is None:
-        table = scenario.equilibrium if scenario.equilibrium is not None \
-            else EquilibriumTable.zero()
-        f_eq = table.force(separation)
+    table = scenario.equilibrium if scenario.equilibrium is not None \
+        else EquilibriumTable.zero()
+    f_eq = table.force(separation)
     t1 = c1.temperature
     t2 = c2.temperature
     te = float(scenario.environment_temperature)
-    _share_temperatures(memo, (t1, t2, te))
+    memo[_TEMPS] = _scenario_temperatures(scenario)
     kw = dict(provider=scenario.provider, controls=scenario.controls,
-              include_quadratic=scenario.include_quadratic, _memo=memo)
-
+              _memo=memo)
     pair1_t1 = pair_source_force(c1, c2, t1, separation, **kw)
     pair1_te = pair_source_force(c1, c2, te, separation, **kw)
     int12_t1, ch12_t1 = interaction_force(c1, c2, t1, separation, **kw)
@@ -740,36 +709,31 @@ def total_force(scenario, separation, f_eq=None, *, _memo=None):
     )
 
 
-def sweep(scenario, d_grid=None, controls=None):
+def sweep(scenario):
     """Evaluate a scenario over all its temperature sets and
     separations.  Returns a list of ForceBreakdown rows in file order:
-    temperature sets outermost, separations innermost.  The rows of
-    one separation share its passes (one per source cylinder, one for
-    identical cylinders), which cover every temperature of the sweep,
-    so rows sharing a temperature and separation reuse
-    bitwise-identical values."""
-    rows = []
+    temperature sets outermost, separations innermost.  Each row is the
+    total_force of its temperature set's scenario, and the rows of one
+    separation share its passes (one per source cylinder, one for
+    identical cylinders), so rows sharing a temperature and separation
+    reuse bitwise-identical values."""
     if scenario.temperature_sets is not None:
         sets = scenario.temperature_sets
     else:
         sets = ((scenario.cylinder1.temperature,
                  scenario.cylinder2.temperature,
                  scenario.environment_temperature),)
-    memo = {}
-    _share_temperatures(memo, [t for s in sets for t in s])
-    seps = scenario.separations if d_grid is None \
-        else tuple(float(d) for d in np.atleast_1d(d_grid))
-    base = scenario if controls is None else replace(scenario,
-                                                     controls=controls)
     rsum = scenario.cylinder1.radius + scenario.cylinder2.radius
-    if any(d < 5.0 * rsum for d in seps):
+    if any(d < 5.0 * rsum for d in scenario.separations):
         warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning, stacklevel=2)
+    memo = {}
+    rows = []
     for t1, t2, te in sets:
         one = replace(
-            base,
-            cylinder1=replace(base.cylinder1, temperature=t1),
-            cylinder2=replace(base.cylinder2, temperature=t2),
+            scenario,
+            cylinder1=replace(scenario.cylinder1, temperature=t1),
+            cylinder2=replace(scenario.cylinder2, temperature=t2),
             environment_temperature=te)
-        for d in seps:
+        for d in scenario.separations:
             rows.append(total_force(one, d, _memo=memo))
     return rows

@@ -86,7 +86,7 @@ def uniform_edges(a, b, n_panels):
 
 
 def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
-                    abs_floor=0.0, groups=None):
+                    groups=None):
     """Adaptively integrate a vector-valued function over [a, b].
 
     Parameters
@@ -105,8 +105,6 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         Initial panel boundaries (must start at a and end at b).
     max_panels : int
         Refinement budget; exceeded -> QuadratureError.
-    abs_floor : float
-        Absolute error floor added to every channel tolerance.
     groups : sequence of int, optional
         Group label of each channel; None puts all channels in one
         group.  Channels of different groups do not borrow each other's
@@ -149,7 +147,7 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         group_max = np.zeros(labels.max() + 1)
         np.maximum.at(group_max, labels, np.abs(total))
         scale = group_max[labels]
-        tol = rel_tol * np.maximum(np.abs(total), 0.01 * scale) + abs_floor
+        tol = rel_tol * np.maximum(np.abs(total), 0.01 * scale)
         if np.all(errs <= tol):
             break
         # errors relative to their group's scale, in units of the

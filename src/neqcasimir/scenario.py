@@ -27,7 +27,10 @@ scenario file.  Optional fields: "temperature_sets" (several
 {T1, T2, T_env} triples sharing one geometry; mutually exclusive with
 per-cylinder temperatures), "controls" (quadrature overrides),
 "equilibrium_file" / "equilibrium" (ingested equilibrium force table),
-"include_quadratic", "output".
+"output".  Headers written by earlier versions also carry
+"include_quadratic": null at the top level and in "controls", and
+"kz_symmetry": false in "controls"; these are accepted at exactly those
+values and dropped, and any other value is an error.
 
 `parse_scenario` returns the engine scenario together with a fully
 resolved plain dict (defaults filled in, units normalized to SI,
@@ -51,8 +54,17 @@ from .materials import (Constant, ConductivitySum, CylinderSpec, Lorentz,
 from .units import length_to_m
 
 _CONTROL_FIELDS = ("rel_tol", "x_max", "u_min", "n_max", "series_tol",
-                   "y_cut", "max_panels", "kz_symmetry",
-                   "include_quadratic")
+                   "y_cut", "max_panels")
+
+# removed fields: the one value every earlier header carries, and why
+# the field went
+_QUADRATIC_GONE = (None, "removed: the provider decides whether the "
+                   "source amplitude keeps its quadratic term")
+_RETIRED_TOP = {"include_quadratic": _QUADRATIC_GONE}
+_RETIRED_CONTROLS = {
+    "include_quadratic": _QUADRATIC_GONE,
+    "kz_symmetry": (False, "removed: the propagating integral always "
+                    "runs over the full k_z range")}
 
 
 def _fail(path, message):
@@ -63,6 +75,16 @@ def _require_object(node, path):
     if not isinstance(node, dict):
         _fail(path, "expected an object, got %s" % (type(node).__name__,))
     return node
+
+
+def _drop_retired(node, retired, prefix):
+    """node without the removed fields, each of which may appear only
+    with the value earlier headers wrote for it."""
+    for key, (value, why) in retired.items():
+        if key in node and node[key] is not value:
+            _fail(prefix + key, "%s; only %s is accepted, got %r"
+                  % (why, json.dumps(value), node[key]))
+    return {k: v for k, v in node.items() if k not in retired}
 
 
 def _get(doc, key, path, required=True, default=None):
@@ -219,18 +241,15 @@ def _separations(node, path):
 def _controls(node, path):
     if node is None:
         return QuadratureControls()
-    node = _require_object(node, path)
+    node = _drop_retired(_require_object(node, path), _RETIRED_CONTROLS,
+                         path + ".")
     unknown = set(node) - set(_CONTROL_FIELDS)
     if unknown:
         _fail(path, "unknown control fields %s; valid ones are %s"
               % (sorted(unknown), list(_CONTROL_FIELDS)))
     kwargs = {}
     for key, value in node.items():
-        if key in ("kz_symmetry", "include_quadratic"):
-            if value is not None and not isinstance(value, bool):
-                _fail("%s.%s" % (path, key), "expected a boolean")
-            kwargs[key] = value
-        elif key in ("n_max", "max_panels"):
+        if key in ("n_max", "max_panels"):
             if value is None and key == "n_max":
                 kwargs[key] = None
                 continue
@@ -301,7 +320,7 @@ def _equilibrium(doc, base_dir):
 
 
 _TOP_FIELDS = {"name", "cylinder1", "cylinder2", "environment_temperature",
-               "separations", "provider", "include_quadratic", "controls",
+               "separations", "provider", "controls",
                "equilibrium_file", "equilibrium",
                "allow_equilibrium_extrapolation", "temperature_sets",
                "output"}
@@ -316,7 +335,7 @@ def parse_scenario(doc, base_dir="."):
     equivalent scenario.  Raises SchemaError naming the offending
     field on any violation.
     """
-    doc = _require_object(doc, "scenario")
+    doc = _drop_retired(_require_object(doc, "scenario"), _RETIRED_TOP, "")
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
         _fail("scenario", "unknown fields %s" % (sorted(unknown),))
@@ -353,10 +372,6 @@ def parse_scenario(doc, base_dir="."):
     provider = doc.get("provider", "thin")
     if provider not in ("thin", "full"):
         _fail("provider", "expected 'thin' or 'full', got %r" % (provider,))
-    include_quadratic = doc.get("include_quadratic")
-    if include_quadratic is not None \
-            and not isinstance(include_quadratic, bool):
-        _fail("include_quadratic", "expected a boolean or null")
     controls = _controls(doc.get("controls"), "controls")
     equilibrium = _equilibrium(doc, base_dir)
     output = doc.get("output")
@@ -365,8 +380,7 @@ def parse_scenario(doc, base_dir="."):
 
     scenario = Scenario(
         cylinder1=cyl1, cylinder2=cyl2, separations=separations,
-        environment_temperature=t_env, provider=provider,
-        include_quadratic=include_quadratic, controls=controls,
+        environment_temperature=t_env, provider=provider, controls=controls,
         equilibrium=equilibrium, temperature_sets=temperature_sets,
         name=name, output=output)
 
@@ -377,7 +391,6 @@ def parse_scenario(doc, base_dir="."):
         "separations": {"values": [float(d) for d in separations],
                         "unit": "m"},
         "provider": provider,
-        "include_quadratic": include_quadratic,
         "controls": dataclasses.asdict(controls),
     }
     if temperature_sets is not None:

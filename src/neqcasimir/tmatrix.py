@@ -286,9 +286,12 @@ class ThinExpansion:
 
     Orders beyond |n| = 1 do not exist at leading order in x and are
     returned as zero blocks so truncated sums can request them freely.
+    Blocks are O(x^2), so the T T^dagger part of the source amplitude
+    lies beyond the expansion's order and quadratic_term is off.
     """
 
     max_order = 1
+    quadratic_term = False
 
     def __init__(self, material, radius):
         if radius <= 0:
@@ -315,9 +318,11 @@ class ThinExpansion:
 
 
 class FullSolve:
-    """Exact block provider for a material and radius."""
+    """Exact block provider for a material and radius; the source
+    amplitude keeps its quadratic term T T^dagger."""
 
     max_order = None
+    quadratic_term = True
 
     def __init__(self, material, radius):
         if radius <= 0:

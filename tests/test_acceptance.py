@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neqcasimir import analysis, asymptotics, cli, materials, specfun, tmatrix
+from neqcasimir import analysis, asymptotics, cli, kernels, materials, tmatrix
 from neqcasimir.dilute import (cylinder_force_by_summation, dilute_closed_forms,
                                excluded_d2_term)
 from neqcasimir.engine import (QuadratureControls, Scenario, interaction_force,
@@ -62,7 +62,7 @@ def sic_self_sweep():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for d in ds:
-            fs.append(total_force(sc, float(d), f_eq=0.0, _memo=memo).f_total_1)
+            fs.append(total_force(sc, float(d), _memo=memo).f_total_1)
     return ds, np.asarray(fs)
 
 
@@ -133,14 +133,14 @@ def test_criterion_3_sic_departure_and_oscillation(sic_self_sweep):
     sc = Scenario(cylinder1=CylinderSpec(R_SIC, SIC, 0.0),
                   cylinder2=CylinderSpec(R_SIC, SIC, 300.0),
                   separations=(1.9e-6,), environment_temperature=0.0,
-                  controls=CTL)
+                  controls=CTL, equilibrium=table)
     deps = []
     memo = {}
     for d in (1.9e-6, 3.8e-6, 5.7e-6):
-        f_eq = table.force(d)
-        b = total_force(sc, d, f_eq=f_eq, _memo=memo)
-        deps.append(abs(b.f_total_1 - f_eq) / abs(f_eq))
-    f25 = total_force(sc, 25e-6, f_eq=table.force(25e-6), _memo=memo).f_total_1
+        b = total_force(sc, d, _memo=memo)
+        assert b.f_eq == table.force(d)
+        deps.append(abs(b.f_total_1 - b.f_eq) / abs(b.f_eq))
+    f25 = total_force(sc, 25e-6, _memo=memo).f_total_1
 
     ds, fs = sic_self_sweep
     window = (ds >= 10e-6) & (ds <= 40e-6)
@@ -230,7 +230,7 @@ def test_criterion_6_reference_magnitudes():
                   cylinder2=CylinderSpec(2e-8, TUNGSTEN, 0.0),
                   separations=(0.477e-6,), environment_temperature=2400.0,
                   provider="full", controls=CTL_FULL)
-    df = total_force(sc, 0.477e-6, f_eq=0.0).f_total_1
+    df = total_force(sc, 0.477e-6).f_total_1
 
     ok = (abs(w / 0.24e-9 - 1.0) < 0.05 and abs(a / 0.145e-9 - 1.0) < 0.10
           and abs(df) / w > 10.0 and abs(df) / a > 10.0)
@@ -244,9 +244,11 @@ def test_criterion_7_structural_identities():
     # 1e-10 otherwise
     checks = []
 
-    w = (specfun.bessel_j(3, 7.3) * specfun.bessel_y_prime(3, 7.3)
-         - specfun.bessel_j_prime(3, 7.3) * specfun.bessel_y(3, 7.3))
-    checks.append(abs(w - 2.0 / (np.pi * 7.3)) < 1e-12 * abs(w))
+    # Im[H_3(x) conj(H_2(x))] = J_3 Y_2 - Y_3 J_2 = -2 / (pi x) on the
+    # engine's own propagating table
+    hp, _, _ = kernels.hankel_tables(np.array([7.3]), 3)
+    w = hp[0, 6].imag
+    checks.append(abs(w + 2.0 / (np.pi * 7.3)) < 1e-12 * abs(w))
 
     t = tmatrix.full_t(2, 0.37, 2.0 + 0.3j, 1.0, 0.05).entries
     checks.append(abs(t[0, 1] - t[1, 0]) < 1e-10 * np.max(np.abs(t)))
@@ -263,8 +265,9 @@ def test_criterion_7_structural_identities():
     sc = Scenario(cylinder1=CylinderSpec(R_SIC, SIC, 300.0),
                   cylinder2=CylinderSpec(R_SIC, SIC, 300.0),
                   separations=(2e-6,), environment_temperature=300.0,
-                  controls=CTL)
-    b = total_force(sc, 2e-6, f_eq=-2.0)
+                  controls=CTL,
+                  equilibrium=EquilibriumTable([1e-7, 1e-4], [-2.0, -2.0]))
+    b = total_force(sc, 2e-6)
     checks.append(b.f_total_1 == -2.0 and b.f_total_2 == 2.0)
 
     f60, _ = interaction_force(CylinderSpec(R_SIC, SIC, 300.0),

@@ -106,7 +106,7 @@ def test_cold_environment_assembly():
     # T_env = 0: the totals are pure source terms on top of f_eq
     sc = Scenario(cylinder1=C1, cylinder2=CylinderSpec(R, SIC, 0.0),
                   separations=(2e-6,), controls=CTL)
-    b = total_force(sc, 2e-6, f_eq=0.0)
+    b = total_force(sc, 2e-6)
     self1 = self_force(1, sc, 2e-6)
     assert b.f_total_1 == pytest.approx(self1, rel=1e-12)
     assert b.f_env_subtraction_1 == 0.0
@@ -156,15 +156,15 @@ def test_short_range_evanescent_monotone():
 
 
 def test_radius_scaling_fourth_power():
-    # thin provider with quadratic terms off: exact x1^2 x2^2 scaling
+    # the thin provider leaves out the quadratic term: exact x1^2 x2^2
+    # scaling
+    assert tmatrix.ThinExpansion.quadratic_term is False
     a = CylinderSpec(0.05e-6, SIC, 300.0)
     b = CylinderSpec(0.025e-6, SIC, 300.0)
     fa, _ = interaction_force(a, CylinderSpec(0.05e-6, SIC, 300.0),
-                              300.0, 2e-6, controls=CTL,
-                              include_quadratic=False)
+                              300.0, 2e-6, controls=CTL)
     fb, _ = interaction_force(b, CylinderSpec(0.025e-6, SIC, 300.0),
-                              300.0, 2e-6, controls=CTL,
-                              include_quadratic=False)
+                              300.0, 2e-6, controls=CTL)
     assert abs(16.0 * fb - fa) < 0.01 * abs(fa)
 
 
@@ -172,16 +172,6 @@ def test_tolerance_refinement_consistency():
     fine, _ = interaction_force(C1, C2, 300.0, 2e-6,
                                 controls=QuadratureControls(rel_tol=5e-4))
     assert abs(V2UM - fine) <= 1e-3 * abs(fine)
-
-
-def test_kz_symmetry_flag_agrees():
-    sym, ch = interaction_force(
-        C1, C2, 300.0, 2e-6,
-        controls=QuadratureControls(rel_tol=1e-3, kz_symmetry=True))
-    assert abs(sym - V2UM) <= 2e-3 * abs(V2UM)
-    # the flag halves only the propagating psi range; the evanescent
-    # branch is twice its +k_z sum either way
-    assert ch["evanescent"] == CH2UM["evanescent"]
 
 
 @pytest.mark.parametrize("provider, rel_tol", [
@@ -335,6 +325,23 @@ def test_sweep_shares_one_integral_per_separation(monkeypatch):
     assert rows[0].f_total_1 != -2.0 and rows[2].f_total_1 != -2.0
 
 
+def test_total_force_repeats_its_sweep_row():
+    # a force depends only on (scenario, separation): total_force on
+    # the scenario of one temperature set covers the temperatures of
+    # every set, as the sweep's passes do, so it repeats that set's
+    # row bitwise
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
+                  controls=CTL, temperature_sets=HOT_SETS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = sweep(sc)
+        for (t1, t2, te), row in zip(HOT_SETS, rows):
+            one = replace(sc, cylinder1=replace(C1, temperature=t1),
+                          cylinder2=replace(C2, temperature=t2),
+                          environment_temperature=te)
+            assert total_force(one, 2e-6) == row
+
+
 def test_fused_integral_one_blocks_call_per_node(monkeypatch):
     # one provider call per outer node serves the propagating
     # interaction and pair sums and the evanescent sum of every
@@ -475,13 +482,13 @@ def test_overflowing_tables_raise_at_the_first_sum():
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 0\.00106"):
-            engine._inner(prov, prov, omega, d, orders, ctl, True, ("e",),
-                          0, engine._evan_tables(ctl, 1, orders))
+            engine._inner(prov, prov, omega, d, orders, ("e",), 0,
+                          engine._evan_tables(ctl, 1, orders))
         for kernel in ("f", "s"):
             with pytest.raises(QuadratureError,
                                match=r"order -?\d+ overflows at qd = "):
-                engine._inner(prov, prov, omega, d, orders, ctl, True,
-                              (kernel,), 4, None)
+                engine._inner(prov, prov, omega, d, orders, (kernel,), 4,
+                              None)
     # end to end: 8 um cylinders need more orders than the order probe
     # can represent at its smallest y node, and it stops there at once
     thick = CylinderSpec(8e-6, SIC, 300.0)

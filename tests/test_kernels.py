@@ -203,6 +203,35 @@ def test_hankel_table_wronskian_column():
         assert abs(jp[0, j] - sp.jvp(nu, 7.3)) < 1e-14
 
 
+# handbook values at x = 1, frozen from a 50-digit reference
+J0_1 = 0.7651976865579666
+J1_1 = 0.4400505857449335
+Y0_1 = 0.08825696421567696
+K0_1 = 0.42102443824070834
+K1_1 = 0.6019072301972346
+
+
+def test_tables_reproduce_handbook_values():
+    _, h, _ = kernels.hankel_tables(np.array([1.0]), 1)
+    assert abs(h[0, 1] - complex(J0_1, Y0_1)) < 1e-14
+    assert abs(h[0, 2].real - J1_1) < 1e-14
+    # the nu = 0 column is (4 / pi^2) K_0 (K_(-1) + K_1) = (8 / pi^2) K_0 K_1
+    kk = kernels.k_product_table(np.array([1.0]), 1)
+    expected = 8.0 / np.pi ** 2 * K0_1 * K1_1
+    assert abs(kk[0, 1] - expected) < 1e-14 * expected
+    # two leading small-argument terms of J_2 and of K_0 K_1
+    x = 1e-4
+    h2 = (x / 2) ** 2
+    _, h, _ = kernels.hankel_tables(np.array([x]), 2)
+    assert abs(h[0, 4].real / (h2 / 2.0 * (1.0 - h2 / 3.0)) - 1.0) < 1e-12
+    gamma_e = 0.5772156649015329
+    log_half = np.log(x / 2)
+    k0 = -log_half - gamma_e + h2 * (1.0 - gamma_e - log_half)
+    k1 = 1.0 / x + x / 2 * (log_half + gamma_e - 0.5)
+    kk = kernels.k_product_table(np.array([x]), 1)
+    assert abs(kk[0, 1] / (8.0 / np.pi ** 2 * k0 * k1) - 1.0) < 1e-12
+
+
 def test_k_product_table_columns():
     y = 2.4
     kk = kernels.k_product_table(np.array([y]), 3)
@@ -411,6 +440,28 @@ def test_folded_sums_against_loops_on_full_blocks():
                     kk[k, c] * (-1.0) ** (n + m)).real
     folded = kernels.evan_kernel_sum(te, te, kk, FULL_NU_MAX)
     assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("prov", [PROV, FULL], ids=["thin", "full"])
+def test_propagating_sums_even_in_kz(prov):
+    # the propagating integral runs over the whole psi range; its
+    # interaction and pair sums take the same value at -k_z as at k_z,
+    # with and without the quadratic term of the source amplitude
+    ktz = np.array([0.05, 0.3, 0.6, 0.85, 0.99])
+    qd = np.sqrt(1.0 - ktz ** 2) * OMEGA / C_LIGHT * D * 3.0
+    hp, h, jp = kernels.hankel_tables(qd, FULL_NU_MAX)
+    t_pos = prov.blocks(FULL_ORDERS, ktz, OMEGA)
+    t_neg = prov.blocks(FULL_ORDERS, -ktz, OMEGA)
+    assert np.any(t_neg != t_pos)
+    for inc in (True, False):
+        pos, neg = (
+            (kernels.prop_kernel_sum(kernels.prop_amplitude(t, inc), t, hp,
+                                     FULL_NU_MAX, inc),
+             kernels.pair_kernel_sum(kernels.prop_amplitude(t, inc), t, h,
+                                     jp, FULL_NU_MAX))
+            for t in (t_pos, t_neg))
+        for plus, minus in zip(pos, neg):
+            assert np.all(np.abs(minus - plus) <= 1e-13 * np.abs(plus))
 
 
 def test_mode_point_branches():

@@ -130,13 +130,11 @@ def test_unit_validation():
 
 def test_controls_parsing():
     doc = _minimal_doc()
-    doc["controls"] = {"rel_tol": 1e-3, "u_min": 1e-3, "n_max": 2,
-                       "kz_symmetry": True}
+    doc["controls"] = {"rel_tol": 1e-3, "u_min": 1e-3, "n_max": 2}
     sc, _ = parse_scenario(doc)
     assert sc.controls.rel_tol == 1e-3
     assert sc.controls.u_min == 1e-3
     assert sc.controls.n_max == 2
-    assert sc.controls.kz_symmetry is True
     doc["controls"] = {"rel_tol": 0.0}
     with pytest.raises(SchemaError):
         parse_scenario(doc)
@@ -146,6 +144,31 @@ def test_controls_parsing():
     doc["controls"] = {"max_panels": 0}
     with pytest.raises(SchemaError):
         parse_scenario(doc)
+
+
+def test_legacy_header_fields():
+    # headers written before the provider decided the quadratic term
+    # and the propagating integral always ran over the full k_z range
+    # carry both removed fields at their one value: they parse to the
+    # same scenario, and any other value names the field
+    doc = _minimal_doc()
+    doc["controls"] = {"rel_tol": 1e-3}
+    legacy = copy.deepcopy(doc)
+    legacy["include_quadratic"] = None
+    legacy["controls"].update(include_quadratic=None, kz_symmetry=False)
+    assert parse_scenario(legacy) == parse_scenario(doc)
+    for path, value in (("include_quadratic", True),
+                        ("include_quadratic", False),
+                        ("controls.include_quadratic", True),
+                        ("controls.kz_symmetry", True),
+                        ("controls.kz_symmetry", None),
+                        ("controls.kz_symmetry", 0)):
+        bad = copy.deepcopy(legacy)
+        *parents, key = path.split(".")
+        node = bad[parents[0]] if parents else bad
+        node[key] = value
+        with pytest.raises(SchemaError, match=r"^%s: removed: " % path):
+            parse_scenario(bad)
 
 
 def test_inline_equilibrium():
