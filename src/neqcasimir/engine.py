@@ -25,16 +25,27 @@ The spectral kernels do not depend on the temperature, which enters
 only through the Bose factor n(omega, T).  So F1_int and the pair
 force of one source, at every temperature a computation needs, are
 channels of one frequency integral per (source, target, separation),
-run by one driver (_pass) in absolute omega: at each outer node one
-provider call per cylinder gives the blocks of both light-line
-branches, the kernels are summed once, and each temperature weights
-them with its Bose factor inside its own window
-[u_min, x_max] of u = hbar omega / (k_B T).  The outer integral is
-globally adaptive with one tolerance group per temperature and kind,
-so each channel converges as if it were integrated alone.  Its first
-seed panel [omega_0, omega_1] is integrated in x with
-omega = x^2 / omega_1, which makes the u^(-1/2) endpoint singularity
-of a conductor's evanescent integrand regular.
+run by one driver (_pass) in absolute omega: the kernels are summed
+once per outer node, and each temperature weights them with its Bose
+factor inside its own window [u_min, x_max] of
+u = hbar omega / (k_B T).  The outer integral is globally adaptive
+with one tolerance group per temperature and kind, so each channel
+converges as if it were integrated alone.  Its first seed panel
+[omega_0, omega_1] is integrated in x with omega = x^2 / omega_1, which
+makes the u^(-1/2) endpoint singularity of a conductor's evanescent
+integrand regular.
+
+Each outer panel is one array pass.  The frequency map, its Jacobian
+and the Bose weights of all 15 nodes come at once, and the live nodes
+go in node order to _inner in groups.  A group's block rows are
+[psi rows of node 0 .. m-1 | y rows of node 0 .. m-1], with omega per
+row, so one provider call per distinct cylinder, one hankel_tables
+call and one call of each kernel sum serve the whole group.  A group
+holds at most _MAX_BLOCK_ENTRIES block entries (rows x orders), which
+bounds the working set of its tables and sums: with a whole panel per
+call the peak memory of a thin SiC sweep rose by a fifth, and of a
+full tungsten sweep by a third.  A node's values do not depend on its
+group.
 
 The axial integral is split at the light line: the propagating side is
 mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
@@ -80,6 +91,10 @@ _PROBE_US = (2.5, 7.0, 15.0)
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
 _PER_PANEL = {"f": 10.0, "s": 3.0}
 _MAX_GRID_BUMPS = 4
+# block entries (rows x orders) of one _inner call in the outer
+# integral: a panel's nodes share calls up to this size, which bounds
+# the working set of its tables and sums
+_MAX_BLOCK_ENTRIES = 6144
 # memo entry: the temperatures of the scenario whose forces the memo
 # is serving, set by total_force and self_force on every call
 _TEMPS = "scenario temperatures"
@@ -269,18 +284,21 @@ def _evan_grid(y_cut, factor):
 
 @lru_cache(maxsize=256)
 def _psi_grid(n_panels):
-    """Composite Kronrod nodes and weights on n_panels uniform panels
-    of psi in [0, pi].  Read-only: the cache hands the same arrays to
-    every caller."""
-    grid = composite_nodes(uniform_edges(0.0, math.pi, n_panels))
+    """cos(psi), sin(psi) and the weights times sin(psi)^2 of the
+    propagating sums at the composite Kronrod nodes on n_panels uniform
+    panels of psi in [0, pi].  Read-only: the cache hands the same
+    arrays to every caller."""
+    nodes, wts = composite_nodes(uniform_edges(0.0, math.pi, n_panels))
+    sin_psi = np.sin(nodes)
+    grid = (np.cos(nodes), sin_psi, wts * (sin_psi * sin_psi))
     for a in grid:
         a.flags.writeable = False
     return grid
 
 
 def _blocks(src_prov, tgt_prov, orders, ktz, omega):
-    """Source and target blocks at one frequency, with one provider
-    call when both cylinders are the same."""
+    """Source and target blocks at omega (one frequency, or one per ktz
+    node), with one provider call when both cylinders are the same."""
     tsrc = src_prov.blocks(orders, ktz, omega)
     same = (type(src_prov) is type(tgt_prov)
             and src_prov.material == tgt_prov.material
@@ -288,29 +306,29 @@ def _blocks(src_prov, tgt_prov, orders, ktz, omega):
     return tsrc, (tsrc if same else tgt_prov.blocks(orders, ktz, omega))
 
 
-def _prop_dot(kernel, src_prov, amp, ttgt, tables, nu_max, qd, wts,
-              sin_psi):
-    """Propagating ('f') or pair ('s') kernel sum of the source
-    amplitude amp on hankel_tables output (hp, h, jp), with the
-    quadratic term when src_prov has one, checked finite, dotted with
-    wts sin(psi)^2."""
+def _prop_vals(kernel, src_prov, amp, ttgt, tables, nu_max, qd):
+    """Propagating ('f') or pair ('s') kernel sum per psi row of the
+    source amplitude amp on hankel_tables output (hp, h, jp), with the
+    quadratic term when src_prov has one, checked finite."""
     hp, h, jp = tables
     if kernel == "f":
         vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max,
                                        src_prov.quadratic_term)
-        vals = kernels.require_finite(vals, hp, qd, nu_max, "qd")
-    else:
-        vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
-        vals = kernels.require_finite(vals, h, qd, nu_max, "qd")
-    return float(np.dot(wts, sin_psi * sin_psi * vals))
+        return kernels.require_finite(vals, hp, qd, nu_max, "qd")
+    vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
+    return kernels.require_finite(vals, h, qd, nu_max, "qd")
 
 
-def _evan_dot(tsrc, ttgt, kk, nu_max, y, wts, kd):
-    """Evanescent kernel sum of +k_z blocks on a K-product table,
-    checked finite, dotted with wts y^2 / sqrt(kd^2 + y^2)."""
+def _evan_vals(tsrc, ttgt, kk, nu_max, y):
+    """Evanescent kernel sum per y row of +k_z blocks on a K-product
+    table of the y grid, checked finite."""
     vals = kernels.evan_kernel_sum(tsrc, ttgt, kk, nu_max)
-    vals = kernels.require_finite(vals, kk, y, nu_max, "y")
-    return float(np.dot(wts, y * y / np.sqrt(kd * kd + y * y) * vals))
+    return kernels.require_finite(vals, kk, y, nu_max, "y")
+
+
+def _evan_weights(y, y_wts, kd):
+    """Weights y^2 / sqrt(kd^2 + y^2) of the y grid, one row per kd."""
+    return y_wts * y * y / np.sqrt(np.square(kd)[..., None] + y * y)
 
 
 def _evan_tables(controls, factor, orders):
@@ -321,46 +339,62 @@ def _evan_tables(controls, factor, orders):
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
-def _inner(src_prov, tgt_prov, omega, d, orders, sums, n_panels, evan):
-    """Axial integrals at one frequency, one per entry of sums.
+def _inner(src_prov, tgt_prov, omegas, d, orders, sums, n_panels, evan):
+    """Axial integrals at m frequencies, shape (m, len(sums)): row i
+    holds the integrals at omegas[i], one column per entry of sums.
 
     'f' and 's' are the propagating interaction and pair integrals
     dk_z q * (kernel sum) over |k_z| < omega / c, mapped to psi with
-    k_z = k cos(psi) on n_panels uniform panels; 'e' is the evanescent
-    interaction integral in the decay variable y = |q| d on the tables
-    evan from _evan_tables.  One provider call per cylinder covers the
-    psi and the y nodes, and one hankel_tables call serves both
-    propagating sums.  The -k_z evanescent blocks are
-    T(k_z) * [[1, -1], [-1, 1]] on both cylinders and the sum
-    multiplies their entries pairwise, so the -k_z sum is the +k_z sum
-    bitwise and the branch is twice the +k_z sum."""
-    k = omega / C_LIGHT
+    k_z = k cos(psi) on n_panels[i] uniform panels; 'e' is the
+    evanescent interaction integral in the decay variable y = |q| d on
+    the tables evan from _evan_tables.
+
+    The block rows are [psi rows of node 0 .. m-1 | y rows of node
+    0 .. m-1], with omega given per row: one provider call per
+    distinct cylinder covers every node and both branches, one
+    hankel_tables call all psi rows, and each kernel sum is one call.
+    The psi integrals are segment sums over the ragged per-node grids;
+    every node shares the y grid, so its integrals come from an
+    (m, ny) reshape and its K-product table serves all nodes untiled.
+    The -k_z evanescent blocks are T(k_z) * [[1, -1], [-1, 1]] on both
+    cylinders and the sum multiplies their entries pairwise, so the
+    -k_z sum is the +k_z sum bitwise and the branch is twice the +k_z
+    sum."""
+    omegas = np.asarray(omegas, dtype=float)
+    k = omegas / C_LIGHT
     kd = k * d
     nu_max = int(orders[-1]) * 2
-    ktz = []
+    out = np.empty((omegas.size, len(sums)))
+    ktz, w_rows = [], []
     n_psi = 0
     if "f" in sums or "s" in sums:
-        nodes, wts = _psi_grid(n_panels)
-        n_psi = nodes.size
-        sin_psi = np.sin(nodes)
-        qd = kd * sin_psi
-        ktz.append(np.cos(nodes))
+        grids = [_psi_grid(int(n)) for n in n_panels]
+        sizes = [g[0].size for g in grids]
+        starts = np.cumsum([0] + sizes[:-1])
+        n_psi = sum(sizes)
+        cos_psi, sin_psi, w_sin2 = (np.concatenate(a) for a in zip(*grids))
+        qd = np.repeat(kd, sizes) * sin_psi
+        ktz.append(cos_psi)
+        w_rows.append(np.repeat(omegas, sizes))
     if "e" in sums:
         y, y_wts, kk = evan
-        ktz.append(np.sqrt(1.0 + (y / kd) ** 2))
+        ktz.append(np.sqrt(1.0 + (y / kd[:, None]) ** 2).ravel())
+        w_rows.append(np.repeat(omegas, y.size))
     tsrc, ttgt = _blocks(src_prov, tgt_prov, orders, np.concatenate(ktz),
-                         omega)
+                         np.concatenate(w_rows))
     if n_psi:
         tables = kernels.hankel_tables(qd, nu_max)
         amp = kernels.prop_amplitude(tsrc[:n_psi], src_prov.quadratic_term)
-    out = []
-    for s in sums:
+    for col, s in enumerate(sums):
         if s == "e":
-            out.append(2.0 * _evan_dot(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max,
-                                       y, y_wts, kd) / (d * d))
+            vals = _evan_vals(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max, y)
+            out[:, col] = 2.0 / (d * d) * np.sum(
+                _evan_weights(y, y_wts, kd) * vals.reshape(-1, y.size),
+                axis=1)
         else:
-            out.append(k * k * _prop_dot(s, src_prov, amp, ttgt[:n_psi],
-                                         tables, nu_max, qd, wts, sin_psi))
+            vals = _prop_vals(s, src_prov, amp, ttgt[:n_psi], tables,
+                              nu_max, qd)
+            out[:, col] = k * k * np.add.reduceat(w_sin2 * vals, starts)
     return out
 
 
@@ -375,9 +409,8 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
     K-product table is built once, and only for the interaction kind."""
     if n_cap <= 1:
         return 1
-    nodes, wts = _psi_grid(2)
-    sin_psi = np.sin(nodes)
-    n_psi = nodes.size
+    cos_psi, sin_psi, w_sin2 = _psi_grid(2)
+    n_psi = sin_psi.size
     cap_orders = np.arange(-n_cap, n_cap + 1)
     if "int" in kinds:
         y_nodes, y_wts = _evan_grid(min(12.0, controls.y_cut), 1)
@@ -386,10 +419,12 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
     for omega in omegas:
         kd = omega * d / C_LIGHT
         qd = kd * sin_psi
-        ktz = np.cos(nodes)
+        ktz = cos_psi
         if "int" in kinds:
             ktz = np.concatenate([ktz, np.sqrt(1.0 + (y_nodes / kd) ** 2)])
         ts, tt = _blocks(src_prov, tgt_prov, cap_orders, ktz, omega)
+        if "int" in kinds:
+            y_weights = _evan_weights(y_nodes, y_wts, kd)
         hp, h, jp = kernels.hankel_tables(qd, 2 * n_cap)
         pending = [_SUMS[k] for k in kinds]
         prev = {}
@@ -403,11 +438,13 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
             tables = (hp[:, off:end + 1], h[:, off:end], jp[:, off:end])
             for ks in list(pending):
                 cur = tuple(
-                    _evan_dot(ts[n_psi:, lo:hi], tt[n_psi:, lo:hi],
-                              kk[:, off:end], nu_cur, y_nodes, y_wts, kd)
+                    float(np.dot(y_weights, _evan_vals(
+                        ts[n_psi:, lo:hi], tt[n_psi:, lo:hi],
+                        kk[:, off:end], nu_cur, y_nodes)))
                     if s == "e" else
-                    _prop_dot(s, src_prov, amp, tt[:n_psi, lo:hi], tables,
-                              nu_cur, qd, wts, sin_psi)
+                    float(np.dot(w_sin2, _prop_vals(
+                        s, src_prov, amp, tt[:n_psi, lo:hi], tables,
+                        nu_cur, qd)))
                     for s in ks)
                 if ks in prev:
                     shell = sum(abs(a - b) for a, b in zip(cur, prev[ks]))
@@ -447,17 +484,32 @@ def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls):
     """Grid-density factor that the axial integral s of _inner needs
     at frequency omega: its psi panels per _PER_PANEL[s], or its
     evanescent y-grid, doubled until the integral stops moving."""
+    omegas = np.array([omega])
     if s == "e":
         def evaluate(f):
-            return _inner(src_prov, tgt_prov, omega, d, orders, ("e",), 0,
-                          _evan_tables(controls, f, orders))[0]
+            return _inner(src_prov, tgt_prov, omegas, d, orders, ("e",), (),
+                          _evan_tables(controls, f, orders))[0, 0]
     else:
         n_panels = _npanels(omega * d / C_LIGHT, _PER_PANEL[s])
 
         def evaluate(f):
-            return _inner(src_prov, tgt_prov, omega, d, orders, (s,),
-                          n_panels * f, None)[0]
+            return _inner(src_prov, tgt_prov, omegas, d, orders, (s,),
+                          (n_panels * f,), None)[0, 0]
     return _bump_factor(evaluate, controls.rel_tol)
+
+
+def _runs(sizes, limit):
+    """Split positions 0 .. len(sizes) - 1 into consecutive runs whose
+    sizes add up to at most limit; an item larger than limit is a run
+    of its own."""
+    runs, total = [], 0
+    for i, size in enumerate(sizes):
+        if not runs or total + size > limit:
+            runs.append([])
+            total = 0
+        runs[-1].append(i)
+        total += size
+    return runs
 
 
 def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
@@ -493,7 +545,7 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
            for s in sums}
     evan = _evan_tables(controls, fac["e"], orders) if "e" in sums else None
 
-    def n_psi(kd):
+    def psi_panels(kd):
         return max(_npanels(kd, _PER_PANEL[s]) * fac[s]
                    for s in sums if s != "e")
 
@@ -506,23 +558,27 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     omega_1 = edges[1]
     x_edges = [math.sqrt(w * omega_1) if w < omega_1 else w for w in edges]
 
+    n_y = evan[0].size if evan else 0
+
     def integrand(x_nodes):
-        out = np.zeros((x_nodes.shape[0], len(temps), len(sums)))
-        for i, x in enumerate(x_nodes):
-            if x < omega_1:
-                omega, jac = x * x / omega_1, 2.0 * x / omega_1
-            else:
-                omega, jac = x, 1.0
-            us = [omega / s for s in scales]
-            live = [j for j, u in enumerate(us)
-                    if controls.u_min <= u <= controls.x_max]
-            if live:
-                vals = np.array(_inner(src_prov, tgt_prov, omega, d, orders,
-                                       sums, n_psi(omega * d / C_LIGHT),
-                                       evan))
-                for j in live:
-                    out[i, j] = jac / math.expm1(us[j]) * vals
-        return out.reshape(x_nodes.shape[0], -1)
+        first = x_nodes < omega_1
+        omegas = np.where(first, x_nodes * x_nodes / omega_1, x_nodes)
+        jac = np.where(first, 2.0 * x_nodes / omega_1, 1.0)
+        us = omegas[:, None] / np.asarray(scales)
+        live = (controls.u_min <= us) & (us <= controls.x_max)
+        bose = np.expm1(us, where=live, out=np.ones_like(us))
+        weights = np.where(live, jac[:, None] / bose, 0.0)
+        out = np.zeros((x_nodes.size, len(temps), len(sums)))
+        nodes = np.flatnonzero(live.any(axis=1))
+        panels = [psi_panels(w * d / C_LIGHT) for w in omegas[nodes]]
+        entries = [(_psi_grid(p)[0].size + n_y) * orders.size
+                   for p in panels]
+        for run in _runs(entries, _MAX_BLOCK_ENTRIES):
+            at = nodes[run]
+            vals = _inner(src_prov, tgt_prov, omegas[at], d, orders, sums,
+                          [panels[r] for r in run], evan)
+            out[at] = weights[at, :, None] * vals[:, None, :]
+        return out.reshape(x_nodes.size, -1)
 
     # one tolerance group per (temperature, kind): the interaction
     # channels share one, the pair channel has its own

@@ -4,13 +4,12 @@ For a pair of parallel cylinders the force per length is an integral
 over frequency and axial wavenumber of sums over azimuthal orders
 (n for the source cylinder, m for the target).  This module supplies
 
-* the thermal source strength (occupation),
 * the source amplitude factor built from scattering blocks,
-* scalar per-(n, m) kernels in the literal form of the underlying
-  theory (reference implementations used by tests), and
+* Bessel tables built by recurrence in the order, and
 * folded, vectorized order sums used by the engine.
 
-The folded sums reindex the (m, m+1) pairs of the literal kernels so
+The folded sums reindex the (m, m+1) pairs of the literal kernels
+(tests/oracles.py holds them in their scalar per-(n, m) form) so
 that each target order appears exactly once; the result equals the
 literal double sum extended over every term in which a retained block
 appears, and it is manifestly even under k_z -> -k_z together with
@@ -26,226 +25,28 @@ All "blocks" arrays are stacked scattering blocks of shape
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 
 from .errors import QuadratureError
-from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _FOUR_OVER_PI2 = 4.0 / math.pi ** 2
-
-PROPAGATING = "propagating"
-EVANESCENT = "evanescent"
-
-
-@dataclass(frozen=True)
-class ModePoint:
-    """One (omega, k_z, n, m) integration point.
-
-    The transverse wavenumber q = sqrt((omega/c)^2 - k_z^2) is real on
-    the propagating branch and i|q| on the evanescent branch; the
-    branch tag and q are derived, not stored.
-    """
-
-    omega: float
-    k_z: float
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValueError("omega must be positive and finite")
-        if int(self.n) != self.n or int(self.m) != self.m:
-            raise ValueError("orders n, m must be integers")
-
-    @property
-    def ktilde_z(self):
-        return self.k_z * C_LIGHT / self.omega
-
-    @property
-    def branch(self):
-        return EVANESCENT if abs(self.ktilde_z) > 1.0 else PROPAGATING
-
-    @property
-    def q(self):
-        k = self.omega / C_LIGHT
-        q2 = k * k - self.k_z * self.k_z
-        if q2 >= 0:
-            return complex(math.sqrt(q2), 0.0)
-        return complex(0.0, math.sqrt(-q2))
-
-
-def bose(u):
-    """Thermal occupation 1 / (e^u - 1) for u = hbar omega / k_B T."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(over="ignore"):
-        out = 1.0 / np.expm1(u)
-    return out[()] if out.ndim == 0 else out
-
-
-def occupation(temperature, omega):
-    """Source strength a(T, omega) of thermal current fluctuations.
-
-    a = omega^2 hbar (4 pi)^2 / c^2 * 1 / (e^[hbar omega / k_B T] - 1).
-    Zero temperature means no thermal sources: returns 0.
-    """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("omega must be positive")
-    pref = w * w * HBAR * (4.0 * math.pi) ** 2 / C_LIGHT ** 2
-    if temperature == 0:
-        out = np.zeros_like(pref)
-    else:
-        out = pref * bose(HBAR * w / (K_BOLTZMANN * temperature))
-    return out[()] if out.ndim == 0 else out
-
-
-def _block_entries(block):
-    """Accept a raw (2, 2) array or anything carrying .entries."""
-    return np.asarray(getattr(block, "entries", block), dtype=complex)
-
-
-def amplitude_entries(entries, order, branch, include_quadratic=True):
-    """Source amplitude factor of one scattering block.
-
-    Propagating branch: Re(T) plus, when include_quadratic, the product
-    sum_[P''] T[P, P''] conj(T[P', P'']).  Evanescent branch:
-    (-1)^order Re(T); no quadratic term survives there.
-
-    entries : (2, 2) complex block; returns a (2, 2) complex array.
-    """
-    t = _block_entries(entries)
-    if branch == PROPAGATING:
-        out = t.real.astype(complex)
-        if include_quadratic:
-            out = out + t @ t.conj().T
-        return out
-    if branch == EVANESCENT:
-        sign = -1.0 if (order % 2) else 1.0
-        return sign * t.real.astype(complex)
-    raise ValueError("branch must be 'propagating' or 'evanescent'")
-
-
-def a_factor(provider, n, k_z, omega, include_quadratic=True):
-    """Amplitude factor A of order n at one (omega, k_z) point.
-
-    Evaluates the provider's scattering block and combines it per the
-    branch that (omega, k_z) falls on: Re(T) plus the optional
-    quadratic product on the propagating side, (-1)^n Re(T) on the
-    evanescent side.
-    """
-    point = ModePoint(omega=omega, k_z=k_z, n=n, m=0)
-    block = provider.block(n, point.ktilde_z, omega)
-    return amplitude_entries(block, n, point.branch, include_quadratic)
 
 
 def prop_amplitude(blocks, include_quadratic=True):
     """Vectorized propagating-branch amplitude factor.
 
     blocks : (..., 2, 2) complex stacked scattering blocks.
-    Returns the same shape: Re(T) [+ T T^dagger].
+    Returns the same shape: Re(T) + T T^dagger (complex), or without
+    the quadratic term the real view Re(T), which the folded sums read
+    as they are.
     """
     t = np.asarray(blocks, dtype=complex)
-    out = t.real.astype(complex)
     if include_quadratic:
-        out = out + np.matmul(t, np.conj(np.swapaxes(t, -1, -2)))
-    return out
-
-
-# --- scalar reference kernels ------------------------------------------------
-
-def _qd_propagating(n, m, k_z, omega, d):
-    point = ModePoint(omega=omega, k_z=k_z, n=n, m=m)
-    if point.branch != PROPAGATING:
-        raise ValueError("kernel defined on the propagating branch: "
-                         "|k_z| must be below omega / c")
-    if not d > 0:
-        raise ValueError("separation must be positive")
-    return point.q.real * d
-
-
-def f_kernel(n, m, k_z, omega, t1_m, t1_mp1, a2, d,
-             include_quadratic=True):
-    """Literal propagating interaction kernel for one (n, m) pair.
-
-    a2 is the source amplitude factor at order n, t1_m and t1_mp1 the
-    target blocks at orders m and m + 1.  Returns the real kernel
-    value summed over polarizations, as consumed by the propagating
-    side of the interaction-force integrand.
-    """
-    qd = _qd_propagating(n, m, k_z, omega, d)
-    a2 = _block_entries(a2)
-    t1_m = _block_entries(t1_m)
-    t1_mp1 = _block_entries(t1_mp1)
-    nu = n - m
-    hp = _sp.hankel1(nu, qd) * np.conj(_sp.hankel1(nu - 1, qd))
-    total = 0.0
-    for pp in range(2):
-        for qq in range(2):
-            lin = t1_m[pp, qq] + np.conj(t1_mp1[qq, pp])
-            quad = 0.0 + 0.0j
-            if include_quadratic:
-                for rr in range(2):
-                    quad += t1_m[pp, rr] * np.conj(t1_mp1[rr, qq])
-            total += a2[pp, qq].real * (hp * (lin + 2.0 * quad)).imag
-            total += 2.0 * a2[pp, qq].imag * (hp * quad).real
-    return float(total)
-
-
-def f_tilde_kernel(n, m, k_z, omega, t1_m, t1_mp1, t2, d):
-    """Literal evanescent interaction kernel for one (n, m) pair.
-
-    Outgoing-wave products at imaginary transverse wavenumber reduce
-    to real K-function products; all residual i-powers are folded into
-    the alternating (-1)^(n+m) prefactor of the force expression,
-    which is NOT included here - the caller applies it.
-    """
-    point = ModePoint(omega=omega, k_z=k_z, n=n, m=m)
-    if point.branch != EVANESCENT:
-        raise ValueError("kernel defined on the evanescent branch: "
-                         "|k_z| must exceed omega / c")
-    if not d > 0:
-        raise ValueError("separation must be positive")
-    y = point.q.imag * d
-    t2 = _block_entries(t2)
-    t1_m = _block_entries(t1_m)
-    t1_mp1 = _block_entries(t1_mp1)
-    nu = n - m
-    kprod = _FOUR_OVER_PI2 * _sp.kv(nu, y) * _sp.kv(nu - 1, y)
-    total = 0.0
-    for pp in range(2):
-        for qq in range(2):
-            total += t2[pp, qq].real * kprod \
-                * (t1_m[pp, qq].imag - t1_mp1[pp, qq].imag)
-    return float(total)
-
-
-def s_kernel(n, m, k_z, omega, a1, t2_m, t2_mp1, d):
-    """Literal pair-source kernel for one (n, m) pair.
-
-    Mixes outgoing and regular waves; defined on the propagating
-    branch only, since only propagating modes carry momentum to
-    infinity and the evanescent contribution vanishes identically.
-    """
-    qd = _qd_propagating(n, m, k_z, omega, d)
-    a1 = _block_entries(a1)
-    t2_m = _block_entries(t2_m)
-    t2_mp1 = _block_entries(t2_mp1)
-    nu = n - m
-    h_nu = _sp.hankel1(nu, qd)
-    h_num1 = _sp.hankel1(nu - 1, qd)
-    j_nu = _sp.jv(nu, qd)
-    j_num1 = _sp.jv(nu - 1, qd)
-    total = 0.0
-    for pp in range(2):
-        for qq in range(2):
-            val = h_nu * j_num1 * t2_m[pp, qq] \
-                + j_nu * np.conj(h_num1) * np.conj(t2_mp1[pp, qq])
-            total += 2.0 * a1[pp, qq].real * val.imag
-    return float(total)
+        return t.real + np.matmul(t, np.conj(np.swapaxes(t, -1, -2)))
+    return t.real
 
 
 # --- vectorized tables and folded sums ---------------------------------------
@@ -430,12 +231,22 @@ def _order_sums(a, b, nu_max, alternate=False):
     G is one batched matmul over the flattened 2x2 polarization axis.
     Every folded kernel depends on n and m only through nu = n - m, so
     its order sum is sum_j kernel[k, j] D[k, j], and the diagonal sums
-    are one more matmul with a fixed projector.
+    are one more matmul with a fixed projector.  A real a with a
+    complex b takes two real products, one per part of b: NumPy's
+    mixed-type batched matmul casts a to complex and is several times
+    slower on these small matrices.
     """
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        d = np.empty((a.shape[0], 2 * nu_max + 1), dtype=complex)
+        d.real = _order_sums(a, b.real, nu_max, alternate)
+        d.imag = _order_sums(a, b.imag, nu_max, alternate)
+        return d
     nk, n_src = a.shape[:2]
     n_tgt = b.shape[1]
-    g = np.matmul(a.reshape(nk, n_src, 4),
-                  b.reshape(nk, n_tgt, 4).swapaxes(1, 2))
+    # contiguous operands keep the batched matmul on its fast path
+    g = np.matmul(np.ascontiguousarray(a.reshape(nk, n_src, 4)),
+                  np.ascontiguousarray(b.reshape(nk, n_tgt, 4)
+                                       .swapaxes(1, 2)))
     return g.reshape(nk, n_src * n_tgt) @ _diagonal_projector(
         n_src, n_tgt, nu_max, alternate)
 
@@ -467,12 +278,15 @@ def evan_kernel_sum(t2, t1, kk, nu_max):
     alternation.
 
     t2, t1 : (Nk, No, 2, 2) source and target blocks.
-    kk : (Nk, 2 nu_max + 1) table from k_product_table.
+    kk : (Ny, 2 nu_max + 1) table from k_product_table, with Nk a
+        multiple of Ny: block row k reads table row k mod Ny, so blocks
+        of several frequencies on one y grid share one table.
     Returns (Nk,) real: sum_nu KK_nu D_nu with D the alternating
     diagonal sums of sum_PP' Re t2[n] Im t1[m].
     """
     d = _order_sums(t2.real, t1.imag, nu_max, alternate=True)
-    return (kk * d).sum(axis=1)
+    ny, width = kk.shape
+    return (kk * d.reshape(-1, ny, width)).sum(axis=2).ravel()
 
 
 def pair_kernel_sum(a1, t2, h, jp, nu_max):

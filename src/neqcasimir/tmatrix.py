@@ -105,40 +105,56 @@ def _thin_blocks_batch(orders, ktz, eps, mu, x):
     shape as in _full_blocks_batch; orders beyond |n| = 1 give zero
     blocks.
 
-    At |n| = 1 with den = (eps + 1)(mu + 1) the diagonal entries are
-    pref (kz2 a_P + b_P) / den.  T^NN is formed as one quotient per
-    node and T^MM as c2 kz2 + c0 from scalar quotients.  Either
-    arrangement is the same algebra; this pairing keeps the rounding of
-    the mu = 1 provider blocks (c2 = 0 there), so sweep outputs stay
-    reproducible to the last bit across versions.
+    With pref = (i pi / 4) x^2, order 0 is diagonal with
+    pref (1 - kz2)(eps - 1) and pref (1 - kz2)(mu - 1); at |n| = 1 with
+    den = (eps + 1)(mu + 1) the diagonal entries are
+    pref (kz2 a_P + b_P) / den and the cross entries
+    2 pref (eps mu - 1) ktilde_z n / den.  Every entry is a function of
+    its own row's (ktilde_z, eps, x) alone, so a row's block does not
+    depend on the other rows of the call.
     """
     orders = np.asarray(orders, dtype=int)
     ktz = np.asarray(ktz, dtype=float)
-    if x <= 0:
-        raise TMatrixError("size parameter must be positive")
-    eps = complex(eps)
+    eps, x = _rows(ktz, eps, x)
+    if np.any(x <= 0):
+        raise TMatrixError("size parameter must be positive at x = %g"
+                           % (x[x <= 0][0],))
     mu = complex(mu)
     den = (eps + 1.0) * (mu + 1.0)
-    if den == 0 and np.any(np.abs(orders) == 1):
-        raise TMatrixError("thin expansion singular at eps = -1 or mu = -1")
+    if np.any(den == 0) and np.any(np.abs(orders) == 1):
+        raise TMatrixError("thin expansion singular at eps = -1 or mu = -1 "
+                           "(x = %g)" % (x[den == 0][0],))
     out = np.zeros((ktz.shape[0], orders.shape[0], 2, 2), dtype=complex)
     pref = 0.25j * math.pi * x * x
     kz2 = ktz ** 2
+    if np.any(orders == 0):
+        t0 = pref * (1.0 - kz2)
+        nn0, mm0 = t0 * (eps - 1.0), t0 * (mu - 1.0)
+    if np.any(np.abs(orders) == 1):
+        q = pref / den
+        nn1 = q * (kz2 * ((mu + 1.0) * (eps - 1.0))
+                   + (mu - 1.0) * (eps + 1.0))
+        mm1 = q * (kz2 * ((mu - 1.0) * (eps + 1.0))
+                   + (mu + 1.0) * (eps - 1.0))
+        cross = 2.0 * (eps * mu - 1.0) * q * ktz
     for io, n in enumerate(orders):
         if n == 0:
-            out[:, io, POL_N, POL_N] = -pref * (eps - 1.0) * (kz2 - 1.0)
-            out[:, io, POL_M, POL_M] = -pref * (mu - 1.0) * (kz2 - 1.0)
+            out[:, io, POL_N, POL_N] = nn0
+            out[:, io, POL_M, POL_M] = mm0
         elif abs(n) == 1:
-            out[:, io, POL_N, POL_N] = pref * (
-                kz2 * ((mu + 1.0) * (eps - 1.0))
-                + (mu - 1.0) * (eps + 1.0)) / den
-            out[:, io, POL_M, POL_M] = (
-                kz2 * (pref * ((mu - 1.0) * (eps + 1.0)) / den)
-                + pref * ((mu + 1.0) * (eps - 1.0)) / den)
-            cross = 2.0 * pref * (eps * mu - 1.0) * ktz / den * n
-            out[:, io, POL_M, POL_N] = cross
-            out[:, io, POL_N, POL_M] = cross
+            out[:, io, POL_N, POL_N] = nn1
+            out[:, io, POL_M, POL_M] = mm1
+            out[:, io, POL_M, POL_N] = cross * n
+            out[:, io, POL_N, POL_M] = cross * n
     return out
+
+
+def _rows(ktz, eps, x):
+    """eps and x as arrays with one entry per ktz node: each given per
+    node or as one value for every node."""
+    shape = np.shape(ktz)
+    return (np.broadcast_to(np.asarray(eps, dtype=complex), shape),
+            np.broadcast_to(np.asarray(x, dtype=float), shape))
 
 
 # --- full boundary-matching solve -------------------------------------------
@@ -184,8 +200,12 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     ----------
     orders : int array (No,)
     ktz : float array (Nk,)
-    eps, mu : complex scalars
-    x : float, size parameter.
+    eps : complex, one per node (Nk,) or one for every node
+    mu : complex scalar
+    x : float size parameter, per node or one for every node.
+
+    Each row is a function of its own (ktilde_z, eps, x) alone.  Errors
+    name the size parameter of the first offending row.
 
     Returns
     -------
@@ -193,15 +213,17 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     """
     orders = np.asarray(orders, dtype=int)
     ktz = np.asarray(ktz, dtype=float)
+    eps, x = _rows(ktz, eps, x)
     if np.any(np.abs(np.abs(ktz) - 1.0) == 0.0):
         raise TMatrixError("ktilde_z on the light line is not evaluable")
-    if x <= 0:
-        raise TMatrixError("size parameter must be positive")
-    eps = complex(eps)
+    if np.any(x <= 0):
+        raise TMatrixError("size parameter must be positive at x = %g"
+                           % (x[x <= 0][0],))
     mu = complex(mu)
     em = eps * mu
-    if em == 0:
-        raise TMatrixError("eps * mu = 0 is not a propagating medium")
+    if np.any(em == 0):
+        raise TMatrixError("eps * mu = 0 is not a propagating medium "
+                           "(x = %g)" % (x[em == 0][0],))
 
     # transverse arguments outside and inside; principal sqrt puts the
     # evanescent exterior argument on the positive imaginary axis and
@@ -209,6 +231,7 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     p = x * np.sqrt((1.0 - ktz) * (1.0 + ktz) + 0.0j)
     p1 = x * np.sqrt(em - ktz ** 2 + 0.0j)
     p1 = np.where(p1.imag < 0.0, -p1, p1)
+    x, eps, em = x[:, None], eps[:, None], em[:, None]
 
     # tables over orders 0 .. top (0 .. top + 1 inside)
     absn = np.abs(orders)
@@ -239,10 +262,11 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
 
     det = u * u * one_m_g2 + u * r_n + r_m * (u + r_n)
     used = det[:, absn]
-    if not (used.all() and np.isfinite(used).all()):
+    bad = ~((used != 0) & np.isfinite(used)).all(axis=1)
+    if bad.any():
         raise TMatrixError(
             "singular boundary system (accidental resonance) at "
-            "x = %g" % (x,))
+            "x = %g" % (x[bad][0, 0],))
     with np.errstate(all="ignore"):  # orders below top not requested
         inv = 1.0 / det
     blk = np.empty(det.shape + (2, 2), dtype=complex)
@@ -253,8 +277,10 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     blk[..., POL_N, POL_M] = off
 
     out = blk[:, absn]
-    if not np.isfinite(out).all():
-        raise TMatrixError("non-finite scattering entries at x = %g" % (x,))
+    bad = ~np.isfinite(out).all(axis=(1, 2, 3))
+    if bad.any():
+        raise TMatrixError("non-finite scattering entries at x = %g"
+                           % (x[bad][0, 0],))
     sign = np.where(orders < 0, -1.0, 1.0)
     out[..., POL_M, POL_N] *= sign
     out[..., POL_N, POL_M] *= sign
@@ -281,7 +307,29 @@ def full_t(n, ktilde_z, eps, mu, x):
 
 # --- providers ---------------------------------------------------------------
 
-class ThinExpansion:
+class _Provider:
+    """Material and radius of one cylinder, shared by both providers."""
+
+    def __init__(self, material, radius):
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        self.material = material
+        self.radius = float(radius)
+
+    def size_parameter(self, omega):
+        return omega * self.radius / C_LIGHT
+
+    def _eps_x(self, ktz, omega):
+        """eps and x of every ktz node, for omega given per node or as
+        one frequency for every node.  One epsilon call covers the
+        distinct frequencies."""
+        w = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(ktz))
+        uniq, inv = np.unique(w, return_inverse=True)
+        return (_epsilon(self.material, uniq)[inv],
+                self.size_parameter(uniq)[inv])
+
+
+class ThinExpansion(_Provider):
     """Thin-cylinder block provider for a material and radius.
 
     Orders beyond |n| = 1 do not exist at leading order in x and are
@@ -293,15 +341,6 @@ class ThinExpansion:
     max_order = 1
     quadratic_term = False
 
-    def __init__(self, material, radius):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.material = material
-        self.radius = float(radius)
-
-    def size_parameter(self, omega):
-        return omega * self.radius / C_LIGHT
-
     def block(self, n, ktilde_z, omega):
         entries = self.blocks([int(n)], [float(ktilde_z)], omega)[0, 0]
         return TMatrixBlock(entries=entries, order=int(n),
@@ -309,37 +348,29 @@ class ThinExpansion:
                             size_parameter=float(self.size_parameter(omega)))
 
     def blocks(self, orders, ktz, omega):
-        """Batched blocks, shape (len(ktz), len(orders), 2, 2)."""
-        x = self.size_parameter(omega)
-        if x > THIN_VALIDITY_X:
+        """Batched blocks, shape (len(ktz), len(orders), 2, 2), with
+        omega per ktz node or one for every node."""
+        eps, x = self._eps_x(ktz, omega)
+        if np.any(x > THIN_VALIDITY_X):
             warnings.warn(_THIN_WARNING)
-        return _thin_blocks_batch(orders, ktz, _epsilon(self.material, omega),
-                                  1.0, x)
+        return _thin_blocks_batch(orders, ktz, eps, 1.0, x)
 
 
-class FullSolve:
+class FullSolve(_Provider):
     """Exact block provider for a material and radius; the source
     amplitude keeps its quadratic term T T^dagger."""
 
     max_order = None
     quadratic_term = True
 
-    def __init__(self, material, radius):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.material = material
-        self.radius = float(radius)
-
-    def size_parameter(self, omega):
-        return omega * self.radius / C_LIGHT
-
     def block(self, n, ktilde_z, omega):
         eps = _epsilon(self.material, omega)
         return full_t(n, ktilde_z, eps, 1.0, self.size_parameter(omega))
 
     def blocks(self, orders, ktz, omega):
-        """Batched blocks, shape (len(ktz), len(orders), 2, 2)."""
-        eps = _epsilon(self.material, omega)
-        return _full_blocks_batch(
-            np.asarray(orders, dtype=int), np.asarray(ktz, dtype=float),
-            eps, 1.0, self.size_parameter(omega))
+        """Batched blocks, shape (len(ktz), len(orders), 2, 2), with
+        omega per ktz node or one for every node."""
+        ktz = np.asarray(ktz, dtype=float)
+        eps, x = self._eps_x(ktz, omega)
+        return _full_blocks_batch(np.asarray(orders, dtype=int), ktz, eps,
+                                  1.0, x)

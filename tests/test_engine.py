@@ -3,6 +3,7 @@ channel accounting, scaling laws, convergence behavior, and agreement
 with the closed-form asymptotics in their regimes."""
 
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -228,64 +229,12 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     assert len(calls) == (calls.count("probe") + calls.count("bump") + 1)
 
 
-@pytest.mark.parametrize("provider, rel_tol, radius2", [
-    ("thin", 1e-2, R), ("thin", 1e-2, 2.0 * R), ("full", 1e-3, R)])
-def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
-                                         radius2):
-    # the -k_z evanescent blocks come from the exact k_z parity, so an
-    # interaction integral never asks a provider for ktilde_z < -1, and
-    # each outer node evaluates its propagating and evanescent blocks in
-    # one call per distinct provider
-    calls = []
-    phase = {"outer": False}
-
-    def counting(blocks):
-        def wrapped(self, orders, ktz, omega):
-            ktz = np.asarray(ktz)
-            kind = ("negative" if np.any(ktz < -1.0) else
-                    "both" if np.any(ktz > 1.0) and np.any(ktz < 1.0) else
-                    "evanescent" if np.all(ktz > 1.0) else "propagating")
-            calls.append((phase["outer"], kind))
-            return blocks(self, orders, ktz, omega)
-        return wrapped
-
-    nodes = []
-
-    def counting_outer(f, *args, **kwargs):
-        def integrand(u):
-            nodes.append(len(u))
-            phase["outer"] = True
-            try:
-                return f(u)
-            finally:
-                phase["outer"] = False
-        return real_outer(integrand, *args, **kwargs)
-
-    real_outer = engine.adaptive_vector
-    for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
-        monkeypatch.setattr(cls, "blocks", counting(cls.blocks))
-    monkeypatch.setattr(engine, "adaptive_vector", counting_outer)
-    ctl = QuadratureControls(rel_tol=rel_tol, n_max=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        interaction_force(C1, CylinderSpec(radius2, SIC, 300.0), 300.0,
-                          2e-6, provider=provider, controls=ctl)
-    distinct = 1 if radius2 == R else 2
-    assert sum(nodes) >= 120
-    assert not any(kind == "negative" for _, kind in calls)
-    assert calls.count((True, "both")) == distinct * sum(nodes)
-    assert sum(outer for outer, _ in calls) == distinct * sum(nodes)
-
-
-HOT_SETS = ((450.0, 300.0, 300.0), (300.0, 450.0, 300.0),
-            (300.0, 150.0, 300.0), (300.0, 300.0, 300.0))
-
-
 def _counting_outer(monkeypatch, phase=None):
-    """Patch the engine's outer integrator to count its calls and
-    outer nodes; phase["outer"], if given, is True inside its
-    integrand."""
-    counts = {"calls": 0, "nodes": 0}
+    """Patch the engine's outer integrator to count its calls, its
+    outer nodes and each node value (a seed panel between two edges
+    one rounding apart repeats one node); phase["outer"], if given, is
+    True inside its integrand."""
+    counts = {"calls": 0, "nodes": 0, "values": Counter()}
     phase = {} if phase is None else phase
     real_outer = engine.adaptive_vector
 
@@ -294,6 +243,7 @@ def _counting_outer(monkeypatch, phase=None):
 
         def integrand(u):
             counts["nodes"] += len(u)
+            counts["values"].update(np.asarray(u).tolist())
             phase["outer"] = True
             try:
                 return f(u)
@@ -303,6 +253,78 @@ def _counting_outer(monkeypatch, phase=None):
 
     monkeypatch.setattr(engine, "adaptive_vector", counting_outer)
     return counts
+
+
+def _recording_blocks(monkeypatch, phase):
+    """Patch both providers to record every blocks call: inside the
+    outer integrand (phase["outer"]) or not, the cylinder, the omega
+    of every row, the ktilde_z nodes and the block entries."""
+    calls = []
+
+    def recording(blocks):
+        def wrapped(self, orders, ktz, omega):
+            ktz = np.asarray(ktz, dtype=float)
+            calls.append({"outer": phase.get("outer", False),
+                          "cylinder": (self.material, self.radius),
+                          "omega": np.broadcast_to(omega, ktz.shape).copy(),
+                          "ktz": ktz, "entries": ktz.size * np.size(orders)})
+            return blocks(self, orders, ktz, omega)
+        return wrapped
+
+    for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
+        monkeypatch.setattr(cls, "blocks", recording(cls.blocks))
+    return calls
+
+
+def _check_outer_calls(calls, counts, distinct):
+    """The outer integral's provider calls batch a panel's nodes: every
+    outer node's omega appears in exactly one call per distinct
+    cylinder, with both light-line branches; there are fewer calls than
+    nodes, and no call exceeds the engine's entry budget.  A node value
+    that repeats k times may spread over up to k calls."""
+    outer = [c for c in calls if c["outer"]]
+    seen = Counter((c["cylinder"], w) for c in outer
+                   for w in np.unique(c["omega"]).tolist())
+    # omega is increasing in the node value, so the i-th smallest omega
+    # belongs to the i-th smallest node value
+    omegas = sorted({w for _, w in seen})
+    values = sorted(counts["values"])
+    assert len(omegas) == len(values)
+    repeats = {w: counts["values"][v] for w, v in zip(omegas, values)}
+    assert len(seen) == distinct * len(omegas)
+    assert all(n == 1 or n <= repeats[w] for (_, w), n in seen.items())
+    for c in outer:
+        for w in np.unique(c["omega"]):
+            ktz = c["ktz"][c["omega"] == w]
+            assert np.any(ktz > 1.0) and np.any(ktz < 1.0)
+    assert len(outer) < counts["nodes"]
+    assert max(c["entries"] for c in outer) <= engine._MAX_BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("provider, rel_tol, radius2", [
+    ("thin", 1e-2, R), ("thin", 1e-2, 2.0 * R), ("full", 1e-3, R)])
+def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
+                                         radius2):
+    # the -k_z evanescent blocks come from the exact k_z parity, so an
+    # interaction integral never asks a provider for ktilde_z < -1, and
+    # each outer node's propagating and evanescent blocks come from one
+    # call per distinct provider, shared with the other nodes of its
+    # panel up to the entry budget
+    phase = {"outer": False}
+    calls = _recording_blocks(monkeypatch, phase)
+    counts = _counting_outer(monkeypatch, phase)
+    ctl = QuadratureControls(rel_tol=rel_tol, n_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        interaction_force(C1, CylinderSpec(radius2, SIC, 300.0), 300.0,
+                          2e-6, provider=provider, controls=ctl)
+    assert counts["nodes"] >= 120
+    assert not any(np.any(c["ktz"] < -1.0) for c in calls)
+    _check_outer_calls(calls, counts, 1 if radius2 == R else 2)
+
+
+HOT_SETS = ((450.0, 300.0, 300.0), (300.0, 450.0, 300.0),
+            (300.0, 150.0, 300.0), (300.0, 300.0, 300.0))
 
 
 def test_sweep_shares_one_integral_per_separation(monkeypatch):
@@ -343,21 +365,11 @@ def test_total_force_repeats_its_sweep_row():
 
 
 def test_fused_integral_one_blocks_call_per_node(monkeypatch):
-    # one provider call per outer node serves the propagating
-    # interaction and pair sums and the evanescent sum of every
-    # temperature
-    calls = []
+    # each outer node is in one provider call, which serves the
+    # propagating interaction and pair sums and the evanescent sum of
+    # every temperature
     phase = {"outer": False}
-
-    def counting(blocks):
-        def wrapped(self, orders, ktz, omega):
-            calls.append((phase["outer"], bool(np.any(np.asarray(ktz) > 1.0)),
-                          bool(np.any(np.asarray(ktz) < 1.0))))
-            return blocks(self, orders, ktz, omega)
-        return wrapped
-
-    monkeypatch.setattr(tmatrix.ThinExpansion, "blocks",
-                        counting(tmatrix.ThinExpansion.blocks))
+    calls = _recording_blocks(monkeypatch, phase)
     counts = _counting_outer(monkeypatch, phase)
     sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
                   controls=QuadratureControls(rel_tol=1e-2),
@@ -365,10 +377,60 @@ def test_fused_integral_one_blocks_call_per_node(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         sweep(sc)
-    outer = [c for c in calls if c[0]]
     assert counts["calls"] == 1 and counts["nodes"] >= 120
-    assert len(outer) == counts["nodes"]
-    assert all(evan and prop for _, evan, prop in outer)
+    _check_outer_calls(calls, counts, 1)
+
+
+@pytest.mark.parametrize("provider", ["thin", "full"])
+def test_inner_does_not_depend_on_its_batch(provider):
+    # a node's axial integrals do not depend on the other nodes of its
+    # _inner call, on ragged psi grids (4 to 6 panels): bitwise with
+    # thin blocks, and with full blocks within the BLAS rounding of the
+    # order sums, which depends on a row's position in the batch
+    prov = engine._make_provider(provider, C1)
+    orders = np.arange(-2, 3)
+    d = 20e-6
+    omegas = np.geomspace(2e12, 8e14, 15)
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 10.0)
+                for w in omegas]
+    assert len(set(n_panels)) > 1
+    evan = engine._evan_tables(CTL, 1, orders)
+    sums = ("f", "e", "s")
+    batch = engine._inner(prov, prov, omegas, d, orders, sums, n_panels,
+                          evan)
+    single = np.vstack([
+        engine._inner(prov, prov, omegas[i:i + 1], d, orders, sums,
+                      n_panels[i:i + 1], evan) for i in range(15)])
+    assert batch.shape == (15, 3)
+    if provider == "thin":
+        assert np.array_equal(batch, single)
+    else:
+        assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
+
+def test_sweep_repeats_with_one_node_per_call(monkeypatch):
+    # the entry budget only groups nodes: with one node per _inner call
+    # a thin sweep repeats the default sweep bitwise
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6, 20e-6),
+                  controls=QuadratureControls(rel_tol=1e-3),
+                  environment_temperature=300.0, temperature_sets=HOT_SETS)
+    calls = []
+    real_inner = engine._inner
+
+    def counting_inner(src, tgt, omegas, *args):
+        calls.append(len(omegas))
+        return real_inner(src, tgt, omegas, *args)
+
+    monkeypatch.setattr(engine, "_inner", counting_inner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = sweep(sc)
+        assert max(calls) > 1
+        calls.clear()
+        monkeypatch.setattr(engine, "_MAX_BLOCK_ENTRIES", 1)
+        single = sweep(sc)
+    assert max(calls) == 1
+    assert single == rows
 
 
 def test_order_probe_repeats_no_block_call(monkeypatch):
@@ -479,16 +541,17 @@ def test_overflowing_tables_raise_at_the_first_sum():
     orders = np.arange(-32, 33)
     d = 2e-6
     omega = 1e-3 * materials.C_LIGHT / d  # kd = 1e-3
+    omegas = np.array([omega])
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 0\.00106"):
-            engine._inner(prov, prov, omega, d, orders, ("e",), 0,
+            engine._inner(prov, prov, omegas, d, orders, ("e",), (),
                           engine._evan_tables(ctl, 1, orders))
         for kernel in ("f", "s"):
             with pytest.raises(QuadratureError,
                                match=r"order -?\d+ overflows at qd = "):
-                engine._inner(prov, prov, omega, d, orders, (kernel,), 4,
-                              None)
+                engine._inner(prov, prov, omegas, d, orders, (kernel,),
+                              (4,), None)
     # end to end: 8 um cylinders need more orders than the order probe
     # can represent at its smallest y node, and it stops there at once
     thick = CylinderSpec(8e-6, SIC, 300.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+import oracles
 from neqcasimir import kernels, materials, tmatrix
 from neqcasimir.errors import QuadratureError
 from neqcasimir.units import C_LIGHT, HBAR, K_BOLTZMANN
@@ -27,18 +28,18 @@ KZ_E = KTZ_E * OMEGA / C_LIGHT
 
 
 def _blk(n, ktz=KTZ_P):
-    return kernels._block_entries(PROV.block(n, ktz, OMEGA))
+    return oracles._block_entries(PROV.block(n, ktz, OMEGA))
 
 
 def test_occupation_trivials():
-    assert kernels.occupation(0.0, 1e14) == 0.0
-    assert abs(kernels.bose(np.log(2.0)) - 1.0) < 1e-14
+    assert oracles.occupation(0.0, 1e14) == 0.0
+    assert abs(oracles.bose(np.log(2.0)) - 1.0) < 1e-14
 
 
 def test_occupation_value_and_classical_limit():
     T = 300.0
     w = 0.01 * K_BOLTZMANN * T / HBAR
-    occ = kernels.occupation(T, w)
+    occ = oracles.occupation(T, w)
     pref = w ** 2 * HBAR * (4.0 * np.pi) ** 2 / C_LIGHT ** 2
     direct = pref / np.expm1(HBAR * w / (K_BOLTZMANN * T))
     assert abs(occ - direct) < 1e-12 * direct
@@ -49,29 +50,29 @@ def test_occupation_value_and_classical_limit():
 def test_a_factor_branches():
     # propagating: Re T plus the quadratic product
     t1 = _blk(1)
-    a_quad = kernels.a_factor(PROV, 1, KZ_P, OMEGA)
+    a_quad = oracles.a_factor(PROV, 1, KZ_P, OMEGA)
     assert np.allclose(a_quad, t1.real + t1 @ t1.conj().T, rtol=0,
                        atol=1e-18)
-    a_lin = kernels.a_factor(PROV, 1, KZ_P, OMEGA, include_quadratic=False)
+    a_lin = oracles.a_factor(PROV, 1, KZ_P, OMEGA, include_quadratic=False)
     assert np.array_equal(a_lin, t1.real.astype(complex))
     # evanescent: (-1)^n Re T and no quadratic term
     t0e = _blk(0, KTZ_E)
     t1e = _blk(1, KTZ_E)
-    assert np.array_equal(kernels.a_factor(PROV, 0, KZ_E, OMEGA), t0e.real)
-    assert np.array_equal(kernels.a_factor(PROV, 1, KZ_E, OMEGA), -t1e.real)
+    assert np.array_equal(oracles.a_factor(PROV, 0, KZ_E, OMEGA), t0e.real)
+    assert np.array_equal(oracles.a_factor(PROV, 1, KZ_E, OMEGA), -t1e.real)
 
 
 def test_quadratic_part_hermitian():
     t = _blk(1)
-    quad = kernels.amplitude_entries(t, 1, "propagating", True) - t.real
+    quad = oracles.amplitude_entries(t, 1, "propagating", True) - t.real
     assert np.max(np.abs(quad - quad.conj().T)) < 1e-18
 
 
 def test_f_kernel_zero_for_vacuum_blocks():
     zero = np.zeros((2, 2), dtype=complex)
-    a2 = kernels.a_factor(PROV, 0, KZ_P, OMEGA)
-    assert kernels.f_kernel(0, 0, KZ_P, OMEGA, zero, zero, a2, D) == 0.0
-    assert kernels.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1), zero,
+    a2 = oracles.a_factor(PROV, 0, KZ_P, OMEGA)
+    assert oracles.f_kernel(0, 0, KZ_P, OMEGA, zero, zero, a2, D) == 0.0
+    assert oracles.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1), zero,
                             D) == 0.0
 
 
@@ -79,7 +80,7 @@ def test_f_kernel_single_mode_against_independent_oracle():
     # rebuild the propagating kernel from scratch: hankel products and
     # the complex polarization contraction, keeping everything complex
     # so the imaginary residue is visible
-    a2 = kernels.a_factor(PROV, 0, KZ_P, OMEGA)
+    a2 = oracles.a_factor(PROV, 0, KZ_P, OMEGA)
     t1_m = _blk(0)
     t1_mp1 = _blk(1)
     qd = np.sqrt(1.0 - KTZ_P ** 2) * OMEGA / C_LIGHT * D
@@ -92,7 +93,7 @@ def test_f_kernel_single_mode_against_independent_oracle():
             term = (hp * (lin + 2.0 * quad)).imag
             oracle += a2[p, q].real * term
             oracle += 2.0 * a2[p, q].imag * (hp * quad).real
-    value = kernels.f_kernel(0, 0, KZ_P, OMEGA, t1_m, t1_mp1, a2, D)
+    value = oracles.f_kernel(0, 0, KZ_P, OMEGA, t1_m, t1_mp1, a2, D)
     assert abs(oracle.imag) < 1e-12 * abs(oracle.real)
     assert abs(value - oracle.real) < 1e-12 * abs(oracle.real)
     # frozen spot value for regression
@@ -103,11 +104,11 @@ def test_f_kernel_reflection_symmetry():
     # (n, m, k_z) -> (-n, -m-1, -k_z) maps the block pair (m, m+1)
     # onto (-m-1, -m) and leaves the kernel invariant
     for n, m in ((1, 1), (0, 1), (-1, 0), (1, -1)):
-        a2 = kernels.a_factor(PROV, n, KZ_P, OMEGA)
-        fwd = kernels.f_kernel(n, m, KZ_P, OMEGA, _blk(m), _blk(m + 1),
+        a2 = oracles.a_factor(PROV, n, KZ_P, OMEGA)
+        fwd = oracles.f_kernel(n, m, KZ_P, OMEGA, _blk(m), _blk(m + 1),
                                a2, D)
-        a2r = kernels.a_factor(PROV, -n, -KZ_P, OMEGA)
-        rev = kernels.f_kernel(-n, -m - 1, -KZ_P, OMEGA,
+        a2r = oracles.a_factor(PROV, -n, -KZ_P, OMEGA)
+        rev = oracles.f_kernel(-n, -m - 1, -KZ_P, OMEGA,
                                _blk(-m - 1, -KTZ_P), _blk(-m, -KTZ_P),
                                a2r, D)
         assert fwd == rev
@@ -118,9 +119,9 @@ def test_f_tilde_reflection_antisymmetry():
     # the alternating (-1)^(n+m) prefactor applied by the caller flips
     # with it, so the summed integrand is invariant
     for n, m in ((1, 0), (0, 0), (1, 1), (0, -1)):
-        fwd = kernels.f_tilde_kernel(n, m, KZ_E, OMEGA, _blk(m, KTZ_E),
+        fwd = oracles.f_tilde_kernel(n, m, KZ_E, OMEGA, _blk(m, KTZ_E),
                                      _blk(m + 1, KTZ_E), _blk(n, KTZ_E), D)
-        rev = kernels.f_tilde_kernel(-n, -m - 1, -KZ_E, OMEGA,
+        rev = oracles.f_tilde_kernel(-n, -m - 1, -KZ_E, OMEGA,
                                      _blk(-m - 1, -KTZ_E),
                                      _blk(-m, -KTZ_E),
                                      _blk(-n, -KTZ_E), D)
@@ -132,9 +133,9 @@ def test_f_tilde_decay_rate():
     # the kernel must decay at least as fast as e^(-2 |q| d)
     absq = np.sqrt(KTZ_E ** 2 - 1.0) * OMEGA / C_LIGHT
     d1, d2 = 1e-6, 2e-6
-    f1 = kernels.f_tilde_kernel(0, 0, KZ_E, OMEGA, _blk(0, KTZ_E),
+    f1 = oracles.f_tilde_kernel(0, 0, KZ_E, OMEGA, _blk(0, KTZ_E),
                                 _blk(1, KTZ_E), _blk(0, KTZ_E), d1)
-    f2 = kernels.f_tilde_kernel(0, 0, KZ_E, OMEGA, _blk(0, KTZ_E),
+    f2 = oracles.f_tilde_kernel(0, 0, KZ_E, OMEGA, _blk(0, KTZ_E),
                                 _blk(1, KTZ_E), _blk(0, KTZ_E), d2)
     rate = np.log(abs(f1 / f2)) / (absq * (d2 - d1))
     assert rate >= 2.0
@@ -143,21 +144,21 @@ def test_f_tilde_decay_rate():
 
 def test_branch_validation():
     with pytest.raises(ValueError):
-        kernels.f_kernel(0, 0, KZ_E, OMEGA, _blk(0), _blk(1),
-                         kernels.a_factor(PROV, 0, KZ_P, OMEGA), D)
+        oracles.f_kernel(0, 0, KZ_E, OMEGA, _blk(0), _blk(1),
+                         oracles.a_factor(PROV, 0, KZ_P, OMEGA), D)
     with pytest.raises(ValueError):
-        kernels.f_tilde_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1),
+        oracles.f_tilde_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1),
                                _blk(0), D)
     with pytest.raises(ValueError):
-        kernels.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1),
-                         kernels.a_factor(PROV, 0, KZ_P, OMEGA), -1.0)
+        oracles.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1),
+                         oracles.a_factor(PROV, 0, KZ_P, OMEGA), -1.0)
 
 
 def test_s_kernel_zero_for_vacuum_blocks():
     zero = np.zeros((2, 2), dtype=complex)
-    a1 = kernels.a_factor(PROV, 0, KZ_P, OMEGA)
-    assert kernels.s_kernel(0, 0, KZ_P, OMEGA, a1, zero, zero, D) == 0.0
-    assert kernels.s_kernel(0, 0, KZ_P, OMEGA, zero, _blk(0), _blk(1),
+    a1 = oracles.a_factor(PROV, 0, KZ_P, OMEGA)
+    assert oracles.s_kernel(0, 0, KZ_P, OMEGA, a1, zero, zero, D) == 0.0
+    assert oracles.s_kernel(0, 0, KZ_P, OMEGA, zero, _blk(0), _blk(1),
                             D) == 0.0
 
 
@@ -165,9 +166,9 @@ def test_s_kernel_oscillation_period():
     # at large qd the mixed H J products oscillate like sin(2 q d), so
     # successive up-crossings in d are spaced by pi / q
     q = np.sqrt(1.0 - KTZ_P ** 2) * OMEGA / C_LIGHT
-    a1 = kernels.a_factor(PROV, 0, KZ_P, OMEGA)
+    a1 = oracles.a_factor(PROV, 0, KZ_P, OMEGA)
     ds = np.linspace(40e-6, 70e-6, 4000)
-    vals = np.array([kernels.s_kernel(0, 0, KZ_P, OMEGA, a1, _blk(0),
+    vals = np.array([oracles.s_kernel(0, 0, KZ_P, OMEGA, a1, _blk(0),
                                       _blk(1), float(d)) for d in ds])
     up = [i for i in range(1, len(ds))
           if vals[i - 1] < 0.0 <= vals[i]]
@@ -181,12 +182,12 @@ def test_kernel_scaling_x1sq_x2sq():
     # and thin entries are exactly quadratic in x
     s = 0.5
     prov_s = tmatrix.ThinExpansion(SIC, 0.1e-6 * s)
-    a_full = kernels.a_factor(PROV, 0, KZ_P, OMEGA, include_quadratic=False)
-    a_small = kernels.a_factor(prov_s, 0, KZ_P, OMEGA,
+    a_full = oracles.a_factor(PROV, 0, KZ_P, OMEGA, include_quadratic=False)
+    a_small = oracles.a_factor(prov_s, 0, KZ_P, OMEGA,
                                include_quadratic=False)
-    f_full = kernels.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1), a_full,
+    f_full = oracles.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1), a_full,
                               D, include_quadratic=False)
-    f_small = kernels.f_kernel(0, 0, KZ_P, OMEGA,
+    f_small = oracles.f_kernel(0, 0, KZ_P, OMEGA,
                                prov_s.block(0, KTZ_P, OMEGA),
                                prov_s.block(1, KTZ_P, OMEGA), a_small, D,
                                include_quadratic=False)
@@ -336,18 +337,18 @@ NU_MAX = 2 * HALF
 def test_prop_kernel_sum_matches_literal():
     qd = np.sqrt(1.0 - KTZ_P ** 2) * OMEGA / C_LIGHT * D
     t1 = np.stack([_blk(int(m)) for m in ORDERS])[None, :]
-    a2 = np.stack([kernels.a_factor(PROV, int(n), KZ_P, OMEGA)
+    a2 = np.stack([oracles.a_factor(PROV, int(n), KZ_P, OMEGA)
                    for n in ORDERS])[None, :]
     hp, _, _ = kernels.hankel_tables(np.array([qd]), NU_MAX)
     for inc in (True, False):
         a2_use = a2 if inc else np.stack(
-            [kernels.a_factor(PROV, int(n), KZ_P, OMEGA,
+            [oracles.a_factor(PROV, int(n), KZ_P, OMEGA,
                               include_quadratic=False)
              for n in ORDERS])[None, :]
         folded = kernels.prop_kernel_sum(a2_use, t1, hp, NU_MAX,
                                          include_quadratic=inc)[0]
         literal = sum(
-            kernels.f_kernel(int(n), int(m), KZ_P, OMEGA, _blk(int(m)),
+            oracles.f_kernel(int(n), int(m), KZ_P, OMEGA, _blk(int(m)),
                              _blk(int(m) + 1), a2_use[0, int(n) + HALF],
                              D, include_quadratic=inc)
             for n in ORDERS for m in ORDERS)
@@ -363,7 +364,7 @@ def test_evan_kernel_sum_matches_literal():
     for n in ORDERS:
         for m in ORDERS:
             sign = -1.0 if (int(n) + int(m)) % 2 else 1.0
-            literal += sign * kernels.f_tilde_kernel(
+            literal += sign * oracles.f_tilde_kernel(
                 int(n), int(m), KZ_E, OMEGA, _blk(int(m), KTZ_E),
                 _blk(int(m) + 1, KTZ_E), _blk(int(n), KTZ_E), D)
     assert abs(folded - literal) < 1e-12 * abs(literal)
@@ -372,12 +373,12 @@ def test_evan_kernel_sum_matches_literal():
 def test_pair_kernel_sum_matches_literal():
     qd = np.sqrt(1.0 - KTZ_P ** 2) * OMEGA / C_LIGHT * D
     t1 = np.stack([_blk(int(m)) for m in ORDERS])[None, :]
-    a1 = np.stack([kernels.a_factor(PROV, int(n), KZ_P, OMEGA)
+    a1 = np.stack([oracles.a_factor(PROV, int(n), KZ_P, OMEGA)
                    for n in ORDERS])[None, :]
     _, h, jp = kernels.hankel_tables(np.array([qd]), NU_MAX)
     folded = kernels.pair_kernel_sum(a1, t1, h, jp, NU_MAX)[0]
     literal = sum(
-        kernels.s_kernel(int(n), int(m), KZ_P, OMEGA,
+        oracles.s_kernel(int(n), int(m), KZ_P, OMEGA,
                          a1[0, int(n) + HALF], _blk(int(m)),
                          _blk(int(m) + 1), D)
         for n in ORDERS for m in ORDERS)
@@ -465,11 +466,11 @@ def test_propagating_sums_even_in_kz(prov):
 
 
 def test_mode_point_branches():
-    p = kernels.ModePoint(omega=OMEGA, k_z=KZ_P, n=0, m=0)
+    p = oracles.ModePoint(omega=OMEGA, k_z=KZ_P, n=0, m=0)
     assert p.branch == "propagating"
     assert abs(p.q.real - np.sqrt(1.0 - KTZ_P ** 2) * OMEGA / C_LIGHT) \
         < 1e-9 * p.q.real
-    e = kernels.ModePoint(omega=OMEGA, k_z=KZ_E, n=0, m=0)
+    e = oracles.ModePoint(omega=OMEGA, k_z=KZ_E, n=0, m=0)
     assert e.branch == "evanescent"
     assert e.q.real == 0.0
     assert e.q.imag > 0.0

@@ -311,6 +311,25 @@ def test_full_argument_errors():
         tmatrix.full_t(0.5, 0.4, EPS, 1.0, 0.01)
 
 
+def test_batch_errors_name_the_offending_row():
+    # with eps and x per row, an error names the size parameter of the
+    # first row that fails
+    orders = np.arange(-1, 2)
+    ktz = np.array([0.2, 0.4, 0.6])
+    x = np.array([0.01, 0.02, 0.03])
+    for batch in (tmatrix._thin_blocks_batch, tmatrix._full_blocks_batch):
+        with pytest.raises(TMatrixError, match=r"positive at x = -0\.02"):
+            batch(orders, ktz, EPS, 1.0, x * [1.0, -1.0, 1.0])
+    with pytest.raises(TMatrixError, match=r"eps = -1 .*x = 0\.03"):
+        tmatrix._thin_blocks_batch(orders, ktz, [EPS, EPS, -1.0], 1.0, x)
+    with pytest.raises(TMatrixError, match=r"medium \(x = 0\.03\)"):
+        tmatrix._full_blocks_batch(orders, ktz, [EPS, EPS, 0.0], 1.0, x)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TMatrixError, match=r"singular .* x = 0\.02"):
+            tmatrix._full_blocks_batch(orders, ktz, [EPS, np.nan, EPS], 1.0,
+                                       x)
+
+
 def test_thin_provider_zero_blocks_beyond_order_one():
     prov = tmatrix.ThinExpansion(SIC, 0.1e-6)
     for n in (-3, 2, 5):
@@ -357,6 +376,24 @@ def test_batched_blocks_match_loop():
         for i, n in enumerate(range(-2, 3)):
             assert np.array_equal(batch[k, i],
                                   thin.block(n, float(kt), OMEGA).entries)
+
+
+@pytest.mark.parametrize("prov", [tmatrix.ThinExpansion(SIC, 0.1e-6),
+                                  tmatrix.FullSolve(SIC, 0.1e-6)],
+                         ids=["thin", "full"])
+def test_blocks_with_omega_per_row_repeat_per_frequency_calls(prov):
+    # a row's block depends only on its own (ktilde_z, omega), so one
+    # call with omega per row, in any row order, repeats the calls at
+    # each frequency bitwise
+    orders = np.arange(-2, 3)
+    ktz = np.concatenate([np.linspace(-0.9, 0.9, 7), np.linspace(1.1, 3.0, 5)])
+    omegas = np.geomspace(1e13, 5e14, 4)
+    single = np.concatenate([prov.blocks(orders, ktz, w) for w in omegas])
+    shuffle = np.random.default_rng(3).permutation(single.shape[0])
+    batch = prov.blocks(orders, np.tile(ktz, omegas.size)[shuffle],
+                        np.repeat(omegas, ktz.size)[shuffle])
+    assert np.array_equal(batch, single[shuffle])
+
 
 
 if __name__ == "__main__":
