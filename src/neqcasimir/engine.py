@@ -498,6 +498,18 @@ def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls):
     return _bump_factor(evaluate, controls.rel_tol)
 
 
+def _distinct(values):
+    """values in increasing order, without those within four units in
+    the last place of the one kept before them: temperatures in integer
+    ratios give one seed edge twice, one rounding apart, and the panel
+    between the two would repeat one node."""
+    out = []
+    for v in sorted(values):
+        if not out or v - out[-1] > 4.0 * math.ulp(v):
+            out.append(v)
+    return out
+
+
 def _runs(sizes, limit):
     """Split positions 0 .. len(sizes) - 1 into consecutive runs whose
     sizes add up to at most limit; an item larger than limit is a run
@@ -553,8 +565,8 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     # omega.  The first seed panel [omega_0, omega_1] is integrated in
     # x with omega = x^2 / omega_1, which makes the u^(-1/2) endpoint
     # singularity of a conductor's evanescent channel regular.
-    edges = sorted({u * s for s in scales
-                    for u in thermal_seed_edges(controls)})
+    edges = _distinct(u * s for s in scales
+                      for u in thermal_seed_edges(controls))
     omega_1 = edges[1]
     x_edges = [math.sqrt(w * omega_1) if w < omega_1 else w for w in edges]
 

@@ -51,11 +51,14 @@ def prop_amplitude(blocks, include_quadratic=True):
 
 # --- vectorized tables and folded sums ---------------------------------------
 #
-# The tables come from the integer-order functions J_0, J_1, Y_0, Y_1,
-# K_0 and K_1 and three-term recurrences in the order (Gautschi, SIAM
-# Rev. 9, 24 (1967); DLMF 10.6.1, 10.29.1, 10.74(iv)).  Each recurrence
-# runs in the direction in which the wanted solution dominates, so
-# rounding errors stay at the level of the values themselves.
+# Bessel tables of every order come from orders 0 and 1 and three-term
+# recurrences in the order (Gautschi, SIAM Rev. 9, 24 (1967); DLMF
+# 10.6.1, 10.29.1, 10.74(iv)).  Each recurrence runs in the direction
+# in which the wanted solution dominates, so rounding errors stay at
+# the level of the values themselves.  _recur_up and _miller_j take
+# real or complex arguments: the kernel tables below call them at real
+# qd and y, and tmatrix's full blocks at the complex transverse
+# arguments p and p1 of the boundary solve.
 
 @lru_cache(maxsize=64)
 def _signed_rows(lo, hi):
@@ -71,7 +74,9 @@ def _signed_rows(lo, hi):
 def _recur_up(z0, z1, two_over_x, top, step):
     """Rows Z_0 .. Z_top of Z_(n+1) = step((2n / x) Z_n, Z_(n-1)), run
     upward from Z_0 and Z_1: step = np.subtract for J, Y and H,
-    np.add for the modified function K (and its scaled form e^x K)."""
+    np.add for the modified function K (and its scaled form e^x K).
+    The rows take the dtype of z0, so complex x and seeds run the same
+    recurrence in complex arithmetic."""
     rows = np.empty((top + 1,) + z0.shape, dtype=z0.dtype)
     rows[0] = z0
     rows[1] = z1
@@ -83,36 +88,51 @@ def _recur_up(z0, z1, two_over_x, top, step):
 
 
 def _miller_j(x, two_over_x, top, j0, j1):
-    """J_0 .. J_top at 0 < x < top by Miller's backward recurrence.
+    """J_0 .. J_top by Miller's backward recurrence, at real or complex
+    x, from the exact J_0 and J_1 (arrays of x's shape).
 
     The ratio r_(top+1) = J_(top+1) / J_top comes from the continued
     fraction r_k = 1 / (2k / x - r_(k+1)), started at r = 0 at order
-    top + k_extra; it involves only ratios, so it cannot overflow.
-    The truncation error of that start falls like
-    (x / 2)^(2k) (top! / (top + k)!)^2 in the extra order k, and
-    k_extra = 8 + sqrt(12 top) leaves it below rounding up to x -> top
-    (k = 11 suffices at top = 4, k = 27 at top = 66).
+    m + k_extra with m the larger of top and the largest finite |x|;
+    it involves only ratios, so it cannot overflow.  J is the minimal
+    solution only above order |x|, where the truncation error of that
+    start falls like (|x| / 2)^(2k) (m! / (m + k)!)^2 in the extra
+    order k, and k_extra = 8 + sqrt(12 m) leaves it below rounding up
+    to |x| -> m (k = 11 suffices at m = 4, k = 27 at m = 66).  Below
+    order |x| the run is neutral for real x; for x in the upper half
+    plane J and Y both grow like e^(Im x) there, so it stays neutral.
+    Rows with a non-finite x come out non-finite and do not move the
+    start.
 
-    From J_top = 1e-300 the recurrence J_(k-1) = (2k / x) J_k - J_(k+1)
-    then runs down to order 0, where J is dominant, and the rows are
-    scaled to the larger in magnitude of the exact J_0 and J_1 (they
-    have no common zero, so the scale keeps full relative accuracy
-    next to a zero of either).  The tiny start lets the run grow by
-    J_0 / J_top up to 1e608 before it overflows; by then Y_top is far
-    beyond the double range anyway.
+    From J_top = 1e-300 s the recurrence J_(k-1) = (2k / x) J_k - J_(k+1)
+    then runs down to order 0, and the rows are scaled to the larger
+    in magnitude of the exact J_0 and J_1 (they have no common zero,
+    so the scale keeps full relative accuracy next to a zero of
+    either).  The tiny start lets the run grow by J_0 / J_top up to
+    1e608 before it overflows: at top = 32 that is |x| down to about
+    1e-18, where Y_top and H_top are far beyond the double range
+    anyway.  The final scale is about J_top / (1e-300 s), and
+    s = max(1, |J_0|, |J_1|) keeps it finite: s is 1 for real x, and
+    in the upper half plane it grows with |J|, like e^(Im x).  Orders
+    whose J lies below the double range underflow to zero, as the
+    exact values would.
     """
-    start = top + 8 + int(math.sqrt(12.0 * top))
+    m = max(top, math.ceil(np.max(np.abs(x), initial=0.0,
+                                  where=np.isfinite(x))))
+    start = m + 8 + int(math.sqrt(12.0 * m))
     coef = np.arange(start + 1)[:, None] * two_over_x
     r = np.zeros_like(x)
     for k in range(start, top, -1):
-        r = 1.0 / (coef[k] - r)
-    rows = np.empty((top + 2,) + x.shape)
-    rows[top] = 1e-300
+        np.subtract(coef[k], r, out=r)
+        np.reciprocal(r, out=r)
+    a0, a1 = np.abs(j0), np.abs(j1)
+    use_j0 = a0 >= a1
+    rows = np.empty((top + 2,) + x.shape, dtype=np.result_type(x, j0, j1))
+    rows[top] = 1e-300 * np.maximum(1.0, np.where(use_j0, a0, a1))
     rows[top + 1] = rows[top] * r
     for k in range(top, 0, -1):
         np.multiply(coef[k], rows[k], out=rows[k - 1])
         rows[k - 1] -= rows[k + 1]
-    use_j0 = np.abs(j0) >= np.abs(j1)
     scale = np.where(use_j0, j0, j1) / np.where(use_j0, rows[0], rows[1])
     return rows[:top + 1] * scale
 

@@ -17,7 +17,9 @@ full_t
     The E_z and H_z conditions each fix one interior coefficient;
     eliminating both leaves a closed-form 2x2 system for the outgoing
     (M, N) amplitudes (Rahi, Emig, Graham, Jaffe, Kardar, PRD 80,
-    085021 (2009)).
+    085021 (2009)).  Its Bessel tables of every order come by
+    recurrence in the order from library values at orders 0 and 1,
+    with the recurrences of kernels (see _bessel_tables).
 
 Providers (ThinExpansion, FullSolve) bind a material and radius and
 produce batched blocks over nodes in (order, ktilde_z) for the force
@@ -41,6 +43,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import TMatrixError
+from .kernels import _miller_j, _recur_up
 from .materials import epsilon as _epsilon
 from .units import C_LIGHT
 
@@ -165,6 +168,48 @@ def _lower(z):
     return np.concatenate([-z[:, 1:2], z[:, :-1]], axis=1)
 
 
+def _bessel_tables(p, p1, top):
+    """H_n(p) and J_n(p) for n = 0 .. max(top, 1), and J_n(p1) for
+    n = 0 .. top + 1, as tables (Nk, orders), by recurrence in the
+    order from orders 0 and 1 (kernels._recur_up, kernels._miller_j).
+
+    p is real (propagating rows) or positive imaginary, p = i y
+    (evanescent rows), so its seeds are real-argument functions:
+    J_0, J_1, Y_0 and Y_1 at p, or I_0, I_1, K_0 and K_1 at y through
+    J_n(iy) = i^n I_n(y) and H_n(iy) = (2 / pi) i^-(n+1) K_n(y).  H runs
+    upward, the direction in which Y and K grow.  J_n(p) and the
+    interior J_n(p1) (p1 complex for lossy eps) run downward by
+    Miller's method, in one run scaled to the exact orders 0 and 1
+    (scipy's jv(0, p1) and jv(1, p1) inside); its start order grows
+    with |z| once |z| exceeds top + 1.  On propagating rows
+    H = J + i Y takes its real part from the Miller run, as in
+    kernels.hankel_tables.  At small |p| and high orders H overflows
+    and the tables hold inf or nan; _full_blocks_batch then fails the
+    requests that read them.
+    """
+    ext = max(top, 1)
+    evan = p.imag > 0.0
+    prop = ~evan
+    r, y = p.real[prop], p.imag[evan]
+    h0, h1, j0, j1 = np.empty((4,) + p.shape, dtype=complex)
+    z = np.concatenate([p, p1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        j0[prop], j1[prop] = _sp.j0(r), _sp.j1(r)
+        h0[prop] = j0[prop] + 1j * _sp.y0(r)
+        h1[prop] = j1[prop] + 1j * _sp.y1(r)
+        j0[evan], j1[evan] = _sp.i0(y), 1j * _sp.i1(y)
+        h0[evan] = (-2j / math.pi) * _sp.k0(y)
+        h1[evan] = (-2.0 / math.pi) * _sp.k1(y)
+        two_over_z = 2.0 / z
+        h = _recur_up(h0, h1, two_over_z[:p.size], ext, np.subtract)
+        j = _miller_j(z, two_over_z, top + 1,
+                      np.concatenate([j0, _sp.jv(0, p1)]),
+                      np.concatenate([j1, _sp.jv(1, p1)]))
+    jx = j[:ext + 1, :p.size]
+    h.real[:, prop] = jx.real[:, prop]
+    return h.T, jx.T, j[:, p.size:].T
+
+
 def _full_blocks_batch(orders, ktz, eps, mu, x):
     """Closed-form blocks for every (ktz node, order).
 
@@ -195,6 +240,12 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     light line.  The tables run over orders 0 .. max |n|, and only the
     requested orders are checked for a singular or non-finite system.
     Negative orders follow from the parity of the blocks in n.
+
+    The tables come from _bessel_tables: real-argument seeds at orders
+    0 and 1 (J, Y at real p; I, K at p = i y), H_n(p) run upward, and
+    J_n(p) and J_n(p1) run downward by Miller's method from order
+    m + 8 + sqrt(12 m), m the larger of top + 1 and the largest |p|,
+    |p1| of the call, scaled to the exact orders 0 and 1.
 
     Parameters
     ----------
@@ -236,10 +287,7 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     # tables over orders 0 .. top (0 .. top + 1 inside)
     absn = np.abs(orders)
     top = int(absn.max())
-    ext = np.arange(max(top, 1) + 1)
-    h = _sp.hankel1(ext, p[:, None])
-    jx = _sp.jv(ext, p[:, None])
-    j1 = _sp.jv(np.arange(top + 2), p1[:, None])
+    h, jx, j1 = _bessel_tables(p, p1, top)
     p = p[:, None]
     p1 = p1[:, None]
     p1sq = p1 * p1

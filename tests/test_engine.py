@@ -231,9 +231,8 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
 
 def _counting_outer(monkeypatch, phase=None):
     """Patch the engine's outer integrator to count its calls, its
-    outer nodes and each node value (a seed panel between two edges
-    one rounding apart repeats one node); phase["outer"], if given, is
-    True inside its integrand."""
+    outer nodes and each node value; phase["outer"], if given, is True
+    inside its integrand."""
     counts = {"calls": 0, "nodes": 0, "values": Counter()}
     phase = {} if phase is None else phase
     real_outer = engine.adaptive_vector
@@ -278,21 +277,18 @@ def _recording_blocks(monkeypatch, phase):
 
 def _check_outer_calls(calls, counts, distinct):
     """The outer integral's provider calls batch a panel's nodes: every
-    outer node's omega appears in exactly one call per distinct
-    cylinder, with both light-line branches; there are fewer calls than
-    nodes, and no call exceeds the engine's entry budget.  A node value
-    that repeats k times may spread over up to k calls."""
+    outer node is a distinct value, its omega appears in exactly one
+    call per distinct cylinder, with both light-line branches; there
+    are fewer calls than nodes, and no call exceeds the engine's entry
+    budget."""
+    assert len(counts["values"]) == counts["nodes"]
     outer = [c for c in calls if c["outer"]]
     seen = Counter((c["cylinder"], w) for c in outer
                    for w in np.unique(c["omega"]).tolist())
-    # omega is increasing in the node value, so the i-th smallest omega
-    # belongs to the i-th smallest node value
-    omegas = sorted({w for _, w in seen})
-    values = sorted(counts["values"])
-    assert len(omegas) == len(values)
-    repeats = {w: counts["values"][v] for w, v in zip(omegas, values)}
+    omegas = {w for _, w in seen}
+    assert len(omegas) == counts["nodes"]
     assert len(seen) == distinct * len(omegas)
-    assert all(n == 1 or n <= repeats[w] for (_, w), n in seen.items())
+    assert set(seen.values()) == {1}
     for c in outer:
         for w in np.unique(c["omega"]):
             ktz = c["ktz"][c["omega"] == w]

@@ -273,23 +273,115 @@ def test_full_blocks_at_interior_bessel_zero():
                                      np.array([ktz]), omega) < 1e-8
 
 
+def _mp_orders(z, top, hankel):
+    """J_n(z), or H_n(z) = H1_n(z) with hankel, for n = 0 .. top at 40
+    digits, with z real or on the positive imaginary axis (J also at
+    any complex z).  J is the series (z / 2)^n / n! 0F1(; n + 1;
+    -z^2 / 4), which mpmath sums with the precision its cancellation
+    needs.  H is J + i Y at real z and (2 / pi) i^-(n+1) K_n(y) at
+    z = i y, with Y_n and K_n run upward from mpmath's orders 0 and 1
+    (DLMF 10.6.1, 10.29.1; both grow with the order, so the 40-digit
+    run keeps 35 digits).  mpmath's besselj and hankel1 at complex
+    arguments lose digits at small |z| and, for H, at large Im z, and
+    its besselk is slow at large arguments."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        if not hankel:
+            z = mp.mpc(z)
+            return [complex((z / 2) ** n / mp.factorial(n)
+                            * mp.hyp0f1(n + 1, -z * z / 4))
+                    for n in range(top + 1)]
+        evan = z.imag > 0
+        t = mp.mpf(z.imag if evan else z.real)
+        f, sign = (mp.besselk, -1) if evan else (mp.bessely, 1)
+        rows = [f(0, t), f(1, t)]
+        for n in range(1, top):
+            rows.append(2 * n / t * rows[n] - sign * rows[n - 1])
+        if evan:
+            return [complex(2 / mp.pi * mp.mpc(0, 1) ** -(n + 1) * k)
+                    for n, k in enumerate(rows)]
+        return [complex(mp.mpc(mp.besselj(n, t), y))
+                for n, y in enumerate(rows)]
+
+
+def test_bessel_tables_against_mpmath():
+    # the full blocks' tables come from recurrences in the order from
+    # orders 0 and 1: H_n(p) and J_n(p) at real and positive imaginary
+    # p, J_n(p1) at arg p1 from 45 to 90 degrees (the tungsten range),
+    # up to order 32 (the probe cap) and from the smallest |p| (next to
+    # the light line) and |p1| of the tungsten grids to |z| above the
+    # top order.  One call per |z|, so the Miller start order is the
+    # one that |z| alone sets.  Every entry in the double range agrees
+    # to 1e-13 relative; below it an entry underflows to (near) zero
+    # and above it overflows.  Worst measured: 5.6e-14, J_8(36) next
+    # to its zero (scipy's jv: 3.2e-14 at J_20(45)); 3.8e-15 for H_n(p)
+    # and J_n(p1)
+    top = 32
+    worst = 0.0
+    for mag in (2.1e-12, 8e-5, 1e-2, 0.7, 9.5, 31.0, 36.0, 45.0):
+        p = mag * np.array([1.0, 1j, 1.0, 1j])
+        p1 = mag * np.exp(1j * np.radians([45.0, 60.0, 75.0, 90.0]))
+        tables = tmatrix._bessel_tables(p, p1, top)
+        assert [t.shape for t in tables] == [(4, top + 1), (4, top + 1),
+                                             (4, top + 2)]
+        for table, args, hankel in ((tables[0], p, True),
+                                    (tables[1], p, False),
+                                    (tables[2], p1, False)):
+            for row, z in zip(table, args):
+                for got, want in zip(row, _mp_orders(z, row.size - 1,
+                                                     hankel)):
+                    if abs(want) > 1e300:
+                        assert not abs(got) < 1e300
+                    elif abs(want) < 1e-290:
+                        assert abs(got) < 1e-288
+                    else:
+                        worst = max(worst, abs(got - want) / abs(want))
+    assert worst < 1e-13
+
+
+def test_full_blocks_fail_where_the_tables_overflow():
+    # next to the light line (p = 2.1e-12) H_n(p) ~ (n - 1)! (2 / p)^n
+    # leaves the double range at high orders, and the blocks that read
+    # it fail with the singular-system error; lower orders are finite.
+    # scipy's hankel1 and jv tables failed the same orders (measured)
+    x, ktz = 1e-4, 1.0 + 2.0 ** -52
+    eps = complex(TUNGSTEN.epsilon(1e11))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(33):
+            if n < 15:
+                t = tmatrix._full_blocks_batch(np.array([n]), np.array([ktz]),
+                                               eps, 1.0, x)
+                assert np.all(np.isfinite(t))
+            else:
+                with pytest.raises(TMatrixError, match="singular boundary"):
+                    tmatrix._full_blocks_batch(np.array([n]),
+                                               np.array([ktz]), eps, 1.0, x)
+
+
 def test_full_checks_only_the_requested_orders(monkeypatch):
-    # an order that cannot be evaluated (here a non-finite H_0) fails
-    # the requests that need it and no other
-    want = tmatrix.full_t(5, 0.5, EPS, 1.0, 0.3).entries
-    real = sp.hankel1
+    # an order that cannot be evaluated fails the requests that read it
+    # and no other: a non-finite H_0(p) is read by orders 0 and +-1,
+    # a non-finite interior J_3(p1) by orders 2 to 4 (through J_n'(p1));
+    # every other order, whose tables hold the bad entry unread, keeps
+    # its blocks bitwise
+    orders = range(-6, 7)
+    want = {n: tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3).entries for n in orders}
+    real = tmatrix._bessel_tables
+    for table, order, readers in ((0, 0, {0, 1}), (2, 3, {2, 3, 4})):
+        def broken(p, p1, top, table=table, order=order):
+            tables = real(p, p1, top)
+            if tables[table].shape[1] > order:
+                tables[table][:, order] = np.nan
+            return tables
 
-    def broken(n, z):
-        out = real(n, z)
-        out[..., 0] = np.nan
-        return out
-
-    monkeypatch.setattr(sp, "hankel1", broken)
-    assert np.array_equal(tmatrix.full_t(5, 0.5, EPS, 1.0, 0.3).entries,
-                          want)
-    for n in (0, 1, -1):
-        with pytest.raises(TMatrixError):
-            tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3)
+        monkeypatch.setattr(tmatrix, "_bessel_tables", broken)
+        for n in orders:
+            if abs(n) in readers:
+                with pytest.raises(TMatrixError):
+                    tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3)
+            else:
+                assert np.array_equal(
+                    tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3).entries, want[n])
 
 
 def test_thin_argument_errors():
@@ -324,10 +416,17 @@ def test_batch_errors_name_the_offending_row():
         tmatrix._thin_blocks_batch(orders, ktz, [EPS, EPS, -1.0], 1.0, x)
     with pytest.raises(TMatrixError, match=r"medium \(x = 0\.03\)"):
         tmatrix._full_blocks_batch(orders, ktz, [EPS, EPS, 0.0], 1.0, x)
+    # a non-finite row, propagating or evanescent, fails as singular
     with np.errstate(invalid="ignore"):
         with pytest.raises(TMatrixError, match=r"singular .* x = 0\.02"):
             tmatrix._full_blocks_batch(orders, ktz, [EPS, np.nan, EPS], 1.0,
                                        x)
+        with pytest.raises(TMatrixError, match=r"singular .* x = 0\.03"):
+            tmatrix._full_blocks_batch(orders, [0.2, 0.4, 1.6],
+                                       [EPS, EPS, np.nan], 1.0, x)
+        with pytest.raises(TMatrixError, match=r"singular .* x = nan"):
+            tmatrix._full_blocks_batch(orders, ktz, EPS, 1.0,
+                                       x * [1.0, np.nan, 1.0])
 
 
 def test_thin_provider_zero_blocks_beyond_order_one():
