@@ -73,8 +73,12 @@ def refine_zero(func, lower, upper, *, rel_tol=1e-3, max_iter=200):
     far fewer evaluations than bisection.  Returns the refined
     ZeroCrossing: both ends are evaluated points that straddle the
     sign change, at most rel_tol times their midpoint apart (unless
-    max_iter evaluations run out first).
+    max_iter evaluations run out first).  rel_tol must be positive and
+    finite.
     """
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError("rel_tol must be positive and finite, got %r"
+                         % (rel_tol,))
     b, c = float(lower), float(upper)
     if not b < c:
         raise ValueError("need lower < upper")

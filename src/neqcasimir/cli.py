@@ -28,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import find_zero_crossings, refine_zero
-from .engine import sweep, total_force
+from .engine import set_scenarios, sweep, total_force
 from .errors import QuadratureError, SchemaError
 from .scenario import load_scenario, parse_scenario
 from .units import G_STANDARD, MU_0
@@ -130,8 +130,6 @@ def _cmd_run(args):
         scenario.provider = args.provider
         resolved["provider"] = args.provider
     if args.rel_tol is not None:
-        if args.rel_tol <= 0:
-            raise SchemaError("--rel-tol must be positive")
         scenario.controls = replace(scenario.controls,
                                     rel_tol=args.rel_tol)
         resolved["controls"]["rel_tol"] = args.rel_tol
@@ -148,28 +146,30 @@ def _cmd_run(args):
 def _cmd_zeros(args):
     doc, rows = read_sweep_csv(args.csv)
     scenario, _ = parse_scenario(doc, base_dir=Path(args.csv).parent)
-    # the scenario's own floats behind the CSV's 13-digit separations
-    # and temperatures; each group's scenario keeps the temperature
-    # sets, so its passes cover the temperatures of the whole file, as
-    # in the sweep that wrote it: then grid-point forces repeat its
+    # rows go to the temperature set whose text they carry, and are
+    # refined on that set's scenario at the scenario's own floats, as
+    # in the sweep that wrote them: then grid-point forces repeat the
     # rows bitwise
-    exact = {_FMT % v: v for v in scenario.separations + sum(
-        scenario.temperature_sets or (), ())}
+    sets = {}
+    for one in set_scenarios(scenario):
+        temps = (one.cylinder1.temperature, one.cylinder2.temperature,
+                 one.environment_temperature)
+        sets[tuple(_FMT % t for t in temps)] = one
     groups = {}
     for row in rows:
-        key = tuple(exact.get(_FMT % row[c], row[c])
-                    for c in ("T1_K", "T2_K", "Tenv_K"))
+        key = tuple(_FMT % row[c] for c in ("T1_K", "T2_K", "Tenv_K"))
+        if key not in sets:
+            raise SchemaError("%s: row temperatures %s match no "
+                              "temperature set of its scenario header"
+                              % (args.csv, ", ".join(key)))
         groups.setdefault(key, []).append(row)
+    exact = {_FMT % d: d for d in scenario.separations}
     sys.stdout.write("T1_K,T2_K,Tenv_K,d_zero_m,stability\n")
     memo = {}
-    for (t1, t2, te), group in groups.items():
+    for key, group in groups.items():
+        one = sets[key]
         d = [exact.get(_FMT % row["d_m"], row["d_m"]) for row in group]
         f = [row["F1_total"] for row in group]
-        one = replace(
-            scenario,
-            cylinder1=replace(scenario.cylinder1, temperature=t1),
-            cylinder2=replace(scenario.cylinder2, temperature=t2),
-            environment_temperature=te)
 
         def force_at(sep):
             return total_force(one, sep, _memo=memo).f_total_1
@@ -177,9 +177,8 @@ def _cmd_zeros(args):
         for bracket in find_zero_crossings(d, f):
             root = refine_zero(force_at, bracket.lower, bracket.upper,
                                rel_tol=args.rel_tol)
-            sys.stdout.write(
-                ",".join(_FMT % v for v in (t1, t2, te, root.midpoint))
-                + ",%s\n" % root.stability)
+            sys.stdout.write(",".join(key + (_FMT % root.midpoint,
+                                             root.stability)) + "\n")
     return 0
 
 

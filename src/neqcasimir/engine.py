@@ -27,7 +27,7 @@ force of one source, at every temperature a computation needs, are
 channels of one frequency integral per (source, target, separation),
 run by one driver (_pass) in absolute omega: the kernels are summed
 once per outer node, and each temperature weights them with its Bose
-factor inside its own window [u_min, x_max] of
+factor inside its own window [u_min, X_MAX] of
 u = hbar omega / (k_B T).  The outer integral is globally adaptive
 with one tolerance group per temperature and kind, so each channel
 converges as if it were integrated alone.  Its first seed panel
@@ -78,14 +78,17 @@ import numpy as np
 from . import kernels
 from .equilibrium import EquilibriumTable
 from .materials import CylinderSpec, Vacuum
-from .quadrature import (adaptive_vector, composite_nodes,
-                         thermal_seed_edges, uniform_edges)
+from .quadrature import (MAX_PANELS, X_MAX, adaptive_vector,
+                         composite_nodes, thermal_seed_edges, uniform_edges)
 from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
+# panel edges of the y grid; the order probe's stops at y = 12
 _EVAN_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
+# order probe: frequencies in u, and the converged relative shell size
 _PROBE_US = (2.5, 7.0, 15.0)
+_SERIES_TOL = 1e-6
 # axial integrals of each kind (see _inner), and psi panels per unit kd
 # of the propagating interaction and pair sums
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
@@ -112,58 +115,43 @@ _GRID_CAP_WARNING = ("inner wavenumber grid still changing at the "
 
 @dataclass(frozen=True)
 class QuadratureControls:
-    """Tunable accuracy knobs for the force integrals.
+    """Accuracy settings of the force integrals, each checked here.
 
     rel_tol : relative accuracy target of the frequency integral,
         held per temperature channel: each temperature's channels
         converge as if integrated alone.
-    x_max : upper cutoff of the substituted variable
-        u = hbar omega / k_B T of each temperature channel; exp(-40)
-        leaves no visible tail.
-    u_min : lower cutoff of the same variable, normally 0, per
-        temperature channel.  Needed for
-        idealized frequency-independent lossy permittivities, whose
-        near-field frequency integrand behaves like 1/u at u -> 0 and
-        diverges logarithmically; causal materials (Im eps -> 0 with
-        frequency) are integrable from 0 and should leave this alone.
-        Comparisons between computation paths must share one window.
+    u_min : lower cutoff of u = hbar omega / k_B T, normally 0, per
+        temperature channel; the upper cutoff is quadrature.X_MAX = 40.
+        Needed for idealized frequency-independent lossy
+        permittivities, whose near-field frequency integrand behaves
+        like 1/u at u -> 0 and diverges logarithmically; causal
+        materials (Im eps -> 0 with frequency) are integrable from 0
+        and should leave this alone.  Comparisons between computation
+        paths must share one window.
     n_max : azimuthal order cap; None means 1 for the thin provider
         and 8 for the full one.
-    series_tol : relative shell size at which the multipole series
-        counts as converged.
-    y_cut : upper cutoff of the evanescent decay variable y = |q| d.
-    max_panels : outer adaptive panel budget per temperature channel
-        before giving up.
 
-    The propagating integral runs over the full psi range; the
-    provider decides whether the source amplitude keeps its quadratic
-    term.
+    Fixed: 200 outer panels per temperature (quadrature.MAX_PANELS),
+    a converged multipole shell of 1e-6 relative, and the evanescent
+    grid up to y = |q| d = 35.  The provider decides whether the
+    source amplitude keeps its quadratic term.
     """
 
     rel_tol: float = 1e-4
-    x_max: float = 40.0
     u_min: float = 0.0
     n_max: int | None = None
-    series_tol: float = 1e-6
-    y_cut: float = 35.0
-    max_panels: int = 200
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
-        if not (self.x_max > 0 and math.isfinite(self.x_max)):
-            raise ValueError("x_max must be positive and finite")
-        if not (0.0 <= self.u_min < self.x_max):
-            raise ValueError("u_min must satisfy 0 <= u_min < x_max")
+            raise ValueError("rel_tol must be positive and finite, got %r"
+                             % (self.rel_tol,))
+        if not (0.0 <= self.u_min < X_MAX):
+            raise ValueError("u_min must satisfy 0 <= u_min < %g, got %r"
+                             % (X_MAX, self.u_min))
         if self.n_max is not None and (int(self.n_max) != self.n_max
                                        or self.n_max < 1):
-            raise ValueError("n_max must be a positive integer or None")
-        if not (self.series_tol > 0):
-            raise ValueError("series_tol must be positive")
-        if not (self.y_cut > 0 and math.isfinite(self.y_cut)):
-            raise ValueError("y_cut must be positive and finite")
-        if self.max_panels < 8:
-            raise ValueError("max_panels must be at least 8")
+            raise ValueError("n_max must be a positive integer or None, "
+                             "got %r" % (self.n_max,))
 
 
 @dataclass(frozen=True)
@@ -236,15 +224,18 @@ class Scenario:
             raise ValueError("separations must be positive and finite")
         self.separations = seps
         if self.provider not in ("thin", "full"):
-            raise ValueError("provider must be 'thin' or 'full'")
+            raise ValueError("provider must be 'thin' or 'full', got %r"
+                             % (self.provider,))
         if self.environment_temperature < 0:
-            raise ValueError("environment temperature must be >= 0")
+            raise ValueError("environment_temperature must be >= 0, got %r"
+                             % (self.environment_temperature,))
         if self.temperature_sets is not None:
             sets = tuple(tuple(float(t) for t in s)
                          for s in self.temperature_sets)
             if any(len(s) != 3 or min(s) < 0 for s in sets):
-                raise ValueError("temperature sets must be (T1, T2, "
-                                 "T_env) with nonnegative entries")
+                raise ValueError("temperature_sets must be (T1, T2, T_env) "
+                                 "with nonnegative entries, got %r"
+                                 % (sets,))
             self.temperature_sets = sets
 
 
@@ -270,16 +261,6 @@ def _check_geometry(source, target, separation, stacklevel=3):
 
 def _npanels(kd, per_panel):
     return max(4, int(math.ceil(kd / per_panel)))
-
-
-def _evan_grid(y_cut, factor):
-    base = [e for e in _EVAN_EDGES if e < y_cut] + [y_cut]
-    if factor > 1:
-        refined = [base[0]]
-        for lo, hi in zip(base[:-1], base[1:]):
-            refined.extend(np.linspace(lo, hi, factor + 1)[1:])
-        base = refined
-    return composite_nodes(np.asarray(base, dtype=float))
 
 
 @lru_cache(maxsize=256)
@@ -331,11 +312,15 @@ def _evan_weights(y, y_wts, kd):
     return y_wts * y * y / np.sqrt(np.square(kd)[..., None] + y * y)
 
 
-def _evan_tables(controls, factor, orders):
-    """Evanescent y-grid (nodes, weights) at a grid-density factor and
-    its K-product table.  Neither depends on the frequency, so one
-    pass builds them once and reuses them at every outer node."""
-    nodes, wts = _evan_grid(controls.y_cut, factor)
+def _evan_tables(factor, orders):
+    """Evanescent y-grid (nodes, weights), with every panel of
+    _EVAN_EDGES split into factor equal parts, and its K-product table.
+    Neither depends on the frequency, so one pass builds them once and
+    reuses them at every outer node."""
+    edges = [_EVAN_EDGES[0]]
+    for lo, hi in zip(_EVAN_EDGES[:-1], _EVAN_EDGES[1:]):
+        edges.extend(np.linspace(lo, hi, factor + 1)[1:])
+    nodes, wts = composite_nodes(edges)
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
@@ -398,7 +383,7 @@ def _inner(src_prov, tgt_prov, omegas, d, orders, sums, n_panels, evan):
     return out
 
 
-def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
+def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
     kernel is negligible: the interaction kernel ('f' with 'e') and the
@@ -413,7 +398,7 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
     n_psi = sin_psi.size
     cap_orders = np.arange(-n_cap, n_cap + 1)
     if "int" in kinds:
-        y_nodes, y_wts = _evan_grid(min(12.0, controls.y_cut), 1)
+        y_nodes, y_wts = composite_nodes(_EVAN_EDGES[:10])
         kk = kernels.k_product_table(y_nodes, 2 * n_cap)
     need = 1
     for omega in omegas:
@@ -449,7 +434,7 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, controls, kinds, n_cap):
                 if ks in prev:
                     shell = sum(abs(a - b) for a, b in zip(cur, prev[ks]))
                     scale = max(sum(abs(a) for a in cur), 1e-300)
-                    if shell <= controls.series_tol * scale:
+                    if shell <= _SERIES_TOL * scale:
                         need = max(need, n_cur)
                         pending.remove(ks)
                 prev[ks] = cur
@@ -480,7 +465,7 @@ def _bump_factor(evaluate, rel_tol):
     return factor
 
 
-def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls):
+def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, rel_tol):
     """Grid-density factor that the axial integral s of _inner needs
     at frequency omega: its psi panels per _PER_PANEL[s], or its
     evanescent y-grid, doubled until the integral stops moving."""
@@ -488,14 +473,14 @@ def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, controls):
     if s == "e":
         def evaluate(f):
             return _inner(src_prov, tgt_prov, omegas, d, orders, ("e",), (),
-                          _evan_tables(controls, f, orders))[0, 0]
+                          _evan_tables(f, orders))[0, 0]
     else:
         n_panels = _npanels(omega * d / C_LIGHT, _PER_PANEL[s])
 
         def evaluate(f):
             return _inner(src_prov, tgt_prov, omegas, d, orders, (s,),
                           (n_panels * f,), None)[0, 0]
-    return _bump_factor(evaluate, controls.rel_tol)
+    return _bump_factor(evaluate, rel_tol)
 
 
 def _distinct(values):
@@ -537,25 +522,23 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
 
     The kernels do not depend on the temperature, which enters only
     through the Bose factor, so each outer node evaluates them once and
-    weights them for every temperature whose window [u_min, x_max] in
+    weights them for every temperature whose window [u_min, X_MAX] in
     its own u = hbar omega / k_B T holds the node.  The orders and the
     grid factors are the largest that any temperature needs.
     """
     sums = sum((_SUMS[k] for k in kinds), ())
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
     n_cap = int(src_prov.max_order or controls.n_max or 8)
-    probe_us = [u for u in _PROBE_US if u <= 0.9 * controls.x_max] \
-        or [0.5 * controls.x_max]
     n_use = _probe_orders(src_prov, tgt_prov,
-                          sorted({u * s for s in scales for u in probe_us}),
-                          d, controls, kinds, min(n_cap, 64 // 2))
+                          sorted({u * s for s in scales for u in _PROBE_US}),
+                          d, kinds, min(n_cap, 64 // 2))
     orders = np.arange(-n_use, n_use + 1)
 
-    omega_stars = [min(2.5, 0.5 * controls.x_max) * s for s in scales]
-    fac = {s: max(_grid_factor(s, src_prov, tgt_prov, w, d, orders, controls)
-                  for w in omega_stars)
+    fac = {s: max(_grid_factor(s, src_prov, tgt_prov, 2.5 * w, d, orders,
+                               controls.rel_tol)
+                  for w in scales)
            for s in sums}
-    evan = _evan_tables(controls, fac["e"], orders) if "e" in sums else None
+    evan = _evan_tables(fac["e"], orders) if "e" in sums else None
 
     def psi_panels(kd):
         return max(_npanels(kd, _PER_PANEL[s]) * fac[s]
@@ -577,7 +560,7 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
         omegas = np.where(first, x_nodes * x_nodes / omega_1, x_nodes)
         jac = np.where(first, 2.0 * x_nodes / omega_1, 1.0)
         us = omegas[:, None] / np.asarray(scales)
-        live = (controls.u_min <= us) & (us <= controls.x_max)
+        live = (controls.u_min <= us) & (us <= X_MAX)
         bose = np.expm1(us, where=live, out=np.ones_like(us))
         weights = np.where(live, jac[:, None] / bose, 0.0)
         out = np.zeros((x_nodes.size, len(temps), len(sums)))
@@ -597,7 +580,7 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     groups = [2 * j + (s == "s") for j in range(len(temps)) for s in sums]
     vals, _ = adaptive_vector(integrand, x_edges[0], x_edges[-1],
                               controls.rel_tol, seed_edges=x_edges,
-                              max_panels=controls.max_panels * len(temps),
+                              max_panels=MAX_PANELS * len(temps),
                               groups=groups)
     vals = HBAR / (2.0 * math.pi ** 2) * vals.reshape(len(temps), len(sums))
     out = {}
@@ -725,9 +708,8 @@ def total_force(scenario, separation, *, _memo=None):
     c1, c2 = scenario.cylinder1, scenario.cylinder2
     _check_geometry(c1, c2, separation)
     memo = {} if _memo is None else _memo
-    table = scenario.equilibrium if scenario.equilibrium is not None \
-        else EquilibriumTable.zero()
-    f_eq = table.force(separation)
+    f_eq = 0.0 if scenario.equilibrium is None \
+        else scenario.equilibrium.force(separation)
     t1 = c1.temperature
     t2 = c2.temperature
     te = float(scenario.environment_temperature)
@@ -777,31 +759,34 @@ def total_force(scenario, separation, *, _memo=None):
     )
 
 
+def set_scenarios(scenario):
+    """The scenario at each temperature set's (T1, T2, T_env), in file
+    order, or at its own without sets.  Each keeps every set, so its
+    passes cover the temperatures of the whole sweep."""
+    sets = scenario.temperature_sets
+    if sets is None:
+        sets = ((scenario.cylinder1.temperature,
+                 scenario.cylinder2.temperature,
+                 scenario.environment_temperature),)
+    return [replace(scenario,
+                    cylinder1=replace(scenario.cylinder1, temperature=t1),
+                    cylinder2=replace(scenario.cylinder2, temperature=t2),
+                    environment_temperature=te)
+            for t1, t2, te in sets]
+
+
 def sweep(scenario):
     """Evaluate a scenario over all its temperature sets and
     separations.  Returns a list of ForceBreakdown rows in file order:
     temperature sets outermost, separations innermost.  Each row is the
-    total_force of its temperature set's scenario, and the rows of one
+    total_force of its set_scenarios entry, and the rows of one
     separation share its passes (one per source cylinder, one for
     identical cylinders), so rows sharing a temperature and separation
     reuse bitwise-identical values."""
-    if scenario.temperature_sets is not None:
-        sets = scenario.temperature_sets
-    else:
-        sets = ((scenario.cylinder1.temperature,
-                 scenario.cylinder2.temperature,
-                 scenario.environment_temperature),)
     rsum = scenario.cylinder1.radius + scenario.cylinder2.radius
     if any(d < 5.0 * rsum for d in scenario.separations):
         warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning, stacklevel=2)
     memo = {}
-    rows = []
-    for t1, t2, te in sets:
-        one = replace(
-            scenario,
-            cylinder1=replace(scenario.cylinder1, temperature=t1),
-            cylinder2=replace(scenario.cylinder2, temperature=t2),
-            environment_temperature=te)
-        for d in scenario.separations:
-            rows.append(total_force(one, d, _memo=memo))
-    return rows
+    return [total_force(one, d, _memo=memo)
+            for one in set_scenarios(scenario)
+            for d in scenario.separations]

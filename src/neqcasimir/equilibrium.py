@@ -7,7 +7,7 @@ this package computes.  Tables arrive as CSV files with the header
     d_m,F_eq_N_per_m
 
 and strictly increasing separations; values are interpolated linearly
-in log d.  A zero table stands in when no equilibrium data is wanted.
+in log d.  A scenario without a table has zero equilibrium force.
 """
 
 import csv
@@ -54,12 +54,6 @@ class EquilibriumTable:
         self.allow_extrapolation = bool(allow_extrapolation)
         self.label = str(label)
         self._log_d = np.log(d)
-
-    @classmethod
-    def zero(cls):
-        """A table that reports zero equilibrium force everywhere."""
-        return cls((1e-12, 1.0), (0.0, 0.0), allow_extrapolation=True,
-                   label="zero")
 
     @classmethod
     def from_csv(cls, path, *, allow_extrapolation=False):

@@ -41,8 +41,13 @@ GK_WEIGHTS_GAUSS = np.array([_GK15[i][1] for i in _order])
 GK_WEIGHTS_KRONROD = np.array([_GK15[i][2] for i in _order])
 N_GK = 15
 
-# Seed panel edges of thermal frequency integrals, as fractions of the
-# upper cutoff: dense near u = 0, where the Bose factor varies fastest.
+# Thermal frequency integrals run over u = hbar omega / k_B T up to
+# X_MAX, where exp(-40) leaves no visible tail, on at most MAX_PANELS
+# adaptive panels per temperature.
+X_MAX = 40.0
+MAX_PANELS = 200
+# Seed panel edges of thermal frequency integrals, as fractions of
+# X_MAX: dense near u = 0, where the Bose factor varies fastest.
 _SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
 
@@ -186,11 +191,11 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
 
 
 def thermal_seed_edges(controls):
-    """Seed edges of an outer frequency integral on [u_min, x_max] in
-    u = hbar omega / (k_B T); controls carries u_min and x_max."""
-    edges = {controls.u_min, controls.x_max}
+    """Seed edges of an outer frequency integral on [u_min, X_MAX] in
+    u = hbar omega / (k_B T); controls carries u_min."""
+    edges = {controls.u_min, X_MAX}
     for fr in _SEED_FRACTIONS:
-        u = fr * controls.x_max
+        u = fr * X_MAX
         if u > controls.u_min:
             edges.add(u)
     return sorted(edges)
@@ -200,9 +205,9 @@ def bose_integral(weight, temperature, controls):
     """Adaptive integral of weight(omega) / (exp(hbar omega / k T) - 1)
     d omega; zero at T = 0.
 
-    Substitutes u = hbar omega / k T so the window [u_min, x_max] of
-    controls covers the thermal band uniformly across temperatures;
-    rel_tol and max_panels come from controls as well.
+    Substitutes u = hbar omega / k T so the window [u_min, X_MAX]
+    covers the thermal band uniformly across temperatures; u_min and
+    rel_tol come from controls.
     """
     if temperature == 0.0:
         return 0.0
@@ -217,8 +222,8 @@ def bose_integral(weight, temperature, controls):
             vals[pos, 0] = weight(scale * u[pos]) * nb
         return vals
 
-    totals, _ = adaptive_vector(integrand, controls.u_min,
-                                controls.x_max, controls.rel_tol,
+    totals, _ = adaptive_vector(integrand, controls.u_min, X_MAX,
+                                controls.rel_tol,
                                 seed_edges=thermal_seed_edges(controls),
-                                max_panels=controls.max_panels)
+                                max_panels=MAX_PANELS)
     return scale * totals[0]

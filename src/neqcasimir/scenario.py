@@ -25,12 +25,19 @@ Materials may be packaged names ('sic', 'tungsten_2400K', 'vacuum'),
 inline material documents, or {"path": "file.json"} relative to the
 scenario file.  Optional fields: "temperature_sets" (several
 {T1, T2, T_env} triples sharing one geometry; mutually exclusive with
-per-cylinder temperatures), "controls" (quadrature overrides),
+per-cylinder temperatures), "controls" (rel_tol, u_min, n_max),
 "equilibrium_file" / "equilibrium" (ingested equilibrium force table),
-"output".  Headers written by earlier versions also carry
-"include_quadratic": null at the top level and in "controls", and
-"kz_symmetry": false in "controls"; these are accepted at exactly those
-values and dropped, and any other value is an error.
+"output".  Headers written by earlier versions also carry removed
+fields: "include_quadratic": null at the top level and in "controls",
+and in "controls" "kz_symmetry": false and the settings that are now
+constants, "x_max": 40.0, "series_tol": 1e-06, "y_cut": 35.0 and
+"max_panels": 200.  Each is accepted at exactly that type and value
+and dropped; anything else is an error.
+
+Here the JSON shape, types, units and ordering are checked.  Value
+ranges are checked once, by the dataclass that owns the value
+(QuadratureControls, CylinderSpec, Scenario), and its ValueError
+becomes a SchemaError under the path being parsed.
 
 `parse_scenario` returns the engine scenario together with a fully
 resolved plain dict (defaults filled in, units normalized to SI,
@@ -53,18 +60,22 @@ from .materials import (Constant, ConductivitySum, CylinderSpec, Lorentz,
                         LowFreqExpansion, Vacuum, load_material)
 from .units import length_to_m
 
-_CONTROL_FIELDS = ("rel_tol", "x_max", "u_min", "n_max", "series_tol",
-                   "y_cut", "max_panels")
+_CONTROL_FIELDS = [f.name for f in dataclasses.fields(QuadratureControls)]
 
 # removed fields: the one value every earlier header carries, and why
 # the field went
 _QUADRATIC_GONE = (None, "removed: the provider decides whether the "
                    "source amplitude keeps its quadratic term")
+_CONSTANT = "removed: the quadrature holds this setting constant"
 _RETIRED_TOP = {"include_quadratic": _QUADRATIC_GONE}
 _RETIRED_CONTROLS = {
     "include_quadratic": _QUADRATIC_GONE,
     "kz_symmetry": (False, "removed: the propagating integral always "
-                    "runs over the full k_z range")}
+                    "runs over the full k_z range"),
+    "x_max": (40.0, _CONSTANT),
+    "series_tol": (1e-06, _CONSTANT),
+    "y_cut": (35.0, _CONSTANT),
+    "max_panels": (200, _CONSTANT)}
 
 
 def _fail(path, message):
@@ -79,12 +90,22 @@ def _require_object(node, path):
 
 def _drop_retired(node, retired, prefix):
     """node without the removed fields, each of which may appear only
-    with the value earlier headers wrote for it."""
+    with the value earlier headers wrote for it: of the same type, so
+    that 0 is not False and 40 is not 40.0."""
     for key, (value, why) in retired.items():
-        if key in node and node[key] is not value:
+        if key in node and not (type(node[key]) is type(value)
+                                and node[key] == value):
             _fail(prefix + key, "%s; only %s is accepted, got %r"
                   % (why, json.dumps(value), node[key]))
     return {k: v for k, v in node.items() if k not in retired}
+
+
+def _build(cls, path, **fields):
+    """cls(**fields), with its ValueError as a SchemaError at path."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _get(doc, key, path, required=True, default=None):
@@ -95,24 +116,20 @@ def _get(doc, key, path, required=True, default=None):
     return doc[key]
 
 
-def _number(node, path, *, minimum=None, exclusive=False):
+def _number(node, path, *, positive=False):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, "expected a number, got %r" % (node,))
     value = float(node)
     if not math.isfinite(value):
         _fail(path, "must be finite")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            _fail(path, "must be > %g" % (minimum,))
-        if not exclusive and value < minimum:
-            _fail(path, "must be >= %g" % (minimum,))
+    if positive and value <= 0:
+        _fail(path, "must be > 0")
     return value
 
 
 def _length_m(node, path):
     node = _require_object(node, path)
-    value = _number(_get(node, "value", path), path + ".value",
-                    minimum=0.0, exclusive=True)
+    value = _number(_get(node, "value", path), path + ".value", positive=True)
     unit = _get(node, "unit", path)
     try:
         return length_to_m(value, unit)
@@ -122,7 +139,7 @@ def _length_m(node, path):
 
 def _temperature_k(node, path):
     node = _require_object(node, path)
-    value = _number(_get(node, "value", path), path + ".value", minimum=0.0)
+    value = _number(_get(node, "value", path), path + ".value")
     unit = _get(node, "unit", path)
     if unit != "K":
         _fail(path + ".unit", "temperatures must be in 'K', got %r"
@@ -194,8 +211,8 @@ def _cylinder(node, path, base_dir, *, allow_temperature):
         _fail(path, "missing required field 'temperature'")
     temperature = (_temperature_k(temp_node, path + ".temperature")
                    if temp_node is not None else 0.0)
-    spec = CylinderSpec(radius=radius, material=model,
-                        temperature=temperature)
+    spec = _build(CylinderSpec, path, radius=radius, material=model,
+                  temperature=temperature)
     return spec, name, mat_doc
 
 
@@ -209,7 +226,7 @@ def _separations(node, path):
         out = []
         for i, entry in enumerate(raw):
             value = _number(entry, "%s.values[%d]" % (path, i),
-                            minimum=0.0, exclusive=True)
+                            positive=True)
             try:
                 out.append(length_to_m(value, unit))
             except ValueError as exc:
@@ -246,28 +263,16 @@ def _controls(node, path):
     unknown = set(node) - set(_CONTROL_FIELDS)
     if unknown:
         _fail(path, "unknown control fields %s; valid ones are %s"
-              % (sorted(unknown), list(_CONTROL_FIELDS)))
+              % (sorted(unknown), _CONTROL_FIELDS))
     kwargs = {}
     for key, value in node.items():
-        if key in ("n_max", "max_panels"):
-            if value is None and key == "n_max":
-                kwargs[key] = None
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                _fail("%s.%s" % (path, key), "expected an integer")
-            if value < 1:
-                _fail("%s.%s" % (path, key), "must be >= 1")
-            kwargs[key] = value
-        elif key == "u_min":
-            kwargs[key] = _number(value, "%s.%s" % (path, key),
-                                  minimum=0.0)
-        else:
-            kwargs[key] = _number(value, "%s.%s" % (path, key),
-                                  minimum=0.0, exclusive=True)
-    try:
-        return QuadratureControls(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
+        where = "%s.%s" % (path, key)
+        if key != "n_max":
+            value = _number(value, where)
+        elif not (value is None or type(value) is int):
+            _fail(where, "expected an integer or null")
+        kwargs[key] = value
+    return _build(QuadratureControls, path, **kwargs)
 
 
 def _temperature_sets(node, path):
@@ -285,7 +290,7 @@ def _temperature_sets(node, path):
         where = "%s.sets[%d]" % (path, i)
         if not isinstance(entry, list) or len(entry) != 3:
             _fail(where, "expected a [T1, T2, T_env] triple")
-        out.append(tuple(_number(v, "%s[%d]" % (where, j), minimum=0.0)
+        out.append(tuple(_number(v, "%s[%d]" % (where, j))
                          for j, v in enumerate(entry)))
     return tuple(out)
 
@@ -370,19 +375,17 @@ def parse_scenario(doc, base_dir="."):
     separations = _separations(_get(doc, "separations", "scenario"),
                                "separations")
     provider = doc.get("provider", "thin")
-    if provider not in ("thin", "full"):
-        _fail("provider", "expected 'thin' or 'full', got %r" % (provider,))
     controls = _controls(doc.get("controls"), "controls")
     equilibrium = _equilibrium(doc, base_dir)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         _fail("output", "expected a string path")
 
-    scenario = Scenario(
-        cylinder1=cyl1, cylinder2=cyl2, separations=separations,
-        environment_temperature=t_env, provider=provider, controls=controls,
-        equilibrium=equilibrium, temperature_sets=temperature_sets,
-        name=name, output=output)
+    scenario = _build(
+        Scenario, "scenario", cylinder1=cyl1, cylinder2=cyl2,
+        separations=separations, environment_temperature=t_env,
+        provider=provider, controls=controls, equilibrium=equilibrium,
+        temperature_sets=temperature_sets, name=name, output=output)
 
     resolved = {
         "name": name,

@@ -63,6 +63,20 @@ def test_refine_zero_requires_sign_change():
         refine_zero(lambda d: 1.0, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_refine_zero_rejects_unreachable_rel_tol(rel_tol):
+    # such a width is never reached: every evaluation would be spent
+    calls = []
+
+    def force(d):
+        calls.append(d)
+        return math.cos(d)
+
+    with pytest.raises(ValueError, match="rel_tol"):
+        refine_zero(force, 1.0, 2.0, rel_tol=rel_tol)
+    assert calls == []
+
+
 def test_refine_zero_exact_hit():
     z = refine_zero(lambda d: 2.0 - d, 1.0, 2.0)
     assert z.lower == z.upper == 2.0

@@ -290,6 +290,53 @@ def test_zeros_repeats_the_sweep_rows(tmp_path, capsys, monkeypatch):
     assert grid == 4
 
 
+def test_zeros_refines_the_swept_scenario(tmp_path, capsys, monkeypatch):
+    # the CSV holds T1 to 13 digits; `zeros` refines the scenario of its
+    # header at T1's own float, so at the grid points it computes the
+    # swept rows again, text for text
+    t1 = 300.1234567890123
+    doc = _base_doc()
+    doc["separations"] = {"values": [6.2, 7.3], "unit": "um"}
+    doc["controls"] = {"rel_tol": 1e-2}
+    doc["cylinder1"]["temperature"] = {"value": t1, "unit": "K"}
+    doc["cylinder2"]["temperature"] = {"value": 0, "unit": "K"}
+    doc["environment_temperature"] = {"value": 0, "unit": "K"}
+    doc["equilibrium_file"] = str(SCENARIOS / "sic_equilibrium_standin.csv")
+    out = tmp_path / "t1.csv"
+    assert _run(["run", _write(tmp_path, "t1.json", doc),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[2:]
+    seen = {}
+    real_total = cli.total_force
+
+    def recording(scenario, separation, **kwargs):
+        b = real_total(scenario, separation, **kwargs)
+        seen[cli._FMT % separation] = b
+        return b
+
+    monkeypatch.setattr(cli, "total_force", recording)
+    capsys.readouterr()
+    assert _run(["zeros", str(out), "--rel-tol", "1e-2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    for line in lines:
+        b = seen[line.split(",")[0]]
+        assert b.t1 == t1
+        assert cli._breakdown_row(b) == line
+
+
+def test_zeros_rejects_unreachable_rel_tol(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "root.json", _vacuum_root_doc())
+    out = tmp_path / "root.csv"
+    assert _run(["run", path, "--out", str(out)]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "total_force", lambda *a, **k: calls.append(a))
+    for rel_tol in ("0", "-1", "nan"):
+        capsys.readouterr()
+        assert _run(["zeros", str(out), "--rel-tol", rel_tol]) == 2
+        assert "rel_tol" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_zeros_empty_without_sign_change(tmp_path, capsys):
     doc = _vacuum_root_doc()
     doc["equilibrium"]["F_eq_N_per_m"] = [-1.0, -4.0]
@@ -322,12 +369,25 @@ def test_exit_2_on_malformed_inputs(tmp_path, capsys):
     assert _run(["zeros", str(empty)]) == 2
     assert "no data rows" in capsys.readouterr().err
 
+    # a row whose temperatures are none of its header's sets
+    edited = tmp_path / "t.csv"
+    assert _run(["run", _write(tmp_path, "t.json", _vacuum_root_doc()),
+                 "--out", str(edited)]) == 0
+    lines = edited.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "1.000000000000e+00"
+    lines[2] = ",".join(fields)
+    edited.write_text("\n".join(lines) + "\n")
+    assert _run(["zeros", str(edited)]) == 2
+    assert "match no temperature set" in capsys.readouterr().err
 
-def test_exit_3_on_quadrature_failure(tmp_path, capsys):
+
+def test_exit_3_on_quadrature_failure(tmp_path, capsys, monkeypatch):
     doc = _base_doc()
     doc["separations"] = {"values": [8.0], "unit": "um"}
     doc["temperature_sets"] = {"unit": "K", "sets": [[300, 0, 0]]}
-    doc["controls"] = {"rel_tol": 1e-12, "max_panels": 8}
+    doc["controls"] = {"rel_tol": 1e-12}
+    monkeypatch.setattr(engine, "MAX_PANELS", 8)
     path = _write(tmp_path, "choke.json", doc)
     assert _run(["run", path, "--out", str(tmp_path / "x.csv")]) == 3
     assert "did not converge" in capsys.readouterr().err

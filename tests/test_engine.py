@@ -390,7 +390,7 @@ def test_inner_does_not_depend_on_its_batch(provider):
     n_panels = [engine._npanels(w * d / materials.C_LIGHT, 10.0)
                 for w in omegas]
     assert len(set(n_panels)) > 1
-    evan = engine._evan_tables(CTL, 1, orders)
+    evan = engine._evan_tables(1, orders)
     sums = ("f", "e", "s")
     batch = engine._inner(prov, prov, omegas, d, orders, sums, n_panels,
                           evan)
@@ -533,7 +533,6 @@ def test_overflowing_tables_raise_at_the_first_sum():
     # raises, naming the order and the argument, instead of passing nan
     # on to the outer integral
     prov = tmatrix.ThinExpansion(SIC, R)
-    ctl = QuadratureControls(rel_tol=1e-3)
     orders = np.arange(-32, 33)
     d = 2e-6
     omega = 1e-3 * materials.C_LIGHT / d  # kd = 1e-3
@@ -542,7 +541,7 @@ def test_overflowing_tables_raise_at_the_first_sum():
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 0\.00106"):
             engine._inner(prov, prov, omegas, d, orders, ("e",), (),
-                          engine._evan_tables(ctl, 1, orders))
+                          engine._evan_tables(1, orders))
         for kernel in ("f", "s"):
             with pytest.raises(QuadratureError,
                                match=r"order -?\d+ overflows at qd = "):
@@ -629,8 +628,8 @@ def test_controls_validation():
         QuadratureControls(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureControls(rel_tol=1e-4, n_max=0)
-    with pytest.raises(ValueError):
-        QuadratureControls(rel_tol=1e-4, x_max=-1.0)
+    with pytest.raises(ValueError, match="u_min"):
+        QuadratureControls(rel_tol=1e-4, u_min=40.0)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from neqcasimir.engine import Scenario, total_force
 from neqcasimir.equilibrium import EquilibriumTable
 from neqcasimir.errors import SchemaError
+from neqcasimir.materials import CylinderSpec, load_material
 
 D = np.array([0.5e-6, 1e-6, 2e-6, 5e-6, 10e-6])
 
@@ -52,11 +54,14 @@ def test_extrapolation_extends_end_segments():
         assert table.force(d) == pytest.approx(want, rel=1e-13)
 
 
-def test_zero_table():
-    table = EquilibriumTable.zero()
-    assert table.force(1e-9) == 0.0
-    assert table.force(0.3) == 0.0
-    assert table.label == "zero"
+def test_no_table_means_zero_equilibrium_force():
+    # without a table, total_force adds exactly zero at any separation
+    cold = CylinderSpec(1e-7, load_material("sic")[1])
+    scenario = Scenario(cylinder1=cold, cylinder2=cold, separations=(1e-5,))
+    for d in (1e-5, 0.3):
+        b = total_force(scenario, d)
+        assert b.f_eq == 0.0
+        assert b.f_total_1 == b.f_total_2 == 0.0
 
 
 def test_constructor_schema_errors():

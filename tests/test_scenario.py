@@ -4,10 +4,12 @@ round-trips, and the packaged presets."""
 import copy
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from neqcasimir import cli
 from neqcasimir.engine import QuadratureControls
 from neqcasimir.errors import SchemaError
 from neqcasimir.materials import Constant, Lorentz
@@ -147,28 +149,91 @@ def test_controls_parsing():
 
 
 def test_legacy_header_fields():
-    # headers written before the provider decided the quadratic term
-    # and the propagating integral always ran over the full k_z range
-    # carry both removed fields at their one value: they parse to the
-    # same scenario, and any other value names the field
+    # headers written before the provider decided the quadratic term,
+    # before the propagating integral always ran over the full k_z
+    # range, and before four quadrature settings became constants
+    # carry the removed fields at their one value, as JSON text: they
+    # parse to the same scenario, and any other value names the field
     doc = _minimal_doc()
     doc["controls"] = {"rel_tol": 1e-3}
     legacy = copy.deepcopy(doc)
     legacy["include_quadratic"] = None
-    legacy["controls"].update(include_quadratic=None, kz_symmetry=False)
+    legacy["controls"].update(json.loads(
+        '{"include_quadratic": null, "kz_symmetry": false, "x_max": 40.0,'
+        ' "series_tol": 1e-06, "y_cut": 35.0, "max_panels": 200}'))
     assert parse_scenario(legacy) == parse_scenario(doc)
     for path, value in (("include_quadratic", True),
                         ("include_quadratic", False),
                         ("controls.include_quadratic", True),
                         ("controls.kz_symmetry", True),
                         ("controls.kz_symmetry", None),
-                        ("controls.kz_symmetry", 0)):
+                        ("controls.kz_symmetry", 0),
+                        ("controls.x_max", 41.0),
+                        ("controls.x_max", 40),
+                        ("controls.series_tol", 1e-5),
+                        ("controls.series_tol", None),
+                        ("controls.y_cut", 12.0),
+                        ("controls.y_cut", 35),
+                        ("controls.max_panels", 8),
+                        ("controls.max_panels", 200.0),
+                        ("controls.max_panels", True)):
         bad = copy.deepcopy(legacy)
         *parents, key = path.split(".")
         node = bad[parents[0]] if parents else bad
         node[key] = value
         with pytest.raises(SchemaError, match=r"^%s: removed: " % path):
             parse_scenario(bad)
+
+
+_DELETE = object()
+_NO_CYLINDER_TEMPERATURES = {"cylinder1.temperature": _DELETE,
+                             "cylinder2.temperature": _DELETE,
+                             "environment_temperature": _DELETE}
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"controls.rel_tol": 0}, "rel_tol"),
+    ({"controls.rel_tol": -1e-3}, "rel_tol"),
+    ({"controls.rel_tol": "1e-3"}, "rel_tol"),
+    ({"controls.u_min": -1.0}, "u_min"),
+    ({"controls.u_min": 40.0}, "u_min"),
+    ({"controls.u_min": 1e3}, "u_min"),
+    ({"controls.n_max": 0}, "n_max"),
+    ({"controls.n_max": 2.5}, "n_max"),
+    ({"controls.n_max": True}, "n_max"),
+    ({"controls.x_max": -1.0}, "x_max"),
+    ({"controls.series_tol": 0.0}, "series_tol"),
+    ({"controls.y_cut": 0.0}, "y_cut"),
+    ({"controls.max_panels": 0}, "max_panels"),
+    ({"controls.max_panels": 7}, "max_panels"),
+    ({"provider": "exact"}, "provider"),
+    ({"provider": 1}, "provider"),
+    ({"environment_temperature.value": -1}, "environment_temperature"),
+    ({"cylinder1.temperature.value": -1}, "cylinder1.*temperature"),
+    ({"cylinder2.temperature.value": -0.5}, "cylinder2.*temperature"),
+    (dict(_NO_CYLINDER_TEMPERATURES, temperature_sets={
+        "unit": "K", "sets": [[300, -1, 0]]}), "temperature_sets"),
+])
+def test_rejected_inputs_name_their_field(changes, field, tmp_path, capsys):
+    # each value is checked once, in the dataclass that owns it, and
+    # still reaches the user as a schema error naming the field: exit 2
+    doc = _minimal_doc()
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node.setdefault(name, {})
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    with pytest.raises(SchemaError) as info:
+        parse_scenario(doc)
+    assert re.search(field, str(info.value))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 2
+    assert re.search(field, capsys.readouterr().err)
 
 
 def test_inline_equilibrium():
