@@ -186,9 +186,6 @@ def test_legacy_header_fields():
 
 
 _DELETE = object()
-_NO_CYLINDER_TEMPERATURES = {"cylinder1.temperature": _DELETE,
-                             "cylinder2.temperature": _DELETE,
-                             "environment_temperature": _DELETE}
 
 
 @pytest.mark.parametrize("changes, field", [
@@ -211,8 +208,10 @@ _NO_CYLINDER_TEMPERATURES = {"cylinder1.temperature": _DELETE,
     ({"environment_temperature.value": -1}, "environment_temperature"),
     ({"cylinder1.temperature.value": -1}, "cylinder1.*temperature"),
     ({"cylinder2.temperature.value": -0.5}, "cylinder2.*temperature"),
-    (dict(_NO_CYLINDER_TEMPERATURES, temperature_sets={
-        "unit": "K", "sets": [[300, -1, 0]]}), "temperature_sets"),
+    ({"cylinder1.temperature": _DELETE, "cylinder2.temperature": _DELETE,
+      "environment_temperature": _DELETE,
+      "temperature_sets": {"unit": "K", "sets": [[300, -1, 0]]}},
+     "temperature_sets"),
 ])
 def test_rejected_inputs_name_their_field(changes, field, tmp_path, capsys):
     # each value is checked once, in the dataclass that owns it, and
