@@ -144,6 +144,11 @@ def _cmd_run(args):
 
 
 def _cmd_zeros(args):
+    # checked before any row is read: refine_zero would check it only
+    # once per bracket, so a CSV without a sign change would pass
+    if not (args.rel_tol > 0 and math.isfinite(args.rel_tol)):
+        raise ValueError("rel_tol must be positive and finite, got %r"
+                         % (args.rel_tol,))
     doc, rows = read_sweep_csv(args.csv)
     scenario, _ = parse_scenario(doc, base_dir=Path(args.csv).parent)
     # rows go to the temperature set whose text they carry, and are

@@ -41,11 +41,12 @@ go in node order to _inner in groups.  A group's block rows are
 [psi rows of node 0 .. m-1 | y rows of node 0 .. m-1], with omega per
 row, so one provider call per distinct cylinder, one hankel_tables
 call and one call of each kernel sum serve the whole group.  A group
-holds at most _MAX_BLOCK_ENTRIES block entries (rows x orders), which
-bounds the working set of its tables and sums: with a whole panel per
-call the peak memory of a thin SiC sweep rose by a fifth, and of a
-full tungsten sweep by a third.  A node's values do not depend on its
-group.
+holds at most _MAX_BLOCK_ENTRIES = 12,288 block entries (rows x
+orders), which bounds the working set of its blocks, tables and sums.
+One _inner call peaks at about 150 bytes per entry (tracemalloc, five
+full-provider tungsten nodes at orders -4 .. 4), so the budget costs
+at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
+14,336 entries cost over 3%.  A node's values do not depend on its group.
 
 The axial integral is split at the light line: the propagating side is
 mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
@@ -96,8 +97,11 @@ _PER_PANEL = {"f": 10.0, "s": 3.0}
 _MAX_GRID_BUMPS = 4
 # block entries (rows x orders) of one _inner call in the outer
 # integral: a panel's nodes share calls up to this size, which bounds
-# the working set of its tables and sums
-_MAX_BLOCK_ENTRIES = 6144
+# the working set of its tables and sums.  At about 150 bytes per entry
+# this is the largest budget, in steps of 2,048, that keeps the peak
+# RSS of every benchmark workload within 3% of 6,144 entries at 335
+# bytes each: +1.0 to +2.2% measured, against +3.3% at 14,336
+_MAX_BLOCK_ENTRIES = 12288
 # memo entry: the temperatures of the scenario whose forces the memo
 # is serving, set by total_force and self_force on every call
 _TEMPS = "scenario temperatures"
@@ -226,15 +230,17 @@ class Scenario:
         if self.provider not in ("thin", "full"):
             raise ValueError("provider must be 'thin' or 'full', got %r"
                              % (self.provider,))
-        if self.environment_temperature < 0:
-            raise ValueError("environment_temperature must be >= 0, got %r"
+        if not 0 <= self.environment_temperature < math.inf:
+            raise ValueError("environment_temperature must be finite and "
+                             ">= 0, got %r"
                              % (self.environment_temperature,))
         if self.temperature_sets is not None:
             sets = tuple(tuple(float(t) for t in s)
                          for s in self.temperature_sets)
-            if any(len(s) != 3 or min(s) < 0 for s in sets):
+            if any(len(s) != 3 or not all(0 <= t < math.inf for t in s)
+                   for s in sets):
                 raise ValueError("temperature_sets must be (T1, T2, T_env) "
-                                 "with nonnegative entries, got %r"
+                                 "with finite nonnegative entries, got %r"
                                  % (sets,))
             self.temperature_sets = sets
 
@@ -344,7 +350,9 @@ def _inner(src_prov, tgt_prov, omegas, d, orders, sums, n_panels, evan):
     The -k_z evanescent blocks are T(k_z) * [[1, -1], [-1, 1]] on both
     cylinders and the sum multiplies their entries pairwise, so the
     -k_z sum is the +k_z sum bitwise and the branch is twice the +k_z
-    sum."""
+    sum.  The evanescent sum runs before the propagating tables and
+    source amplitudes are built, so its working set does not add to
+    theirs."""
     omegas = np.asarray(omegas, dtype=float)
     k = omegas / C_LIGHT
     kd = k * d
@@ -367,16 +375,15 @@ def _inner(src_prov, tgt_prov, omegas, d, orders, sums, n_panels, evan):
         w_rows.append(np.repeat(omegas, y.size))
     tsrc, ttgt = _blocks(src_prov, tgt_prov, orders, np.concatenate(ktz),
                          np.concatenate(w_rows))
+    if "e" in sums:
+        vals = _evan_vals(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max, y)
+        out[:, sums.index("e")] = 2.0 / (d * d) * np.sum(
+            _evan_weights(y, y_wts, kd) * vals.reshape(-1, y.size), axis=1)
     if n_psi:
         tables = kernels.hankel_tables(qd, nu_max)
         amp = kernels.prop_amplitude(tsrc[:n_psi], src_prov.quadratic_term)
     for col, s in enumerate(sums):
-        if s == "e":
-            vals = _evan_vals(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max, y)
-            out[:, col] = 2.0 / (d * d) * np.sum(
-                _evan_weights(y, y_wts, kd) * vals.reshape(-1, y.size),
-                axis=1)
-        else:
+        if s != "e":
             vals = _prop_vals(s, src_prov, amp, ttgt[:n_psi], tables,
                               nu_max, qd)
             out[:, col] = k * k * np.add.reduceat(w_sin2 * vals, starts)
@@ -612,8 +619,9 @@ def _force(kind, source, target, temperature, separation, provider,
     _check_geometry(source, target, separation, stacklevel=5)
     controls = controls if controls is not None else QuadratureControls()
     temp = source.temperature if temperature is None else float(temperature)
-    if temp < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0 <= temp < math.inf:
+        raise ValueError("temperature must be finite and >= 0, got %r"
+                         % (temp,))
     if temp == 0 or isinstance(source.material, Vacuum) \
             or isinstance(target.material, Vacuum):
         return (0.0, 0.0) if kind == "int" else (0.0,)

@@ -42,11 +42,30 @@ def prop_amplitude(blocks, include_quadratic=True):
     Returns the same shape: Re(T) + T T^dagger (complex), or without
     the quadratic term the real view Re(T), which the folded sums read
     as they are.
+
+    T T^dagger is written out entry by entry, since a batched matmul
+    spends most of its time on per-matrix overhead at 2x2: the diagonal
+    entries |T_P0|^2 + |T_P1|^2 are real, and the lower off-diagonal
+    entry is the conjugate of the upper one.  Any block is valid here;
+    the symmetry T^MN = T^NM is not used.
     """
     t = np.asarray(blocks, dtype=complex)
-    if include_quadratic:
-        return t.real + np.matmul(t, np.conj(np.swapaxes(t, -1, -2)))
-    return t.real
+    if not include_quadratic:
+        return t.real
+    t00, t01 = t[..., 0, 0], t[..., 0, 1]
+    t10, t11 = t[..., 1, 0], t[..., 1, 1]
+    out = np.empty_like(t)
+    out[..., 0, 0] = t00.real + (_abs2(t00) + _abs2(t01))
+    out[..., 1, 1] = t11.real + (_abs2(t10) + _abs2(t11))
+    upper = t00 * np.conj(t10) + t01 * np.conj(t11)
+    out[..., 0, 1] = t01.real + upper
+    out[..., 1, 0] = t10.real + np.conj(upper)
+    return out
+
+
+def _abs2(z):
+    """|z|^2 of a complex array, as a real array."""
+    return z.real * z.real + z.imag * z.imag
 
 
 # --- vectorized tables and folded sums ---------------------------------------
@@ -76,13 +95,14 @@ def _recur_up(z0, z1, two_over_x, top, step):
     upward from Z_0 and Z_1: step = np.subtract for J, Y and H,
     np.add for the modified function K (and its scaled form e^x K).
     The rows take the dtype of z0, so complex x and seeds run the same
-    recurrence in complex arithmetic."""
+    recurrence in complex arithmetic.  Each step forms its coefficient
+    n (2 / x) in the row it writes, as _miller_j does."""
     rows = np.empty((top + 1,) + z0.shape, dtype=z0.dtype)
     rows[0] = z0
     rows[1] = z1
-    coef = np.arange(top)[:, None] * two_over_x
     for n in range(1, top):
-        np.multiply(coef[n], rows[n], out=rows[n + 1])
+        np.multiply(n, two_over_x, out=rows[n + 1])
+        rows[n + 1] *= rows[n]
         step(rows[n + 1], rows[n - 1], out=rows[n + 1])
     return rows
 
@@ -116,14 +136,19 @@ def _miller_j(x, two_over_x, top, j0, j1):
     in the upper half plane it grows with |J|, like e^(Im x).  Orders
     whose J lies below the double range underflow to zero, as the
     exact values would.
+
+    Each step forms its coefficient k (2 / x) afresh in one reused
+    buffer, rounded as a table of them would be, so the run holds no
+    (start + 1) x N table of coefficients.
     """
     m = max(top, math.ceil(np.max(np.abs(x), initial=0.0,
                                   where=np.isfinite(x))))
     start = m + 8 + int(math.sqrt(12.0 * m))
-    coef = np.arange(start + 1)[:, None] * two_over_x
     r = np.zeros_like(x)
+    coef = np.empty_like(two_over_x)
     for k in range(start, top, -1):
-        np.subtract(coef[k], r, out=r)
+        np.multiply(k, two_over_x, out=coef)
+        np.subtract(coef, r, out=r)
         np.reciprocal(r, out=r)
     a0, a1 = np.abs(j0), np.abs(j1)
     use_j0 = a0 >= a1
@@ -131,7 +156,8 @@ def _miller_j(x, two_over_x, top, j0, j1):
     rows[top] = 1e-300 * np.maximum(1.0, np.where(use_j0, a0, a1))
     rows[top + 1] = rows[top] * r
     for k in range(top, 0, -1):
-        np.multiply(coef[k], rows[k], out=rows[k - 1])
+        np.multiply(k, two_over_x, out=coef)
+        np.multiply(coef, rows[k], out=rows[k - 1])
         rows[k - 1] -= rows[k + 1]
     scale = np.where(use_j0, j0, j1) / np.where(use_j0, rows[0], rows[1])
     return rows[:top + 1] * scale
@@ -225,6 +251,11 @@ def k_product_table(y, nu_max):
         return (_FOUR_OVER_PI2 * out * np.exp(-2.0 * y)).T
 
 
+# bytes of one run of _order_sums: its contiguous operand copies and
+# its product table G
+_ORDER_SUM_BYTES = 1 << 18
+
+
 @lru_cache(maxsize=64)
 def _diagonal_projector(n_src, n_tgt, nu_max, alternate):
     """0/1 matrix P of shape (n_src * n_tgt, 2 nu_max + 1) that sums a
@@ -251,7 +282,14 @@ def _order_sums(a, b, nu_max, alternate=False):
     G is one batched matmul over the flattened 2x2 polarization axis.
     Every folded kernel depends on n and m only through nu = n - m, so
     its order sum is sum_j kernel[k, j] D[k, j], and the diagonal sums
-    are one more matmul with a fixed projector.  A real a with a
+    are one more matmul with a fixed projector.  G holds n_src n_tgt
+    values per row, more than the operands' 4 (n_src + n_tgt), so the
+    rows go through in runs whose operand copies and G fit in
+    _ORDER_SUM_BYTES: the memory of a call then grows with its rows by
+    the operands and D alone.  As with the grouping of outer nodes, the
+    run a row falls in can move its sums only within the rounding of
+    the BLAS product.
+    A real a with a
     complex b takes two real products, one per part of b: NumPy's
     mixed-type batched matmul casts a to complex and is several times
     slower on these small matrices.
@@ -263,6 +301,13 @@ def _order_sums(a, b, nu_max, alternate=False):
         return d
     nk, n_src = a.shape[:2]
     n_tgt = b.shape[1]
+    per_row = (4 * (n_src + n_tgt) + n_src * n_tgt) \
+        * np.result_type(a, b).itemsize
+    rows = max(1, _ORDER_SUM_BYTES // per_row)
+    if nk > rows:
+        return np.concatenate([
+            _order_sums(a[i:i + rows], b[i:i + rows], nu_max, alternate)
+            for i in range(0, nk, rows)])
     # contiguous operands keep the batched matmul on its fast path
     g = np.matmul(np.ascontiguousarray(a.reshape(nk, n_src, 4)),
                   np.ascontiguousarray(b.reshape(nk, n_tgt, 4)
@@ -283,14 +328,40 @@ def prop_kernel_sum(a2, t1, hp, nu_max, include_quadratic=True):
     part is sum_nu Im(HP_nu D_nu + HP_[nu+1] conj(D_nu)); the
     quadratic part is 2 sum_nu Im(HP_nu Dq_nu), with Dq the diagonal
     sums of sum_PP' a2[n] (t1[m] t1[m+1]^dagger).
+
+    The product t1[m] t1[m+1]^dagger is formed as t1[m] conj(t1[m+1]),
+    without the transpose, four entries written out (see
+    _quadratic_product).  That is exact only because every block is
+    symmetric, T^MN = T^NM by reciprocity, so the transpose is the
+    block itself.
     """
     d = _order_sums(a2.real, t1, nu_max)
-    out = (hp[:, :-1] * d + hp[:, 1:] * np.conj(d)).imag.sum(axis=1)
+    lin = hp[:, :-1] * d
+    lin += np.multiply(hp[:, 1:], np.conj(d, out=d), out=d)
+    out = lin.imag.sum(axis=1)
+    del d, lin
     if include_quadratic and a2.shape[1] > 1:
-        q = np.matmul(t1[:, :-1], np.conj(t1[:, 1:]))
-        dq = _order_sums(a2, q, nu_max)
-        out += 2.0 * (hp[:, :-1] * dq).imag.sum(axis=1)
+        dq = _order_sums(a2, _quadratic_product(t1), nu_max)
+        out += 2.0 * np.multiply(hp[:, :-1], dq, out=dq).imag.sum(axis=1)
     return out
+
+
+def _quadratic_product(t):
+    """q[:, m] = t[:, m] conj(t[:, m + 1]) for stacked (Nk, No, 2, 2)
+    blocks, shape (Nk, No - 1, 2, 2): the 2x2 matrix product of each
+    block with the entrywise conjugate of the next order's block,
+    written out as q_PP' = t_P0 conj(u_0P') + t_P1 conj(u_1P').
+
+    q is a view of a (Nk, 2, 2, No - 1) array, the layout in which
+    _order_sums reads its second operand, so that it makes no copy."""
+    a = t[:, :-1]
+    q = np.empty((t.shape[0], 2, 2, t.shape[1] - 1), dtype=complex)
+    for j in (0, 1):
+        b0, b1 = np.conj(t[:, 1:, 0, j]), np.conj(t[:, 1:, 1, j])
+        for i in (0, 1):
+            np.multiply(a[..., i, 0], b0, out=q[:, i, j])
+            q[:, i, j] += a[..., i, 1] * b1
+    return q.transpose(0, 3, 1, 2)
 
 
 def evan_kernel_sum(t2, t1, kk, nu_max):
@@ -320,4 +391,4 @@ def pair_kernel_sum(a1, t2, h, jp, nu_max):
     diagonal sums of sum_PP' Re a1[n] t2[m].
     """
     d = _order_sums(a1.real, t2, nu_max)
-    return 4.0 * (jp * (h * d).imag).sum(axis=1)
+    return 4.0 * (jp * np.multiply(h, d, out=d).imag).sum(axis=1)

@@ -324,8 +324,8 @@ class CylinderSpec:
             raise ValueError("radius must be positive, got %r"
                              % (self.radius,))
         if not isinstance(self.temperature, numbers.Real) \
-                or self.temperature < 0:
-            raise ValueError("temperature must be >= 0, got %r"
+                or not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0, got %r"
                              % (self.temperature,))
         if not hasattr(self.material, "epsilon"):
             raise ValueError("material must provide an epsilon(omega) method")

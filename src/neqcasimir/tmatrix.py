@@ -284,7 +284,9 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     p1 = np.where(p1.imag < 0.0, -p1, p1)
     x, eps, em = x[:, None], eps[:, None], em[:, None]
 
-    # tables over orders 0 .. top (0 .. top + 1 inside)
+    # tables over orders 0 .. top (0 .. top + 1 inside); each
+    # intermediate is dropped, or overwritten in place, once no later
+    # line reads it, which keeps the working set of a call small
     absn = np.abs(orders)
     top = int(absn.max())
     h, jx, j1 = _bessel_tables(p, p1, top)
@@ -294,15 +296,27 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
 
     g1 = p1 * j1[:, :-1]  # p1 J_n(p1)
     q = (0.5 * p * p) * (_lower(j1)[:, :-1] - j1[:, 1:])  # p^2 J_n'(p1)
+    del j1
     hn, jn = h[:, :top + 1], jx[:, :top + 1]
     ng1 = np.arange(top + 1.0) * g1
     u, v = ng1 * hn, ng1 * jn
     qh, qj = q * hn, q * jn
+    del q, hn, jn
     pg1 = p * g1
     ph = pg1 * _lower(h)[:, :top + 1]
+    del h
     pj = pg1 * _lower(jx)[:, :top + 1]
-    r_m, r_n = mu * qh - ph, eps * qh - ph
-    s_m, s_n = mu * qj - pj, eps * qj - pj
+    del jx, pg1
+    # r_m = mu qh - ph, then r_n = eps qh - ph in qh's place; the same
+    # for s_P from qj and pj
+    r_m = mu * qh - ph
+    r_n = np.multiply(eps, qh, out=qh)
+    r_n -= ph
+    del ph
+    s_m = mu * qj - pj
+    s_n = np.multiply(eps, qj, out=qj)
+    s_n -= pj
+    del pj, qh, qj
     g = ktz[:, None] * (x * x * (1.0 - em)) / p1sq
     one_m_g2 = ((p * p) * (x * x) * (em * em - ktz[:, None] ** 2)
                 / (p1sq * p1sq))
@@ -316,22 +330,26 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
             "singular boundary system (accidental resonance) at "
             "x = %g" % (x[bad][0, 0],))
     with np.errstate(all="ignore"):  # orders below top not requested
-        inv = 1.0 / det
-    blk = np.empty(det.shape + (2, 2), dtype=complex)
-    blk[..., POL_M, POL_M] = -(uv + u * s_m + r_n * (v + s_m)) * inv
-    blk[..., POL_N, POL_N] = -(uv + u * s_n + r_m * (v + s_n)) * inv
+        inv = np.divide(1.0, det, out=det)
+    del det
     off = (2j / math.pi) * ng1 * g1 * g * inv
-    blk[..., POL_M, POL_N] = off
-    blk[..., POL_N, POL_M] = off
+    del ng1, g1
+    mm = -(uv + u * s_m + r_n * (v + s_m)) * inv
+    del s_m, r_n
+    nn = -(uv + u * s_n + r_m * (v + s_n)) * inv
+    del s_n, r_m, uv, u, v, inv
+    # the (Nk, No, 2, 2) output comes last, once only the three
+    # distinct entry planes are alive
+    out = np.empty((ktz.size, orders.size, 2, 2), dtype=complex)
+    out[..., POL_M, POL_M] = mm[:, absn]
+    out[..., POL_N, POL_N] = nn[:, absn]
+    out[..., POL_M, POL_N] = off[:, absn] * np.where(orders < 0, -1.0, 1.0)
+    out[..., POL_N, POL_M] = out[..., POL_M, POL_N]
 
-    out = blk[:, absn]
     bad = ~np.isfinite(out).all(axis=(1, 2, 3))
     if bad.any():
         raise TMatrixError("non-finite scattering entries at x = %g"
                            % (x[bad][0, 0],))
-    sign = np.where(orders < 0, -1.0, 1.0)
-    out[..., POL_M, POL_N] *= sign
-    out[..., POL_N, POL_M] *= sign
     return out
 
 

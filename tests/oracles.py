@@ -211,3 +211,43 @@ def s_kernel(n, m, k_z, omega, a1, t2_m, t2_mp1, d):
                 + j_nu * np.conj(h_num1) * np.conj(t2_mp1[pp, qq])
             total += 2.0 * a1[pp, qq].real * val.imag
     return float(total)
+
+
+# --- batched reference forms of the vectorized kernels -----------------------
+
+def prop_amplitude_matmul(blocks):
+    """Re(T) + T T^dagger by batched np.matmul over (..., 2, 2) blocks:
+    the form that kernels.prop_amplitude writes out entry by entry."""
+    t = np.asarray(blocks, dtype=complex)
+    return t.real + np.matmul(t, np.conj(np.swapaxes(t, -1, -2)))
+
+
+def quadratic_product_matmul(t):
+    """t[:, m] conj(t[:, m + 1]) by batched np.matmul over stacked
+    (Nk, No, 2, 2) blocks: the form that the quadratic term of
+    kernels.prop_kernel_sum writes out entry by entry."""
+    return np.matmul(t[:, :-1], np.conj(t[:, 1:]))
+
+
+def miller_j_table(x, two_over_x, top, j0, j1):
+    """kernels._miller_j as it reads its coefficients k (2 / x) from a
+    (start + 1, N) table, one row per step; the kernel forms each one
+    at its step, and the two must agree bitwise."""
+    m = max(top, math.ceil(np.max(np.abs(x), initial=0.0,
+                                  where=np.isfinite(x))))
+    start = m + 8 + int(math.sqrt(12.0 * m))
+    coef = np.arange(start + 1)[:, None] * two_over_x
+    r = np.zeros_like(x)
+    for k in range(start, top, -1):
+        np.subtract(coef[k], r, out=r)
+        np.reciprocal(r, out=r)
+    a0, a1 = np.abs(j0), np.abs(j1)
+    use_j0 = a0 >= a1
+    rows = np.empty((top + 2,) + x.shape, dtype=np.result_type(x, j0, j1))
+    rows[top] = 1e-300 * np.maximum(1.0, np.where(use_j0, a0, a1))
+    rows[top + 1] = rows[top] * r
+    for k in range(top, 0, -1):
+        np.multiply(coef[k], rows[k], out=rows[k - 1])
+        rows[k - 1] -= rows[k + 1]
+    scale = np.where(use_j0, j0, j1) / np.where(use_j0, rows[0], rows[1])
+    return rows[:top + 1] * scale

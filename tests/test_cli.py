@@ -348,6 +348,28 @@ def test_zeros_empty_without_sign_change(tmp_path, capsys):
     assert lines == ["T1_K,T2_K,Tenv_K,d_zero_m,stability"]
 
 
+def test_zeros_rejects_rel_tol_without_a_sign_change(tmp_path, capsys,
+                                                    monkeypatch):
+    # the width is checked before any row is read, so a monotone CSV,
+    # which refines no bracket, still exits 2
+    doc = _vacuum_root_doc()
+    doc["equilibrium"]["F_eq_N_per_m"] = [-1.0, -4.0]
+    out = tmp_path / "mono.csv"
+    assert _run(["run", _write(tmp_path, "mono.json", doc),
+                 "--out", str(out)]) == 0
+    assert len(read_sweep_csv(out)[1]) == 3
+    reads = []
+    real_read = cli.read_sweep_csv
+    monkeypatch.setattr(cli, "read_sweep_csv",
+                        lambda path: reads.append(path) or real_read(path))
+    for rel_tol in ("0", "-1", "nan"):
+        capsys.readouterr()
+        assert _run(["zeros", str(out), "--rel-tol", rel_tol]) == 2
+        captured = capsys.readouterr()
+        assert "rel_tol" in captured.err and captured.out == ""
+    assert reads == []
+
+
 def test_exit_2_on_malformed_inputs(tmp_path, capsys):
     doc = _vacuum_root_doc()
     del doc["separations"]

@@ -2,6 +2,7 @@
 channel accounting, scaling laws, convergence behavior, and agreement
 with the closed-form asymptotics in their regimes."""
 
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +17,7 @@ from neqcasimir.engine import (QuadratureControls, Scenario,
 from neqcasimir.equilibrium import EquilibriumTable
 from neqcasimir.errors import QuadratureError
 from neqcasimir.materials import (CylinderSpec, Vacuum, thermal_wavelength)
+from neqcasimir.units import HBAR, K_BOLTZMANN
 
 _, SIC = materials.load_material("sic")
 R = 0.1e-6
@@ -404,6 +406,32 @@ def test_inner_does_not_depend_on_its_batch(provider):
         assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
 
 
+def test_inner_working_set_per_block_entry():
+    # the entry budget of a group is sized by the memory that one
+    # _inner call holds per block entry (rows x orders); a peak above
+    # 250 bytes per entry would call for a smaller _MAX_BLOCK_ENTRIES
+    _, tungsten = materials.load_material("tungsten_2400k")
+    prov = engine._make_provider(
+        "full", CylinderSpec(20e-9, tungsten, 2400.0))
+    orders = np.arange(-4, 5)
+    d = 0.5e-6
+    omegas = np.array([0.5, 1.5, 3.0, 6.0, 12.0]) \
+        * K_BOLTZMANN * 2400.0 / HBAR
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 10.0)
+                for w in omegas]
+    evan = engine._evan_tables(1, orders)
+    rows = sum(engine._psi_grid(n)[0].size for n in n_panels) \
+        + omegas.size * evan[0].size
+    tracemalloc.start()
+    try:
+        engine._inner(prov, prov, omegas, d, orders, ("f", "e", "s"),
+                      n_panels, evan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * rows * orders.size
+
+
 def test_sweep_repeats_with_one_node_per_call(monkeypatch):
     # the entry budget only groups nodes: with one node per _inner call
     # a thin sweep repeats the default sweep bitwise
@@ -615,6 +643,22 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         self_force(3, Scenario(cylinder1=C1, cylinder2=C2,
                                separations=(2e-6,), controls=CTL), 2e-6)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_temperatures_rejected(bad):
+    # NaN passes a "t < 0" check; every entry point names its field
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        CylinderSpec(R, SIC, bad)
+    with pytest.raises(ValueError, match="environment_temperature"):
+        Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
+                 environment_temperature=bad)
+    with pytest.raises(ValueError, match="temperature_sets"):
+        Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
+                 temperature_sets=((300.0, bad, 300.0),))
+    for call in (interaction_force, pair_source_force):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            call(C1, C2, bad, 2e-6, controls=CTL)
 
 
 def test_one_reflection_warning():

@@ -422,7 +422,7 @@ def test_folded_sums_against_loops_on_full_blocks():
         ref += _loop_sum(amp.real, t.imag, lambda k, c, n, m:
                          hp[k, c].real - hp[k, c + 1].real)
         if inc:
-            q = np.matmul(t[:, :-1], np.conj(t[:, 1:]))
+            q = oracles.quadratic_product_matmul(t)
             ref += 2.0 * _loop_sum(amp, q, lambda k, c, n, m:
                                    hp[k, c]).imag
         folded = kernels.prop_kernel_sum(amp, t, hp, FULL_NU_MAX, inc)
@@ -441,6 +441,31 @@ def test_folded_sums_against_loops_on_full_blocks():
                     kk[k, c] * (-1.0) ** (n + m)).real
     folded = kernels.evan_kernel_sum(te, te, kk, FULL_NU_MAX)
     assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_order_sums_in_runs_match_one_run(monkeypatch):
+    # _order_sums splits its rows into runs of bounded memory; with one
+    # row per run every folded sum repeats the one-run value within the
+    # rounding of the BLAS product
+    ktz = np.linspace(-0.95, 0.95, 40)
+    qd = np.sqrt(1.0 - ktz ** 2) * OMEGA / C_LIGHT * D * 3.0
+    hp, h, jp = kernels.hankel_tables(qd, FULL_NU_MAX)
+    ktz_e = np.linspace(1.05, 3.0, 40)
+    kk = kernels.k_product_table(
+        np.sqrt(ktz_e ** 2 - 1.0) * OMEGA / C_LIGHT * D, FULL_NU_MAX)
+    t, te = FULL.blocks(FULL_ORDERS, ktz, OMEGA), \
+        FULL.blocks(FULL_ORDERS, ktz_e, OMEGA)
+    amp = kernels.prop_amplitude(t)
+
+    def sums():
+        return (kernels.prop_kernel_sum(amp, t, hp, FULL_NU_MAX),
+                kernels.pair_kernel_sum(amp, t, h, jp, FULL_NU_MAX),
+                kernels.evan_kernel_sum(te, te, kk, FULL_NU_MAX))
+
+    whole = sums()
+    monkeypatch.setattr(kernels, "_ORDER_SUM_BYTES", 1)
+    for one, ref in zip(sums(), whole):
+        assert np.all(np.abs(one - ref) <= 1e-14 * np.abs(ref))
 
 
 @pytest.mark.parametrize("prov", [PROV, FULL], ids=["thin", "full"])
@@ -463,6 +488,62 @@ def test_propagating_sums_even_in_kz(prov):
             for t in (t_pos, t_neg))
         for plus, minus in zip(pos, neg):
             assert np.all(np.abs(minus - plus) <= 1e-13 * np.abs(plus))
+
+
+def _random_blocks(rng, symmetric, shape=(600, 8)):
+    # complex 2x2 blocks whose magnitudes span 1e-12 .. 1e3 over the
+    # stack, so each block's own tolerance matters
+    t = rng.standard_normal(shape + (2, 2)) \
+        + 1j * rng.standard_normal(shape + (2, 2))
+    t *= 10.0 ** rng.uniform(-12.0, 3.0, shape)[..., None, None]
+    if symmetric:
+        t[..., 1, 0] = t[..., 0, 1]
+    return t
+
+
+def _within_4_ulp(got, ref, *terms):
+    # each 2x2 block within 4 ulp of the largest entry of its block of
+    # ref, or of a term summed into it, whichever is larger
+    big = np.max(np.abs(np.stack((ref,) + terms)), axis=(0, -2, -1))
+    return np.all(np.abs(got - ref) <= 4.0 * np.spacing(big)[..., None, None])
+
+
+@pytest.mark.parametrize("symmetric", [True, False],
+                         ids=["symmetric", "general"])
+def test_prop_amplitude_matches_matmul(symmetric):
+    # the entrywise Re T + T T^dagger holds for any block, symmetric or
+    # not; without the quadratic term it is the real view itself
+    t = _random_blocks(np.random.default_rng(11), symmetric)
+    got = kernels.prop_amplitude(t)
+    ref = oracles.prop_amplitude_matmul(t)
+    assert got.shape == t.shape and got.dtype == complex
+    # Re T and T T^dagger may cancel, so the scale is the larger term
+    assert _within_4_ulp(got, ref, t.real, ref - t.real)
+    assert np.all(np.diagonal(got, axis1=-2, axis2=-1).imag == 0)
+    assert np.array_equal(kernels.prop_amplitude(t, False), t.real)
+
+
+def test_quadratic_product_matches_matmul():
+    # t[m] conj(t[m + 1]) on symmetric blocks, as every provider makes
+    t = _random_blocks(np.random.default_rng(12), True)
+    got = kernels._quadratic_product(t)
+    assert got.shape == (600, 7, 2, 2)
+    assert _within_4_ulp(got, oracles.quadratic_product_matmul(t))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_miller_j_matches_the_table_form_bitwise(kind):
+    # coefficients formed per step round exactly as a table of them
+    x = np.geomspace(1e-3, 80.0, 257)
+    if kind == "complex":
+        x = x * np.exp(0.4j) + 0.5j
+    two_over_x = 2.0 / x
+    j0, j1 = sp.jv(0, x), sp.jv(1, x)
+    for top in (1, 9, 33):
+        got = kernels._miller_j(x, two_over_x, top, j0, j1)
+        ref = oracles.miller_j_table(x, two_over_x, top, j0, j1)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 def test_mode_point_branches():
