@@ -31,7 +31,7 @@ from .materials import (
     skin_depth,
     thermal_wavelength,
 )
-from .tmatrix import FullSolve, ThinExpansion, full_t, thin_t
+from .tmatrix import FullSolve, ThinExpansion
 from .engine import (
     ForceBreakdown,
     QuadratureControls,
@@ -78,7 +78,7 @@ __all__ = [
     "Vacuum", "Constant", "Lorentz", "ConductivitySum", "LowFreqExpansion",
     "CylinderSpec", "epsilon", "load_material", "skin_depth",
     "thermal_wavelength",
-    "ThinExpansion", "FullSolve", "thin_t", "full_t",
+    "ThinExpansion", "FullSolve",
     "QuadratureControls", "Scenario", "ForceBreakdown",
     "interaction_force", "pair_source_force", "self_force", "total_force",
     "sweep",

@@ -37,12 +37,15 @@ def find_zero_crossings(separations, forces):
     """Brackets where the force changes sign, in grid order.
 
     Grid points where the force is exactly zero are folded into the
-    neighboring bracket.  Returns a list of ZeroCrossing.
+    neighboring bracket.  Non-finite input raises ValueError.  Returns
+    a list of ZeroCrossing.
     """
     d = np.asarray(separations, dtype=float)
     f = np.asarray(forces, dtype=float)
     if d.ndim != 1 or d.shape != f.shape or d.size < 2:
         raise ValueError("need matching 1-D arrays with at least 2 points")
+    if not (np.isfinite(d).all() and np.isfinite(f).all()):
+        raise ValueError("separations and forces must be finite")
     if np.any(np.diff(d) <= 0):
         raise ValueError("separations must be strictly increasing")
     out = []

@@ -58,15 +58,16 @@ probe of both kernels.  Both take the largest value any temperature
 needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
-accumulated in a fixed order, and passes are memoized.  The passes of
-total_force and self_force cover both kinds at every temperature of
-the scenario (its own and all its temperature sets), so a force
-depends only on (scenario, separation): equal-temperature differences
-cancel exactly, identical cylinders share a pass, so mirrored rows
-agree bitwise, and a sweep row is the total_force of its set.  A lone
-interaction_force or pair_source_force call integrates only its own
-kind and temperature.  The provider's quadratic_term decides whether
-the source amplitude keeps T T^dagger.
+accumulated in a fixed order, and passes are memoized.  total_force
+and self_force hand the scenario's temperatures (its own and all its
+temperature sets) to interaction_force and pair_source_force as the
+private keyword _temps, and those passes cover both kinds at all of
+them.  So a force depends only on (scenario, separation): equal
+temperatures cancel exactly, identical cylinders share a pass, so
+mirrored rows agree bitwise, and a sweep row is the total_force of
+its set.  A call without _temps integrates only its
+own kind and temperature, whatever its memo holds.  The provider's
+quadratic_term decides whether the source amplitude keeps T T^dagger.
 """
 
 import math
@@ -102,9 +103,6 @@ _MAX_GRID_BUMPS = 4
 # RSS of every benchmark workload within 3% of 6,144 entries at 335
 # bytes each: +1.0 to +2.2% measured, against +3.3% at 14,336
 _MAX_BLOCK_ENTRIES = 12288
-# memo entry: the temperatures of the scenario whose forces the memo
-# is serving, set by total_force and self_force on every call
-_TEMPS = "scenario temperatures"
 
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
@@ -132,8 +130,9 @@ class QuadratureControls:
         materials (Im eps -> 0 with frequency) are integrable from 0
         and should leave this alone.  Comparisons between computation
         paths must share one window.
-    n_max : azimuthal order cap; None means 1 for the thin provider
-        and 8 for the full one.
+    n_max : azimuthal order cap, 1 to 32 (the order probe's kernel
+        tables run to twice the cap); None means 1 for the thin
+        provider and 8 for the full one.
 
     Fixed: 200 outer panels per temperature (quadrature.MAX_PANELS),
     a converged multipole shell of 1e-6 relative, and the evanescent
@@ -153,9 +152,9 @@ class QuadratureControls:
             raise ValueError("u_min must satisfy 0 <= u_min < %g, got %r"
                              % (X_MAX, self.u_min))
         if self.n_max is not None and (int(self.n_max) != self.n_max
-                                       or self.n_max < 1):
-            raise ValueError("n_max must be a positive integer or None, "
-                             "got %r" % (self.n_max,))
+                                       or not 1 <= self.n_max <= 32):
+            raise ValueError("n_max must be an integer from 1 to 32 or "
+                             "None, got %r" % (self.n_max,))
 
 
 @dataclass(frozen=True)
@@ -538,7 +537,7 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     n_cap = int(src_prov.max_order or controls.n_max or 8)
     n_use = _probe_orders(src_prov, tgt_prov,
                           sorted({u * s for s in scales for u in _PROBE_US}),
-                          d, kinds, min(n_cap, 64 // 2))
+                          d, kinds, n_cap)
     orders = np.arange(-n_use, n_use + 1)
 
     fac = {s: max(_grid_factor(s, src_prov, tgt_prov, 2.5 * w, d, orders,
@@ -609,14 +608,16 @@ def _scenario_temperatures(scenario):
 
 
 def _force(kind, source, target, temperature, separation, provider,
-           controls, memo):
+           controls, memo, scenario_temps):
     """The checks, defaults and memo lookup of interaction_force and
-    pair_source_force around one _pass.  The pass covers both kinds at
-    the scenario temperatures that total_force or self_force set in
-    memo, or else only this kind and temperature."""
+    pair_source_force around one _pass: of both kinds at scenario_temps
+    (from total_force or self_force) and this temperature, or else of
+    this kind and temperature only.  A memo key names both."""
     if separation is None:
         raise TypeError("separation is required")
     _check_geometry(source, target, separation, stacklevel=5)
+    provs = (_make_provider(provider, source),
+             _make_provider(provider, target))
     controls = controls if controls is not None else QuadratureControls()
     temp = source.temperature if temperature is None else float(temperature)
     if not 0 <= temp < math.inf:
@@ -625,7 +626,6 @@ def _force(kind, source, target, temperature, separation, provider,
     if temp == 0 or isinstance(source.material, Vacuum) \
             or isinstance(target.material, Vacuum):
         return (0.0, 0.0) if kind == "int" else (0.0,)
-    scenario_temps = None if memo is None else memo.get(_TEMPS)
     if scenario_temps is None:
         kinds, temps = (kind,), (temp,)
     else:
@@ -635,15 +635,15 @@ def _force(kind, source, target, temperature, separation, provider,
            target.material, target.radius, temps, separation, controls)
     if memo is not None and key in memo:
         return memo[key][kind, temp]
-    value = _pass(kinds, temps, _make_provider(provider, source),
-                  _make_provider(provider, target), separation, controls)
+    value = _pass(kinds, temps, *provs, separation, controls)
     if memo is not None:
         memo[key] = value
     return value[kind, temp]
 
 
 def interaction_force(source, target, temperature=None, separation=None,
-                      *, provider="thin", controls=None, _memo=None):
+                      *, provider="thin", controls=None, _memo=None,
+                      _temps=None):
     """Force per length on the target cylinder from thermal sources in
     the source cylinder at the given temperature.
 
@@ -664,17 +664,18 @@ def interaction_force(source, target, temperature=None, separation=None,
         boundary-value solve.
     """
     prop, evan = _force("int", source, target, temperature, separation,
-                        provider, controls, _memo)
+                        provider, controls, _memo, _temps)
     return prop + evan, {"propagating": prop, "evanescent": evan}
 
 
 def pair_source_force(source, other, temperature=None, separation=None,
-                      *, provider="thin", controls=None, _memo=None):
+                      *, provider="thin", controls=None, _memo=None,
+                      _temps=None):
     """Force per length on the rigid two-cylinder pair from thermal
     sources in the source cylinder, on the axis from other to source.
     Only propagating modes contribute."""
     return _force("pair", source, other, temperature, separation,
-                  provider, controls, _memo)[0]
+                  provider, controls, _memo, _temps)[0]
 
 
 def self_force(index, scenario, separation, *, temperature=None,
@@ -694,10 +695,9 @@ def self_force(index, scenario, separation, *, temperature=None,
         source, other = scenario.cylinder1, scenario.cylinder2
     else:
         source, other = scenario.cylinder2, scenario.cylinder1
-    memo = {} if _memo is None else _memo
-    memo[_TEMPS] = _scenario_temperatures(scenario)
     kw = dict(provider=scenario.provider, controls=scenario.controls,
-              _memo=memo)
+              _memo={} if _memo is None else _memo,
+              _temps=_scenario_temperatures(scenario))
     pair = pair_source_force(source, other, temperature, separation, **kw)
     onto_other, _ = interaction_force(source, other, temperature,
                                       separation, **kw)
@@ -715,15 +715,14 @@ def total_force(scenario, separation, *, _memo=None):
     """
     c1, c2 = scenario.cylinder1, scenario.cylinder2
     _check_geometry(c1, c2, separation)
-    memo = {} if _memo is None else _memo
     f_eq = 0.0 if scenario.equilibrium is None \
         else scenario.equilibrium.force(separation)
     t1 = c1.temperature
     t2 = c2.temperature
     te = float(scenario.environment_temperature)
-    memo[_TEMPS] = _scenario_temperatures(scenario)
     kw = dict(provider=scenario.provider, controls=scenario.controls,
-              _memo=memo)
+              _memo={} if _memo is None else _memo,
+              _temps=_scenario_temperatures(scenario))
     pair1_t1 = pair_source_force(c1, c2, t1, separation, **kw)
     pair1_te = pair_source_force(c1, c2, te, separation, **kw)
     int12_t1, ch12_t1 = interaction_force(c1, c2, t1, separation, **kw)

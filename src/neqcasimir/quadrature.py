@@ -39,7 +39,6 @@ _order = np.argsort([row[0] for row in _GK15])
 GK_NODES = np.array([_GK15[i][0] for i in _order])
 GK_WEIGHTS_GAUSS = np.array([_GK15[i][1] for i in _order])
 GK_WEIGHTS_KRONROD = np.array([_GK15[i][2] for i in _order])
-N_GK = 15
 
 # Thermal frequency integrals run over u = hbar omega / k_B T up to
 # X_MAX, where exp(-40) leaves no visible tail, on at most MAX_PANELS

@@ -6,12 +6,14 @@ polarizations (M, magnetic / TE and N, electric / TM).  The 2x2 block
 T[P, P'] gives the amplitude of outgoing polarization P scattered from
 a unit-amplitude regular wave of polarization P'.
 
-Two evaluation routes:
+Two batch functions give the blocks of every (ktilde_z node, order)
+pair in one call, with eps and x per node:
 
-thin_t
+_thin_blocks_batch
     Closed-form leading order in the size parameter x = omega R / c,
-    valid for x << 1 and orders |n| <= 1.  Entries scale as x^2.
-full_t
+    valid for x << 1; only orders |n| <= 1 exist at this order and
+    higher orders come back as zero blocks.  Entries scale as x^2.
+_full_blocks_batch
     Exact solution of the boundary-matching conditions (tangential E
     and H continuity at the surface), any order, any size parameter.
     The E_z and H_z conditions each fix one interior coefficient;
@@ -21,9 +23,9 @@ full_t
     recurrence in the order from library values at orders 0 and 1,
     with the recurrences of kernels (see _bessel_tables).
 
-Providers (ThinExpansion, FullSolve) bind a material and radius and
-produce batched blocks over nodes in (order, ktilde_z) for the force
-integrator.  Index convention everywhere: P = 0 is M, P = 1 is N.
+The providers ThinExpansion and FullSolve bind a material and radius
+and call them through blocks(orders, ktz, omega), which the force
+integrator reads.  Index convention everywhere: P = 0 is M, P = 1 is N.
 
 The axial fraction enters only through ktilde_z^2 and ktilde_z * n, so
 blocks obey T[diag](-n) = T[diag](n) and T[offdiag](-n) = -T[offdiag](n),
@@ -37,7 +39,6 @@ equal (T^MN = T^NM) by reciprocity.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -54,53 +55,6 @@ THIN_VALIDITY_X = 0.3
 
 _THIN_WARNING = ("thin expansion evaluated beyond its validity range "
                  "(size parameter x > 0.3); consider the full solver")
-
-
-@dataclass(frozen=True)
-class TMatrixBlock:
-    """One scattering block with its evaluation point.
-
-    entries is a (2, 2) complex array indexed [P, P'] with M = 0, N = 1.
-    """
-
-    entries: np.ndarray
-    order: int
-    ktilde_z: float
-    size_parameter: float
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (2, 2):
-            raise TMatrixError("block entries must be 2x2")
-        object.__setattr__(self, "entries", e)
-
-
-def thin_t(n, ktilde_z, eps, mu, x):
-    """Leading-order block for a thin cylinder.
-
-    Parameters
-    ----------
-    n : int
-        Azimuthal order; only |n| <= 1 exists at this order in x.
-    ktilde_z : float
-        Axial wavenumber over total wavenumber (any real value;
-        |ktilde_z| > 1 is the evanescent region).
-    eps, mu : complex
-        Relative permittivity and permeability.
-    x : float
-        Size parameter omega R / c, must be positive.
-
-    Returns
-    -------
-    TMatrixBlock
-    """
-    if n not in (-1, 0, 1):
-        raise TMatrixError(
-            "thin expansion defines orders -1, 0, 1 only; got %r" % (n,))
-    entries = _thin_blocks_batch(np.array([n]), np.array([float(ktilde_z)]),
-                                 eps, mu, x)[0, 0]
-    return TMatrixBlock(entries=entries, order=n, ktilde_z=float(ktilde_z),
-                        size_parameter=float(x))
 
 
 def _thin_blocks_batch(orders, ktz, eps, mu, x):
@@ -353,24 +307,6 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     return out
 
 
-def full_t(n, ktilde_z, eps, mu, x):
-    """Exact scattering block from the boundary-matching conditions.
-
-    Same signature as thin_t but valid at any order and size parameter.
-    The interior coefficients are eliminated in closed form and the
-    remaining 2x2 system for the outgoing (M, N) amplitudes is solved
-    directly (see _full_blocks_batch); T^MN = T^NM holds by
-    construction.  Raises TMatrixError on the light line
-    (|ktilde_z| = 1) or when the 2x2 system is numerically singular.
-    """
-    if int(n) != n:
-        raise TMatrixError("order must be an integer, got %r" % (n,))
-    entries = _full_blocks_batch(
-        np.array([int(n)]), np.array([float(ktilde_z)]), eps, mu, x)[0, 0]
-    return TMatrixBlock(entries=entries, order=int(n),
-                        ktilde_z=float(ktilde_z), size_parameter=float(x))
-
-
 # --- providers ---------------------------------------------------------------
 
 class _Provider:
@@ -407,12 +343,6 @@ class ThinExpansion(_Provider):
     max_order = 1
     quadratic_term = False
 
-    def block(self, n, ktilde_z, omega):
-        entries = self.blocks([int(n)], [float(ktilde_z)], omega)[0, 0]
-        return TMatrixBlock(entries=entries, order=int(n),
-                            ktilde_z=float(ktilde_z),
-                            size_parameter=float(self.size_parameter(omega)))
-
     def blocks(self, orders, ktz, omega):
         """Batched blocks, shape (len(ktz), len(orders), 2, 2), with
         omega per ktz node or one for every node."""
@@ -429,14 +359,8 @@ class FullSolve(_Provider):
     max_order = None
     quadratic_term = True
 
-    def block(self, n, ktilde_z, omega):
-        eps = _epsilon(self.material, omega)
-        return full_t(n, ktilde_z, eps, 1.0, self.size_parameter(omega))
-
     def blocks(self, orders, ktz, omega):
         """Batched blocks, shape (len(ktz), len(orders), 2, 2), with
         omega per ktz node or one for every node."""
-        ktz = np.asarray(ktz, dtype=float)
         eps, x = self._eps_x(ktz, omega)
-        return _full_blocks_batch(np.asarray(orders, dtype=int), ktz, eps,
-                                  1.0, x)
+        return _full_blocks_batch(orders, ktz, eps, 1.0, x)

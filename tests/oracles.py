@@ -84,8 +84,8 @@ def occupation(temperature, omega):
 
 
 def _block_entries(block):
-    """Accept a raw (2, 2) array or anything carrying .entries."""
-    return np.asarray(getattr(block, "entries", block), dtype=complex)
+    """One (2, 2) block as a complex array."""
+    return np.asarray(block, dtype=complex)
 
 
 def amplitude_entries(entries, order, branch, include_quadratic=True):
@@ -118,7 +118,7 @@ def a_factor(provider, n, k_z, omega, include_quadratic=True):
     evanescent side.
     """
     point = ModePoint(omega=omega, k_z=k_z, n=n, m=0)
-    block = provider.block(n, point.ktilde_z, omega)
+    block = provider.blocks([n], [point.ktilde_z], omega)[0, 0]
     return amplitude_entries(block, n, point.branch, include_quadratic)
 
 

@@ -44,6 +44,13 @@ def test_crossing_input_validation():
         find_zero_crossings([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         find_zero_crossings([2.0, 1.0], [1.0, -1.0])
+    # NaN fails every comparison: a NaN force would make up a bracket
+    # on each side, and a NaN separation pass the ordering check
+    for d, f in (([1.0, 2.0, 3.0], [1.0, math.nan, -1.0]),
+                 ([1.0, math.nan, 3.0], [1.0, 1.0, -1.0]),
+                 ([1.0, 2.0, math.inf], [1.0, 1.0, -1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            find_zero_crossings(d, f)
 
 
 def test_refine_zero_analytic_root():

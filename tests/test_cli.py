@@ -403,6 +403,18 @@ def test_exit_2_on_malformed_inputs(tmp_path, capsys):
     assert _run(["zeros", str(edited)]) == 2
     assert "match no temperature set" in capsys.readouterr().err
 
+    # a NaN force, which would make up a bracket on each side of it
+    nan_force = tmp_path / "n.csv"
+    assert _run(["run", _write(tmp_path, "n.json", _vacuum_root_doc()),
+                 "--out", str(nan_force)]) == 0
+    lines = nan_force.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[CSV_COLUMNS.index("F1_total")] = "nan"
+    lines[3] = ",".join(fields)
+    nan_force.write_text("\n".join(lines) + "\n")
+    assert _run(["zeros", str(nan_force)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
 
 def test_exit_3_on_quadrature_failure(tmp_path, capsys, monkeypatch):
     doc = _base_doc()

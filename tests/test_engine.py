@@ -599,6 +599,21 @@ def test_memo_reuse_is_bitwise():
     assert x1 == V2UM
 
 
+def test_lone_calls_ignore_what_total_force_memoized():
+    # the memo holds pass values only: after total_force has filled it,
+    # a lone call still integrates only its own kind and temperature,
+    # at a scenario temperature and at one outside the scenario
+    sc = Scenario(cylinder1=C1, cylinder2=CylinderSpec(R, SIC, 0.0),
+                  separations=(2e-6,), environment_temperature=150.0,
+                  controls=CTL)
+    memo = {}
+    total_force(sc, 2e-6, _memo=memo)
+    for temp in (300.0, 400.0):
+        for call in (interaction_force, pair_source_force):
+            assert (call(C1, C2, temp, 2e-6, controls=CTL, _memo=memo)
+                    == call(C1, C2, temp, 2e-6, controls=CTL))
+
+
 def test_sweep_singleton_matches_direct_call():
     sc = Scenario(cylinder1=C1, cylinder2=CylinderSpec(R, SIC, 0.0),
                   separations=(2e-6,), controls=CTL)
@@ -643,6 +658,13 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         self_force(3, Scenario(cylinder1=C1, cylinder2=C2,
                                separations=(2e-6,), controls=CTL), 2e-6)
+    # a cold source or a vacuum cylinder needs no pass, and the
+    # provider name is checked all the same
+    with pytest.raises(ValueError, match="provider"):
+        interaction_force(C1, C1, 0.0, 2e-6, provider="bogus")
+    with pytest.raises(ValueError, match="provider"):
+        pair_source_force(CylinderSpec(R, Vacuum(), 300.0), C1, 300.0, 2e-6,
+                          provider="bogus")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -674,6 +696,10 @@ def test_controls_validation():
         QuadratureControls(rel_tol=1e-4, n_max=0)
     with pytest.raises(ValueError, match="u_min"):
         QuadratureControls(rel_tol=1e-4, u_min=40.0)
+    # the order probe's tables stop at order 64, twice the largest cap
+    assert QuadratureControls(n_max=32).n_max == 32
+    with pytest.raises(ValueError, match="from 1 to 32"):
+        QuadratureControls(n_max=33)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ KZ_E = KTZ_E * OMEGA / C_LIGHT
 
 
 def _blk(n, ktz=KTZ_P):
-    return oracles._block_entries(PROV.block(n, ktz, OMEGA))
+    return PROV.blocks([n], [ktz], OMEGA)[0, 0]
 
 
 def test_occupation_trivials():
@@ -188,9 +188,8 @@ def test_kernel_scaling_x1sq_x2sq():
     f_full = oracles.f_kernel(0, 0, KZ_P, OMEGA, _blk(0), _blk(1), a_full,
                               D, include_quadratic=False)
     f_small = oracles.f_kernel(0, 0, KZ_P, OMEGA,
-                               prov_s.block(0, KTZ_P, OMEGA),
-                               prov_s.block(1, KTZ_P, OMEGA), a_small, D,
-                               include_quadratic=False)
+                               *prov_s.blocks([0, 1], [KTZ_P], OMEGA)[0],
+                               a_small, D, include_quadratic=False)
     assert abs(f_small - f_full * s ** 4) < 1e-12 * abs(f_full * s ** 4)
 
 

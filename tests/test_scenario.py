@@ -212,6 +212,7 @@ _DELETE = object()
       "environment_temperature": _DELETE,
       "temperature_sets": {"unit": "K", "sets": [[300, -1, 0]]}},
      "temperature_sets"),
+    ({"controls.n_max": 33}, "n_max"),
 ])
 def test_rejected_inputs_name_their_field(changes, field, tmp_path, capsys):
     # each value is checked once, in the dataclass that owns it, and

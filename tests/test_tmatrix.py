@@ -19,49 +19,57 @@ _, TUNGSTEN = materials.load_material("tungsten_2400K")
 OMEGA = 2.0 * materials.C_LIGHT / 1e-6
 
 
+def _thin(n, ktz, eps, x):
+    return tmatrix._thin_blocks_batch([n], [ktz], eps, 1.0, x)[0, 0]
+
+
+def _full(n, ktz, eps, x):
+    return tmatrix._full_blocks_batch([n], [ktz], eps, 1.0, x)[0, 0]
+
+
 def test_thin_vacuum_scatters_nothing():
     for n in (-1, 0, 1):
-        t = tmatrix.thin_t(n, 0.4, 1.0 + 0j, 1.0, 0.01).entries
+        t = _thin(n, 0.4, 1.0 + 0j, 0.01)
         assert np.all(t == 0)
 
 
 def test_full_vacuum_scatters_nothing():
     for n in (0, 1, 3):
-        t = tmatrix.full_t(n, 0.4, 1.0 + 0j, 1.0, 0.05).entries
+        t = _full(n, 0.4, 1.0 + 0j, 0.05)
         assert np.max(np.abs(t)) < 1e-14
 
 
 def test_thin_entries_scale_as_x_squared():
     for n in (0, 1):
-        base = tmatrix.thin_t(n, 0.4, EPS, 1.0, 1e-4).entries / 1e-8
+        base = _thin(n, 0.4, EPS, 1e-4) / 1e-8
         for x in (1e-3, 1e-2):
-            t = tmatrix.thin_t(n, 0.4, EPS, 1.0, x).entries / x ** 2
+            t = _thin(n, 0.4, EPS, x) / x ** 2
             nonzero = np.abs(base) > 0
             assert np.max(np.abs((t - base)[nonzero]
                                  / base[nonzero])) < 1e-6
 
 
 def test_thin_cross_term_vanishes_at_kz_zero():
-    t = tmatrix.thin_t(1, 0.0, EPS, 1.0, 0.01).entries
+    t = _thin(1, 0.0, EPS, 0.01)
     assert t[0, 1] == 0
     assert t[1, 0] == 0
 
 
 def test_polarization_symmetry_both_providers():
-    for maker in (tmatrix.thin_t, tmatrix.full_t):
+    for maker in (_thin, _full):
         for n in (-1, 0, 1):
-            t = maker(n, 0.37, EPS, 1.0, 0.05).entries
+            t = maker(n, 0.37, EPS, 0.05)
             assert abs(t[0, 1] - t[1, 0]) < 1e-10 * max(np.max(np.abs(t)),
                                                         1e-30)
-    t = tmatrix.full_t(3, 0.37, EPS, 1.0, 0.05).entries
+    t = _full(3, 0.37, EPS, 0.05)
     assert abs(t[0, 1] - t[1, 0]) < 1e-10 * max(np.max(np.abs(t)), 1e-30)
 
 
 def test_order_reflection_parity():
     # n -> -n: diagonal entries even, off-diagonal odd
-    for maker in (tmatrix.thin_t, tmatrix.full_t):
-        tp = maker(1, 0.4, EPS, 1.0, 0.05).entries
-        tm = maker(-1, 0.4, EPS, 1.0, 0.05).entries
+    for maker in (_thin, _full):
+        tp = maker(1, 0.4, EPS, 0.05)
+        tm = maker(-1, 0.4, EPS, 0.05)
         assert np.all(np.diag(tp) == np.diag(tm))
         assert tp[0, 1] == -tm[0, 1]
         assert tp[1, 0] == -tm[1, 0]
@@ -69,9 +77,9 @@ def test_order_reflection_parity():
 
 def test_kz_reflection_parity():
     # ktilde_z -> -ktilde_z: diagonal entries even, off-diagonal odd
-    for maker in (tmatrix.thin_t, tmatrix.full_t):
-        tp = maker(1, 0.4, EPS, 1.0, 0.05).entries
-        tm = maker(1, -0.4, EPS, 1.0, 0.05).entries
+    for maker in (_thin, _full):
+        tp = maker(1, 0.4, EPS, 0.05)
+        tm = maker(1, -0.4, EPS, 0.05)
         assert np.all(np.diag(tp) == np.diag(tm))
         assert tp[0, 1] == -tm[0, 1]
         assert tp[1, 0] == -tm[1, 0]
@@ -94,19 +102,19 @@ def test_kz_reflection_parity():
 
 
 def test_full_matches_thin_at_small_x():
-    tt = tmatrix.thin_t(0, 0.5, 2.0 + 0j, 1.0, 0.01).entries
-    tf = tmatrix.full_t(0, 0.5, 2.0 + 0j, 1.0, 0.01).entries
+    tt = _thin(0, 0.5, 2.0 + 0j, 0.01)
+    tf = _full(0, 0.5, 2.0 + 0j, 0.01)
     assert abs(tt[1, 1] - tf[1, 1]) < 1e-3 * abs(tf[1, 1])
 
 
-def test_full_to_thin_residual_is_fourth_order():
+def test_thin_residual_against_full_is_fourth_order():
     # |full - thin| should drop by about 2^4 when x halves; the N-pol
     # log structure at n = 0 bends the ratio slightly below 16
     for n in (0, 1):
         devs = []
         for x in (0.032, 0.016, 0.008):
-            tf = tmatrix.full_t(n, 0.4, EPS, 1.0, x).entries
-            tt = tmatrix.thin_t(n, 0.4, EPS, 1.0, x).entries
+            tf = _full(n, 0.4, EPS, x)
+            tt = _thin(n, 0.4, EPS, x)
             devs.append(np.max(np.abs(tf - tt)))
         assert 10.0 < devs[0] / devs[1] < 24.0
         assert 10.0 < devs[1] / devs[2] < 24.0
@@ -118,7 +126,7 @@ def test_lossless_propagating_unitarity():
     for n in (0, 1, 2):
         for ktz in (0.0, 0.5):
             for x in (0.5, 2.0):
-                t = tmatrix.full_t(n, ktz, 2.25 + 0j, 1.0, x).entries
+                t = _full(n, ktz, 2.25 + 0j, x)
                 lam = np.linalg.eigvals(np.eye(2) + 2.0 * t)
                 assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-8
 
@@ -126,8 +134,8 @@ def test_lossless_propagating_unitarity():
 def test_evanescent_branch_continuation():
     # |ktilde_z| > 1 continues through the modified-Bessel branch and
     # still produces finite, polarization-symmetric blocks
-    for maker in (tmatrix.thin_t, tmatrix.full_t):
-        t = maker(1, 1.7, EPS, 1.0, 0.05).entries
+    for maker in (_thin, _full):
+        t = maker(1, 1.7, EPS, 0.05)
         assert np.all(np.isfinite(t.view(float)))
         assert abs(t[0, 1] - t[1, 0]) < 1e-10 * np.max(np.abs(t))
 
@@ -365,7 +373,7 @@ def test_full_checks_only_the_requested_orders(monkeypatch):
     # every other order, whose tables hold the bad entry unread, keeps
     # its blocks bitwise
     orders = range(-6, 7)
-    want = {n: tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3).entries for n in orders}
+    want = {n: _full(n, 0.5, EPS, 0.3) for n in orders}
     real = tmatrix._bessel_tables
     for table, order, readers in ((0, 0, {0, 1}), (2, 3, {2, 3, 4})):
         def broken(p, p1, top, table=table, order=order):
@@ -378,29 +386,24 @@ def test_full_checks_only_the_requested_orders(monkeypatch):
         for n in orders:
             if abs(n) in readers:
                 with pytest.raises(TMatrixError):
-                    tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3)
+                    _full(n, 0.5, EPS, 0.3)
             else:
-                assert np.array_equal(
-                    tmatrix.full_t(n, 0.5, EPS, 1.0, 0.3).entries, want[n])
+                assert np.array_equal(_full(n, 0.5, EPS, 0.3), want[n])
 
 
 def test_thin_argument_errors():
     with pytest.raises(TMatrixError):
-        tmatrix.thin_t(2, 0.4, EPS, 1.0, 0.01)
+        _thin(0, 0.4, EPS, 0.0)
     with pytest.raises(TMatrixError):
-        tmatrix.thin_t(0, 0.4, EPS, 1.0, 0.0)
-    with pytest.raises(TMatrixError):
-        tmatrix.thin_t(0, 0.4, EPS, 1.0, -1.0)
+        _thin(0, 0.4, EPS, -1.0)
     # the surface-mode pole at eps = -1 sits in the |n| = 1 entries
     with pytest.raises(TMatrixError):
-        tmatrix.thin_t(1, 0.4, -1.0 + 0j, 1.0, 0.01)
+        _thin(1, 0.4, -1.0 + 0j, 0.01)
 
 
 def test_full_argument_errors():
     with pytest.raises(TMatrixError):
-        tmatrix.full_t(0, 0.4, EPS, 1.0, 0.0)
-    with pytest.raises(TMatrixError):
-        tmatrix.full_t(0.5, 0.4, EPS, 1.0, 0.01)
+        _full(0, 0.4, EPS, 0.0)
 
 
 def test_batch_errors_name_the_offending_row():
@@ -431,28 +434,25 @@ def test_batch_errors_name_the_offending_row():
 
 def test_thin_provider_zero_blocks_beyond_order_one():
     prov = tmatrix.ThinExpansion(SIC, 0.1e-6)
-    for n in (-3, 2, 5):
-        block = prov.block(n, 0.3, OMEGA)
-        assert np.all(block.entries == 0)
-        assert block.order == n
+    assert np.all(prov.blocks([-3, 2, 5], [0.3], OMEGA) == 0)
 
 
 def test_thin_provider_warns_beyond_validity():
     prov = tmatrix.ThinExpansion(SIC, 0.1e-6)
     omega_big = 4.0 * materials.C_LIGHT / 1e-6  # x = 0.4 > 0.3
     with pytest.warns(UserWarning):
-        prov.block(0, 0.3, omega_big)
+        prov.blocks([0], [0.3], omega_big)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prov.block(0, 0.3, OMEGA)  # x = 0.2 stays quiet
+        prov.blocks([0], [0.3], OMEGA)  # x = 0.2 stays quiet
 
 
 def test_provider_block_matches_direct_call():
     prov = tmatrix.FullSolve(SIC, 0.1e-6)
     x = prov.size_parameter(OMEGA)
     eps = SIC.epsilon(OMEGA)
-    direct = tmatrix.full_t(1, 0.3, eps, 1.0, x).entries
-    assert np.array_equal(prov.block(1, 0.3, OMEGA).entries, direct)
+    assert np.array_equal(prov.blocks([1], [0.3], OMEGA)[0, 0],
+                          _full(1, 0.3, eps, x))
 
 
 def test_batched_blocks_match_loop():
@@ -465,16 +465,16 @@ def test_batched_blocks_match_loop():
         assert batch.shape == (2, 5, 2, 2)
         for k, kt in enumerate(ktz):
             for i, n in enumerate(orders):
-                single = prov.block(n, float(kt), OMEGA).entries
+                single = prov.blocks([n], [kt], OMEGA)[0, 0]
                 scale = max(float(np.max(np.abs(single))), 1e-30)
                 assert np.max(np.abs(batch[k, i] - single)) < 1e-10 * scale
-    # the thin provider's block() and blocks() share one formula, bitwise
+    # thin blocks are one formula per entry, so one at a time is bitwise
     thin = tmatrix.ThinExpansion(SIC, 0.1e-6)
     batch = thin.blocks(range(-2, 3), ktz, OMEGA)
     for k, kt in enumerate(ktz):
         for i, n in enumerate(range(-2, 3)):
             assert np.array_equal(batch[k, i],
-                                  thin.block(n, float(kt), OMEGA).entries)
+                                  thin.blocks([n], [kt], OMEGA)[0, 0])
 
 
 @pytest.mark.parametrize("prov", [tmatrix.ThinExpansion(SIC, 0.1e-6),
