@@ -37,7 +37,9 @@ integrand regular.
 
 Each outer panel is one array pass.  The frequency map, its Jacobian
 and the Bose weights of all 15 nodes come at once, and the live nodes
-go in node order to _inner in groups.  A group's block rows are
+go in node order to _axial, which calls _inner on groups.  Every
+provider call of a pass (order probe, grid calibration and outer
+integral) keeps to the same group budget.  A group's block rows are
 [psi rows of node 0 .. m-1 | y rows of node 0 .. m-1], with omega per
 row, so one provider call per distinct cylinder, one hankel_tables
 call and one call of each kernel sum serve the whole group.  A group
@@ -51,11 +53,13 @@ at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
 The axial integral is split at the light line: the propagating side is
 mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
 side uses the decaying scale y = |q| d.  Inner grids are fixed
-composite Gauss-Kronrod rules whose density is calibrated once per
-pass by a doubling probe at u = 2.5 of every temperature; the
-azimuthal truncation is calibrated once per pass by a multipole shell
-probe of both kernels.  Both take the largest value any temperature
-needs.
+composite Gauss-Kronrod rules with one density factor per pass: the
+psi and y grids double together until every integral of the pass at
+u = 2.5 of every temperature stops moving.  The azimuthal truncation
+is calibrated once per pass by a multipole shell probe of both
+kernels, whose shells are the pass's own integrals (_integrals) on
+the central orders of blocks built once at the cap.  Both take the
+largest value any temperature needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
 accumulated in a fixed order, and passes are memoized.  total_force
@@ -71,6 +75,7 @@ quadratic_term decides whether the source amplitude keeps T T^dagger.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -96,12 +101,13 @@ _SERIES_TOL = 1e-6
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
 _PER_PANEL = {"f": 10.0, "s": 3.0}
 _MAX_GRID_BUMPS = 4
-# block entries (rows x orders) of one _inner call in the outer
-# integral: a panel's nodes share calls up to this size, which bounds
-# the working set of its tables and sums.  At about 150 bytes per entry
-# this is the largest budget, in steps of 2,048, that keeps the peak
-# RSS of every benchmark workload within 3% of 6,144 entries at 335
-# bytes each: +1.0 to +2.2% measured, against +3.3% at 14,336
+# block entries (rows x orders) of one provider call: _axial and the
+# order probe split their frequencies into runs of at most this size,
+# which bounds the working set of every call's tables and sums.
+# At about 150 bytes per entry this is the largest budget, in steps of
+# 2,048, that keeps the peak RSS of every benchmark workload within 3%
+# of 6,144 entries at 335 bytes each: +1.0 to +2.2% measured, against
+# +3.3% at 14,336
 _MAX_BLOCK_ENTRIES = 12288
 
 
@@ -145,14 +151,19 @@ class QuadratureControls:
     n_max: int | None = None
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+        def number(value, kind=numbers.Real):
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        if not (number(self.rel_tol) and self.rel_tol > 0
+                and math.isfinite(self.rel_tol)):
             raise ValueError("rel_tol must be positive and finite, got %r"
                              % (self.rel_tol,))
-        if not (0.0 <= self.u_min < X_MAX):
+        if not (number(self.u_min) and 0.0 <= self.u_min < X_MAX):
             raise ValueError("u_min must satisfy 0 <= u_min < %g, got %r"
                              % (X_MAX, self.u_min))
-        if self.n_max is not None and (int(self.n_max) != self.n_max
-                                       or not 1 <= self.n_max <= 32):
+        if self.n_max is not None and not (
+                number(self.n_max, numbers.Integral)
+                and 1 <= self.n_max <= 32):
             raise ValueError("n_max must be an integer from 1 to 32 or "
                              "None, got %r" % (self.n_max,))
 
@@ -253,13 +264,17 @@ def _make_provider(provider, spec):
 
 
 def _check_geometry(source, target, separation, stacklevel=3):
+    """Raise on a missing, nonpositive or overlapping separation; warn
+    of the near field at stacklevel, once per public call, unless None."""
+    if separation is None:
+        raise TypeError("separation is required")
     rsum = source.radius + target.radius
     if not (separation > 0 and math.isfinite(separation)):
         raise ValueError("separation must be positive and finite")
     if separation <= rsum:
         raise ValueError("cylinders overlap: separation must exceed "
                          "the sum of the radii")
-    if separation < 5.0 * rsum:
+    if stacklevel and separation < 5.0 * rsum:
         warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning,
                       stacklevel=stacklevel)
 
@@ -282,211 +297,201 @@ def _psi_grid(n_panels):
     return grid
 
 
-def _blocks(src_prov, tgt_prov, orders, ktz, omega):
-    """Source and target blocks at omega (one frequency, or one per ktz
-    node), with one provider call when both cylinders are the same."""
-    tsrc = src_prov.blocks(orders, ktz, omega)
+def _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
+    """Blocks on orders at m frequencies, on the rows [psi rows of node
+    0 .. m-1 | y rows of node 0 .. m-1] with omega per row, so one
+    provider call per distinct cylinder covers every node and both
+    branches.  Node i has n_panels[i] uniform psi panels (none if
+    n_panels is empty) and the y grid of evan (none if None).  Returns
+    (k, tsrc, ttgt, psi): k = omega / c per node, and psi = (qd, weights
+    times sin(psi)^2, first row of each node) or None."""
+    k = np.asarray(omegas, dtype=float) / C_LIGHT
+    kd = k * d
+    ktz, w_rows, psi = [], [], None
+    if len(n_panels):
+        grids = [_psi_grid(int(n)) for n in n_panels]
+        sizes = [g[0].size for g in grids]
+        cos_psi, sin_psi, w_sin2 = (np.concatenate(a) for a in zip(*grids))
+        psi = (np.repeat(kd, sizes) * sin_psi, w_sin2,
+               np.cumsum([0] + sizes[:-1]))
+        ktz.append(cos_psi)
+        w_rows.append(np.repeat(omegas, sizes))
+    if evan is not None:
+        ktz.append(np.sqrt(1.0 + (evan[0] / kd[:, None]) ** 2).ravel())
+        w_rows.append(np.repeat(omegas, evan[0].size))
+    ktz, w_rows = np.concatenate(ktz), np.concatenate(w_rows)
+    tsrc = src_prov.blocks(orders, ktz, w_rows)
     same = (type(src_prov) is type(tgt_prov)
             and src_prov.material == tgt_prov.material
             and src_prov.radius == tgt_prov.radius)
-    return tsrc, (tsrc if same else tgt_prov.blocks(orders, ktz, omega))
+    ttgt = tsrc if same else tgt_prov.blocks(orders, ktz, w_rows)
+    return k, tsrc, ttgt, psi
 
 
-def _prop_vals(kernel, src_prov, amp, ttgt, tables, nu_max, qd):
-    """Propagating ('f') or pair ('s') kernel sum per psi row of the
-    source amplitude amp on hankel_tables output (hp, h, jp), with the
-    quadratic term when src_prov has one, checked finite."""
-    hp, h, jp = tables
-    if kernel == "f":
-        vals = kernels.prop_kernel_sum(amp, ttgt, hp, nu_max,
-                                       src_prov.quadratic_term)
-        return kernels.require_finite(vals, hp, qd, nu_max, "qd")
-    vals = kernels.pair_kernel_sum(amp, ttgt, h, jp, nu_max)
-    return kernels.require_finite(vals, h, qd, nu_max, "qd")
+def _integrals(src_prov, n, sums, d, k, tsrc, ttgt, psi, evan):
+    """Axial integrals of the _rows output (k, tsrc, ttgt, psi) on
+    orders -n .. n, shape (m, len(sums)): row i holds the integrals at
+    node i, one column per entry of sums.  The blocks may hold more
+    orders, and the K-product table of evan = (y, weights, table) a
+    higher table order; both are read at their central columns.
+
+    'f' and 's' are the propagating interaction and pair integrals
+    dk_z q * (kernel sum) over |k_z| < omega / c, mapped to psi with
+    k_z = k cos(psi), weighted k^2 per node; 'e' is the evanescent
+    interaction integral in the decay variable y = |q| d, weighted
+    2 / d^2.  The psi integrals are segment sums over the ragged
+    per-node grids; every node shares the y grid, so its integrals come
+    from an (m, ny) reshape and the K-product table serves all nodes
+    untiled.  The -k_z evanescent blocks are T(k_z) * [[1, -1],
+    [-1, 1]] on both cylinders and the sum multiplies their entries
+    pairwise, so the -k_z sum is the +k_z sum bitwise and the branch is
+    twice the +k_z sum.  The evanescent sum runs before the Hankel
+    tables and source amplitudes are built, so its working set does not
+    add to theirs.  Every sum is checked finite."""
+    mid = tsrc.shape[1] // 2
+    tsrc, ttgt = tsrc[:, mid - n:mid + n + 1], ttgt[:, mid - n:mid + n + 1]
+    nu_max = 2 * n
+    n_psi = 0 if psi is None else psi[0].size
+    out = np.empty((k.size, len(sums)))
+    if "e" in sums:
+        y, y_wts, kk = evan
+        mid = kk.shape[1] // 2
+        kk = kk[:, mid - nu_max:mid + nu_max + 1]
+        vals = kernels.require_finite(kernels.evan_kernel_sum(
+            tsrc[n_psi:], ttgt[n_psi:], kk, nu_max), kk, y, nu_max, "y")
+        weights = y_wts * y * y / np.sqrt(np.square(k * d)[..., None] + y * y)
+        out[:, sums.index("e")] = 2.0 / (d * d) * np.sum(
+            weights * vals.reshape(-1, y.size), axis=1)
+    if n_psi:
+        qd, w_sin2, starts = psi
+        hp, h, jp = kernels.hankel_tables(qd, nu_max)
+        amp = kernels.prop_amplitude(tsrc[:n_psi], src_prov.quadratic_term)
+    for col, s in enumerate(sums):
+        if s == "f":
+            vals = kernels.require_finite(kernels.prop_kernel_sum(
+                amp, ttgt[:n_psi], hp, nu_max, src_prov.quadratic_term),
+                hp, qd, nu_max, "qd")
+        elif s == "s":
+            vals = kernels.require_finite(kernels.pair_kernel_sum(
+                amp, ttgt[:n_psi], h, jp, nu_max), h, qd, nu_max, "qd")
+        else:
+            continue
+        out[:, col] = k * k * np.add.reduceat(w_sin2 * vals, starts)
+    return out
 
 
-def _evan_vals(tsrc, ttgt, kk, nu_max, y):
-    """Evanescent kernel sum per y row of +k_z blocks on a K-product
-    table of the y grid, checked finite."""
-    vals = kernels.evan_kernel_sum(tsrc, ttgt, kk, nu_max)
-    return kernels.require_finite(vals, kk, y, nu_max, "y")
-
-
-def _evan_weights(y, y_wts, kd):
-    """Weights y^2 / sqrt(kd^2 + y^2) of the y grid, one row per kd."""
-    return y_wts * y * y / np.sqrt(np.square(kd)[..., None] + y * y)
-
-
-def _evan_tables(factor, orders):
-    """Evanescent y-grid (nodes, weights), with every panel of
-    _EVAN_EDGES split into factor equal parts, and its K-product table.
-    Neither depends on the frequency, so one pass builds them once and
-    reuses them at every outer node."""
-    edges = [_EVAN_EDGES[0]]
-    for lo, hi in zip(_EVAN_EDGES[:-1], _EVAN_EDGES[1:]):
+def _evan_tables(factor, orders, panels=_EVAN_EDGES):
+    """Evanescent y-grid (nodes, weights), with every panel of panels
+    split into factor equal parts, and its K-product table.  Neither
+    depends on the frequency, so one pass builds them once and reuses
+    them at every outer node."""
+    edges = [panels[0]]
+    for lo, hi in zip(panels[:-1], panels[1:]):
         edges.extend(np.linspace(lo, hi, factor + 1)[1:])
     nodes, wts = composite_nodes(edges)
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
 def _inner(src_prov, tgt_prov, omegas, d, orders, sums, n_panels, evan):
-    """Axial integrals at m frequencies, shape (m, len(sums)): row i
-    holds the integrals at omegas[i], one column per entry of sums.
+    """Axial integrals at m frequencies on orders, shape (m, len(sums)):
+    the _integrals of their _rows [psi rows of node 0 .. m-1 | y rows
+    of node 0 .. m-1], with evan from _evan_tables, so one provider call
+    per distinct cylinder, one hankel_tables call and one call of each
+    kernel sum serve every node."""
+    rows = _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan)
+    return _integrals(src_prov, int(orders[-1]), sums, d, *rows, evan)
 
-    'f' and 's' are the propagating interaction and pair integrals
-    dk_z q * (kernel sum) over |k_z| < omega / c, mapped to psi with
-    k_z = k cos(psi) on n_panels[i] uniform panels; 'e' is the
-    evanescent interaction integral in the decay variable y = |q| d on
-    the tables evan from _evan_tables.
 
-    The block rows are [psi rows of node 0 .. m-1 | y rows of node
-    0 .. m-1], with omega given per row: one provider call per
-    distinct cylinder covers every node and both branches, one
-    hankel_tables call all psi rows, and each kernel sum is one call.
-    The psi integrals are segment sums over the ragged per-node grids;
-    every node shares the y grid, so its integrals come from an
-    (m, ny) reshape and its K-product table serves all nodes untiled.
-    The -k_z evanescent blocks are T(k_z) * [[1, -1], [-1, 1]] on both
-    cylinders and the sum multiplies their entries pairwise, so the
-    -k_z sum is the +k_z sum bitwise and the branch is twice the +k_z
-    sum.  The evanescent sum runs before the propagating tables and
-    source amplitudes are built, so its working set does not add to
-    theirs."""
-    omegas = np.asarray(omegas, dtype=float)
-    k = omegas / C_LIGHT
-    kd = k * d
-    nu_max = int(orders[-1]) * 2
-    out = np.empty((omegas.size, len(sums)))
-    ktz, w_rows = [], []
-    n_psi = 0
-    if "f" in sums or "s" in sums:
-        grids = [_psi_grid(int(n)) for n in n_panels]
-        sizes = [g[0].size for g in grids]
-        starts = np.cumsum([0] + sizes[:-1])
-        n_psi = sum(sizes)
-        cos_psi, sin_psi, w_sin2 = (np.concatenate(a) for a in zip(*grids))
-        qd = np.repeat(kd, sizes) * sin_psi
-        ktz.append(cos_psi)
-        w_rows.append(np.repeat(omegas, sizes))
-    if "e" in sums:
-        y, y_wts, kk = evan
-        ktz.append(np.sqrt(1.0 + (y / kd[:, None]) ** 2).ravel())
-        w_rows.append(np.repeat(omegas, y.size))
-    tsrc, ttgt = _blocks(src_prov, tgt_prov, orders, np.concatenate(ktz),
-                         np.concatenate(w_rows))
-    if "e" in sums:
-        vals = _evan_vals(tsrc[n_psi:], ttgt[n_psi:], kk, nu_max, y)
-        out[:, sums.index("e")] = 2.0 / (d * d) * np.sum(
-            _evan_weights(y, y_wts, kd) * vals.reshape(-1, y.size), axis=1)
-    if n_psi:
-        tables = kernels.hankel_tables(qd, nu_max)
-        amp = kernels.prop_amplitude(tsrc[:n_psi], src_prov.quadratic_term)
-    for col, s in enumerate(sums):
-        if s != "e":
-            vals = _prop_vals(s, src_prov, amp, ttgt[:n_psi], tables,
-                              nu_max, qd)
-            out[:, col] = k * k * np.add.reduceat(w_sin2 * vals, starts)
+def _runs(n_panels, evan, width):
+    """Slices of consecutive nodes whose block entries add up to at
+    most _MAX_BLOCK_ENTRIES: node i has the rows of n_panels[i] psi
+    panels and of evan's y grid, each with width orders.  A node larger
+    than that is a run of its own."""
+    n_y = 0 if evan is None else evan[0].size
+    starts, total = [], 0
+    for i, p in enumerate(n_panels):
+        size = (_psi_grid(p)[0].size + n_y) * width
+        if not starts or total + size > _MAX_BLOCK_ENTRIES:
+            starts.append(i)
+            total = 0
+        total += size
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(n_panels)])]
+
+
+def _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor, evan):
+    """The axial integrals of a pass at omegas, shape (m, len(sums)),
+    on grids of density factor: factor times the psi panels its densest
+    psi sum asks for (_PER_PANEL), and evan's y grid.  One _inner call
+    serves each run of consecutive nodes within the entry budget."""
+    n_panels = [factor * max(_npanels(w * d / C_LIGHT, _PER_PANEL[s])
+                             for s in sums if s in _PER_PANEL)
+                for w in omegas]
+    out = np.empty((len(omegas), len(sums)))
+    for run in _runs(n_panels, evan, orders.size):
+        out[run] = _inner(src_prov, tgt_prov, omegas[run], d, orders, sums,
+                          n_panels[run], evan)
     return out
 
 
 def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
-    kernel is negligible: the interaction kernel ('f' with 'e') and the
-    pair kernel ('s') each by its own shell test, and the largest order
-    any of them needs wins.  Each frequency makes one provider call per
-    cylinder at the cap, on the psi and y nodes together, and one
-    hankel_tables call; shells read their central orders.  The
-    K-product table is built once, and only for the interaction kind."""
+    kernel is negligible: the interaction integrals ('f' with 'e') and
+    the pair integral ('s') each by its own shell test, and the largest
+    order any of them needs at any frequency wins.  Each run of
+    frequencies within the entry budget makes one provider call per
+    distinct cylinder at the cap, on 2 psi panels and the y grid up to
+    y = 12, and each shell is the _integrals of its central orders.
+    The K-product table is built once at the cap, and only for the
+    interaction kind."""
     if n_cap <= 1:
         return 1
-    cos_psi, sin_psi, w_sin2 = _psi_grid(2)
-    n_psi = sin_psi.size
+    sums = sum((_SUMS[k] for k in kinds), ())
+    first = np.cumsum([0] + [len(_SUMS[k]) for k in kinds[:-1]])
     cap_orders = np.arange(-n_cap, n_cap + 1)
-    if "int" in kinds:
-        y_nodes, y_wts = composite_nodes(_EVAN_EDGES[:10])
-        kk = kernels.k_product_table(y_nodes, 2 * n_cap)
-    need = 1
-    for omega in omegas:
-        kd = omega * d / C_LIGHT
-        qd = kd * sin_psi
-        ktz = cos_psi
-        if "int" in kinds:
-            ktz = np.concatenate([ktz, np.sqrt(1.0 + (y_nodes / kd) ** 2)])
-        ts, tt = _blocks(src_prov, tgt_prov, cap_orders, ktz, omega)
-        if "int" in kinds:
-            y_weights = _evan_weights(y_nodes, y_wts, kd)
-        hp, h, jp = kernels.hankel_tables(qd, 2 * n_cap)
-        pending = [_SUMS[k] for k in kinds]
-        prev = {}
-        for n_cur in range(1, n_cap + 1):
-            lo, hi = n_cap - n_cur, n_cap + n_cur + 1
-            nu_cur = 2 * n_cur
-            off = 2 * (n_cap - n_cur)
-            end = off + 4 * n_cur + 1
-            amp = kernels.prop_amplitude(ts[:n_psi, lo:hi],
-                                         src_prov.quadratic_term)
-            tables = (hp[:, off:end + 1], h[:, off:end], jp[:, off:end])
-            for ks in list(pending):
-                cur = tuple(
-                    float(np.dot(y_weights, _evan_vals(
-                        ts[n_psi:, lo:hi], tt[n_psi:, lo:hi],
-                        kk[:, off:end], nu_cur, y_nodes)))
-                    if s == "e" else
-                    float(np.dot(w_sin2, _prop_vals(
-                        s, src_prov, amp, tt[:n_psi, lo:hi], tables,
-                        nu_cur, qd)))
-                    for s in ks)
-                if ks in prev:
-                    shell = sum(abs(a - b) for a, b in zip(cur, prev[ks]))
-                    scale = max(sum(abs(a) for a in cur), 1e-300)
-                    if shell <= _SERIES_TOL * scale:
-                        need = max(need, n_cur)
-                        pending.remove(ks)
-                prev[ks] = cur
-            if not pending:
+    evan = (_evan_tables(1, cap_orders, _EVAN_EDGES[:10])
+            if "int" in kinds else None)
+    omegas = np.asarray(omegas, dtype=float)
+    need = np.zeros((omegas.size, len(kinds)), dtype=int)
+    for run in _runs([2] * omegas.size, evan, cap_orders.size):
+        rows = _rows(src_prov, tgt_prov, omegas[run], d, cap_orders,
+                     [2] * omegas[run].size, evan)
+        prev, got = _integrals(src_prov, 1, sums, d, *rows, evan), need[run]
+        for n in range(2, n_cap + 1):
+            cur = _integrals(src_prov, n, sums, d, *rows, evan)
+            shell = np.add.reduceat(np.abs(cur - prev), first, axis=1)
+            scale = np.add.reduceat(np.abs(cur), first, axis=1)
+            got[(got == 0) & (shell <= _SERIES_TOL
+                              * np.maximum(scale, 1e-300))] = n
+            if got.all():
                 break
-        else:
-            need = n_cap
-            warnings.warn(_ORDER_CAP_WARNING, RuntimeWarning, stacklevel=4)
-    return need
+            prev = cur
+    if not need.all():
+        warnings.warn(_ORDER_CAP_WARNING, RuntimeWarning, stacklevel=4)
+        return n_cap
+    return int(need.max())
 
 
-def _bump_factor(evaluate, rel_tol):
-    """Double a grid-density factor until a probe integral stops
-    moving at the 0.2 * rel_tol level."""
-    factor = 1
-    prev = evaluate(factor)
-    rel = 0.0
+def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol):
+    """The grid-density factor of a pass: its psi panels and y grid
+    double together, from factor 1, until every integral of sums at
+    every frequency of omegas stops moving at the 0.2 * rel_tol level.
+    Each factor tried is one _axial call."""
+    def integrals(factor):
+        return _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor,
+                      _evan_tables(factor, orders) if "e" in sums else None)
+
+    factor, prev = 1, integrals(1)
     for _ in range(_MAX_GRID_BUMPS):
-        cur = evaluate(2 * factor)
-        scale = max(abs(prev), abs(cur), 1e-300)
-        rel = abs(cur - prev) / scale
+        cur = integrals(2 * factor)
+        scale = np.maximum(np.maximum(np.abs(prev), np.abs(cur)), 1e-300)
+        rel = np.max(np.abs(cur - prev) / scale)
         if rel <= 0.2 * rel_tol:
             return factor
-        factor *= 2
-        prev = cur
+        factor, prev = 2 * factor, cur
     if rel > rel_tol:
-        warnings.warn(_GRID_CAP_WARNING, RuntimeWarning, stacklevel=5)
+        warnings.warn(_GRID_CAP_WARNING, RuntimeWarning, stacklevel=4)
     return factor
-
-
-def _grid_factor(s, src_prov, tgt_prov, omega, d, orders, rel_tol):
-    """Grid-density factor that the axial integral s of _inner needs
-    at frequency omega: its psi panels per _PER_PANEL[s], or its
-    evanescent y-grid, doubled until the integral stops moving."""
-    omegas = np.array([omega])
-    if s == "e":
-        def evaluate(f):
-            return _inner(src_prov, tgt_prov, omegas, d, orders, ("e",), (),
-                          _evan_tables(f, orders))[0, 0]
-    else:
-        n_panels = _npanels(omega * d / C_LIGHT, _PER_PANEL[s])
-
-        def evaluate(f):
-            return _inner(src_prov, tgt_prov, omegas, d, orders, (s,),
-                          (n_panels * f,), None)[0, 0]
-    return _bump_factor(evaluate, rel_tol)
 
 
 def _distinct(values):
@@ -499,20 +504,6 @@ def _distinct(values):
         if not out or v - out[-1] > 4.0 * math.ulp(v):
             out.append(v)
     return out
-
-
-def _runs(sizes, limit):
-    """Split positions 0 .. len(sizes) - 1 into consecutive runs whose
-    sizes add up to at most limit; an item larger than limit is a run
-    of its own."""
-    runs, total = [], 0
-    for i, size in enumerate(sizes):
-        if not runs or total + size > limit:
-            runs.append([])
-            total = 0
-        runs[-1].append(i)
-        total += size
-    return runs
 
 
 def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
@@ -530,7 +521,7 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     through the Bose factor, so each outer node evaluates them once and
     weights them for every temperature whose window [u_min, X_MAX] in
     its own u = hbar omega / k_B T holds the node.  The orders and the
-    grid factors are the largest that any temperature needs.
+    grid factor are the largest that any temperature needs.
     """
     sums = sum((_SUMS[k] for k in kinds), ())
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
@@ -539,16 +530,9 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
                           sorted({u * s for s in scales for u in _PROBE_US}),
                           d, kinds, n_cap)
     orders = np.arange(-n_use, n_use + 1)
-
-    fac = {s: max(_grid_factor(s, src_prov, tgt_prov, 2.5 * w, d, orders,
-                               controls.rel_tol)
-                  for w in scales)
-           for s in sums}
-    evan = _evan_tables(fac["e"], orders) if "e" in sums else None
-
-    def psi_panels(kd):
-        return max(_npanels(kd, _PER_PANEL[s]) * fac[s]
-                   for s in sums if s != "e")
+    factor = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales), d,
+                          orders, sums, controls.rel_tol)
+    evan = _evan_tables(factor, orders) if "e" in sums else None
 
     # Seed edges: every temperature's thermal seed edges in absolute
     # omega.  The first seed panel [omega_0, omega_1] is integrated in
@@ -559,8 +543,6 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     omega_1 = edges[1]
     x_edges = [math.sqrt(w * omega_1) if w < omega_1 else w for w in edges]
 
-    n_y = evan[0].size if evan else 0
-
     def integrand(x_nodes):
         first = x_nodes < omega_1
         omegas = np.where(first, x_nodes * x_nodes / omega_1, x_nodes)
@@ -570,15 +552,10 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
         bose = np.expm1(us, where=live, out=np.ones_like(us))
         weights = np.where(live, jac[:, None] / bose, 0.0)
         out = np.zeros((x_nodes.size, len(temps), len(sums)))
-        nodes = np.flatnonzero(live.any(axis=1))
-        panels = [psi_panels(w * d / C_LIGHT) for w in omegas[nodes]]
-        entries = [(_psi_grid(p)[0].size + n_y) * orders.size
-                   for p in panels]
-        for run in _runs(entries, _MAX_BLOCK_ENTRIES):
-            at = nodes[run]
-            vals = _inner(src_prov, tgt_prov, omegas[at], d, orders, sums,
-                          [panels[r] for r in run], evan)
-            out[at] = weights[at, :, None] * vals[:, None, :]
+        at = np.flatnonzero(live.any(axis=1))
+        vals = _axial(src_prov, tgt_prov, omegas[at], d, orders, sums,
+                      factor, evan)
+        out[at] = weights[at, :, None] * vals[:, None, :]
         return out.reshape(x_nodes.size, -1)
 
     # one tolerance group per (temperature, kind): the interaction
@@ -598,13 +575,18 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     return out
 
 
-def _scenario_temperatures(scenario):
-    """The positive temperatures of a scenario: its own (T1, T2, T_env)
-    and every entry of its temperature sets."""
+def _scenario_keywords(scenario, source, other, separation, memo):
+    """Check the geometry of a total_force or self_force call, and
+    return the keywords of its force calls: one memo, and as _temps the
+    positive temperatures of the scenario's own (T1, T2, T_env) and of
+    every temperature set."""
+    _check_geometry(source, other, separation, stacklevel=4)
     own = (scenario.cylinder1.temperature, scenario.cylinder2.temperature,
            scenario.environment_temperature)
-    return frozenset(float(t) for t in own + sum(
+    temps = frozenset(float(t) for t in own + sum(
         scenario.temperature_sets or (), ()) if t > 0)
+    return dict(provider=scenario.provider, controls=scenario.controls,
+                _memo={} if memo is None else memo, _temps=temps)
 
 
 def _force(kind, source, target, temperature, separation, provider,
@@ -612,10 +594,11 @@ def _force(kind, source, target, temperature, separation, provider,
     """The checks, defaults and memo lookup of interaction_force and
     pair_source_force around one _pass: of both kinds at scenario_temps
     (from total_force or self_force) and this temperature, or else of
-    this kind and temperature only.  A memo key names both."""
-    if separation is None:
-        raise TypeError("separation is required")
-    _check_geometry(source, target, separation, stacklevel=5)
+    this kind and temperature only.  A memo key names both.  Only a
+    lone call warns of the near field; total_force and self_force
+    warn once for their calls."""
+    _check_geometry(source, target, separation,
+                    4 if scenario_temps is None else None)
     provs = (_make_provider(provider, source),
              _make_provider(provider, target))
     controls = controls if controls is not None else QuadratureControls()
@@ -633,12 +616,10 @@ def _force(kind, source, target, temperature, separation, provider,
         temps = tuple(sorted(scenario_temps | {temp}))
     key = (kinds, provider, source.material, source.radius,
            target.material, target.radius, temps, separation, controls)
-    if memo is not None and key in memo:
-        return memo[key][kind, temp]
-    value = _pass(kinds, temps, *provs, separation, controls)
-    if memo is not None:
-        memo[key] = value
-    return value[kind, temp]
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _pass(kinds, temps, *provs, separation, controls)
+    return memo[key][kind, temp]
 
 
 def interaction_force(source, target, temperature=None, separation=None,
@@ -691,13 +672,10 @@ def self_force(index, scenario, separation, *, temperature=None,
     """
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
-    if index == 1:
-        source, other = scenario.cylinder1, scenario.cylinder2
-    else:
-        source, other = scenario.cylinder2, scenario.cylinder1
-    kw = dict(provider=scenario.provider, controls=scenario.controls,
-              _memo={} if _memo is None else _memo,
-              _temps=_scenario_temperatures(scenario))
+    source, other = scenario.cylinder1, scenario.cylinder2
+    if index == 2:
+        source, other = other, source
+    kw = _scenario_keywords(scenario, source, other, separation, _memo)
     pair = pair_source_force(source, other, temperature, separation, **kw)
     onto_other, _ = interaction_force(source, other, temperature,
                                       separation, **kw)
@@ -714,15 +692,11 @@ def total_force(scenario, separation, *, _memo=None):
     interaction and self-force integrals.  Returns a ForceBreakdown.
     """
     c1, c2 = scenario.cylinder1, scenario.cylinder2
-    _check_geometry(c1, c2, separation)
+    kw = _scenario_keywords(scenario, c1, c2, separation, _memo)
     f_eq = 0.0 if scenario.equilibrium is None \
         else scenario.equilibrium.force(separation)
-    t1 = c1.temperature
-    t2 = c2.temperature
-    te = float(scenario.environment_temperature)
-    kw = dict(provider=scenario.provider, controls=scenario.controls,
-              _memo={} if _memo is None else _memo,
-              _temps=_scenario_temperatures(scenario))
+    t1, t2, te = (c1.temperature, c2.temperature,
+                  float(scenario.environment_temperature))
     pair1_t1 = pair_source_force(c1, c2, t1, separation, **kw)
     pair1_te = pair_source_force(c1, c2, te, separation, **kw)
     int12_t1, ch12_t1 = interaction_force(c1, c2, t1, separation, **kw)
@@ -790,9 +764,6 @@ def sweep(scenario):
     separation share its passes (one per source cylinder, one for
     identical cylinders), so rows sharing a temperature and separation
     reuse bitwise-identical values."""
-    rsum = scenario.cylinder1.radius + scenario.cylinder2.radius
-    if any(d < 5.0 * rsum for d in scenario.separations):
-        warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning, stacklevel=2)
     memo = {}
     return [total_force(one, d, _memo=memo)
             for one in set_scenarios(scenario)

@@ -320,10 +320,12 @@ class CylinderSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.radius, numbers.Real) or self.radius <= 0:
+        if not isinstance(self.radius, numbers.Real) \
+                or isinstance(self.radius, bool) or self.radius <= 0:
             raise ValueError("radius must be positive, got %r"
                              % (self.radius,))
         if not isinstance(self.temperature, numbers.Real) \
+                or isinstance(self.temperature, bool) \
                 or not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0, got %r"
                              % (self.temperature,))

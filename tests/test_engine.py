@@ -182,9 +182,9 @@ def test_tolerance_refinement_consistency():
 def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     # the evanescent y-grids are fixed for the whole integral, so the
     # order probe builds its K-product table once for all its
-    # frequencies, and past the probe and the grid-bump probes the outer
-    # frequency integral builds its table once, however many nodes it
-    # takes
+    # frequencies, the grid calibration once per factor it tries, and
+    # past both the outer frequency integral builds its table once,
+    # however many nodes it takes
     calls = []
     phase = {"name": "outside"}
     real_table = kernels.k_product_table
@@ -214,8 +214,8 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     monkeypatch.setattr(kernels, "k_product_table", counting_table)
     monkeypatch.setattr(engine, "_probe_orders",
                         in_phase("probe", engine._probe_orders))
-    monkeypatch.setattr(engine, "_bump_factor",
-                        in_phase("bump", engine._bump_factor))
+    monkeypatch.setattr(engine, "_grid_factor",
+                        in_phase("grid", engine._grid_factor))
     monkeypatch.setattr(engine, "adaptive_vector",
                         in_phase("outer", counting_outer))
     ctl = QuadratureControls(rel_tol=rel_tol, n_max=2)
@@ -225,10 +225,10 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
                           controls=ctl)
     assert sum(nodes) >= 120
     assert calls.count("outer") == 0
-    assert calls.count("bump") >= 2
+    assert calls.count("grid") >= 2
     assert calls.count("probe") == (1 if provider == "full" else 0)
     assert calls.count("outside") == 1
-    assert len(calls) == (calls.count("probe") + calls.count("bump") + 1)
+    assert len(calls) == (calls.count("probe") + calls.count("grid") + 1)
 
 
 def _counting_outer(monkeypatch, phase=None):
@@ -281,8 +281,9 @@ def _check_outer_calls(calls, counts, distinct):
     """The outer integral's provider calls batch a panel's nodes: every
     outer node is a distinct value, its omega appears in exactly one
     call per distinct cylinder, with both light-line branches; there
-    are fewer calls than nodes, and no call exceeds the engine's entry
-    budget."""
+    are fewer calls than nodes, and no provider call of the pass (order
+    probe, grid calibration or outer integral) exceeds the engine's
+    entry budget."""
     assert len(counts["values"]) == counts["nodes"]
     outer = [c for c in calls if c["outer"]]
     seen = Counter((c["cylinder"], w) for c in outer
@@ -296,7 +297,7 @@ def _check_outer_calls(calls, counts, distinct):
             ktz = c["ktz"][c["omega"] == w]
             assert np.any(ktz > 1.0) and np.any(ktz < 1.0)
     assert len(outer) < counts["nodes"]
-    assert max(c["entries"] for c in outer) <= engine._MAX_BLOCK_ENTRIES
+    assert max(c["entries"] for c in calls) <= engine._MAX_BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("provider, rel_tol, radius2", [
@@ -379,6 +380,31 @@ def test_fused_integral_one_blocks_call_per_node(monkeypatch):
     _check_outer_calls(calls, counts, 1)
 
 
+def test_every_provider_call_within_the_entry_budget(monkeypatch):
+    # four temperatures give the order probe 12 frequencies, whose
+    # 165 rows each at the full provider's 17 cap orders would make
+    # 33,660 block entries in one call: the probe splits them into runs
+    # within the budget, as the grid calibration and the outer integral
+    # split theirs
+    phase = {"outer": False}
+    calls = _recording_blocks(monkeypatch, phase)
+    counts = _counting_outer(monkeypatch, phase)
+    temps = (150.0, 300.0, 450.0, 600.0)
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
+                  provider="full", environment_temperature=300.0,
+                  controls=QuadratureControls(rel_tol=1e-2),
+                  temperature_sets=tuple((t, 300.0, 300.0) for t in temps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        total_force(sc, 2e-6)
+    assert counts["calls"] == 1
+    _check_outer_calls(calls, counts, 1)
+    probe = [c for c in calls if c["ktz"].size * 17 == c["entries"]
+             and not c["outer"]]
+    probed = set(np.concatenate([c["omega"] for c in probe]).tolist())
+    assert len(probed) == 12 and len(probe) >= 3
+
+
 @pytest.mark.parametrize("provider", ["thin", "full"])
 def test_inner_does_not_depend_on_its_batch(provider):
     # a node's axial integrals do not depend on the other nodes of its
@@ -459,8 +485,8 @@ def test_sweep_repeats_with_one_node_per_call(monkeypatch):
 
 def test_order_probe_repeats_no_block_call(monkeypatch):
     # one order probe per pass serves both kernels and every
-    # temperature, and no (provider, orders, ktz, omega) call repeats
-    # in it
+    # temperature: within the entry budget it makes one provider call
+    # per distinct cylinder, which holds every probe frequency once
     probes = []
     real_probe = engine._probe_orders
 
@@ -474,9 +500,8 @@ def test_order_probe_repeats_no_block_call(monkeypatch):
     def recording(blocks):
         def wrapped(self, orders, ktz, omega):
             if probes and probes[-1] is not None:
-                probes[-1].append((self.material, self.radius,
-                                   np.asarray(orders).tobytes(),
-                                   np.asarray(ktz).tobytes(), float(omega)))
+                probes[-1].append(((self.material, self.radius),
+                                   np.unique(omega).tolist()))
             return blocks(self, orders, ktz, omega)
         return wrapped
 
@@ -494,11 +519,13 @@ def test_order_probe_repeats_no_block_call(monkeypatch):
         total_force(sc, 0.5e-6)
     probes = [p for p in probes if p is not None]
     # one pass per source cylinder; each probes 3 frequencies of each
-    # of the 2 temperatures on the 2 cylinders
+    # of the 2 temperatures in one call on each of the 2 cylinders
     assert len(probes) == 2
     for calls in probes:
-        assert len(calls) == 3 * 2 * 2
-        assert len(set(calls)) == len(calls)
+        assert len(calls) == 2
+        assert len({cylinder for cylinder, _ in calls}) == 2
+        assert calls[0][1] == calls[1][1]
+        assert len(calls[0][1]) == 3 * 2
 
 
 def test_conductor_evanescent_channel_converges():
@@ -527,11 +554,22 @@ def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
 
     for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
         monkeypatch.setattr(cls, "blocks", recording(cls.blocks))
-    pair = pair_source_force(C1, C2, 300.0, 2e-6, provider="full",
-                             controls=QuadratureControls(rel_tol=1e-2,
-                                                         n_max=2))
+    with pytest.warns(RuntimeWarning, match="order cap"):
+        pair = pair_source_force(C1, C2, 300.0, 2e-6, provider="full",
+                                 controls=QuadratureControls(rel_tol=1e-2,
+                                                             n_max=2))
     assert np.isfinite(pair)
     assert max(ktz_max) < 1.0
+
+
+def test_order_probe_weights_its_shells_as_the_pass_does():
+    # the interaction shell is scored on the integrals the pass forms,
+    # k^2 times the psi sum and 2 / d^2 times the y sum: here the shell
+    # of order 5 at u = 15 is 1.18e-6 of the integral, above the 1e-6
+    # series tolerance, which the unweighted sums put below it
+    prov = tmatrix.FullSolve(SIC, 0.5e-6)
+    omegas = [u * K_BOLTZMANN * 450.0 / HBAR for u in engine._PROBE_US]
+    assert engine._probe_orders(prov, prov, omegas, 3e-6, ("int",), 8) == 6
 
 
 def test_full_provider_with_a_high_order_cap():
@@ -684,9 +722,24 @@ def test_non_finite_temperatures_rejected(bad):
 
 
 def test_one_reflection_warning():
-    # closer than 5 (R1 + R2) the single-reflection picture degrades
+    # closer than 5 (R1 + R2) the single-reflection picture degrades:
+    # each public call warns once, and a sweep once per row
     with pytest.warns(RuntimeWarning):
         interaction_force(C1, C2, 0.0, 0.6e-6, controls=CTL)
+    cold = CylinderSpec(R, SIC, 0.0)
+    sc = Scenario(cylinder1=cold, cylinder2=cold, separations=(0.8e-6,),
+                  controls=CTL)
+    for call, rows in (
+            (lambda: interaction_force(cold, cold, 0.0, 0.8e-6), 1),
+            (lambda: pair_source_force(cold, cold, 0.0, 0.8e-6), 1),
+            (lambda: total_force(sc, 0.8e-6), 1),
+            (lambda: self_force(1, sc, 0.8e-6), 1),
+            (lambda: sweep(replace(sc, separations=(0.8e-6, 0.9e-6))), 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message) for w in caught] \
+            == [engine._NEAR_FIELD_WARNING] * rows
 
 
 def test_controls_validation():
@@ -700,6 +753,12 @@ def test_controls_validation():
     assert QuadratureControls(n_max=32).n_max == 32
     with pytest.raises(ValueError, match="from 1 to 32"):
         QuadratureControls(n_max=33)
+    # a bool is not a number here, and the order cap is an integer
+    assert QuadratureControls(n_max=np.int64(3)).n_max == 3
+    for bad in ({"n_max": True}, {"n_max": 2.0}, {"rel_tol": True},
+                {"u_min": False}, {"u_min": np.bool_(False)}):
+        with pytest.raises(ValueError):
+            QuadratureControls(**bad)
 
 
 if __name__ == "__main__":

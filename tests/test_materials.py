@@ -162,3 +162,7 @@ def test_cylinder_spec():
         materials.CylinderSpec(radius=-1e-7, material=SIC, temperature=0.0)
     with pytest.raises(ValueError):
         materials.CylinderSpec(radius=1e-7, material=SIC, temperature=-1.0)
+    for radius, temperature in ((True, 0.0), (1e-7, True), (1e-7, False)):
+        with pytest.raises(ValueError):
+            materials.CylinderSpec(radius=radius, material=SIC,
+                                   temperature=temperature)
