@@ -14,8 +14,9 @@ Subcommands:
   reference forces per unit length for putting computed forces in
   context.
 
-Exit codes: 0 success, 2 malformed scenario or input file, 3 quadrature
-non-convergence.
+Exit codes: 0 success, 1 standard output closed by its reader (as by
+``| head``), 2 malformed scenario or input file or a rejected argument,
+3 quadrature non-convergence.
 """
 
 import argparse
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,8 +48,17 @@ CSV_COLUMNS = (
 _FMT = "%.12e"
 
 
+def _require_finite(**values):
+    """Raise a ValueError naming the first argument that is not a
+    finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 def weight_per_length(density, radius):
     """Weight per unit length, rho pi R^2 g, in N/m."""
+    _require_finite(density=density, radius=radius)
     if density < 0 or radius < 0:
         raise ValueError("density and radius must be nonnegative")
     return density * math.pi * radius ** 2 * G_STANDARD
@@ -58,6 +69,8 @@ def ampere_force_per_length(current1, current2, separation):
 
     mu0 I1 I2 / (2 pi d); attractive when the currents are parallel.
     """
+    _require_finite(current1=current1, current2=current2,
+                    separation=separation)
     if separation <= 0:
         raise ValueError("separation must be positive")
     return MU_0 * current1 * current2 / (2.0 * math.pi * separation)
@@ -270,7 +283,18 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point the descriptor at devnull, so the
+        # interpreter's last flush of what is still buffered succeeds
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except SchemaError as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2

@@ -30,10 +30,26 @@ once per outer node, and each temperature weights them with its Bose
 factor inside its own window [u_min, X_MAX] of
 u = hbar omega / (k_B T).  The outer integral is globally adaptive
 with one tolerance group per temperature and kind, so each channel
-converges as if it were integrated alone.  Its first seed panel
-[omega_0, omega_1] is integrated in x with omega = x^2 / omega_1, which
-makes the u^(-1/2) endpoint singularity of a conductor's evanescent
-integrand regular.
+converges as if it were integrated alone.
+
+It runs in a variable x with one piecewise map x -> (omega,
+d omega / dx) per pass (_outer_map).  On the first seed panel
+[omega_0, omega_1], omega = x^2 / omega_1, which makes the u^(-1/2)
+endpoint singularity of a conductor's evanescent integrand regular.
+Each material declares the real-axis poles of the integrand
+(materials.resonances: a polar crystal's omega_to and its surface mode,
+each of width gamma), and the pass takes the union over both cylinders.
+Around each pole a window of +-10 widths is integrated in
+t = arctan(2 (omega - omega_k) / gamma_k), with x linear in t and
+x = omega at both window ends, which turns the Lorentzian peak flat;
+so the adaptive integral no longer bisects its way into gamma-wide
+peaks.  Each window's ends and pole are seed edges, and the thermal
+seed edges inside it are dropped.  A window is skipped if it reaches
+into the first seed panel or past the last edge, or holds any
+temperature's u_min or X_MAX edge, where the live mask jumps;
+overlapping windows shrink to meet halfway between their poles
+(_windows).  Elsewhere omega = x, and every node there is the one the
+two-piece map gives, so a pass without poles (a conductor) is unchanged.
 
 Each outer panel is one array pass.  The frequency map, its Jacobian
 and the Bose weights of all 15 nodes come at once, and the live nodes
@@ -84,7 +100,7 @@ import numpy as np
 
 from . import kernels
 from .equilibrium import EquilibriumTable
-from .materials import CylinderSpec, Vacuum
+from .materials import CylinderSpec, Vacuum, resonances
 from .quadrature import (MAX_PANELS, X_MAX, adaptive_vector,
                          composite_nodes, thermal_seed_edges, uniform_edges)
 from .tmatrix import FullSolve, ThinExpansion
@@ -109,6 +125,9 @@ _MAX_GRID_BUMPS = 4
 # of 6,144 entries at 335 bytes each: +1.0 to +2.2% measured, against
 # +3.3% at 14,336
 _MAX_BLOCK_ENTRIES = 12288
+# half-width of the outer integral's window around a resonance, in
+# widths of its peak
+_WINDOW_WIDTHS = 10.0
 
 
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
@@ -506,6 +525,59 @@ def _distinct(values):
     return out
 
 
+def _windows(poles, edges, jumps):
+    """The windows of the outer integral around poles, a set of
+    (omega_k, gamma_k), as (a, b, omega_k, gamma_k) in increasing order.
+
+    A window reaches _WINDOW_WIDTHS widths gamma_k to either side of
+    its pole.  It is skipped if it reaches into the first seed panel
+    [edges[0], edges[1]] or past edges[-1], or if it holds a jump of
+    the live mask (one of jumps: a temperature's u_min or X_MAX edge),
+    which must stay a panel edge.  Windows that overlap then shrink to
+    meet halfway between their poles."""
+    kept = []
+    for w, g in sorted(poles):
+        a, b = w - _WINDOW_WIDTHS * g, w + _WINDOW_WIDTHS * g
+        if edges[1] <= a and b <= edges[-1] \
+                and not any(a < j < b for j in jumps):
+            kept.append([a, b, w, g])
+    for lo, hi in zip(kept, kept[1:]):
+        if lo[1] > hi[0]:
+            lo[1] = hi[0] = 0.5 * (lo[2] + hi[2])
+    return [tuple(win) for win in kept]
+
+
+def _outer_map(omega_1, windows):
+    """The piecewise map x -> (omega, d omega / dx) of the outer
+    integral, and the x of each window's pole.
+
+    Below omega_1, omega = x^2 / omega_1; inside a window (a, b,
+    omega_k, gamma_k) of _windows, omega = omega_k + (gamma_k / 2) tan t
+    with x linear in t and x = omega at a and b; elsewhere omega = x.
+    The windows lie above omega_1, so the map is continuous and
+    monotone, and t = arctan(2 (omega - omega_k) / gamma_k) turns the
+    Lorentzian peak at omega_k flat.  Outside the windows every value
+    is bitwise that of the two-piece map without them."""
+    pieces = []
+    for a, b, w, g in windows:
+        t_a = math.atan(2.0 * (a - w) / g)
+        slope = (math.atan(2.0 * (b - w) / g) - t_a) / (b - a)
+        pieces.append((a, b, w, 0.5 * g, t_a, slope))
+
+    def omega_of(x):
+        first = x < omega_1
+        omegas = np.where(first, x * x / omega_1, x)
+        jac = np.where(first, 2.0 * x / omega_1, 1.0)
+        for a, b, w, half, t_a, slope in pieces:
+            inside = (a < x) & (x < b)
+            t = t_a + slope * (x[inside] - a)
+            omegas[inside] = w + half * np.tan(t)
+            jac[inside] = half * slope / np.cos(t) ** 2
+        return omegas, jac
+
+    return omega_of, [a - t_a / slope for a, _, _, _, t_a, slope in pieces]
+
+
 def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     """Every channel of kinds at every temperature of temps (positive,
     increasing) in one adaptive frequency integral.
@@ -522,6 +594,13 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     weights them for every temperature whose window [u_min, X_MAX] in
     its own u = hbar omega / k_B T holds the node.  The orders and the
     grid factor are the largest that any temperature needs.
+
+    The integral runs in x through _outer_map: omega = x^2 / omega_1 on
+    the first seed panel, omega = omega_k + (gamma_k / 2) tan t with x
+    linear in t inside the window of each resonance of either
+    cylinder's material that _windows keeps, and omega = x elsewhere.
+    Its seed edges are every temperature's thermal seed edges, less
+    those inside a window, plus each window's ends and pole.
     """
     sums = sum((_SUMS[k] for k in kinds), ())
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
@@ -534,19 +613,22 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
                           orders, sums, controls.rel_tol)
     evan = _evan_tables(factor, orders) if "e" in sums else None
 
-    # Seed edges: every temperature's thermal seed edges in absolute
-    # omega.  The first seed panel [omega_0, omega_1] is integrated in
-    # x with omega = x^2 / omega_1, which makes the u^(-1/2) endpoint
-    # singularity of a conductor's evanescent channel regular.
+    # seed edges in omega; _distinct is idempotent, so without windows
+    # they are bitwise the thermal ones
     edges = _distinct(u * s for s in scales
                       for u in thermal_seed_edges(controls))
     omega_1 = edges[1]
+    windows = _windows(
+        set(resonances(src_prov.material) + resonances(tgt_prov.material)),
+        edges, [u * s for s in scales for u in (controls.u_min, X_MAX)])
+    omega_of, centres = _outer_map(omega_1, windows)
+    edges = _distinct([w for w in edges if not any(
+        a < w < b for a, b, _, _ in windows)] + centres
+        + [e for a, b, _, _ in windows for e in (a, b)])
     x_edges = [math.sqrt(w * omega_1) if w < omega_1 else w for w in edges]
 
     def integrand(x_nodes):
-        first = x_nodes < omega_1
-        omegas = np.where(first, x_nodes * x_nodes / omega_1, x_nodes)
-        jac = np.where(first, 2.0 * x_nodes / omega_1, 1.0)
+        omegas, jac = omega_of(x_nodes)
         us = omegas[:, None] / np.asarray(scales)
         live = (controls.u_min <= us) & (us <= X_MAX)
         bose = np.expm1(us, where=live, out=np.ones_like(us))

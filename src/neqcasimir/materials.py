@@ -25,6 +25,24 @@ Low-frequency expansion
     absorber at small frequency; used by the low-temperature closed
     forms.
 
+Resonances
+----------
+resonances(model) lists the real-axis poles of the force integrand that
+a model puts there, as (omega_k, gamma_k) pairs: a peak of width
+gamma_k in omega at omega_k, which the outer frequency integral of the
+engine flattens.  A Lorentz model has two, both of width gamma:
+
+* the pole of eps itself at omega_to;
+* the surface mode of a cylinder at omega_sp, where eps = -1 (the
+  pole of the thin cylinder's polarizability (eps - 1) / (eps + 1)).
+  Setting Re eps = -1 at gamma -> 0,
+  eps_inf (w^2 - w_lo^2) = -(w^2 - w_to^2), gives
+  omega_sp = sqrt((eps_inf w_lo^2 + w_to^2) / (eps_inf + 1)),
+  which lies between w_to and w_lo.
+
+Every other model returns ().  A conductor's eps has no real-axis pole
+above omega = 0, and a constant or vacuum has none at all.
+
 Material JSON files carry {"name", "model", "parameters", "units"}.
 Parameters declared in eV or um are converted to SI on load.
 """
@@ -174,6 +192,18 @@ def epsilon(model, omega):
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise MaterialError("omega must be positive and finite")
     return model.epsilon(omega)
+
+
+def resonances(model):
+    """Real-axis poles of the force integrand that model puts there, as
+    a tuple of (omega_k, gamma_k) pairs in rad/s (see the module
+    docstring): ((omega_to, gamma), (omega_sp, gamma)) for a Lorentz
+    model, () for every other."""
+    if not isinstance(model, Lorentz):
+        return ()
+    omega_sp = math.sqrt((model.eps_inf * model.omega_lo ** 2
+                          + model.omega_to ** 2) / (model.eps_inf + 1.0))
+    return ((model.omega_to, model.gamma), (omega_sp, model.gamma))
 
 
 def eps_function(material):

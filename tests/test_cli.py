@@ -1,8 +1,10 @@
 """Command line round trips: scenario sweeps to CSV, zero-crossing
 refinement, reference-force comparisons, and the exit code contract."""
 
+import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -461,6 +463,37 @@ def test_compare_ampere(capsys):
                  "--distance", "0"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, name", [
+    (["compare-weight", "--density={}", "--radius", "2e-8"], "density"),
+    (["compare-weight", "--density", "19300", "--radius={}"], "radius"),
+    (["compare-ampere", "--current1={}", "--current2", "1",
+      "--distance", "1e-6"], "current1"),
+    (["compare-ampere", "--current1", "1", "--current2={}",
+      "--distance", "1e-6"], "current2"),
+    (["compare-ampere", "--current1", "1", "--current2", "1",
+      "--distance={}"], "separation")])
+def test_compare_rejects_non_finite_arguments(capsys, argv, name, bad):
+    assert _run([a.format(bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s must be finite" % name in captured.err
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_standard_output_exits_quietly(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "root.json", _vacuum_root_doc())
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert _run(["run", path]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_reference_force_helpers():
     assert weight_per_length(0.0, 1.0) == 0.0
     assert ampere_force_per_length(2.0, 3.0, 1.0) == pytest.approx(
@@ -469,6 +502,13 @@ def test_reference_force_helpers():
         weight_per_length(-1.0, 1.0)
     with pytest.raises(ValueError):
         ampere_force_per_length(1.0, 1.0, -2.0)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                weight_per_length(*args)
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ampere_force_per_length(*args)
 
 
 if __name__ == "__main__":

@@ -541,6 +541,146 @@ def test_conductor_evanescent_channel_converges():
     assert abs(evan[0] - evan[1]) <= 1e-3 * abs(evan[1])
 
 
+def test_windows_skip_and_shrink():
+    # a window is skipped where it reaches into the first seed panel or
+    # past the last edge, or holds a jump of the live mask; overlapping
+    # windows meet halfway between their poles
+    edges = [0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0]
+    poles = {(0.5, 0.01), (39.95, 0.01), (7.0, 0.01), (12.0, 0.1),
+             (12.5, 0.05), (25.0, 0.2)}
+    assert engine._windows(poles, edges, [0.0, 7.05, 40.0]) == [
+        (11.0, 12.25, 12.0, 0.1), (12.25, 13.0, 12.5, 0.05),
+        (23.0, 27.0, 25.0, 0.2)]
+    assert engine._windows(set(), edges, [0.0, 40.0]) == []
+
+
+def test_outer_map_continuous_monotone_and_identity_outside():
+    windows = [(11.0, 12.25, 12.0, 0.1), (12.25, 13.0, 12.5, 0.05),
+               (23.0, 27.0, 25.0, 0.2)]
+    omega_1 = 2.0
+    omega_of, centres = engine._outer_map(omega_1, windows)
+    x = np.linspace(0.0, 40.0, 400001)
+    omegas, jac = omega_of(x)
+    assert np.all(np.diff(omegas) > 0.0) and np.all(jac[1:] > 0.0)
+    # each window's pole sits at its centre, and its ends join the
+    # pieces on either side
+    assert omega_of(np.array(centres))[0] == pytest.approx([12.0, 12.5, 25.0],
+                                                           rel=1e-14)
+    for end in (omega_1, 11.0, 12.25, 13.0, 23.0, 27.0):
+        near = omega_of(np.array([end - 1e-9, end, end + 1e-9]))[0]
+        assert np.abs(near - end).max() < 1e-7
+    # the Jacobian is the derivative, inside the windows and out
+    inner = (x > 0.01) & np.all([np.abs(x - e) > 1e-3 for e in
+                                 (omega_1, 11.0, 12.25, 13.0, 23.0, 27.0)],
+                                axis=0)
+    step = 1e-6
+    slope = (omega_of(x[inner] + step)[0]
+             - omega_of(x[inner] - step)[0]) / (2.0 * step)
+    assert np.abs(slope / jac[inner] - 1.0).max() < 1e-6
+    # bitwise the two-piece map outside the windows
+    out = np.all([(x <= a) | (x >= b) for a, b, _, _ in windows], axis=0)
+    below = out & (x < omega_1)
+    assert np.array_equal(omegas[below], x[below] * x[below] / omega_1)
+    assert np.array_equal(jac[below], 2.0 * x[below] / omega_1)
+    above = out & (x >= omega_1)
+    assert np.array_equal(omegas[above], x[above])
+    assert np.all(jac[above] == 1.0)
+
+
+def _recording_windows(monkeypatch):
+    """Patch the engine's window rules to record (poles, windows) of
+    every pass."""
+    seen = []
+    real = engine._windows
+
+    def recording(poles, edges, jumps):
+        seen.append((set(poles), real(poles, edges, jumps)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(engine, "_windows", recording)
+    return seen
+
+
+def test_lone_thin_sic_call_flattens_its_resonances(monkeypatch):
+    # the windows around SiC's two resonances replace the bisection of
+    # two gamma-wide peaks: a lone interaction plus pair call takes at
+    # most 35 outer panels, and stays within its tolerance
+    source, target = CylinderSpec(R, SIC, 300.0), CylinderSpec(R, SIC, 0.0)
+    counts = _counting_outer(monkeypatch)
+    values = []
+    for tol in (1e-4, 1e-6):
+        ctl = QuadratureControls(rel_tol=tol)
+        values.append((interaction_force(source, target, 300.0, 6.7e-6,
+                                         controls=ctl)[0],
+                       pair_source_force(source, target, 300.0, 6.7e-6,
+                                         controls=ctl)))
+        if tol == 1e-4:
+            assert counts["nodes"] <= 35 * 15
+    for coarse, fine in zip(*values):
+        assert abs(coarse - fine) <= 1e-4 * abs(fine)
+
+
+_, TUNGSTEN = materials.load_material("tungsten_2400K")
+# a second polar crystal, whose windows overlap SiC's and each other's
+OTHER_LORENTZ = materials.Lorentz(eps_inf=4.0, omega_lo=1.4e14,
+                                  omega_to=1.2e14, gamma=1e12)
+
+
+@pytest.mark.parametrize("other, provider, tol", [
+    (TUNGSTEN, "full", 1e-2), (OTHER_LORENTZ, "thin", 1e-3)])
+def test_asymmetric_pair_uses_both_materials_windows(monkeypatch, other,
+                                                     provider, tol):
+    # a SiC cylinder facing another material: each pass windows the
+    # union of both materials' resonances, whichever is the source;
+    # swapping the cylinders mirrors the forces bitwise, as in a sweep
+    # that holds both orders, and rel_tol lands within rel_tol of
+    # rel_tol / 100
+    seen = _recording_windows(monkeypatch)
+    sic, wire = CylinderSpec(0.05e-6, SIC, 300.0), CylinderSpec(0.05e-6,
+                                                                 other, 200.0)
+
+    def row(a, b, rel_tol, memo=None):
+        return total_force(Scenario(
+            cylinder1=a, cylinder2=b, separations=(2e-6,),
+            environment_temperature=100.0, provider=provider,
+            controls=QuadratureControls(rel_tol=rel_tol)), 2e-6, _memo=memo)
+
+    memo = {}
+    ab, ba = row(sic, wire, tol, memo), row(wire, sic, tol, memo)
+    fine = row(sic, wire, tol / 100)
+    union = set(materials.resonances(SIC) + materials.resonances(other))
+    assert len(seen) == 4 and all(poles == union for poles, _ in seen)
+    assert all(sorted(w for _, _, w, _ in windows) == sorted(
+        w for w, _ in union) for _, windows in seen)
+    if other is OTHER_LORENTZ:
+        assert any(b == a_next for _, windows in seen for (_, b, _, _),
+                   (a_next, _, _, _) in zip(windows, windows[1:]))
+    assert ab.f_total_1 == -ba.f_total_2
+    assert ab.f_total_2 == -ba.f_total_1
+    for name in ("f_int_21", "f_int_12", "f_pair_source_1",
+                 "f_pair_source_2"):
+        coarse, ref = getattr(ab, name), getattr(fine, name)
+        assert abs(coarse - ref) <= tol * abs(ref)
+
+
+def test_cutoff_inside_a_window_skips_it(monkeypatch):
+    # at u_min > 0 the 600 K channels start at omega_to, inside SiC's
+    # first window, where the live mask jumps: that window is skipped,
+    # the surface-mode window stays, and the pass converges
+    seen = _recording_windows(monkeypatch)
+    (w_to, _), (w_sp, _) = materials.resonances(SIC)
+    ctl = QuadratureControls(rel_tol=1e-3,
+                             u_min=HBAR * w_to / (K_BOLTZMANN * 600.0))
+    sc = Scenario(cylinder1=CylinderSpec(R, SIC, 600.0),
+                  cylinder2=CylinderSpec(R, SIC, 300.0),
+                  separations=(6.7e-6,), controls=ctl)
+    b = total_force(sc, 6.7e-6)
+    assert np.isfinite([b.f_total_1, b.f_total_2]).all()
+    assert b.f_total_1 != 0.0
+    # identical cylinders share their one pass
+    assert [[w for _, _, w, _ in windows] for _, windows in seen] == [[w_sp]]
+
+
 def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
     # only propagating modes enter the pair force, so neither its order
     # probe nor its outer integral asks a provider for ktilde_z > 1

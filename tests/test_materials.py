@@ -8,7 +8,7 @@ import pytest
 
 from neqcasimir import materials
 from neqcasimir.errors import MaterialError
-from neqcasimir.units import C_LIGHT, EPSILON_0
+from neqcasimir.units import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 
 OMEGAS = np.geomspace(1e10, 1e17, 120)
 
@@ -45,6 +45,30 @@ def test_sic_static_and_resonance():
     # metallic window between the resonances: Re eps < 0
     mid = math.sqrt(SIC.omega_to * SIC.omega_lo)
     assert materials.epsilon(SIC, mid).real < 0.0
+
+
+def test_resonances():
+    # a Lorentz model's poles: eps itself at omega_to, and the surface
+    # mode where Re eps = -1 as gamma -> 0, both of width gamma
+    (w_to, g_to), (w_sp, g_sp) = materials.resonances(SIC)
+    assert (w_to, g_to, g_sp) == (SIC.omega_to, SIC.gamma, SIC.gamma)
+    assert SIC.omega_to < w_sp < SIC.omega_lo
+    # at 300 K, u = hbar omega / k_B T is 3.79 and 4.54
+    kt = K_BOLTZMANN * 300.0 / HBAR
+    assert (w_to / kt, w_sp / kt) == pytest.approx((3.79, 4.54), abs=0.01)
+    pole_strength = SIC.eps_inf * (SIC.omega_lo ** 2 - SIC.omega_to ** 2)
+    for gamma in (1e-3, 1e-5, 1e-7):
+        model = materials.Lorentz(SIC.eps_inf, SIC.omega_lo, SIC.omega_to,
+                                  gamma * SIC.omega_to)
+        assert materials.resonances(model)[1][0] == w_sp
+        # |eps(omega_to)| = eps_inf (w_lo^2 - w_to^2) / (w_to gamma)
+        # to O(gamma), and Re eps(omega_sp) + 1 = O(gamma^2)
+        at_pole = abs(model.epsilon(w_to)) * model.gamma * w_to
+        assert at_pole == pytest.approx(pole_strength, rel=2 * gamma)
+        assert abs(model.epsilon(w_sp).real + 1.0) < 100.0 * gamma ** 2
+    for model in (TUNGSTEN, materials.Vacuum(), materials.Constant(2.0 + 0.5j),
+                  materials.LowFreqExpansion(eps0=3.0, lambda_in=1e-8)):
+        assert materials.resonances(model) == ()
 
 
 def test_tungsten_low_frequency_conductor():
