@@ -71,10 +71,16 @@ mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
 side uses the decaying scale y = |q| d.  Inner grids are fixed
 composite Gauss-Kronrod rules with one density factor per pass: the
 psi and y grids double together until every integral of the pass at
-u = 2.5 of every temperature stops moving.  The azimuthal truncation
-is calibrated once per pass by a multipole shell probe of both
-kernels, whose shells are the pass's own integrals (_integrals) on
-the central orders of blocks built once at the cap.  Both take the
+u = 2.5 of every temperature stops moving.  The y panels are graded
+toward y = 0 (edges 0, 0.01, 0.05, 0.25, 0.5, 1, 2, 4, 8, 12), since a
+conductor's evanescent peak sits near y = (d / R) / |sqrt(eps)|, below
+0.05 at low frequency, and a coarser first panel aliases it.  The grid
+ends at y_max = min(35, 16 / (1 - (R1 + R2) / d)), where the
+integrand's bound e^(-2 y (1 - (R1 + R2) / d)) is e^(-32)
+(_evan_edges): one panel past y = 12 for thin wires.  The azimuthal
+truncation is calibrated once per pass by a multipole shell probe of
+both kernels, whose shells are the pass's own integrals (_integrals)
+on the central orders of blocks built once at the cap.  Both take the
 largest value any temperature needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
@@ -106,9 +112,14 @@ from .quadrature import (MAX_PANELS, X_MAX, adaptive_vector,
 from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
-# panel edges of the y grid; the order probe's stops at y = 12
-_EVAN_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,
+# panel edges of the y grid, graded toward y = 0; a pass ends it at
+# _evan_edges' y_max, and the order probe's stops at y = 12
+_EVAN_EDGES = (0.0, 0.01, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
+_PROBE_Y_MAX = 12.0
+# the y grid ends where the evanescent integrand's bound
+# e^(-2 y (1 - (R1 + R2) / d)) falls to e^(-_EVAN_DECAY)
+_EVAN_DECAY = 32.0
 # order probe: frequencies in u, and the converged relative shell size
 _PROBE_US = (2.5, 7.0, 15.0)
 _SERIES_TOL = 1e-6
@@ -161,8 +172,9 @@ class QuadratureControls:
 
     Fixed: 200 outer panels per temperature (quadrature.MAX_PANELS),
     a converged multipole shell of 1e-6 relative, and the evanescent
-    grid up to y = |q| d = 35.  The provider decides whether the
-    source amplitude keeps its quadratic term.
+    grid in y = |q| d, graded toward y = 0 and ending at
+    min(35, 16 / (1 - (R1 + R2) / d)).  The provider decides whether
+    the source amplitude keeps its quadratic term.
     """
 
     rel_tol: float = 1e-4
@@ -399,6 +411,24 @@ def _integrals(src_prov, n, sums, d, k, tsrc, ttgt, psi, evan):
     return out
 
 
+def _evan_edges(rsum, d):
+    """Panel edges of the y grid of a pass whose radii add up to rsum at
+    separation d: _EVAN_EDGES cut at y_max = min(35, 16 / (1 - rsum / d)).
+
+    The K-products fall like e^(-2 y), and each evanescent block grows
+    at most like e^(2 y R_i / d), so the integrand is bounded by
+    e^(-2 y (1 - rsum / d)), which is e^(-32) at y_max; measured, the
+    cut tail holds at most 4e-10 of an evanescent integral (thin SiC at
+    23 um).  The edge nearest to y_max moves onto it and the edges
+    above it go, so the last panel is never a sliver: thin wires end on
+    one panel [12, y_max] with y_max near 16 to 18, and a near-touching
+    pair keeps the grid up to 35."""
+    y_max = min(_EVAN_EDGES[-1], 0.5 * _EVAN_DECAY / (1.0 - rsum / d))
+    last = min(range(len(_EVAN_EDGES)),
+               key=lambda i: abs(_EVAN_EDGES[i] - y_max))
+    return _EVAN_EDGES[:last] + (y_max,)
+
+
 def _evan_tables(factor, orders, panels=_EVAN_EDGES):
     """Evanescent y-grid (nodes, weights), with every panel of panels
     split into factor equal parts, and its K-product table.  Neither
@@ -459,24 +489,33 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap):
     the pair integral ('s') each by its own shell test, and the largest
     order any of them needs at any frequency wins.  Each run of
     frequencies within the entry budget makes one provider call per
-    distinct cylinder at the cap, on 2 psi panels and the y grid up to
-    y = 12, and each shell is the _integrals of its central orders.
-    The K-product table is built once at the cap, and only for the
-    interaction kind."""
+    distinct cylinder at the cap, on 2 psi panels and the y grid on the
+    edges of _EVAN_EDGES up to y = 12, and each shell is the _integrals
+    of its central orders.  The K-product table is built once at the
+    cap, and only for the interaction kind; where it overflows below
+    the cap, the blocks stop at the first shell that reads an
+    overflowing order, and that shell raises."""
     if n_cap <= 1:
         return 1
     sums = sum((_SUMS[k] for k in kinds), ())
     first = np.cumsum([0] + [len(_SUMS[k]) for k in kinds[:-1]])
-    cap_orders = np.arange(-n_cap, n_cap + 1)
-    evan = (_evan_tables(1, cap_orders, _EVAN_EDGES[:10])
-            if "int" in kinds else None)
+    evan, top = None, n_cap
+    if "int" in kinds:
+        evan = _evan_tables(1, np.arange(-n_cap, n_cap + 1), tuple(
+            e for e in _EVAN_EDGES if e <= _PROBE_Y_MAX))
+        # the blocks stop at the first shell whose table orders overflow
+        # at some y: its sum raises, naming the order and the y, where
+        # higher blocks would first overflow in the block solve
+        held = np.isfinite(evan[2]).all(axis=0)[2 * n_cap::2]
+        top = n_cap if held.all() else int(np.argmin(held))
+    cap_orders = np.arange(-top, top + 1)
     omegas = np.asarray(omegas, dtype=float)
     need = np.zeros((omegas.size, len(kinds)), dtype=int)
     for run in _runs([2] * omegas.size, evan, cap_orders.size):
         rows = _rows(src_prov, tgt_prov, omegas[run], d, cap_orders,
                      [2] * omegas[run].size, evan)
         prev, got = _integrals(src_prov, 1, sums, d, *rows, evan), need[run]
-        for n in range(2, n_cap + 1):
+        for n in range(2, top + 1):
             cur = _integrals(src_prov, n, sums, d, *rows, evan)
             shell = np.add.reduceat(np.abs(cur - prev), first, axis=1)
             scale = np.add.reduceat(np.abs(cur), first, axis=1)
@@ -491,14 +530,16 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap):
     return int(need.max())
 
 
-def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol):
-    """The grid-density factor of a pass: its psi panels and y grid
-    double together, from factor 1, until every integral of sums at
-    every frequency of omegas stops moving at the 0.2 * rel_tol level.
-    Each factor tried is one _axial call."""
+def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
+                 y_edges):
+    """The grid-density factor of a pass: its psi panels and its y grid
+    on y_edges double together, from factor 1, until every integral of
+    sums at every frequency of omegas stops moving at the 0.2 * rel_tol
+    level.  Each factor tried is one _axial call."""
     def integrals(factor):
         return _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor,
-                      _evan_tables(factor, orders) if "e" in sums else None)
+                      _evan_tables(factor, orders, y_edges)
+                      if "e" in sums else None)
 
     factor, prev = 1, integrals(1)
     for _ in range(_MAX_GRID_BUMPS):
@@ -609,9 +650,10 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
                           sorted({u * s for s in scales for u in _PROBE_US}),
                           d, kinds, n_cap)
     orders = np.arange(-n_use, n_use + 1)
+    y_edges = _evan_edges(src_prov.radius + tgt_prov.radius, d)
     factor = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales), d,
-                          orders, sums, controls.rel_tol)
-    evan = _evan_tables(factor, orders) if "e" in sums else None
+                          orders, sums, controls.rel_tol, y_edges)
+    evan = _evan_tables(factor, orders, y_edges) if "e" in sums else None
 
     # seed edges in omega; _distinct is idempotent, so without windows
     # they are bitwise the thermal ones

@@ -5,7 +5,7 @@ with the closed-form asymptotics in their regimes."""
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -702,6 +702,80 @@ def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
     assert max(ktz_max) < 1.0
 
 
+def test_lone_full_tungsten_call_stops_bisecting_toward_zero(monkeypatch):
+    # a conductor's evanescent peak sits near y = (d / R) / |sqrt(eps)|,
+    # below y = 0.05 at low u; the y grid graded toward y = 0 resolves
+    # it, so the outer integral no longer chases the aliasing of a
+    # coarse first panel toward omega = 0 (13 panels on the grid that
+    # started at [0, 0.25], 7 on the graded one), and rel_tol 1e-3
+    # stays within 1e-3 of rel_tol 1e-4
+    wire = CylinderSpec(50e-9, TUNGSTEN, 200.0)
+    counts = _counting_outer(monkeypatch)
+    values = []
+    for tol in (1e-3, 1e-4):
+        values.append(interaction_force(
+            wire, wire, 200.0, 2e-6, provider="full",
+            controls=QuadratureControls(rel_tol=tol))[0])
+        if tol == 1e-3:
+            assert counts["nodes"] <= 9 * 15
+    assert abs(values[0] - values[1]) <= 1e-3 * abs(values[1])
+
+
+def _recording_y_grids(monkeypatch):
+    """Patch the engine's y tables to record the panel edges of every
+    pass's y grid, without the order probe's, which stops at 12."""
+    seen = []
+    real = engine._evan_tables
+
+    def recording(factor, orders, panels=engine._EVAN_EDGES):
+        if panels[-1] > engine._PROBE_Y_MAX:
+            seen.append(tuple(panels))
+        return real(factor, orders, panels)
+
+    monkeypatch.setattr(engine, "_evan_tables", recording)
+    return seen
+
+
+def test_y_grid_ends_at_the_gaps_decay(monkeypatch):
+    # the evanescent integrand is bounded by e^(-2 y (1 - (R1 + R2) / d)),
+    # so a thin-wire pass ends its y grid on one panel [12, y_max] below
+    # y = 18.5, while a pair at d = 1.2 (R1 + R2) keeps the tail to 35
+    seen = _recording_y_grids(monkeypatch)
+    wire = CylinderSpec(20e-9, TUNGSTEN, 2400.0)
+    interaction_force(wire, wire, 2400.0, 0.5e-6, provider="full",
+                      controls=QuadratureControls(rel_tol=1e-2))
+    for d in (1.7e-6, 23e-6):
+        interaction_force(C1, C2, 300.0, d, controls=CTL)
+    assert len(seen) >= 3
+    for edges in seen:
+        assert 16.0 < edges[-1] < 18.5 and edges[-2] == 12.0
+    seen.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        interaction_force(C1, C2, 300.0, 1.2 * 2 * R, controls=CTL)
+    assert seen and all(edges == engine._EVAN_EDGES for edges in seen)
+
+
+def test_y_grid_tail_cut_moves_a_thin_sweep_by_rounding(monkeypatch):
+    # the y grid's tail beyond y_max is negligible: against the whole
+    # tail to y = 35, no field of a thin SiC sweep moves by more than
+    # 1e-9 of itself.  Worst measured: 1.0e-10, the evanescent channel
+    # of the 150 K source at 23 um, which is 1e-5 of the propagating one
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(1.7e-6, 23e-6),
+                  controls=QuadratureControls(rel_tol=1e-3),
+                  environment_temperature=300.0, temperature_sets=HOT_SETS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cut = sweep(sc)
+        monkeypatch.setattr(engine, "_evan_edges",
+                            lambda rsum, d: engine._EVAN_EDGES)
+        whole = sweep(sc)
+    worst = max(abs(x - y) / max(abs(x), abs(y), 1e-300)
+                for a, b in zip(cut, whole)
+                for x, y in zip(astuple(a), astuple(b)))
+    assert worst <= 1e-9
+
+
 def test_order_probe_weights_its_shells_as_the_pass_does():
     # the interaction shell is scored on the integrals the pass forms,
     # k^2 times the psi sum and 2 / d^2 times the y sum: here the shell
@@ -745,7 +819,7 @@ def test_overflowing_tables_raise_at_the_first_sum():
     omegas = np.array([omega])
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
-                           r"overflows at y = 0\.00106"):
+                           r"overflows at y = 4\.27231e-05"):
             engine._inner(prov, prov, omegas, d, orders, ("e",), (),
                           engine._evan_tables(1, orders))
         for kernel in ("f", "s"):

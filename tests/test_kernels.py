@@ -10,7 +10,7 @@ import pytest
 from scipy import special as sp
 
 import oracles
-from neqcasimir import kernels, materials, tmatrix
+from neqcasimir import engine, kernels, materials, tmatrix
 from neqcasimir.errors import QuadratureError
 from neqcasimir.units import C_LIGHT, HBAR, K_BOLTZMANN
 
@@ -289,6 +289,19 @@ def test_k_product_table_over_range(nu_max):
     direct = (4.0 / np.pi ** 2) * sp.kv(nus, yy) \
         * (sp.kv(nus - 1, yy) + sp.kv(nus + 1, yy))
     assert np.all(np.abs(kk - direct) <= 1e-13 * direct)
+
+
+def test_k_product_ceiling_at_the_engines_smallest_y_node():
+    # the engine's y grid starts at the first Gauss-Kronrod node on
+    # [0, 0.01], y = 4.27e-5 at grid factor 1.  There the K-product
+    # table is finite through order 26 and overflows from order 27, so
+    # blocks on orders up to 13 (the table runs to twice the order) are
+    # the most an evanescent integral can carry
+    y = engine._evan_tables(1, np.arange(-1, 2))[0][:1]
+    assert y[0] == pytest.approx(4.27231e-5, rel=1e-5)
+    kk = kernels.k_product_table(y, 27)
+    nus = np.arange(-27, 28)
+    assert np.array_equal(np.isfinite(kk[0]), np.abs(nus) <= 26)
 
 
 @pytest.mark.parametrize("table", [kernels.hankel_tables,

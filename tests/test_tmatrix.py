@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from neqcasimir import materials, tmatrix
+from neqcasimir import engine, materials, tmatrix
 from neqcasimir.errors import TMatrixError
-from neqcasimir.quadrature import composite_nodes
 from neqcasimir.units import HBAR, K_BOLTZMANN
 
 EPS = 2.0 + 0.3j
@@ -235,15 +234,19 @@ def _mp_block(n, ktz, eps, x):
 
 
 def test_full_blocks_next_to_the_light_line():
-    # the engine's evanescent grid starts at the first Gauss-Kronrod
-    # node on [0, 0.25], y = 1.07e-3, and its refinements go below;
-    # there 1 - ktilde_z^2 ~ 1e-9 at u = 40, and a determinant formed
-    # as A_M A_N - g^2 u^2 loses ~1e-16 / (1 - ktilde_z^2): 4e-5 at
-    # y = 1e-4.  Against a 40-digit solve from the same float ktilde_z,
-    # per block relative to its largest entry.  Worst measured: 2.0e-14
+    # the engine's evanescent grid starts at its smallest node,
+    # y = 4.27e-5, and its refinements go below.  There
+    # 1 - ktilde_z^2 ~ 4e-12 at u = 40 and d = 0.5 um, and a
+    # determinant formed as A_M A_N - g^2 u^2 would lose
+    # ~1e-16 / (1 - ktilde_z^2).  Forming ktilde_z itself in doubles
+    # leaves about 5e-5 relative error in 1 - ktilde_z^2 there, which
+    # is harmless: the row carries about 2e-8 of the y integral at
+    # u = 40 and 2e-10 at u = 0.05 (tungsten, R = 20 nm).
+    # Against a 40-digit solve from the same float ktilde_z, per block
+    # relative to its largest entry.  Worst measured: 2.7e-15
     prov = tmatrix.FullSolve(TUNGSTEN, 20e-9)
     temp, d = 2400.0, 0.5e-6
-    y_first = composite_nodes(np.array([0.0, 0.25]))[0][0]
+    y_first = engine._evan_tables(1, np.arange(-1, 2))[0][0]
     orders = np.arange(0, 9)
     worst = 0.0
     for u in (0.05, 2.5, 40.0):
