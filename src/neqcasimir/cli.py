@@ -16,7 +16,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 standard output closed by its reader (as by
 ``| head``), 2 malformed scenario or input file or a rejected argument,
-3 quadrature non-convergence.
+3 quadrature non-convergence or a scattering block that cannot be
+evaluated.
 """
 
 import argparse
@@ -31,7 +32,7 @@ from pathlib import Path
 
 from .analysis import find_zero_crossings, refine_zero
 from .engine import set_scenarios, sweep, total_force
-from .errors import QuadratureError, SchemaError
+from .errors import QuadratureError, SchemaError, TMatrixError
 from .scenario import load_scenario, parse_scenario
 from .units import G_STANDARD, MU_0
 
@@ -300,6 +301,10 @@ def main(argv=None):
         return 2
     except QuadratureError as exc:
         sys.stderr.write("error: quadrature did not converge: %s\n"
+                         % (exc,))
+        return 3
+    except TMatrixError as exc:
+        sys.stderr.write("error: scattering block not evaluable: %s\n"
                          % (exc,))
         return 3
     except ValueError as exc:

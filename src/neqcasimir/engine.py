@@ -69,18 +69,27 @@ at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
 The axial integral is split at the light line: the propagating side is
 mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
 side uses the decaying scale y = |q| d.  Inner grids are fixed
-composite Gauss-Kronrod rules with one density factor per pass: the
-psi and y grids double together until every integral of the pass at
-u = 2.5 of every temperature stops moving.  The y panels are graded
-toward y = 0 (edges 0, 0.01, 0.05, 0.25, 0.5, 1, 2, 4, 8, 12), since a
-conductor's evanescent peak sits near y = (d / R) / |sqrt(eps)|, below
-0.05 at low frequency, and a coarser first panel aliases it.  The grid
-ends at y_max = min(35, 16 / (1 - (R1 + R2) / d)), where the
+composite rules with one density factor per pass: the psi and y grids
+double together until every integral of the pass at u = 2.5 of every
+temperature stops moving, each held to at least 1% of the largest
+integral of its (temperature, kind) group, as the outer integral holds
+its channels.  The y panels are graded toward y = 0 (edges 0, 0.01,
+0.05, 0.25, 0.5, 1, 2, 4, 8, 12), since a conductor's evanescent peak
+sits near y = (d / R) / |sqrt(eps)|, below 0.05 at low frequency, and a
+coarser first panel aliases it.  The three panels up to y = 0.25, where
+that peak sits, take the 15-point Kronrod rule; the smooth panels
+above take the 7-point Gauss rule embedded in it, which moves no field
+of the benchmark sweeps by more than 2.1e-10 (Gauss on [0, 0.01] would
+move a thin tungsten wire's evanescent channel by 7.3e-4).  The psi
+grid stays Kronrod: Gauss on its interior panels moves the SiC pair
+source by 0.07 rel_tol.
+The y grid ends at y_max = min(35, 16 / (1 - (R1 + R2) / d)), where the
 integrand's bound e^(-2 y (1 - (R1 + R2) / d)) is e^(-32)
-(_evan_edges): one panel past y = 12 for thin wires.  The azimuthal
-truncation is calibrated once per pass by a multipole shell probe of
-both kernels, whose shells are the pass's own integrals (_integrals)
-on the central orders of blocks built once at the cap.  Both take the
+(_evan_edges): one panel past y = 12 for thin wires, which then have
+94 y rows per outer node.  The azimuthal truncation is calibrated once
+per pass by a multipole shell probe of both kernels, whose shells are
+the pass's own integrals (_integrals) on the central orders of blocks
+built once at the cap, each shell held to rel_tol / 10.  Both take the
 largest value any temperature needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
@@ -107,22 +116,27 @@ import numpy as np
 from . import kernels
 from .equilibrium import EquilibriumTable
 from .materials import CylinderSpec, Vacuum, resonances
-from .quadrature import (MAX_PANELS, X_MAX, adaptive_vector,
+from .quadrature import (GROUP_FLOOR, MAX_PANELS, X_MAX, adaptive_vector,
                          composite_nodes, thermal_seed_edges, uniform_edges)
 from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 # panel edges of the y grid, graded toward y = 0; a pass ends it at
-# _evan_edges' y_max, and the order probe's stops at y = 12
+# _evan_edges' y_max, and the order probe's stops at y = 12.  Panels
+# that end at or below _KRONROD_Y_MAX, where a conductor's
+# low-frequency peak sits, take the 15-point Kronrod rule, and the
+# panels above it the 7-point Gauss rule that Kronrod embeds: Gauss on
+# [0.05, 0.25] moves a thin tungsten wire's evanescent channel by
+# 1.1e-6, and on [0, 0.01] by 7.3e-4
 _EVAN_EDGES = (0.0, 0.01, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
+_KRONROD_Y_MAX = 0.25
 _PROBE_Y_MAX = 12.0
 # the y grid ends where the evanescent integrand's bound
 # e^(-2 y (1 - (R1 + R2) / d)) falls to e^(-_EVAN_DECAY)
 _EVAN_DECAY = 32.0
-# order probe: frequencies in u, and the converged relative shell size
+# order probe: frequencies in u
 _PROBE_US = (2.5, 7.0, 15.0)
-_SERIES_TOL = 1e-6
 # axial integrals of each kind (see _inner), and psi panels per unit kd
 # of the propagating interaction and pair sums
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
@@ -171,8 +185,8 @@ class QuadratureControls:
         provider and 8 for the full one.
 
     Fixed: 200 outer panels per temperature (quadrature.MAX_PANELS),
-    a converged multipole shell of 1e-6 relative, and the evanescent
-    grid in y = |q| d, graded toward y = 0 and ending at
+    a converged multipole shell of rel_tol / 10 relative, and the
+    evanescent grid in y = |q| d, graded toward y = 0 and ending at
     min(35, 16 / (1 - (R1 + R2) / d)).  The provider decides whether
     the source amplitude keeps its quadratic term.
     """
@@ -431,13 +445,15 @@ def _evan_edges(rsum, d):
 
 def _evan_tables(factor, orders, panels=_EVAN_EDGES):
     """Evanescent y-grid (nodes, weights), with every panel of panels
-    split into factor equal parts, and its K-product table.  Neither
-    depends on the frequency, so one pass builds them once and reuses
-    them at every outer node."""
-    edges = [panels[0]]
+    split into factor equal parts, and its K-product table.  A part
+    keeps its panel's rule: Kronrod if the panel ends at or below
+    _KRONROD_Y_MAX, else Gauss.  Neither depends on the frequency, so
+    one pass builds them once and reuses them at every outer node."""
+    edges, kronrod = [panels[0]], []
     for lo, hi in zip(panels[:-1], panels[1:]):
         edges.extend(np.linspace(lo, hi, factor + 1)[1:])
-    nodes, wts = composite_nodes(edges)
+        kronrod.extend([hi <= _KRONROD_Y_MAX] * factor)
+    nodes, wts = composite_nodes(edges, kronrod)
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
@@ -482,19 +498,20 @@ def _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor, evan):
     return out
 
 
-def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap):
+def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap, tol):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
-    kernel is negligible: the interaction integrals ('f' with 'e') and
-    the pair integral ('s') each by its own shell test, and the largest
-    order any of them needs at any frequency wins.  Each run of
-    frequencies within the entry budget makes one provider call per
-    distinct cylinder at the cap, on 2 psi panels and the y grid on the
-    edges of _EVAN_EDGES up to y = 12, and each shell is the _integrals
-    of its central orders.  The K-product table is built once at the
-    cap, and only for the interaction kind; where it overflows below
-    the cap, the blocks stop at the first shell that reads an
-    overflowing order, and that shell raises."""
+    kernel is at most tol of its integrals: the interaction integrals
+    ('f' with 'e') and the pair integral ('s') each by its own shell
+    test, and the largest order any of them needs at any frequency
+    wins.  A pass takes tol = rel_tol / 10.  Each run of frequencies
+    within the entry budget makes one provider call per distinct
+    cylinder at the cap, on 2 psi panels and the y grid on the edges of
+    _EVAN_EDGES up to y = 12 (with the pass's rules), and each shell is
+    the _integrals of its central orders.  The K-product table is built
+    once at the cap, and only for the interaction kind; where it
+    overflows below the cap, the blocks stop at the first shell that
+    reads an overflowing order, and that shell raises."""
     if n_cap <= 1:
         return 1
     sums = sum((_SUMS[k] for k in kinds), ())
@@ -519,7 +536,7 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap):
             cur = _integrals(src_prov, n, sums, d, *rows, evan)
             shell = np.add.reduceat(np.abs(cur - prev), first, axis=1)
             scale = np.add.reduceat(np.abs(cur), first, axis=1)
-            got[(got == 0) & (shell <= _SERIES_TOL
+            got[(got == 0) & (shell <= tol
                               * np.maximum(scale, 1e-300))] = n
             if got.all():
                 break
@@ -535,16 +552,26 @@ def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
     """The grid-density factor of a pass: its psi panels and its y grid
     on y_edges double together, from factor 1, until every integral of
     sums at every frequency of omegas stops moving at the 0.2 * rel_tol
-    level.  Each factor tried is one _axial call."""
+    level.  Each frequency is one temperature's, and as in the outer
+    integral an integral is held to at least GROUP_FLOOR of the largest
+    of its (temperature, kind) group, so an evanescent integral a
+    millionth of the propagating one cannot drive the grid.  Each
+    factor tried is one _axial call."""
     def integrals(factor):
         return _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor,
                       _evan_tables(factor, orders, y_edges)
                       if "e" in sums else None)
 
+    pair = np.array([s == "s" for s in sums])
     factor, prev = 1, integrals(1)
     for _ in range(_MAX_GRID_BUMPS):
         cur = integrals(2 * factor)
-        scale = np.maximum(np.maximum(np.abs(prev), np.abs(cur)), 1e-300)
+        size = np.maximum(np.abs(prev), np.abs(cur))
+        largest = np.empty_like(size)
+        for group in (pair, ~pair):
+            largest[:, group] = size[:, group].max(axis=1, keepdims=True,
+                                                   initial=0.0)
+        scale = np.maximum(np.maximum(size, GROUP_FLOOR * largest), 1e-300)
         rel = np.max(np.abs(cur - prev) / scale)
         if rel <= 0.2 * rel_tol:
             return factor
@@ -648,7 +675,7 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     n_cap = int(src_prov.max_order or controls.n_max or 8)
     n_use = _probe_orders(src_prov, tgt_prov,
                           sorted({u * s for s in scales for u in _PROBE_US}),
-                          d, kinds, n_cap)
+                          d, kinds, n_cap, 0.1 * controls.rel_tol)
     orders = np.arange(-n_use, n_use + 1)
     y_edges = _evan_edges(src_prov.radius + tgt_prov.radius, d)
     factor = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales), d,

@@ -14,8 +14,9 @@ class SchemaError(NeqCasimirError):
 
 
 class TMatrixError(NeqCasimirError):
-    """Scattering block could not be evaluated (bad arguments or a
-    numerically singular boundary system)."""
+    """Scattering block could not be evaluated (bad arguments, a
+    numerically singular boundary system, or Bessel tables that
+    overflow)."""
 
 
 class QuadratureError(NeqCasimirError):

@@ -45,6 +45,9 @@ GK_WEIGHTS_KRONROD = np.array([_GK15[i][2] for i in _order])
 # adaptive panels per temperature.
 X_MAX = 40.0
 MAX_PANELS = 200
+# a channel is held to at least this fraction of the largest channel of
+# its tolerance group
+GROUP_FLOOR = 0.01
 # Seed panel edges of thermal frequency integrals, as fractions of
 # X_MAX: dense near u = 0, where the Bose factor varies fastest.
 _SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 0.5, 1.0)
@@ -68,20 +71,27 @@ def panel_estimates(a, b, values):
     return vk, np.abs(vk - vg)
 
 
-def composite_nodes(edges):
-    """Kronrod nodes and weights for a composite rule over given panel
-    edges (strictly increasing array).  Returns (nodes, weights), both
-    of length 15 * (len(edges) - 1).  No error estimate; intended for
-    inner integrals whose resolution is fixed per call.
+def composite_nodes(edges, kronrod=True):
+    """Nodes and weights of a composite rule over given panel edges
+    (strictly increasing array): the 15-point Kronrod rule on each panel
+    where kronrod holds, and the 7-point Gauss rule it embeds on the
+    others.  kronrod is one flag for every panel or one per panel.  No
+    error estimate; intended for inner integrals whose resolution is
+    fixed per call.
     """
     edges = np.asarray(edges, dtype=float)
+    kronrod = np.broadcast_to(kronrod, edges.size - 1)
+    gauss = GK_WEIGHTS_GAUSS != 0.0
+    rules = ((GK_NODES[gauss], GK_WEIGHTS_GAUSS[gauss]),
+             (GK_NODES, GK_WEIGHTS_KRONROD))
     nodes = []
     weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b, k in zip(edges[:-1], edges[1:], kronrod):
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        nodes.append(mid + half * GK_NODES)
-        weights.append(half * GK_WEIGHTS_KRONROD)
+        x, w = rules[bool(k)]
+        nodes.append(mid + half * x)
+        weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -102,9 +112,9 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         Integration limits, a < b.
     rel_tol : float
         Target relative error per channel.  A channel much smaller than
-        the largest channel of its group is held to 1% of that largest
-        channel's value, so a zero crossing cannot demand unbounded
-        refinement.
+        the largest channel of its group is held to GROUP_FLOOR (1%) of
+        that largest channel's value, so a zero crossing cannot demand
+        unbounded refinement.
     seed_edges : array_like, optional
         Initial panel boundaries (must start at a and end at b).
     max_panels : int
@@ -151,7 +161,7 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         group_max = np.zeros(labels.max() + 1)
         np.maximum.at(group_max, labels, np.abs(total))
         scale = group_max[labels]
-        tol = rel_tol * np.maximum(np.abs(total), 0.01 * scale)
+        tol = rel_tol * np.maximum(np.abs(total), GROUP_FLOOR * scale)
         if np.all(errs <= tol):
             break
         # errors relative to their group's scale, in units of the

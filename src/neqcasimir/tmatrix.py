@@ -278,6 +278,15 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
 
     det = u * u * one_m_g2 + u * r_n + r_m * (u + r_n)
     used = det[:, absn]
+    # from finite arguments, only an overflowing Bessel table makes the
+    # determinant non-finite
+    held = np.isfinite(ktz) & np.isfinite(x[:, 0]) & np.isfinite(em[:, 0])
+    over = np.argwhere(~np.isfinite(used) & held[:, None])
+    if over.size:
+        row, col = over[0]
+        raise TMatrixError(
+            "boundary system overflows at order %d, x = %g: its Bessel "
+            "tables leave the double range" % (orders[col], x[row, 0]))
     bad = ~((used != 0) & np.isfinite(used)).all(axis=1)
     if bad.any():
         raise TMatrixError(

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neqcasimir import cli, engine
+from neqcasimir import cli, engine, tmatrix
 from neqcasimir.cli import (CSV_COLUMNS, ampere_force_per_length,
                             read_sweep_csv, weight_per_length)
+from neqcasimir.errors import TMatrixError
 from neqcasimir.scenario import load_scenario
 from neqcasimir.units import G_STANDARD, MU_0
 
@@ -427,6 +428,24 @@ def test_exit_3_on_quadrature_failure(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "choke.json", doc)
     assert _run(["run", path, "--out", str(tmp_path / "x.csv")]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_exit_3_on_a_scattering_block_failure(tmp_path, capsys,
+                                              monkeypatch):
+    # a block the provider cannot evaluate ends the run with one error
+    # line and exit 3, not a traceback
+    def failing(self, orders, ktz, omega):
+        raise TMatrixError("ktilde_z on the light line is not evaluable")
+
+    monkeypatch.setattr(tmatrix.ThinExpansion, "blocks", failing)
+    doc = _base_doc()
+    doc["temperature_sets"] = {"unit": "K", "sets": [[300, 0, 0]]}
+    path = _write(tmp_path, "block.json", doc)
+    assert _run(["run", path, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: scattering block not evaluable: ktilde_z on the light "
+        "line is not evaluable"]
 
 
 def test_compare_weight(capsys):

@@ -2,10 +2,12 @@
 channel accounting, scaling laws, convergence behavior, and agreement
 with the closed-form asymptotics in their regimes."""
 
+import math
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from neqcasimir.engine import (QuadratureControls, Scenario,
 from neqcasimir.equilibrium import EquilibriumTable
 from neqcasimir.errors import QuadratureError
 from neqcasimir.materials import (CylinderSpec, Vacuum, thermal_wavelength)
+from neqcasimir.scenario import load_scenario
 from neqcasimir.units import HBAR, K_BOLTZMANN
 
 _, SIC = materials.load_material("sic")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 R = 0.1e-6
 C1 = CylinderSpec(R, SIC, 300.0)
 C2 = CylinderSpec(R, SIC, 300.0)
@@ -381,15 +385,15 @@ def test_fused_integral_one_blocks_call_per_node(monkeypatch):
 
 
 def test_every_provider_call_within_the_entry_budget(monkeypatch):
-    # four temperatures give the order probe 12 frequencies, whose
-    # 165 rows each at the full provider's 17 cap orders would make
-    # 33,660 block entries in one call: the probe splits them into runs
-    # within the budget, as the grid calibration and the outer integral
-    # split theirs
+    # six temperatures give the order probe 18 frequencies, whose
+    # 117 rows each (30 psi and 87 y rows) at the full provider's 17
+    # cap orders would make 35,802 block entries in one call: the probe
+    # splits them into runs within the budget, as the grid calibration
+    # and the outer integral split theirs
     phase = {"outer": False}
     calls = _recording_blocks(monkeypatch, phase)
     counts = _counting_outer(monkeypatch, phase)
-    temps = (150.0, 300.0, 450.0, 600.0)
+    temps = (150.0, 300.0, 450.0, 600.0, 750.0, 1050.0)
     sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
                   provider="full", environment_temperature=300.0,
                   controls=QuadratureControls(rel_tol=1e-2),
@@ -402,7 +406,7 @@ def test_every_provider_call_within_the_entry_budget(monkeypatch):
     probe = [c for c in calls if c["ktz"].size * 17 == c["entries"]
              and not c["outer"]]
     probed = set(np.concatenate([c["omega"] for c in probe]).tolist())
-    assert len(probed) == 12 and len(probe) >= 3
+    assert len(probed) == 18 and len(probe) >= 3
 
 
 @pytest.mark.parametrize("provider", ["thin", "full"])
@@ -694,12 +698,29 @@ def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
 
     for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
         monkeypatch.setattr(cls, "blocks", recording(cls.blocks))
-    with pytest.warns(RuntimeWarning, match="order cap"):
-        pair = pair_source_force(C1, C2, 300.0, 2e-6, provider="full",
-                                 controls=QuadratureControls(rel_tol=1e-2,
-                                                             n_max=2))
+    pair = pair_source_force(C1, C2, 300.0, 2e-6, provider="full",
+                             controls=QuadratureControls(rel_tol=1e-2,
+                                                         n_max=2))
     assert np.isfinite(pair)
     assert max(ktz_max) < 1.0
+
+
+def test_order_cap_warns_where_the_series_has_not_settled():
+    # the pair series of 0.3 um SiC cylinders at 2 um needs order 3 to
+    # settle at shells of rel_tol / 10 = 1e-3: a cap of 2 warns and
+    # still gives a finite force, and a cap of 3 does not warn
+    thick = CylinderSpec(0.3e-6, SIC, 300.0)
+    pairs = []
+    for n_max in (2, 3):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            pairs.append(pair_source_force(
+                thick, thick, 300.0, 2e-6, provider="full",
+                controls=QuadratureControls(rel_tol=1e-2, n_max=n_max)))
+        capped = [w for w in seen if "order cap" in str(w.message)]
+        assert len(capped) == (1 if n_max == 2 else 0)
+        assert all(w.category is RuntimeWarning for w in capped)
+    assert np.isfinite(pairs).all()
 
 
 def test_lone_full_tungsten_call_stops_bisecting_toward_zero(monkeypatch):
@@ -756,6 +777,13 @@ def test_y_grid_ends_at_the_gaps_decay(monkeypatch):
     assert seen and all(edges == engine._EVAN_EDGES for edges in seen)
 
 
+def _worst_move(rows, other):
+    """Largest relative difference of any field of two sweeps."""
+    return max(abs(x - y) / max(abs(x), abs(y), 1e-300)
+               for a, b in zip(rows, other)
+               for x, y in zip(astuple(a), astuple(b)))
+
+
 def test_y_grid_tail_cut_moves_a_thin_sweep_by_rounding(monkeypatch):
     # the y grid's tail beyond y_max is negligible: against the whole
     # tail to y = 35, no field of a thin SiC sweep moves by more than
@@ -770,20 +798,99 @@ def test_y_grid_tail_cut_moves_a_thin_sweep_by_rounding(monkeypatch):
         monkeypatch.setattr(engine, "_evan_edges",
                             lambda rsum, d: engine._EVAN_EDGES)
         whole = sweep(sc)
-    worst = max(abs(x - y) / max(abs(x), abs(y), 1e-300)
-                for a, b in zip(cut, whole)
-                for x, y in zip(astuple(a), astuple(b)))
-    assert worst <= 1e-9
+    assert _worst_move(cut, whole) <= 1e-9
+
+
+WIRE_SWEEP = Scenario(
+    cylinder1=CylinderSpec(20e-9, TUNGSTEN, 0.0),
+    cylinder2=CylinderSpec(20e-9, TUNGSTEN, 0.0),
+    separations=(0.5e-6, 1.5e-6), provider="full",
+    environment_temperature=2400.0,
+    controls=QuadratureControls(rel_tol=1e-3),
+    temperature_sets=((0.0, 0.0, 2400.0), (2400.0, 0.0, 2400.0),
+                      (2400.0, 2400.0, 2400.0)))
+
+
+def test_gauss_y_panels_above_the_peak_move_no_sweep_field(monkeypatch):
+    # the y panels above y = 0.25 take the 7-point Gauss rule, which
+    # gives a thin wire 94 y rows per outer node in place of 150;
+    # against Kronrod on every panel, no field of a thin SiC sweep or a
+    # full tungsten sweep moves by more than 1e-8 of itself (measured:
+    # 2.1e-10 on SiC and 1.8e-11 on tungsten)
+    edges = engine._evan_edges(4e-8, 0.5e-6)
+    assert engine._evan_tables(1, np.arange(-3, 4), edges)[0].size == 94
+    thin = Scenario(cylinder1=C1, cylinder2=C2, separations=(1.7e-6, 23e-6),
+                    controls=QuadratureControls(rel_tol=1e-3),
+                    environment_temperature=300.0, temperature_sets=HOT_SETS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        graded = [sweep(sc) for sc in (thin, WIRE_SWEEP)]
+        monkeypatch.setattr(engine, "_KRONROD_Y_MAX", math.inf)
+        assert engine._evan_tables(1, np.arange(-3, 4), edges)[0].size == 150
+        kronrod = [sweep(sc) for sc in (thin, WIRE_SWEEP)]
+    for rows, other in zip(graded, kronrod):
+        assert _worst_move(rows, other) <= 1e-8
+
+
+def test_order_probe_shells_at_a_tenth_of_rel_tol(monkeypatch):
+    # the order probe holds each shell to rel_tol / 10: at rel_tol 1e-3
+    # a tungsten wire sweep takes orders -3 .. 3 where shells of 1e-6
+    # take -4 .. 4, and no field moves by more than 1e-8 of itself
+    # (measured: 1.2e-10)
+    real = engine._probe_orders
+    picked, shells = [], {}
+
+    def probe(*args):
+        picked.append(real(*args[:-1], shells.get("tol", args[-1])))
+        return picked[-1]
+
+    monkeypatch.setattr(engine, "_probe_orders", probe)
+    rows = sweep(WIRE_SWEEP)
+    assert set(picked) == {3}
+    picked.clear()
+    shells["tol"] = 1e-6
+    fine = sweep(WIRE_SWEEP)
+    assert set(picked) == {4}
+    assert _worst_move(rows, fine) <= 1e-8
+
+
+def test_grid_calibration_floors_each_integral_at_its_group(monkeypatch):
+    # in the shipped tungsten scenario at 3.862 um the evanescent
+    # integral at u = 2.5 is about 1e-6 of the propagating one and
+    # keeps moving on its own scale as the grid doubles; held to 1% of
+    # its group, as the outer integral holds it, the pass calibrates to
+    # grid factor 1.  Held to its own size, the factor climbed to 16,
+    # whose first y node made ktilde_z round to exactly 1, and the row
+    # failed
+    sc, _ = load_scenario(SCENARIOS / "tungsten_hot_environment.json")
+    d = min(sc.separations, key=lambda d: abs(d - 3.862e-6))
+    factors = []
+    real = engine._grid_factor
+
+    def grid_factor(*args):
+        factors.append(real(*args))
+        return factors[-1]
+
+    phase = {"outer": False}
+    calls = _recording_blocks(monkeypatch, phase)
+    monkeypatch.setattr(engine, "_grid_factor", grid_factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = total_force(sc, d)
+    assert np.isfinite(astuple(row)).all()
+    assert factors == [1]
+    assert calls and not any(np.any(c["ktz"] == 1.0) for c in calls)
 
 
 def test_order_probe_weights_its_shells_as_the_pass_does():
     # the interaction shell is scored on the integrals the pass forms,
     # k^2 times the psi sum and 2 / d^2 times the y sum: here the shell
-    # of order 5 at u = 15 is 1.18e-6 of the integral, above the 1e-6
-    # series tolerance, which the unweighted sums put below it
+    # of order 5 at u = 15 is 1.5e-6 of the integral, above a shell
+    # tolerance of 1e-6, which the unweighted sums put below it
     prov = tmatrix.FullSolve(SIC, 0.5e-6)
     omegas = [u * K_BOLTZMANN * 450.0 / HBAR for u in engine._PROBE_US]
-    assert engine._probe_orders(prov, prov, omegas, 3e-6, ("int",), 8) == 6
+    assert engine._probe_orders(prov, prov, omegas, 3e-6, ("int",), 8,
+                                1e-6) == 6
 
 
 def test_full_provider_with_a_high_order_cap():

@@ -210,6 +210,29 @@ def test_composite_nodes_fixed_rule():
     assert abs(np.sum(weights * nodes ** 2) - 8.0 / 3.0) < 1e-12
 
 
+def test_composite_nodes_gauss_panels():
+    # panels flagged False take the 7 Gauss nodes the Kronrod rule
+    # embeds, which integrate x^13 exactly; Kronrod panels are bitwise
+    # those of the all-Kronrod rule
+    edges = np.array([0.0, 0.5, 2.0, 3.0])
+    nodes, weights = quadrature.composite_nodes(edges, [True, False, True])
+    assert nodes.shape == weights.shape == (37,)
+    k_nodes, k_weights = quadrature.composite_nodes(edges)
+    for mixed, kronrod in ((slice(0, 15), slice(0, 15)),
+                           (slice(22, 37), slice(30, 45))):
+        assert np.array_equal(nodes[mixed], k_nodes[kronrod])
+        assert np.array_equal(weights[mixed], k_weights[kronrod])
+    gauss = slice(15, 22)
+    assert set(nodes[gauss]) <= set(k_nodes[15:30])
+    exact = (2.0 ** 14 - 0.5 ** 14) / 14.0
+    assert abs(np.sum(weights[gauss] * nodes[gauss] ** 13) / exact
+               - 1.0) < 1e-13
+    nodes, weights = quadrature.composite_nodes(edges, False)
+    assert nodes.shape == (21,)
+    assert abs(np.sum(weights * nodes ** 13) / (3.0 ** 14 / 14.0)
+               - 1.0) < 1e-13
+
+
 def test_uniform_edges():
     edges = quadrature.uniform_edges(0.0, 1.0, 4)
     assert np.allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])

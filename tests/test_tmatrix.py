@@ -353,8 +353,9 @@ def test_bessel_tables_against_mpmath():
 def test_full_blocks_fail_where_the_tables_overflow():
     # next to the light line (p = 2.1e-12) H_n(p) ~ (n - 1)! (2 / p)^n
     # leaves the double range at high orders, and the blocks that read
-    # it fail with the singular-system error; lower orders are finite.
-    # scipy's hankel1 and jv tables failed the same orders (measured)
+    # it fail with an overflow error naming the order and the size
+    # parameter; lower orders are finite.  scipy's hankel1 and jv tables
+    # failed the same orders (measured)
     x, ktz = 1e-4, 1.0 + 2.0 ** -52
     eps = complex(TUNGSTEN.epsilon(1e11))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,7 +365,8 @@ def test_full_blocks_fail_where_the_tables_overflow():
                                                eps, 1.0, x)
                 assert np.all(np.isfinite(t))
             else:
-                with pytest.raises(TMatrixError, match="singular boundary"):
+                with pytest.raises(TMatrixError, match=r"overflows at order "
+                                   r"%d, x = 0\.0001: " % n):
                     tmatrix._full_blocks_batch(np.array([n]),
                                                np.array([ktz]), eps, 1.0, x)
 
