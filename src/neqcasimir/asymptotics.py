@@ -14,28 +14,20 @@ Four regimes are covered:
   functions ``f6``, ``f4``, ``f1``.
 
 These forms are an independent oracle for the scattering engine: they
-share no code with it beyond the quadrature helper and the material
-models.  All forces are per unit length (N/m) on the non-source
+import nothing from engine, tmatrix or kernels, only the material
+models and quadrature's bose_integral, which holds the integral
+settings.  All forces are per unit length (N/m) on the non-source
 cylinder, along the line of centers, negative meaning attraction.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import QuadratureControls
 from .materials import eps_function, thermal_wavelength
 from .quadrature import bose_integral
 from .units import C_LIGHT, HBAR
-
-NEAR_FIELD = "near_field"
-FAR_FIELD = "far_field"
-NEAR_FIELD_LOW_T = "near_field_low_t"
-FAR_FIELD_LOW_T = "far_field_low_t"
-
-_REGIME_TAGS = (NEAR_FIELD, FAR_FIELD, NEAR_FIELD_LOW_T, FAR_FIELD_LOW_T)
 
 # Scale-separation factor below which a regime precondition counts as
 # violated.  The closed forms are leading-order, so "much less than"
@@ -44,70 +36,43 @@ _REGIME_TAGS = (NEAR_FIELD, FAR_FIELD, NEAR_FIELD_LOW_T, FAR_FIELD_LOW_T)
 _MARGIN = 5.0
 
 
-@dataclass(frozen=True)
-class AsymptoticRegime:
-    """One of the four closed-form validity regimes.
-
-    Parameters
-    ----------
-    tag : str
-        One of ``near_field``, ``far_field``, ``near_field_low_t``,
-        ``far_field_low_t``.
-
-    The ``violations`` method grades a concrete geometry against the
-    regime preconditions (thin cylinders, near/far separation, and for
-    the low temperature forms a long thermal wavelength) and returns
-    human-readable strings for each failed one.
-    """
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in _REGIME_TAGS:
-            raise ValueError("unknown regime tag %r; expected one of %r"
-                             % (self.tag, _REGIME_TAGS))
-
-    def violations(self, *, radius1, radius2, separation,
-                   source_temperature, skin_depths=(),
-                   resonance_wavelengths=()):
-        """Check preconditions; return a tuple of violation messages.
-
-        skin_depths and resonance_wavelengths are optional iterables
-        of per-cylinder scales (m); only the checks whose inputs are
-        supplied run.
-        """
-        out = []
-        r_max = max(radius1, radius2)
-        if separation < _MARGIN * r_max:
-            out.append("separation %.3g m is not much larger than the "
-                       "cylinder radius %.3g m" % (separation, r_max))
-        for delta in skin_depths:
-            if math.isfinite(delta) and r_max > delta / _MARGIN:
-                out.append("radius %.3g m is not much smaller than the "
-                           "skin depth %.3g m" % (r_max, delta))
-        if source_temperature > 0:
-            lam_t = thermal_wavelength(source_temperature)
-            if self.tag in (NEAR_FIELD, NEAR_FIELD_LOW_T):
-                if separation > lam_t / _MARGIN:
-                    out.append("separation %.3g m is not much smaller "
-                               "than the thermal wavelength %.3g m"
-                               % (separation, lam_t))
-            else:
-                if separation < _MARGIN * lam_t:
-                    out.append("separation %.3g m is not much larger "
-                               "than the thermal wavelength %.3g m"
-                               % (separation, lam_t))
-                if lam_t < _MARGIN * r_max:
-                    out.append("thermal wavelength %.3g m is not much "
-                               "larger than the radius %.3g m"
-                               % (lam_t, r_max))
-            if self.tag in (NEAR_FIELD_LOW_T, FAR_FIELD_LOW_T):
-                for lam0 in resonance_wavelengths:
-                    if lam_t < _MARGIN * lam0:
-                        out.append("thermal wavelength %.3g m is not "
-                                   "much larger than the material "
-                                   "scale %.3g m" % (lam_t, lam0))
-        return tuple(out)
+def _warn_outside_regime(regime, radius1, radius2, separation,
+                         source_temperature, material_scales=()):
+    """Warn once if a closed form is used outside its regime, naming
+    every violated precondition: thin cylinders; d on the near or far
+    side (the regime name's prefix) of the source thermal wavelength,
+    which in the far field must also dwarf the radii; and for the
+    low-temperature forms a thermal wavelength much longer than each
+    of material_scales (m)."""
+    out = []
+    r_max = max(radius1, radius2)
+    if separation < _MARGIN * r_max:
+        out.append("separation %.3g m is not much larger than the "
+                   "cylinder radius %.3g m" % (separation, r_max))
+    if source_temperature > 0:
+        lam_t = thermal_wavelength(source_temperature)
+        if regime.startswith("near"):
+            if separation > lam_t / _MARGIN:
+                out.append("separation %.3g m is not much smaller "
+                           "than the thermal wavelength %.3g m"
+                           % (separation, lam_t))
+        else:
+            if separation < _MARGIN * lam_t:
+                out.append("separation %.3g m is not much larger "
+                           "than the thermal wavelength %.3g m"
+                           % (separation, lam_t))
+            if lam_t < _MARGIN * r_max:
+                out.append("thermal wavelength %.3g m is not much "
+                           "larger than the radius %.3g m"
+                           % (lam_t, r_max))
+        for lam0 in material_scales:
+            if lam_t < _MARGIN * lam0:
+                out.append("thermal wavelength %.3g m is not much "
+                           "larger than the material scale %.3g m"
+                           % (lam_t, lam0))
+    if out:
+        warnings.warn("closed-form %s evaluation outside its regime: %s"
+                      % (regime, "; ".join(out)), stacklevel=3)
 
 
 def _check_not_surface_pole(eps, name):
@@ -210,13 +175,6 @@ def f1(eps01, eps02):
     return out[()] if np.ndim(out) == 0 else out
 
 
-def _warn_violations(regime, violations):
-    if violations:
-        warnings.warn("closed-form %s evaluation outside its regime: %s"
-                      % (regime.tag, "; ".join(violations)),
-                      stacklevel=3)
-
-
 def interaction_near(radius1, radius2, material1, material2,
                      source_temperature, separation, *, controls=None):
     """Near-field thin-cylinder force per length from source 2 on 1.
@@ -227,15 +185,10 @@ def interaction_near(radius1, radius2, material1, material2,
     warning when the geometry strays outside the regime (thin
     cylinders, d much below the source thermal wavelength).
     """
-    controls = controls or QuadratureControls()
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
-    regime = AsymptoticRegime(NEAR_FIELD)
-    _warn_violations(regime, regime.violations(
-        radius1=radius1, radius2=radius2, separation=separation,
-        source_temperature=source_temperature))
-    if source_temperature == 0.0:
-        return 0.0
+    _warn_outside_regime("near_field", radius1, radius2, separation,
+                         source_temperature)
 
     def weight(w):
         e1 = eps1(w)
@@ -255,15 +208,10 @@ def interaction_far(radius1, radius2, material1, material2,
     repulsive (positive) for passive media.  Warns outside the regime
     (d much above the source thermal wavelength, thin cylinders).
     """
-    controls = controls or QuadratureControls()
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
-    regime = AsymptoticRegime(FAR_FIELD)
-    _warn_violations(regime, regime.violations(
-        radius1=radius1, radius2=radius2, separation=separation,
-        source_temperature=source_temperature))
-    if source_temperature == 0.0:
-        return 0.0
+    _warn_outside_regime("far_field", radius1, radius2, separation,
+                         source_temperature)
 
     def weight(w):
         return w ** 5 * g1(eps1(w), eps2(w)) / C_LIGHT ** 5
@@ -281,11 +229,8 @@ def interaction_near_lowT(radius1, radius2, eps01, eps02, lambda_in1,
     (negative) for ordinary dielectrics; vanishes when the source side
     has no absorption (lambda_in2 = 0).
     """
-    regime = AsymptoticRegime(NEAR_FIELD_LOW_T)
-    _warn_violations(regime, regime.violations(
-        radius1=radius1, radius2=radius2, separation=separation,
-        source_temperature=source_temperature,
-        resonance_wavelengths=(lambda_in1, lambda_in2)))
+    _warn_outside_regime("near_field_low_t", radius1, radius2, separation,
+                         source_temperature, (lambda_in1, lambda_in2))
     if source_temperature == 0.0:
         return 0.0
     lam_t = thermal_wavelength(source_temperature)
@@ -299,11 +244,8 @@ def interaction_near_lowT(radius1, radius2, eps01, eps02, lambda_in1,
 def interaction_far_lowT(radius1, radius2, eps01, eps02, lambda_in1,
                          lambda_in2, source_temperature, separation):
     """Closed low-temperature far-field force per length (repulsive)."""
-    regime = AsymptoticRegime(FAR_FIELD_LOW_T)
-    _warn_violations(regime, regime.violations(
-        radius1=radius1, radius2=radius2, separation=separation,
-        source_temperature=source_temperature,
-        resonance_wavelengths=(lambda_in1, lambda_in2)))
+    _warn_outside_regime("far_field_low_t", radius1, radius2, separation,
+                         source_temperature, (lambda_in1, lambda_in2))
     if source_temperature == 0.0:
         return 0.0
     lam_t = thermal_wavelength(source_temperature)

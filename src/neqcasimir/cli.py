@@ -15,9 +15,9 @@ Subcommands:
   context.
 
 Exit codes: 0 success, 1 standard output closed by its reader (as by
-``| head``), 2 malformed scenario or input file or a rejected argument,
-3 quadrature non-convergence or a scattering block that cannot be
-evaluated.
+``| head``), 2 malformed scenario or input file, a file that cannot
+be read or written, or a rejected argument, 3 quadrature
+non-convergence or a scattering block that cannot be evaluated.
 """
 
 import argparse
@@ -296,6 +296,11 @@ def main(argv=None):
             return 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 1
+    except OSError as exc:
+        # an input file that cannot be read or an output file that
+        # cannot be written
+        sys.stderr.write("error: %s\n" % (exc,))
+        return 2
     except SchemaError as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2

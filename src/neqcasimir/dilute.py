@@ -5,9 +5,10 @@ elements held at different temperatures has a closed form, and the
 cylinder-cylinder force per length follows by summing that sphere pair
 force over the two cylinder volumes.  This composition is a path to
 the interaction force that is independent of both the scattering
-engine and the thin-cylinder closed forms: the three must agree in
-their common regime, which is the backbone cross-validation of the
-package.
+engine and the thin-cylinder closed forms (it imports nothing from
+engine, tmatrix, kernels or asymptotics, only the material models and
+quadrature): the three must agree in their common regime, which is the
+backbone cross-validation of the package.
 
 Sign conventions follow the rest of the package: the returned value is
 the force on body 1 along the line of centers with positive pointing
@@ -32,9 +33,8 @@ import warnings
 
 import numpy as np
 
-from .engine import QuadratureControls
 from .materials import eps_function
-from .quadrature import bose_integral, composite_nodes
+from .quadrature import QuadratureControls, bose_integral, composite_nodes
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _ALL_TERMS = ("d2", "d3", "d5", "d7")
@@ -108,13 +108,10 @@ def sphere_pair_force(volume1, volume2, material1, material2,
         raise ValueError("volumes must be positive")
     if separation <= 0:
         raise ValueError("separation must be positive")
-    controls = controls or QuadratureControls()
     terms = _check_terms(terms)
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
     _warn_if_not_dilute(eps1, eps2, source_temperature)
-    if source_temperature == 0.0:
-        return 0.0
 
     def weight(w):
         return _sphere_weight(w, eps1, eps2, separation, terms)
@@ -211,12 +208,9 @@ def dilute_closed_forms(radius1, radius2, material1, material2,
                          "got %r" % (regime,))
     if separation <= 0:
         raise ValueError("separation must be positive")
-    controls = controls or QuadratureControls()
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
     _warn_if_not_dilute(eps1, eps2, source_temperature)
-    if source_temperature == 0.0:
-        return 0.0
     rr = radius1 ** 2 * radius2 ** 2
     d = separation
 
@@ -249,10 +243,9 @@ def excluded_d2_term(radius1, radius2, material1, material2,
     convention (it is attractive, hence negative, for ordinary
     dielectrics).
     """
-    controls = controls or QuadratureControls()
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
-    if source_temperature == 0.0:
+    if source_temperature == 0.0:  # -0.0 from the product below
         return 0.0
 
     def weight(w):

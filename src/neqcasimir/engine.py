@@ -103,10 +103,13 @@ mirrored rows agree bitwise, and a sweep row is the total_force of
 its set.  A call without _temps integrates only its
 own kind and temperature, whatever its memo holds.  The provider's
 quadratic_term decides whether the source amplitude keeps T T^dagger.
+
+The accuracy settings, QuadratureControls, live in quadrature with the
+constants of the thermal integrals; engine imports the class back, so
+it is also engine.QuadratureControls.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -116,8 +119,9 @@ import numpy as np
 from . import kernels
 from .equilibrium import EquilibriumTable
 from .materials import CylinderSpec, Vacuum, resonances
-from .quadrature import (GROUP_FLOOR, MAX_PANELS, X_MAX, adaptive_vector,
-                         composite_nodes, thermal_seed_edges, uniform_edges)
+from .quadrature import (GROUP_FLOOR, MAX_PANELS, X_MAX, QuadratureControls,
+                         adaptive_vector, composite_nodes,
+                         thermal_seed_edges, uniform_edges)
 from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
@@ -163,54 +167,6 @@ _ORDER_CAP_WARNING = ("multipole series still changing at the order "
 _GRID_CAP_WARNING = ("inner wavenumber grid still changing at the "
                      "refinement cap; results may be less accurate "
                      "than rel_tol")
-
-
-@dataclass(frozen=True)
-class QuadratureControls:
-    """Accuracy settings of the force integrals, each checked here.
-
-    rel_tol : relative accuracy target of the frequency integral,
-        held per temperature channel: each temperature's channels
-        converge as if integrated alone.
-    u_min : lower cutoff of u = hbar omega / k_B T, normally 0, per
-        temperature channel; the upper cutoff is quadrature.X_MAX = 40.
-        Needed for idealized frequency-independent lossy
-        permittivities, whose near-field frequency integrand behaves
-        like 1/u at u -> 0 and diverges logarithmically; causal
-        materials (Im eps -> 0 with frequency) are integrable from 0
-        and should leave this alone.  Comparisons between computation
-        paths must share one window.
-    n_max : azimuthal order cap, 1 to 32 (the order probe's kernel
-        tables run to twice the cap); None means 1 for the thin
-        provider and 8 for the full one.
-
-    Fixed: 200 outer panels per temperature (quadrature.MAX_PANELS),
-    a converged multipole shell of rel_tol / 10 relative, and the
-    evanescent grid in y = |q| d, graded toward y = 0 and ending at
-    min(35, 16 / (1 - (R1 + R2) / d)).  The provider decides whether
-    the source amplitude keeps its quadratic term.
-    """
-
-    rel_tol: float = 1e-4
-    u_min: float = 0.0
-    n_max: int | None = None
-
-    def __post_init__(self):
-        def number(value, kind=numbers.Real):
-            return isinstance(value, kind) and not isinstance(value, bool)
-
-        if not (number(self.rel_tol) and self.rel_tol > 0
-                and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite, got %r"
-                             % (self.rel_tol,))
-        if not (number(self.u_min) and 0.0 <= self.u_min < X_MAX):
-            raise ValueError("u_min must satisfy 0 <= u_min < %g, got %r"
-                             % (X_MAX, self.u_min))
-        if self.n_max is not None and not (
-                number(self.n_max, numbers.Integral)
-                and 1 <= self.n_max <= 32):
-            raise ValueError("n_max must be an integer from 1 to 32 or "
-                             "None, got %r" % (self.n_max,))
 
 
 @dataclass(frozen=True)

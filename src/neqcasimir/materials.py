@@ -207,13 +207,11 @@ def resonances(model):
 
 
 def eps_function(material):
-    """Return a vectorized eps(omega) from a model object or callable."""
+    """Return the vectorized eps(omega) of a material model."""
     if hasattr(material, "epsilon"):
         return material.epsilon
-    if callable(material):
-        return material
-    raise TypeError("expected a material model with .epsilon(omega) or "
-                    "a callable eps(omega), got %r" % (type(material),))
+    raise TypeError("expected a material model with .epsilon(omega), "
+                    "got %r" % (type(material),))
 
 
 def thermal_wavelength(temperature):

@@ -6,9 +6,16 @@ Kronrod estimate; their difference is a conservative error bound for
 the Kronrod value.  The adaptive driver bisects the worst panel until
 every output channel meets its tolerance, then sums panels in position
 order with math.fsum so reruns are bit-identical.
+
+The integral settings live here too: QuadratureControls (rel_tol,
+u_min, n_max) and the constants the thermal frequency integrals hold
+fixed (X_MAX, MAX_PANELS), read by the engine and by the closed-form
+cross-checks through bose_integral.
 """
 
 import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +58,54 @@ GROUP_FLOOR = 0.01
 # Seed panel edges of thermal frequency integrals, as fractions of
 # X_MAX: dense near u = 0, where the Bose factor varies fastest.
 _SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 0.5, 1.0)
+
+
+@dataclass(frozen=True)
+class QuadratureControls:
+    """Accuracy settings of the force integrals, each checked here.
+
+    rel_tol : relative accuracy target of the frequency integral,
+        held per temperature channel: each temperature's channels
+        converge as if integrated alone.
+    u_min : lower cutoff of u = hbar omega / k_B T, normally 0, per
+        temperature channel; the upper cutoff is X_MAX = 40.
+        Needed for idealized frequency-independent lossy
+        permittivities, whose near-field frequency integrand behaves
+        like 1/u at u -> 0 and diverges logarithmically; causal
+        materials (Im eps -> 0 with frequency) are integrable from 0
+        and should leave this alone.  Comparisons between computation
+        paths must share one window.
+    n_max : azimuthal order cap, 1 to 32 (the order probe's kernel
+        tables run to twice the cap); None means 1 for the thin
+        provider and 8 for the full one.
+
+    Fixed: 200 outer panels per temperature (MAX_PANELS),
+    a converged multipole shell of rel_tol / 10 relative, and the
+    evanescent grid in y = |q| d, graded toward y = 0 and ending at
+    min(35, 16 / (1 - (R1 + R2) / d)).  The provider decides whether
+    the source amplitude keeps its quadratic term.
+    """
+
+    rel_tol: float = 1e-4
+    u_min: float = 0.0
+    n_max: int | None = None
+
+    def __post_init__(self):
+        def number(value, kind=numbers.Real):
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        if not (number(self.rel_tol) and self.rel_tol > 0
+                and math.isfinite(self.rel_tol)):
+            raise ValueError("rel_tol must be positive and finite, got %r"
+                             % (self.rel_tol,))
+        if not (number(self.u_min) and 0.0 <= self.u_min < X_MAX):
+            raise ValueError("u_min must satisfy 0 <= u_min < %g, got %r"
+                             % (X_MAX, self.u_min))
+        if self.n_max is not None and not (
+                number(self.n_max, numbers.Integral)
+                and 1 <= self.n_max <= 32):
+            raise ValueError("n_max must be an integer from 1 to 32 or "
+                             "None, got %r" % (self.n_max,))
 
 
 def panel_nodes(a, b):
@@ -210,16 +265,18 @@ def thermal_seed_edges(controls):
     return sorted(edges)
 
 
-def bose_integral(weight, temperature, controls):
+def bose_integral(weight, temperature, controls=None):
     """Adaptive integral of weight(omega) / (exp(hbar omega / k T) - 1)
     d omega; zero at T = 0.
 
     Substitutes u = hbar omega / k T so the window [u_min, X_MAX]
     covers the thermal band uniformly across temperatures; u_min and
-    rel_tol come from controls.
+    rel_tol come from controls, QuadratureControls() when None.
     """
     if temperature == 0.0:
         return 0.0
+    if controls is None:
+        controls = QuadratureControls()
     scale = K_BOLTZMANN * temperature / HBAR
 
     def integrand(u):

@@ -53,11 +53,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import QuadratureControls, Scenario
+from .engine import Scenario
 from .equilibrium import EquilibriumTable
 from .errors import MaterialError, SchemaError
 from .materials import (Constant, ConductivitySum, CylinderSpec, Lorentz,
                         LowFreqExpansion, Vacuum, load_material)
+from .quadrature import QuadratureControls
 from .units import length_to_m
 
 _CONTROL_FIELDS = [f.name for f in dataclasses.fields(QuadratureControls)]
@@ -108,11 +109,9 @@ def _build(cls, path, **fields):
         _fail(path, str(exc))
 
 
-def _get(doc, key, path, required=True, default=None):
+def _get(doc, key, path):
     if key not in doc:
-        if required:
-            _fail(path, "missing required field %r" % (key,))
-        return default
+        _fail(path, "missing required field %r" % (key,))
     return doc[key]
 
 

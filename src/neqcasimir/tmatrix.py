@@ -57,47 +57,43 @@ _THIN_WARNING = ("thin expansion evaluated beyond its validity range "
                  "(size parameter x > 0.3); consider the full solver")
 
 
-def _thin_blocks_batch(orders, ktz, eps, mu, x):
+def _thin_blocks_batch(orders, ktz, eps, x):
     """Leading-order blocks for every (ktz node, order), arguments and
     shape as in _full_blocks_batch; orders beyond |n| = 1 give zero
     blocks.
 
-    With pref = (i pi / 4) x^2, order 0 is diagonal with
-    pref (1 - kz2)(eps - 1) and pref (1 - kz2)(mu - 1); at |n| = 1 with
-    den = (eps + 1)(mu + 1) the diagonal entries are
-    pref (kz2 a_P + b_P) / den and the cross entries
-    2 pref (eps mu - 1) ktilde_z n / den.  Every entry is a function of
-    its own row's (ktilde_z, eps, x) alone, so a row's block does not
+    With pref = (i pi / 4) x^2, order 0 has the one entry
+    T^NN = pref (1 - kz2)(eps - 1); at |n| = 1 with
+    q = pref / (2 (eps + 1)) the diagonal entries are
+    T^NN = 2 q kz2 (eps - 1) and T^MM = 2 q (eps - 1), and the cross
+    entries 2 q (eps - 1) ktilde_z n.  Every entry is a function of its
+    own row's (ktilde_z, eps, x) alone, so a row's block does not
     depend on the other rows of the call.
     """
     orders = np.asarray(orders, dtype=int)
-    ktz = np.asarray(ktz, dtype=float)
-    eps, x = _rows(ktz, eps, x)
-    if np.any(x <= 0):
-        raise TMatrixError("size parameter must be positive at x = %g"
-                           % (x[x <= 0][0],))
-    mu = complex(mu)
-    den = (eps + 1.0) * (mu + 1.0)
+    ktz, eps, x = _rows(ktz, eps, x)
+    den = 2.0 * (eps + 1.0)
     if np.any(den == 0) and np.any(np.abs(orders) == 1):
-        raise TMatrixError("thin expansion singular at eps = -1 or mu = -1 "
+        raise TMatrixError("thin expansion singular at eps = -1 "
                            "(x = %g)" % (x[den == 0][0],))
     out = np.zeros((ktz.shape[0], orders.shape[0], 2, 2), dtype=complex)
     pref = 0.25j * math.pi * x * x
     kz2 = ktz ** 2
+    # keep each product's operand order and temporaries: numpy writes a
+    # large temporary operand in place, and its in-place complex product
+    # can differ from the out-of-place one in the last bit
     if np.any(orders == 0):
         t0 = pref * (1.0 - kz2)
-        nn0, mm0 = t0 * (eps - 1.0), t0 * (mu - 1.0)
+        nn0 = t0 * (eps - 1.0)
     if np.any(np.abs(orders) == 1):
         q = pref / den
-        nn1 = q * (kz2 * ((mu + 1.0) * (eps - 1.0))
-                   + (mu - 1.0) * (eps + 1.0))
-        mm1 = q * (kz2 * ((mu - 1.0) * (eps + 1.0))
-                   + (mu + 1.0) * (eps - 1.0))
-        cross = 2.0 * (eps * mu - 1.0) * q * ktz
+        e = eps - 1.0
+        nn1 = q * (kz2 * (2.0 * e))
+        mm1 = q * (2.0 * e)
+        cross = 2.0 * e * q * ktz
     for io, n in enumerate(orders):
         if n == 0:
             out[:, io, POL_N, POL_N] = nn0
-            out[:, io, POL_M, POL_M] = mm0
         elif abs(n) == 1:
             out[:, io, POL_N, POL_N] = nn1
             out[:, io, POL_M, POL_M] = mm1
@@ -107,11 +103,21 @@ def _thin_blocks_batch(orders, ktz, eps, mu, x):
 
 
 def _rows(ktz, eps, x):
-    """eps and x as arrays with one entry per ktz node: each given per
-    node or as one value for every node."""
-    shape = np.shape(ktz)
-    return (np.broadcast_to(np.asarray(eps, dtype=complex), shape),
-            np.broadcast_to(np.asarray(x, dtype=float), shape))
+    """ktz, eps and x as arrays with one entry per ktz node, eps and x
+    each given per node or as one value for every node.  The argument
+    check of both batch functions: every entry finite and x > 0, or a
+    TMatrixError naming the first offending row's x."""
+    ktz = np.asarray(ktz, dtype=float)
+    eps = np.broadcast_to(np.asarray(eps, dtype=complex), ktz.shape)
+    x = np.broadcast_to(np.asarray(x, dtype=float), ktz.shape)
+    bad = ~(np.isfinite(ktz) & np.isfinite(eps) & np.isfinite(x))
+    if bad.any():
+        raise TMatrixError("non-finite ktilde_z, eps or x at x = %g"
+                           % (x[bad][0],))
+    if np.any(x <= 0):
+        raise TMatrixError("size parameter must be positive at x = %g"
+                           % (x[x <= 0][0],))
+    return ktz, eps, x
 
 
 # --- full boundary-matching solve -------------------------------------------
@@ -164,7 +170,7 @@ def _bessel_tables(p, p1, top):
     return h.T, jx.T, j[:, p.size:].T
 
 
-def _full_blocks_batch(orders, ktz, eps, mu, x):
+def _full_blocks_batch(orders, ktz, eps, x):
     """Closed-form blocks for every (ktz node, order).
 
     Tangential E_z and H_z continuity each fix one interior
@@ -175,17 +181,17 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
         [[A_M, g u], [g u, A_N]] T = -[[B_M, g v], [g v, B_N]]
 
     with u = n p1 J_n(p1) H_n(p), v the same with J_n(p) for H_n(p),
-    g = ktilde_z x^2 (1 - eps mu) / p1^2, A_P = u + R_P, B_P = v + S_P,
+    g = ktilde_z x^2 (1 - eps) / p1^2, A_P = u + R_P, B_P = v + S_P,
 
         R_P = s_P p^2 J_n'(p1) H_n(p) - p p1 J_n(p1) H_(n-1)(p),
 
-    S_P the same with J for H, s_M = mu and s_N = eps.  The derivative
+    S_P the same with J for H, s_M = 1 and s_N = eps.  The derivative
     H_n' = H_(n-1) - (n / p) H_n is what puts u in A_P.  Near the light
     line (p -> 0) u dominates R_P and g^2 -> 1, so the determinant
     A_M A_N - g^2 u^2 cancels at relative order p^2; it is summed
     instead from u^2 (1 - g^2) + u R_N + R_M A_N, with
 
-        1 - g^2 = p^2 x^2 (eps^2 mu^2 - ktilde_z^2) / p1^4
+        1 - g^2 = p^2 x^2 (eps^2 - ktilde_z^2) / p1^4
 
     exactly, and the off-diagonal numerator g (u S_P - R_P v) is
     (2i / pi) n g (p1 J_n(p1))^2 by the Wronskian of J and H, so
@@ -206,10 +212,10 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     orders : int array (No,)
     ktz : float array (Nk,)
     eps : complex, one per node (Nk,) or one for every node
-    mu : complex scalar
     x : float size parameter, per node or one for every node.
 
-    Each row is a function of its own (ktilde_z, eps, x) alone.  Errors
+    The permeability is 1, as for every material of the package.  Each
+    row is a function of its own (ktilde_z, eps, x) alone.  Errors
     name the size parameter of the first offending row.
 
     Returns
@@ -217,26 +223,20 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     entries : complex array (Nk, No, 2, 2)
     """
     orders = np.asarray(orders, dtype=int)
-    ktz = np.asarray(ktz, dtype=float)
-    eps, x = _rows(ktz, eps, x)
+    ktz, eps, x = _rows(ktz, eps, x)
     if np.any(np.abs(np.abs(ktz) - 1.0) == 0.0):
         raise TMatrixError("ktilde_z on the light line is not evaluable")
-    if np.any(x <= 0):
-        raise TMatrixError("size parameter must be positive at x = %g"
-                           % (x[x <= 0][0],))
-    mu = complex(mu)
-    em = eps * mu
-    if np.any(em == 0):
-        raise TMatrixError("eps * mu = 0 is not a propagating medium "
-                           "(x = %g)" % (x[em == 0][0],))
+    if np.any(eps == 0):
+        raise TMatrixError("eps = 0 is not a propagating medium "
+                           "(x = %g)" % (x[eps == 0][0],))
 
     # transverse arguments outside and inside; principal sqrt puts the
     # evanescent exterior argument on the positive imaginary axis and
     # the absorbing interior argument in the upper half plane
     p = x * np.sqrt((1.0 - ktz) * (1.0 + ktz) + 0.0j)
-    p1 = x * np.sqrt(em - ktz ** 2 + 0.0j)
+    p1 = x * np.sqrt(eps - ktz ** 2 + 0.0j)
     p1 = np.where(p1.imag < 0.0, -p1, p1)
-    x, eps, em = x[:, None], eps[:, None], em[:, None]
+    x, eps = x[:, None], eps[:, None]
 
     # tables over orders 0 .. top (0 .. top + 1 inside); each
     # intermediate is dropped, or overwritten in place, once no later
@@ -261,33 +261,32 @@ def _full_blocks_batch(orders, ktz, eps, mu, x):
     del h
     pj = pg1 * _lower(jx)[:, :top + 1]
     del jx, pg1
-    # r_m = mu qh - ph, then r_n = eps qh - ph in qh's place; the same
+    # r_m = qh - ph, then r_n = eps qh - ph in qh's place; the same
     # for s_P from qj and pj
-    r_m = mu * qh - ph
+    r_m = qh - ph
     r_n = np.multiply(eps, qh, out=qh)
     r_n -= ph
     del ph
-    s_m = mu * qj - pj
+    s_m = qj - pj
     s_n = np.multiply(eps, qj, out=qj)
     s_n -= pj
     del pj, qh, qj
-    g = ktz[:, None] * (x * x * (1.0 - em)) / p1sq
-    one_m_g2 = ((p * p) * (x * x) * (em * em - ktz[:, None] ** 2)
+    g = ktz[:, None] * (x * x * (1.0 - eps)) / p1sq
+    one_m_g2 = ((p * p) * (x * x) * (eps * eps - ktz[:, None] ** 2)
                 / (p1sq * p1sq))
     uv = u * v * one_m_g2
 
     det = u * u * one_m_g2 + u * r_n + r_m * (u + r_n)
     used = det[:, absn]
-    # from finite arguments, only an overflowing Bessel table makes the
-    # determinant non-finite
-    held = np.isfinite(ktz) & np.isfinite(x[:, 0]) & np.isfinite(em[:, 0])
-    over = np.argwhere(~np.isfinite(used) & held[:, None])
+    # _rows admits finite arguments only, so only an overflowing Bessel
+    # table makes the determinant non-finite
+    over = np.argwhere(~np.isfinite(used))
     if over.size:
         row, col = over[0]
         raise TMatrixError(
             "boundary system overflows at order %d, x = %g: its Bessel "
             "tables leave the double range" % (orders[col], x[row, 0]))
-    bad = ~((used != 0) & np.isfinite(used)).all(axis=1)
+    bad = (used == 0).any(axis=1)
     if bad.any():
         raise TMatrixError(
             "singular boundary system (accidental resonance) at "
@@ -358,7 +357,7 @@ class ThinExpansion(_Provider):
         eps, x = self._eps_x(ktz, omega)
         if np.any(x > THIN_VALIDITY_X):
             warnings.warn(_THIN_WARNING)
-        return _thin_blocks_batch(orders, ktz, eps, 1.0, x)
+        return _thin_blocks_batch(orders, ktz, eps, x)
 
 
 class FullSolve(_Provider):
@@ -372,4 +371,4 @@ class FullSolve(_Provider):
         """Batched blocks, shape (len(ktz), len(orders), 2, 2), with
         omega per ktz node or one for every node."""
         eps, x = self._eps_x(ktz, omega)
-        return _full_blocks_batch(orders, ktz, eps, 1.0, x)
+        return _full_blocks_batch(orders, ktz, eps, x)

@@ -250,7 +250,7 @@ def test_criterion_7_structural_identities():
     w = hp[0, 6].imag
     checks.append(abs(w + 2.0 / (np.pi * 7.3)) < 1e-12 * abs(w))
 
-    t = tmatrix._full_blocks_batch([2], [0.37], 2.0 + 0.3j, 1.0, 0.05)[0, 0]
+    t = tmatrix._full_blocks_batch([2], [0.37], 2.0 + 0.3j, 0.05)[0, 0]
     checks.append(abs(t[0, 1] - t[1, 0]) < 1e-10 * np.max(np.abs(t)))
 
     vac = CylinderSpec(5e-8, Vacuum(), 300.0)

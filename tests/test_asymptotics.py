@@ -2,16 +2,17 @@
 reductions, regime bookkeeping, low-temperature limits, and agreement
 with the numerical engine inside each regime."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from neqcasimir import materials
-from neqcasimir.asymptotics import (AsymptoticRegime, f1, f4, f6, g1, g4,
-                                    g6, interaction_far,
+from neqcasimir import asymptotics, materials
+from neqcasimir.asymptotics import (f1, f4, f6, g1, g4, g6, interaction_far,
                                     interaction_far_lowT, interaction_near,
                                     interaction_near_lowT)
 from neqcasimir.dilute import dilute_closed_forms
@@ -223,20 +224,51 @@ def test_attraction_repulsion_crossover_scale():
 
 
 def test_regime_tags_and_violations():
-    with pytest.raises(ValueError):
-        AsymptoticRegime("bogus")
-    clean = AsymptoticRegime("near_field").violations(
-        radius1=1e-8, radius2=1e-8, separation=1e-6,
-        source_temperature=300.0)
-    assert clean == ()
-    msgs = AsymptoticRegime("far_field").violations(
-        radius1=1e-6, radius2=1e-8, separation=2e-6,
-        source_temperature=300.0, skin_depths=(1e-7,))
-    assert len(msgs) == 3
-    joined = " ".join(msgs)
-    assert "radius" in joined
-    assert "skin depth" in joined
-    assert "thermal wavelength" in joined
+    # inside its regime a closed form says nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        interaction_near(1e-8, 1e-8, SIC, SIC, 300.0, 1e-6, controls=CTL)
+    # outside it, one warning per call names the regime and every
+    # violated precondition
+    cases = (
+        (lambda: interaction_far(1e-6, 1e-8, SIC, SIC, 300.0, 2e-6,
+                                 controls=CTL),
+         "far_field", ("cylinder radius", "larger than the thermal")),
+        (lambda: interaction_near_lowT(1e-8, 1e-8, 3.0, 3.0, 1e-5, 2e-5,
+                                       300.0, 1e-6),
+         "near_field_low_t", ("material scale 1e-05", "material scale 2e-05")),
+        (lambda: interaction_far_lowT(1e-6, 1e-6, 3.0, 3.0, 1e-9, 1e-9,
+                                      0.0, 2e-6),
+         "far_field_low_t", ("cylinder radius",)),
+    )
+    for call, regime, named in cases:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            call()
+        assert len(rec) == 1
+        msg = str(rec[0].message)
+        assert msg.startswith("closed-form %s evaluation outside its "
+                              "regime: " % regime)
+        assert msg.count("; ") == len(named) - 1
+        assert all(part in msg for part in named)
+
+
+def test_closed_forms_import_nothing_from_the_engine():
+    # the closed forms check the scattering engine only while they
+    # share none of its code
+    root = Path(asymptotics.__file__).parent
+    for module in ("asymptotics.py", "dilute.py"):
+        tree = ast.parse((root / module).read_text())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names += [base] + ["%s.%s" % (base, alias.name)
+                                   for alias in node.names]
+        used = {part for name in names for part in name.split(".")}
+        assert not used & {"engine", "tmatrix", "kernels"}, module
 
 
 def test_out_of_regime_warns():

@@ -419,6 +419,24 @@ def test_exit_2_on_malformed_inputs(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_exit_2_on_unreadable_and_unwritable_files(tmp_path, capsys):
+    # a sweep CSV that is not there and an output path in a missing
+    # folder each end with one error line naming the file and exit 2,
+    # not a traceback
+    missing = tmp_path / "missing.csv"
+    assert _run(["zeros", str(missing)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(missing) in err[0]
+
+    path = _write(tmp_path, "root.json", _vacuum_root_doc())
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert _run(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out) in err[0]
+
+
 def test_exit_3_on_quadrature_failure(tmp_path, capsys, monkeypatch):
     doc = _base_doc()
     doc["separations"] = {"values": [8.0], "unit": "um"}

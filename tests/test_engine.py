@@ -119,6 +119,18 @@ def test_cold_environment_assembly():
     assert b.f_env_subtraction_1 == 0.0
 
 
+def test_self_force_of_cylinder_2_is_its_breakdown_entry():
+    # self_force(2) runs on the axis from cylinder 1 toward 2, so it is
+    # the lab-axis f_self_2 negated, bitwise from one memo
+    sc = Scenario(cylinder1=CylinderSpec(R, SIC, 0.0),
+                  cylinder2=CylinderSpec(0.05e-6, SIC, 300.0),
+                  separations=(2e-6,), controls=CTL)
+    memo = {}
+    b = total_force(sc, 2e-6, _memo=memo)
+    assert b.f_self_2 != 0.0
+    assert self_force(2, sc, 2e-6, _memo=memo) == -b.f_self_2
+
+
 def test_far_field_positive_and_inverse_d():
     f60, _ = interaction_force(C1, C2, 300.0, 60e-6, controls=CTL)
     f120, _ = interaction_force(C1, C2, 300.0, 120e-6, controls=CTL)

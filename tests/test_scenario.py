@@ -3,6 +3,7 @@ round-trips, and the packaged presets."""
 
 import copy
 import json
+import math
 import pathlib
 import re
 
@@ -14,6 +15,7 @@ from neqcasimir.engine import QuadratureControls
 from neqcasimir.errors import SchemaError
 from neqcasimir.materials import Constant, Lorentz
 from neqcasimir.scenario import load_scenario, parse_scenario
+from neqcasimir.units import C_LIGHT
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,6 +79,48 @@ def test_inline_material():
     assert isinstance(sc.cylinder1.material, Constant)
     assert sc.cylinder1.material.epsilon(1e14) == 1.0001 + 1e-4j
     assert resolved["cylinder1"]["material"]["model"] == "constant"
+
+
+def test_material_path_resolved_relative_and_inlined(tmp_path):
+    # a {"path": ...} material is read relative to the scenario file,
+    # not the working directory; its frequencies may be vacuum
+    # wavelengths in um, and the resolved header inlines it in SI
+    (tmp_path / "mats").mkdir()
+    (tmp_path / "mats" / "polar.json").write_text(json.dumps({
+        "name": "polar", "model": "lorentz",
+        "parameters": {"eps_inf": 6.7, "omega_lo": 10.3, "omega_to": 12.6,
+                       "gamma": 2100.0},
+        "units": {"omega_lo": "um", "omega_to": "um", "gamma": "um"}}))
+    doc = _minimal_doc()
+    doc["cylinder1"]["material"] = {"path": "mats/polar.json"}
+    scenario_file = tmp_path / "run.json"
+    scenario_file.write_text(json.dumps(doc))
+    sc, resolved = load_scenario(scenario_file)
+    mat = sc.cylinder1.material
+    two_pi_c = 2.0 * math.pi * C_LIGHT
+    assert isinstance(mat, Lorentz) and mat.eps_inf == 6.7
+    for got, wavelength in ((mat.omega_lo, 10.3e-6), (mat.omega_to, 12.6e-6),
+                            (mat.gamma, 2100e-6)):
+        assert got == pytest.approx(two_pi_c / wavelength, rel=1e-15)
+    assert resolved["cylinder1"]["material"] == {
+        "name": "polar", "model": "lorentz",
+        "parameters": {"eps_inf": 6.7, "omega_lo": mat.omega_lo,
+                       "omega_to": mat.omega_to, "gamma": mat.gamma}}
+    assert parse_scenario(resolved)[0].cylinder1.material == mat
+
+    doc["cylinder1"]["material"] = {"path": "mats/absent.json"}
+    with pytest.raises(SchemaError, match=r"^cylinder1\.material\.path: "
+                       r".*absent\.json"):
+        parse_scenario(doc, base_dir=tmp_path)
+    # a wavelength must be positive, and the error names its field
+    doc["cylinder1"]["material"] = {
+        "name": "bad", "model": "lorentz",
+        "parameters": {"eps_inf": 6.7, "omega_lo": 10.3, "omega_to": -12.6,
+                       "gamma": 2100.0},
+        "units": {"omega_lo": "um", "omega_to": "um", "gamma": "um"}}
+    with pytest.raises(SchemaError, match=r"^cylinder1\.material: "
+                       r"wavelength must be positive.* for omega_to"):
+        parse_scenario(doc)
 
 
 def test_temperature_sets_exclusive_with_per_cylinder():

@@ -19,11 +19,11 @@ OMEGA = 2.0 * materials.C_LIGHT / 1e-6
 
 
 def _thin(n, ktz, eps, x):
-    return tmatrix._thin_blocks_batch([n], [ktz], eps, 1.0, x)[0, 0]
+    return tmatrix._thin_blocks_batch([n], [ktz], eps, x)[0, 0]
 
 
 def _full(n, ktz, eps, x):
-    return tmatrix._full_blocks_batch([n], [ktz], eps, 1.0, x)[0, 0]
+    return tmatrix._full_blocks_batch([n], [ktz], eps, x)[0, 0]
 
 
 def test_thin_vacuum_scatters_nothing():
@@ -362,13 +362,13 @@ def test_full_blocks_fail_where_the_tables_overflow():
         for n in range(33):
             if n < 15:
                 t = tmatrix._full_blocks_batch(np.array([n]), np.array([ktz]),
-                                               eps, 1.0, x)
+                                               eps, x)
                 assert np.all(np.isfinite(t))
             else:
                 with pytest.raises(TMatrixError, match=r"overflows at order "
                                    r"%d, x = 0\.0001: " % n):
                     tmatrix._full_blocks_batch(np.array([n]),
-                                               np.array([ktz]), eps, 1.0, x)
+                                               np.array([ktz]), eps, x)
 
 
 def test_full_checks_only_the_requested_orders(monkeypatch):
@@ -419,22 +419,24 @@ def test_batch_errors_name_the_offending_row():
     x = np.array([0.01, 0.02, 0.03])
     for batch in (tmatrix._thin_blocks_batch, tmatrix._full_blocks_batch):
         with pytest.raises(TMatrixError, match=r"positive at x = -0\.02"):
-            batch(orders, ktz, EPS, 1.0, x * [1.0, -1.0, 1.0])
+            batch(orders, ktz, EPS, x * [1.0, -1.0, 1.0])
     with pytest.raises(TMatrixError, match=r"eps = -1 .*x = 0\.03"):
-        tmatrix._thin_blocks_batch(orders, ktz, [EPS, EPS, -1.0], 1.0, x)
+        tmatrix._thin_blocks_batch(orders, ktz, [EPS, EPS, -1.0], x)
     with pytest.raises(TMatrixError, match=r"medium \(x = 0\.03\)"):
-        tmatrix._full_blocks_batch(orders, ktz, [EPS, EPS, 0.0], 1.0, x)
-    # a non-finite row, propagating or evanescent, fails as singular
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(TMatrixError, match=r"singular .* x = 0\.02"):
-            tmatrix._full_blocks_batch(orders, ktz, [EPS, np.nan, EPS], 1.0,
-                                       x)
-        with pytest.raises(TMatrixError, match=r"singular .* x = 0\.03"):
-            tmatrix._full_blocks_batch(orders, [0.2, 0.4, 1.6],
-                                       [EPS, EPS, np.nan], 1.0, x)
-        with pytest.raises(TMatrixError, match=r"singular .* x = nan"):
-            tmatrix._full_blocks_batch(orders, ktz, EPS, 1.0,
-                                       x * [1.0, np.nan, 1.0])
+        tmatrix._full_blocks_batch(orders, ktz, [EPS, EPS, 0.0], x)
+    # a non-finite row, propagating or evanescent, is a bad argument,
+    # rejected before any table is built, on both paths
+    with pytest.raises(TMatrixError, match=r"non-finite .* x = 0\.02"):
+        tmatrix._full_blocks_batch(orders, ktz, [EPS, np.nan, EPS], x)
+    with pytest.raises(TMatrixError, match=r"non-finite .* x = 0\.03"):
+        tmatrix._full_blocks_batch(orders, [0.2, 0.4, 1.6],
+                                   [EPS, EPS, np.nan], x)
+    with pytest.raises(TMatrixError, match=r"non-finite .* x = nan"):
+        tmatrix._full_blocks_batch(orders, ktz, EPS, x * [1.0, np.nan, 1.0])
+    with pytest.raises(TMatrixError, match=r"non-finite .* x = 0\.02"):
+        tmatrix._thin_blocks_batch(orders, ktz, [EPS, np.nan, EPS], x)
+    with pytest.raises(TMatrixError, match=r"non-finite .* x = 0\.01"):
+        tmatrix._thin_blocks_batch(orders, [np.inf, 0.4, 0.6], EPS, x)
 
 
 def test_thin_provider_zero_blocks_beyond_order_one():
