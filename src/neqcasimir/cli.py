@@ -147,8 +147,11 @@ def _cmd_run(args):
         scenario.controls = replace(scenario.controls,
                                     rel_tol=args.rel_tol)
         resolved["controls"]["rel_tol"] = args.rel_tol
-    rows = sweep(scenario)
     out = args.out or scenario.output
+    # checked before the sweep, so that a mistyped folder fails at once
+    if out and not Path(out).parent.is_dir():
+        raise OSError("cannot write %s: its folder does not exist" % (out,))
+    rows = sweep(scenario)
     if out:
         with open(out, "w", newline="") as handle:
             write_sweep_csv(rows, resolved, handle)

@@ -44,7 +44,9 @@ Every other model returns ().  A conductor's eps has no real-axis pole
 above omega = 0, and a constant or vacuum has none at all.
 
 Material JSON files carry {"name", "model", "parameters", "units"}.
-Parameters declared in eV or um are converted to SI on load.
+Parameters declared in eV or um are converted to SI on load, and
+resolve_material returns the model with its SI document
+{"name", "model", "parameters"}, which loads back to an equal model.
 """
 
 import cmath
@@ -69,6 +71,13 @@ from .units import (
 _DATA_DIR = Path(__file__).parent / "data"
 
 
+def _finite(**values):
+    """Raise a MaterialError naming the first value that is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise MaterialError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class Vacuum:
     """Unit permittivity."""
@@ -86,7 +95,8 @@ class Constant:
     value: complex
 
     def __post_init__(self):
-        if self.value.imag < 0:
+        _finite(eps_re=self.value.real, eps_im=self.value.imag)
+        if not self.value.imag >= 0:
             raise MaterialError(
                 "constant permittivity must have Im >= 0, got %r"
                 % (self.value,))
@@ -107,12 +117,13 @@ class Lorentz:
     gamma: float
 
     def __post_init__(self):
-        if self.eps_inf <= 0:
+        _finite(**vars(self))
+        if not self.eps_inf > 0:
             raise MaterialError("eps_inf must be positive")
         if not (self.omega_lo > self.omega_to > 0):
             raise MaterialError(
                 "need omega_lo > omega_to > 0 for a passive resonance")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise MaterialError("gamma must be positive")
 
     def epsilon(self, omega):
@@ -141,7 +152,8 @@ class ConductivitySum:
         if not self.terms:
             raise MaterialError("conductivity model needs at least one term")
         for sigma, lam_r in self.terms:
-            if sigma <= 0 or lam_r <= 0:
+            _finite(sigma=sigma, lambda_r=lam_r)
+            if not (sigma > 0 and lam_r > 0):
                 raise MaterialError(
                     "conductivity terms must be positive, got (%r, %r)"
                     % (sigma, lam_r))
@@ -171,9 +183,10 @@ class LowFreqExpansion:
     lambda_in: float
 
     def __post_init__(self):
-        if self.eps0 < 1.0:
+        _finite(**vars(self))
+        if not self.eps0 >= 1.0:
             raise MaterialError("static permittivity must be >= 1")
-        if self.lambda_in < 0:
+        if not self.lambda_in >= 0:
             raise MaterialError("lambda_in must be nonnegative")
 
     def epsilon(self, omega):
@@ -239,82 +252,92 @@ def skin_depth(model, omega):
 
 # --- material file handling -------------------------------------------------
 
-def _in_si(convert, si_unit, params, units, field):
-    """params[field] converted from units[field] (si_unit when absent)
-    by one of the units converters; an unsupported unit or a value the
+def _parameter(params, units, field, convert=None, si_unit=None):
+    """params[field] (KeyError when absent) as a float, converted to SI
+    from units[field] (si_unit when absent) if convert is given.  A
+    boolean, a value float() cannot read, or a unit or value the
     converter rejects is a MaterialError naming the field."""
-    unit = units.get(field)
+    value, unit = params[field], units.get(field)
     try:
-        return convert(float(params[field]), si_unit if unit is None else unit)
-    except ValueError as exc:
+        if isinstance(value, bool):
+            raise TypeError
+        value = float(value)
+    except (TypeError, ValueError):
+        raise MaterialError("expected a number for %s, got %r"
+                            % (field, value)) from None
+    if convert is None:
+        return value
+    try:
+        return convert(value, si_unit if unit is None else unit)
+    except (TypeError, ValueError) as exc:
         raise MaterialError("%s for %s" % (exc, field)) from None
 
 
+# models whose fields are exactly their SI parameters, with the
+# converter and SI unit of each parameter that may declare a unit
+_RADPS, _METERS = (frequency_to_radps, "rad/s"), (length_to_m, "m")
+_FIELD_MODELS = {
+    "lorentz": (Lorentz, {"eps_inf": (), "omega_lo": _RADPS,
+                          "omega_to": _RADPS, "gamma": _RADPS}),
+    "low_freq": (LowFreqExpansion, {"eps0": (), "lambda_in": _METERS}),
+}
+
+
 def _build_model(model_name, params, units):
+    """(model, SI parameters) of a material document."""
     if model_name == "vacuum":
-        return Vacuum()
+        return Vacuum(), {}
     if model_name == "constant":
-        re = params.get("eps_re")
-        im = params.get("eps_im", 0.0)
-        if re is None:
+        if params.get("eps_re") is None:
             raise MaterialError("constant model needs parameters.eps_re")
-        return Constant(complex(float(re), float(im)))
-    if model_name == "lorentz":
+        si = {"eps_re": _parameter(params, units, "eps_re"),
+              "eps_im": _parameter({"eps_im": 0.0, **params}, units, "eps_im")}
+        return Constant(complex(si["eps_re"], si["eps_im"])), si
+    if model_name in _FIELD_MODELS:
+        cls, fields = _FIELD_MODELS[model_name]
         try:
-            return Lorentz(
-                eps_inf=float(params["eps_inf"]),
-                omega_lo=_in_si(frequency_to_radps, "rad/s", params, units,
-                                "omega_lo"),
-                omega_to=_in_si(frequency_to_radps, "rad/s", params, units,
-                                "omega_to"),
-                gamma=_in_si(frequency_to_radps, "rad/s", params, units,
-                             "gamma"),
-            )
+            si = {field: _parameter(params, units, field, *conversion)
+                  for field, conversion in fields.items()}
         except KeyError as exc:
-            raise MaterialError(
-                "lorentz model missing parameter %s" % (exc,)) from None
+            raise MaterialError("%s model missing parameter %s"
+                                % (model_name, exc)) from None
+        return cls(**si), si
     if model_name == "conductivity_sum":
         raw = params.get("terms")
-        if not raw:
+        if not raw or not isinstance(raw, (list, tuple)):
             raise MaterialError("conductivity_sum model needs parameters.terms")
         terms = []
         for i, term in enumerate(raw):
+            if not isinstance(term, dict):
+                raise MaterialError("conductivity term %d must be an object, "
+                                    "got %r" % (i, term))
             try:
-                sigma = float(term["sigma"])
-                lam_r = _in_si(length_to_m, "m", term, units, "lambda_r")
+                terms.append((_parameter(term, units, "sigma"),
+                              _parameter(term, units, "lambda_r", *_METERS)))
             except KeyError as exc:
                 raise MaterialError(
                     "conductivity term %d missing %s" % (i, exc)) from None
-            terms.append((sigma, lam_r))
-        return ConductivitySum(terms=tuple(terms))
-    if model_name == "low_freq":
-        try:
-            return LowFreqExpansion(
-                eps0=float(params["eps0"]),
-                lambda_in=_in_si(length_to_m, "m", params, units,
-                                 "lambda_in"),
-            )
-        except KeyError as exc:
-            raise MaterialError(
-                "low_freq model missing parameter %s" % (exc,)) from None
+        return ConductivitySum(terms=tuple(terms)), {"terms": [
+            {"sigma": sigma, "lambda_r": lam_r} for sigma, lam_r in terms]}
     raise MaterialError("unknown dielectric model %r" % (model_name,))
 
 
-def load_material(source):
+def resolve_material(source):
     """Load a material from a JSON file, a dict, or a packaged name.
 
     Packaged names: 'vacuum', 'sic', 'tungsten_2400K'.
 
     Returns
     -------
-    (name, model) : (str, dielectric model)
+    (model, doc) : the dielectric model and its SI document
+        {"name", "model", "parameters"}
     """
     if isinstance(source, dict):
         doc = source
+    elif str(source) == "vacuum":
+        doc = {"name": "vacuum", "model": "vacuum", "parameters": {}}
     else:
         name = str(source)
-        if name == "vacuum":
-            return "vacuum", Vacuum()
         path = Path(name)
         if not path.suffix and not path.exists():
             path = _DATA_DIR / (name.lower() + ".json")
@@ -334,8 +357,15 @@ def load_material(source):
     units = doc.get("units", {})
     if not isinstance(params, dict) or not isinstance(units, dict):
         raise MaterialError("parameters and units must be objects")
-    model = _build_model(str(doc["model"]), params, units)
-    return str(doc["name"]), model
+    model, si = _build_model(str(doc["model"]), params, units)
+    return model, {"name": str(doc["name"]), "model": str(doc["model"]),
+                   "parameters": si}
+
+
+def load_material(source):
+    """(name, model) of a material, loaded as by resolve_material."""
+    model, doc = resolve_material(source)
+    return doc["name"], model
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,7 @@ scenario file.  Optional fields: "temperature_sets" (several
 {T1, T2, T_env} triples sharing one geometry; mutually exclusive with
 per-cylinder temperatures), "controls" (rel_tol, u_min, n_max),
 "equilibrium_file" / "equilibrium" (ingested equilibrium force table),
-"output".  Headers written by earlier versions also carry removed
-fields: "include_quadratic": null at the top level and in "controls",
-and in "controls" "kz_symmetry": false and the settings that are now
-constants, "x_max": 40.0, "series_tol": 1e-06, "y_cut": 35.0 and
-"max_panels": 200.  Each is accepted at exactly that type and value
-and dropped; anything else is an error.
+"output".  Any other field is an error that names it.
 
 Here the JSON shape, types, units and ordering are checked.  Value
 ranges are checked once, by the dataclass that owns the value
@@ -44,6 +39,9 @@ resolved plain dict (defaults filled in, units normalized to SI,
 materials and equilibrium data inlined) that round-trips through
 `parse_scenario` again; sweep CSVs embed it as a comment header so any
 output file can be re-run or refined without its original inputs.
+Each inlined material is the SI document {"name", "model",
+"parameters"} that `materials.resolve_material` returns next to the
+model it built.
 """
 
 import dataclasses
@@ -56,27 +54,11 @@ import numpy as np
 from .engine import Scenario
 from .equilibrium import EquilibriumTable
 from .errors import MaterialError, SchemaError
-from .materials import (Constant, ConductivitySum, CylinderSpec, Lorentz,
-                        LowFreqExpansion, Vacuum, load_material)
+from .materials import CylinderSpec, resolve_material
 from .quadrature import QuadratureControls
 from .units import length_to_m
 
 _CONTROL_FIELDS = [f.name for f in dataclasses.fields(QuadratureControls)]
-
-# removed fields: the one value every earlier header carries, and why
-# the field went
-_QUADRATIC_GONE = (None, "removed: the provider decides whether the "
-                   "source amplitude keeps its quadratic term")
-_CONSTANT = "removed: the quadrature holds this setting constant"
-_RETIRED_TOP = {"include_quadratic": _QUADRATIC_GONE}
-_RETIRED_CONTROLS = {
-    "include_quadratic": _QUADRATIC_GONE,
-    "kz_symmetry": (False, "removed: the propagating integral always "
-                    "runs over the full k_z range"),
-    "x_max": (40.0, _CONSTANT),
-    "series_tol": (1e-06, _CONSTANT),
-    "y_cut": (35.0, _CONSTANT),
-    "max_panels": (200, _CONSTANT)}
 
 
 def _fail(path, message):
@@ -87,18 +69,6 @@ def _require_object(node, path):
     if not isinstance(node, dict):
         _fail(path, "expected an object, got %s" % (type(node).__name__,))
     return node
-
-
-def _drop_retired(node, retired, prefix):
-    """node without the removed fields, each of which may appear only
-    with the value earlier headers wrote for it: of the same type, so
-    that 0 is not False and 40 is not 40.0."""
-    for key, (value, why) in retired.items():
-        if key in node and not (type(node[key]) is type(value)
-                                and node[key] == value):
-            _fail(prefix + key, "%s; only %s is accepted, got %r"
-                  % (why, json.dumps(value), node[key]))
-    return {k: v for k, v in node.items() if k not in retired}
 
 
 def _build(cls, path, **fields):
@@ -147,61 +117,24 @@ def _temperature_k(node, path):
 
 
 def _material(node, path, base_dir):
-    """Resolve a material reference to (name, model, resolved doc)."""
-    if isinstance(node, str):
-        try:
-            name, model = load_material(node)
-        except MaterialError as exc:
-            _fail(path, str(exc))
-        return name, model, _material_doc(name, model)
-    node = _require_object(node, path)
-    if "path" in node and "model" not in node:
-        rel = Path(str(node["path"]))
-        target = rel if rel.is_absolute() else Path(base_dir) / rel
-        try:
-            name, model = load_material(str(target))
-        except MaterialError as exc:
-            _fail(path + ".path", str(exc))
-    else:
-        try:
-            name, model = load_material(node)
-        except MaterialError as exc:
-            _fail(path, str(exc))
-    return name, model, _material_doc(name, model)
-
-
-def _material_doc(name, model):
-    """Inline material document (SI units) for a loaded model."""
-    if isinstance(model, Vacuum):
-        return {"name": name, "model": "vacuum", "parameters": {}}
-    if isinstance(model, Constant):
-        return {"name": name, "model": "constant",
-                "parameters": {"eps_re": model.value.real,
-                               "eps_im": model.value.imag}}
-    if isinstance(model, Lorentz):
-        return {"name": name, "model": "lorentz",
-                "parameters": {"eps_inf": model.eps_inf,
-                               "omega_lo": model.omega_lo,
-                               "omega_to": model.omega_to,
-                               "gamma": model.gamma}}
-    if isinstance(model, ConductivitySum):
-        return {"name": name, "model": "conductivity_sum",
-                "parameters": {"terms": [
-                    {"sigma": sigma, "lambda_r": lam}
-                    for sigma, lam in model.terms]}}
-    if isinstance(model, LowFreqExpansion):
-        return {"name": name, "model": "low_freq",
-                "parameters": {"eps0": model.eps0,
-                               "lambda_in": model.lambda_in}}
-    raise SchemaError("cannot serialize material model %r"
-                      % (type(model).__name__,))
+    """Resolve a material reference to (model, SI material document)."""
+    if not isinstance(node, str):
+        node = _require_object(node, path)
+        if "path" in node and "model" not in node:
+            node = str(Path(base_dir) / str(node["path"]))
+            path += ".path"
+    try:
+        return resolve_material(node)
+    except MaterialError as exc:
+        _fail(path, str(exc))
 
 
 def _cylinder(node, path, base_dir, *, allow_temperature):
+    """(CylinderSpec, resolved cylinder) of a cylinder node."""
     node = _require_object(node, path)
     radius = _length_m(_get(node, "radius", path), path + ".radius")
-    name, model, mat_doc = _material(_get(node, "material", path),
-                                     path + ".material", base_dir)
+    model, mat_doc = _material(_get(node, "material", path),
+                               path + ".material", base_dir)
     temp_node = node.get("temperature")
     if temp_node is not None and not allow_temperature:
         _fail(path + ".temperature", "per-cylinder temperatures are "
@@ -212,7 +145,10 @@ def _cylinder(node, path, base_dir, *, allow_temperature):
                    if temp_node is not None else 0.0)
     spec = _build(CylinderSpec, path, radius=radius, material=model,
                   temperature=temperature)
-    return spec, name, mat_doc
+    resolved = {"radius": {"value": radius, "unit": "m"}, "material": mat_doc}
+    if allow_temperature:
+        resolved["temperature"] = {"value": temperature, "unit": "K"}
+    return spec, resolved
 
 
 def _separations(node, path):
@@ -257,8 +193,7 @@ def _separations(node, path):
 def _controls(node, path):
     if node is None:
         return QuadratureControls()
-    node = _drop_retired(_require_object(node, path), _RETIRED_CONTROLS,
-                         path + ".")
+    node = _require_object(node, path)
     unknown = set(node) - set(_CONTROL_FIELDS)
     if unknown:
         _fail(path, "unknown control fields %s; valid ones are %s"
@@ -314,8 +249,7 @@ def _equilibrium(doc, base_dir):
         except SchemaError as exc:
             _fail("equilibrium", str(exc))
     if file_ref is not None:
-        rel = Path(str(file_ref))
-        target = rel if rel.is_absolute() else Path(base_dir) / rel
+        target = Path(base_dir) / str(file_ref)
         if not target.exists():
             _fail("equilibrium_file", "no such file: %s" % (target,))
         return EquilibriumTable.from_csv(str(target),
@@ -339,7 +273,7 @@ def parse_scenario(doc, base_dir="."):
     equivalent scenario.  Raises SchemaError naming the offending
     field on any violation.
     """
-    doc = _drop_retired(_require_object(doc, "scenario"), _RETIRED_TOP, "")
+    doc = _require_object(doc, "scenario")
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
         _fail("scenario", "unknown fields %s" % (sorted(unknown),))
@@ -352,12 +286,10 @@ def parse_scenario(doc, base_dir="."):
                         if sets_node is not None else None)
     per_cylinder = temperature_sets is None
 
-    cyl1, name1, doc1 = _cylinder(_get(doc, "cylinder1", "scenario"),
-                                  "cylinder1", base_dir,
-                                  allow_temperature=per_cylinder)
-    cyl2, name2, doc2 = _cylinder(_get(doc, "cylinder2", "scenario"),
-                                  "cylinder2", base_dir,
-                                  allow_temperature=per_cylinder)
+    (cyl1, resolved1), (cyl2, resolved2) = (
+        _cylinder(_get(doc, key, "scenario"), key, base_dir,
+                  allow_temperature=per_cylinder)
+        for key in ("cylinder1", "cylinder2"))
 
     env_node = doc.get("environment_temperature")
     if temperature_sets is not None:
@@ -388,8 +320,8 @@ def parse_scenario(doc, base_dir="."):
 
     resolved = {
         "name": name,
-        "cylinder1": _resolved_cylinder(cyl1, doc1, per_cylinder),
-        "cylinder2": _resolved_cylinder(cyl2, doc2, per_cylinder),
+        "cylinder1": resolved1,
+        "cylinder2": resolved2,
         "separations": {"values": [float(d) for d in separations],
                         "unit": "m"},
         "provider": provider,
@@ -409,14 +341,6 @@ def parse_scenario(doc, base_dir="."):
     if output is not None:
         resolved["output"] = output
     return scenario, resolved
-
-
-def _resolved_cylinder(spec, mat_doc, per_cylinder):
-    out = {"radius": {"value": spec.radius, "unit": "m"},
-           "material": mat_doc}
-    if per_cylinder:
-        out["temperature"] = {"value": spec.temperature, "unit": "K"}
-    return out
 
 
 def load_scenario(path):

@@ -68,7 +68,10 @@ def _thin_blocks_batch(orders, ktz, eps, x):
     T^NN = 2 q kz2 (eps - 1) and T^MM = 2 q (eps - 1), and the cross
     entries 2 q (eps - 1) ktilde_z n.  Every entry is a function of its
     own row's (ktilde_z, eps, x) alone, so a row's block does not
-    depend on the other rows of the call.
+    depend on the other rows of the call: bitwise so while each
+    intermediate stays under NumPy's 256 KiB temporary-elision
+    threshold (fewer than 16,384 rows).  From there on NumPy runs some
+    products in place on temporaries, which round differently.
     """
     orders = np.asarray(orders, dtype=int)
     ktz, eps, x = _rows(ktz, eps, x)
@@ -215,8 +218,11 @@ def _full_blocks_batch(orders, ktz, eps, x):
     x : float size parameter, per node or one for every node.
 
     The permeability is 1, as for every material of the package.  Each
-    row is a function of its own (ktilde_z, eps, x) alone.  Errors
-    name the size parameter of the first offending row.
+    row is a function of its own (ktilde_z, eps, x) alone: bitwise so
+    while each intermediate, up to rows x (max |n| + 1) complex values,
+    stays under NumPy's 256 KiB temporary-elision threshold, as in
+    _thin_blocks_batch.  Errors name the size parameter of the first
+    offending row.
 
     Returns
     -------

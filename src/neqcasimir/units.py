@@ -19,18 +19,6 @@ MU_0 = _const.mu_0                  # H/m
 G_STANDARD = _const.g               # m/s^2
 
 
-def ev_to_radps(energy_ev):
-    """Convert a photon energy in eV to an angular frequency in rad/s."""
-    return energy_ev * E_CHARGE / HBAR
-
-
-def um_to_radps(wavelength_um):
-    """Angular frequency of a vacuum wavelength given in micrometers."""
-    if wavelength_um <= 0:
-        raise ValueError("wavelength must be positive, got %r" % (wavelength_um,))
-    return 2.0 * math.pi * C_LIGHT / (wavelength_um * 1e-6)
-
-
 _LENGTH_FACTORS = {
     "m": 1.0,
     "mm": 1e-3,
@@ -56,7 +44,9 @@ def frequency_to_radps(value, unit):
     if unit == "rad/s":
         return value
     if unit == "eV":
-        return ev_to_radps(value)
+        return value * E_CHARGE / HBAR
     if unit == "um":
-        return um_to_radps(value)
+        if value <= 0:
+            raise ValueError("wavelength must be positive, got %r" % (value,))
+        return 2.0 * math.pi * C_LIGHT / (value * 1e-6)
     raise ValueError("unsupported frequency unit %r" % (unit,))

@@ -418,8 +418,20 @@ def test_exit_2_on_malformed_inputs(tmp_path, capsys):
     assert _run(["zeros", str(nan_force)]) == 2
     assert "must be finite" in capsys.readouterr().err
 
+    # a material parameter that is not a number
+    doc = _vacuum_root_doc()
+    doc["cylinder1"]["material"] = {
+        "name": "absorber", "model": "low_freq",
+        "parameters": {"eps0": None, "lambda_in": 1e-8}}
+    assert _run(["run", _write(tmp_path, "null.json", doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cylinder1.material: ")
+    assert "eps0" in err[0]
 
-def test_exit_2_on_unreadable_and_unwritable_files(tmp_path, capsys):
+
+def test_exit_2_on_unreadable_and_unwritable_files(tmp_path, capsys,
+                                                   monkeypatch):
     # a sweep CSV that is not there and an output path in a missing
     # folder each end with one error line naming the file and exit 2,
     # not a traceback
@@ -429,6 +441,11 @@ def test_exit_2_on_unreadable_and_unwritable_files(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(missing) in err[0]
 
+    # the missing folder is found before any sweep runs
+    def no_sweep(scenario):
+        raise AssertionError("swept before checking the output folder")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
     path = _write(tmp_path, "root.json", _vacuum_root_doc())
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert _run(["run", path, "--out", str(out)]) == 2

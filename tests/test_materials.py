@@ -177,6 +177,24 @@ def test_unit_conversion_in_files(tmp_path):
     with pytest.raises(MaterialError, match="omega_lo"):
         materials.load_material(bad_frequency)
 
+    # so is a value that is not a finite number, for a plain parameter
+    # and for one that carries a unit
+    for field in ("eps0", "lambda_in"):
+        for value in (None, "fast", [1.0], True, math.nan, math.inf,
+                      -math.inf):
+            bad = {"name": "m5", "model": "low_freq",
+                   "parameters": {"eps0": 4.0, "lambda_in": 1.0,
+                                  field: value},
+                   "units": {"lambda_in": "um"}}
+            with pytest.raises(MaterialError, match=field):
+                materials.load_material(bad)
+    # and a conductivity term that is not an object
+    bad_term = {"name": "m6", "model": "conductivity_sum",
+                "parameters": {"terms": [{"sigma": 5e6, "lambda_r": 3.0},
+                                         5e6]}}
+    with pytest.raises(MaterialError, match="term 1"):
+        materials.load_material(bad_term)
+
 
 def test_cylinder_spec():
     spec = materials.CylinderSpec(radius=1e-7, material=SIC,

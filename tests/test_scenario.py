@@ -15,7 +15,7 @@ from neqcasimir.engine import QuadratureControls
 from neqcasimir.errors import SchemaError
 from neqcasimir.materials import Constant, Lorentz
 from neqcasimir.scenario import load_scenario, parse_scenario
-from neqcasimir.units import C_LIGHT
+from neqcasimir.units import C_LIGHT, E_CHARGE, HBAR
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -192,41 +192,33 @@ def test_controls_parsing():
         parse_scenario(doc)
 
 
-def test_legacy_header_fields():
-    # headers written before the provider decided the quadratic term,
-    # before the propagating integral always ran over the full k_z
-    # range, and before four quadrature settings became constants
-    # carry the removed fields at their one value, as JSON text: they
-    # parse to the same scenario, and any other value names the field
-    doc = _minimal_doc()
-    doc["controls"] = {"rel_tol": 1e-3}
-    legacy = copy.deepcopy(doc)
-    legacy["include_quadratic"] = None
-    legacy["controls"].update(json.loads(
-        '{"include_quadratic": null, "kz_symmetry": false, "x_max": 40.0,'
-        ' "series_tol": 1e-06, "y_cut": 35.0, "max_panels": 200}'))
-    assert parse_scenario(legacy) == parse_scenario(doc)
-    for path, value in (("include_quadratic", True),
-                        ("include_quadratic", False),
-                        ("controls.include_quadratic", True),
-                        ("controls.kz_symmetry", True),
-                        ("controls.kz_symmetry", None),
-                        ("controls.kz_symmetry", 0),
-                        ("controls.x_max", 41.0),
-                        ("controls.x_max", 40),
-                        ("controls.series_tol", 1e-5),
-                        ("controls.series_tol", None),
-                        ("controls.y_cut", 12.0),
-                        ("controls.y_cut", 35),
-                        ("controls.max_panels", 8),
-                        ("controls.max_panels", 200.0),
-                        ("controls.max_panels", True)):
-        bad = copy.deepcopy(legacy)
+def test_legacy_header_fields(tmp_path, capsys):
+    # headers written by earlier versions carried fields that have since
+    # been removed, each at one value; they no longer parse: each is an
+    # unknown field that the error names, and `zeros` exits 2 on it
+    row = ",".join(["1e-06"] + ["0"] * (len(cli.CSV_COLUMNS) - 3)
+                   + ["+", "+"])
+    for path, text in (("include_quadratic", "null"),
+                       ("controls.include_quadratic", "null"),
+                       ("controls.kz_symmetry", "false"),
+                       ("controls.x_max", "40.0"),
+                       ("controls.series_tol", "1e-06"),
+                       ("controls.y_cut", "35.0"),
+                       ("controls.max_panels", "200")):
+        doc = _minimal_doc()
+        doc["controls"] = {"rel_tol": 1e-3}
         *parents, key = path.split(".")
-        node = bad[parents[0]] if parents else bad
-        node[key] = value
-        with pytest.raises(SchemaError, match=r"^%s: removed: " % path):
-            parse_scenario(bad)
+        (doc[parents[0]] if parents else doc)[key] = json.loads(text)
+        where = parents[0] if parents else "scenario"
+        with pytest.raises(SchemaError, match=r"^%s: unknown .*'%s'"
+                           % (where, key)):
+            parse_scenario(doc)
+        csv_path = tmp_path / "old.csv"
+        csv_path.write_text("# scenario: %s\n%s\n%s\n" % (
+            json.dumps(doc), ",".join(cli.CSV_COLUMNS), row))
+        assert cli.main(["zeros", str(csv_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and key in err[0]
 
 
 _DELETE = object()
@@ -308,13 +300,56 @@ def test_equilibrium_file_resolved_relative(tmp_path):
         parse_scenario(doc, base_dir=tmp_path)
 
 
-def test_resolved_round_trip():
+# one inline document per material model, with the SI parameters its
+# resolved header must carry
+_MATERIALS = {
+    "vacuum": ({"name": "void", "model": "vacuum", "parameters": {}}, {}),
+    "constant": ({"name": "glass", "model": "constant",
+                  "parameters": {"eps_re": 2.25}},
+                 {"eps_re": 2.25, "eps_im": 0.0}),
+    "lorentz-eV": ({"name": "polar", "model": "lorentz",
+                    "parameters": {"eps_inf": 6.7, "omega_lo": 0.12,
+                                   "omega_to": 0.098, "gamma": 5.88e-4},
+                    "units": {"omega_lo": "eV", "omega_to": "eV",
+                              "gamma": "eV"}},
+                   {"eps_inf": 6.7, "omega_lo": 0.12 * E_CHARGE / HBAR,
+                    "omega_to": 0.098 * E_CHARGE / HBAR,
+                    "gamma": 5.88e-4 * E_CHARGE / HBAR}),
+    "conductivity_sum-um": (
+        {"name": "metal", "model": "conductivity_sum",
+         "parameters": {"terms": [{"sigma": 1.19e6, "lambda_r": 3.66},
+                                  {"sigma": 2.5e5, "lambda_r": 0.36}]},
+         "units": {"sigma": "1/(ohm m)", "lambda_r": "um"}},
+        {"terms": [{"sigma": 1.19e6, "lambda_r": 3.66 * 1e-6},
+                   {"sigma": 2.5e5, "lambda_r": 0.36 * 1e-6}]}),
+    "low_freq-um": ({"name": "absorber", "model": "low_freq",
+                     "parameters": {"eps0": 4.0, "lambda_in": 0.25},
+                     "units": {"lambda_in": "um"}},
+                    {"eps0": 4.0, "lambda_in": 0.25 * 1e-6}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MATERIALS) + ["path", "packaged"])
+def test_resolved_round_trip(kind, tmp_path):
+    # "path" writes the Lorentz document to a file and refers to it;
+    # "packaged" names the shipped SiC, which has the same parameters
+    material, si = _MATERIALS.get(kind, _MATERIALS["lorentz-eV"])
+    expected = {"name": "SiC" if kind == "packaged" else material["name"],
+                "model": material["model"], "parameters": si}
+    if kind == "path":
+        (tmp_path / "mat.json").write_text(json.dumps(material))
+        material = {"path": "mat.json"}
+    elif kind == "packaged":
+        material = "sic"
     doc = _minimal_doc()
+    doc["cylinder1"]["material"] = material
     doc["controls"] = {"rel_tol": 2e-3}
     doc["equilibrium"] = {"d_m": [1e-7, 1e-5],
                           "F_eq_N_per_m": [-2.0, -1.0]}
     doc["provider"] = "full"
-    sc1, resolved = parse_scenario(doc)
+    sc1, resolved = parse_scenario(doc, base_dir=tmp_path)
+    # the header inlines the material in SI, without its units
+    assert resolved["cylinder1"]["material"] == expected
     # resolved must be JSON-serializable and parse to the same scenario
     text = json.dumps(resolved)
     sc2, resolved2 = parse_scenario(json.loads(text))
@@ -323,6 +358,7 @@ def test_resolved_round_trip():
     assert sc2.controls == sc1.controls
     assert sc2.cylinder1.radius == sc1.cylinder1.radius
     assert sc2.cylinder1.material == sc1.cylinder1.material
+    assert sc2.cylinder2.material == sc1.cylinder2.material
     assert sc2.cylinder2.temperature == sc1.cylinder2.temperature
     assert np.array_equal(sc2.equilibrium.forces, sc1.equilibrium.forces)
     assert resolved2 == resolved

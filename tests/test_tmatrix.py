@@ -501,6 +501,28 @@ def test_blocks_with_omega_per_row_repeat_per_frequency_calls(prov):
     assert np.array_equal(batch, single[shuffle])
 
 
+@pytest.mark.parametrize("material", [SIC, TUNGSTEN], ids=["sic", "tungsten"])
+@pytest.mark.parametrize("provider, orders",
+                         [(tmatrix.ThinExpansion, np.arange(-1, 2)),
+                          (tmatrix.FullSolve, np.arange(-3, 4))],
+                         ids=["thin", "full"])
+def test_largest_engine_call_repeats_single_row_calls(provider, orders,
+                                                      material):
+    # a row's block is bitwise independent of its call only while each
+    # intermediate stays under NumPy's 256 KiB temporary-elision
+    # threshold; memo reuse and bitwise sweep reruns rely on it at the
+    # engine's largest calls, _MAX_BLOCK_ENTRIES entries over the orders
+    prov = provider(material, 0.1e-6)
+    n = engine._MAX_BLOCK_ENTRIES // len(orders)
+    rng = np.random.default_rng(11)
+    ktz = np.where(rng.random(n) < 0.5, rng.uniform(-0.99, 0.99, n),
+                   rng.uniform(1.01, 30.0, n))
+    omega = 10.0 ** rng.uniform(12.0, 14.9, n)  # x < 0.3 at R = 0.1 um
+    single = np.concatenate([prov.blocks(orders, ktz[i:i + 1], omega[i])
+                             for i in range(n)])
+    assert np.array_equal(prov.blocks(orders, ktz, omega), single)
+
+
 
 if __name__ == "__main__":
     import sys
