@@ -3,12 +3,13 @@
 When both permittivities are close to 1, the force between two volume
 elements held at different temperatures has a closed form, and the
 cylinder-cylinder force per length follows by summing that sphere pair
-force over the two cylinder volumes.  This composition is a path to
-the interaction force that is independent of both the scattering
-engine and the thin-cylinder closed forms (it imports nothing from
-engine, tmatrix, kernels or asymptotics, only the material models and
-quadrature): the three must agree in their common regime, which is the
-backbone cross-validation of the package.
+force over the two cylinder volumes, in closed form along the axes.
+This composition is a path to the interaction force that is
+independent of both the scattering engine and the thin-cylinder
+closed forms (it imports nothing from engine, tmatrix, kernels or
+asymptotics, only the material models and quadrature): the three must
+agree in their common regime, which is the backbone cross-validation
+of the package.
 
 Sign conventions follow the rest of the package: the returned value is
 the force on body 1 along the line of centers with positive pointing
@@ -34,19 +35,10 @@ import warnings
 import numpy as np
 
 from .materials import eps_function
-from .quadrature import QuadratureControls, bose_integral, composite_nodes
+from .quadrature import bose_integral
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 _ALL_TERMS = ("d2", "d3", "d5", "d7")
-
-# Axial quadrature for the cylinder summation, in t with l = d sinh t.
-# The integrand decays like sech(t)^p, p >= 2, so a fixed base window
-# plus tail blocks appended until they stop mattering is exact to
-# machine precision long before the last block.
-_T_BASE_EDGES = (0.0, 0.375, 0.75, 1.125, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0,
-                 6.5, 8.0, 10.0, 12.0)
-_T_TAIL_BLOCKS = ((12.0, 15.0, 18.0), (18.0, 22.0, 25.0),
-                  (25.0, 30.0, 35.0))
 
 
 def _check_terms(terms):
@@ -71,8 +63,9 @@ def _warn_if_not_dilute(eps1, eps2, source_temperature):
                       "there" % (worst,), stacklevel=3)
 
 
-def _sphere_weight(omega, eps1, eps2, separation, terms):
-    """Frequency weight of the sphere pair force, per unit V1 V2.
+def _sphere_weight(omega, eps1, eps2, separation, scale):
+    """Frequency weight of the sphere pair force per unit V1 V2, of the
+    terms in scale, each times scale[term].
 
     Returns the integrand of the Bose integral such that
     F_sphere / (V1 V2) = hbar/(4 pi^3 c^7) * integral(weight * n_B).
@@ -82,15 +75,15 @@ def _sphere_weight(omega, eps1, eps2, separation, terms):
     e2 = np.asarray(eps2(w), dtype=complex)
     s = separation
     out = np.zeros_like(w)
-    if "d2" in terms:
-        out = out + w ** 5 * C_LIGHT ** 2 / s ** 2 * e1.imag
+    if "d2" in scale:
+        out = out + scale["d2"] * w ** 5 * C_LIGHT ** 2 / s ** 2 * e1.imag
     attract = np.zeros_like(w)
-    if "d3" in terms:
-        attract = attract + w ** 4 * C_LIGHT ** 3 / s ** 3
-    if "d5" in terms:
-        attract = attract + 2.0 * w ** 2 * C_LIGHT ** 5 / s ** 5
-    if "d7" in terms:
-        attract = attract + 9.0 * C_LIGHT ** 7 / s ** 7
+    if "d3" in scale:
+        attract = attract + scale["d3"] * w ** 4 * C_LIGHT ** 3 / s ** 3
+    if "d5" in scale:
+        attract = attract + scale["d5"] * 2.0 * w ** 2 * C_LIGHT ** 5 / s ** 5
+    if "d7" in scale:
+        attract = attract + scale["d7"] * 9.0 * C_LIGHT ** 7 / s ** 7
     out = out - (e1.real - 1.0) * attract
     return e2.imag * out
 
@@ -108,41 +101,17 @@ def sphere_pair_force(volume1, volume2, material1, material2,
         raise ValueError("volumes must be positive")
     if separation <= 0:
         raise ValueError("separation must be positive")
-    terms = _check_terms(terms)
+    scale = dict.fromkeys(_check_terms(terms), 1.0)
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
     _warn_if_not_dilute(eps1, eps2, source_temperature)
 
     def weight(w):
-        return _sphere_weight(w, eps1, eps2, separation, terms)
+        return _sphere_weight(w, eps1, eps2, separation, scale)
 
     value = bose_integral(weight, source_temperature, controls)
     return (volume1 * volume2 * HBAR
             / (4.0 * math.pi ** 3 * C_LIGHT ** 7) * value)
-
-
-def _axial_profile(separation, powers, rel_tol):
-    """Quadrature data for the axial sum at each inverse power of s.
-
-    Returns an array ``profile[k] = 2 d integral dt sech(t)^p_k`` over
-    the transverse projection map s = d cosh t, extending the t window
-    until the newest tail block contributes less than rel_tol of every
-    component.
-    """
-    powers = np.asarray(powers, dtype=float)
-
-    def block(edges):
-        nodes, wts = composite_nodes(edges)
-        sech = 1.0 / np.cosh(nodes)
-        return (sech[None, :] ** powers[:, None]) @ wts
-
-    acc = block(_T_BASE_EDGES)
-    for tail in _T_TAIL_BLOCKS:
-        extra = block(tail)
-        acc = acc + extra
-        if np.all(np.abs(extra) <= rel_tol * np.abs(acc)):
-            break
-    return 2.0 * separation * acc
 
 
 def cylinder_force_by_summation(radius1, radius2, material1, material2,
@@ -153,8 +122,9 @@ def cylinder_force_by_summation(radius1, radius2, material1, material2,
     Integrates the volume-normalized sphere force over the relative
     axial offset of the two thin cylinders: per unit source length,
     F/L = pi^2 R1^2 R2^2 * integral dl F_sphere(sqrt(d^2+l^2))
-    * d / sqrt(d^2+l^2) / (V1 V2), evaluated with l = d sinh t and the
-    t window grown until its tail is negligible.  With all four terms
+    * d / sqrt(d^2+l^2) / (V1 V2).  With l = d sinh t, a term falling
+    like s^-p sums to its value at s = d times 2 d int_0^inf sech(t)^p dt
+    = d sqrt(pi) Gamma(p/2) / Gamma((p+1)/2).  With all four terms
     (the default) this matches the engine.  The "d3" sphere term sums
     to the physical d^-2 cylinder force returned by
     ``excluded_d2_term``; leaving "d3" out of ``terms`` gives the
@@ -164,7 +134,6 @@ def cylinder_force_by_summation(radius1, radius2, material1, material2,
         raise ValueError("radii must be positive")
     if separation <= 0:
         raise ValueError("separation must be positive")
-    controls = controls or QuadratureControls()
     terms = _check_terms(terms)
     eps1 = eps_function(material1)
     eps2 = eps_function(material2)
@@ -172,18 +141,13 @@ def cylinder_force_by_summation(radius1, radius2, material1, material2,
     if source_temperature == 0.0:
         return 0.0
 
-    # s-powers of each retained term and the axial factors they pick up.
+    # s-powers of each retained term and the axial factors they pick up
     power_of = {"d2": 2.0, "d3": 3.0, "d5": 5.0, "d7": 7.0}
-    powers = [power_of[t] for t in terms]
-    profile = _axial_profile(separation, powers, controls.rel_tol)
-    axial = dict(zip(terms, profile))
+    axial = {t: separation * math.sqrt(math.pi) * math.gamma(power_of[t] / 2)
+             / math.gamma((power_of[t] + 1) / 2) for t in terms}
 
     def weight(w):
-        total = np.zeros_like(np.asarray(w, dtype=float))
-        for term in terms:
-            single = _sphere_weight(w, eps1, eps2, separation, (term,))
-            total = total + axial[term] * single
-        return total
+        return _sphere_weight(w, eps1, eps2, separation, axial)
 
     value = bose_integral(weight, source_temperature, controls)
     pref = (math.pi ** 2 * radius1 ** 2 * radius2 ** 2 * HBAR

@@ -53,15 +53,15 @@ two-piece map gives, so a pass without poles (a conductor) is unchanged.
 
 Each outer panel is one array pass.  The frequency map, its Jacobian
 and the Bose weights of all 15 nodes come at once, and the live nodes
-go in node order to _axial, which calls _inner on groups.  Every
-provider call of a pass (order probe, grid calibration and outer
-integral) keeps to the same group budget.  A group's block rows are
+go in node order to _axial.  Every provider call of a pass (order
+probe, grid calibration and outer integral) goes through _groups, so
+it keeps to the same group budget.  A group's block rows are
 [psi rows of node 0 .. m-1 | y rows of node 0 .. m-1], with omega per
 row, so one provider call per distinct cylinder, one hankel_tables
 call and one call of each kernel sum serve the whole group.  A group
 holds at most _MAX_BLOCK_ENTRIES = 12,288 block entries (rows x
 orders), which bounds the working set of its blocks, tables and sums.
-One _inner call peaks at about 150 bytes per entry (tracemalloc, five
+One group peaks at about 150 bytes per entry (tracemalloc, five
 full-provider tungsten nodes at orders -4 .. 4), so the budget costs
 at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
 14,336 entries cost over 3%.  A node's values do not depend on its group.
@@ -88,9 +88,9 @@ integrand's bound e^(-2 y (1 - (R1 + R2) / d)) is e^(-32)
 (_evan_edges): one panel past y = 12 for thin wires, which then have
 94 y rows per outer node.  The azimuthal truncation is calibrated once
 per pass by a multipole shell probe of both kernels, whose shells are
-the pass's own integrals (_integrals) on the central orders of blocks
-built once at the cap, each shell held to rel_tol / 10.  Both take the
-largest value any temperature needs.
+the pass's own integrals (_integrals) on its y grid and the central
+orders of blocks built once at the cap, each shell held to
+rel_tol / 10.  Both take the largest value any temperature needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
 accumulated in a fixed order, and passes are memoized.  total_force
@@ -126,7 +126,7 @@ from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 # panel edges of the y grid, graded toward y = 0; a pass ends it at
-# _evan_edges' y_max, and the order probe's stops at y = 12.  Panels
+# _evan_edges' y_max, for its order probe as well.  Panels
 # that end at or below _KRONROD_Y_MAX, where a conductor's
 # low-frequency peak sits, take the 15-point Kronrod rule, and the
 # panels above it the 7-point Gauss rule that Kronrod embeds: Gauss on
@@ -135,13 +135,12 @@ from .units import C_LIGHT, HBAR, K_BOLTZMANN
 _EVAN_EDGES = (0.0, 0.01, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
 _KRONROD_Y_MAX = 0.25
-_PROBE_Y_MAX = 12.0
 # the y grid ends where the evanescent integrand's bound
 # e^(-2 y (1 - (R1 + R2) / d)) falls to e^(-_EVAN_DECAY)
 _EVAN_DECAY = 32.0
 # order probe: frequencies in u
 _PROBE_US = (2.5, 7.0, 15.0)
-# axial integrals of each kind (see _inner), and psi panels per unit kd
+# axial integrals of each kind (see _integrals), and psi panels per unit kd
 # of the propagating interaction and pair sums
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
 _PER_PANEL = {"f": 10.0, "s": 3.0}
@@ -399,7 +398,7 @@ def _evan_edges(rsum, d):
     return _EVAN_EDGES[:last] + (y_max,)
 
 
-def _evan_tables(factor, orders, panels=_EVAN_EDGES):
+def _evan_tables(factor, orders, panels):
     """Evanescent y-grid (nodes, weights), with every panel of panels
     split into factor equal parts, and its K-product table.  A part
     keeps its panel's rule: Kronrod if the panel ends at or below
@@ -413,69 +412,63 @@ def _evan_tables(factor, orders, panels=_EVAN_EDGES):
     return nodes, wts, kernels.k_product_table(nodes, int(orders[-1]) * 2)
 
 
-def _inner(src_prov, tgt_prov, omegas, d, orders, sums, n_panels, evan):
-    """Axial integrals at m frequencies on orders, shape (m, len(sums)):
-    the _integrals of their _rows [psi rows of node 0 .. m-1 | y rows
-    of node 0 .. m-1], with evan from _evan_tables, so one provider call
-    per distinct cylinder, one hankel_tables call and one call of each
-    kernel sum serve every node."""
-    rows = _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan)
-    return _integrals(src_prov, int(orders[-1]), sums, d, *rows, evan)
-
-
-def _runs(n_panels, evan, width):
-    """Slices of consecutive nodes whose block entries add up to at
-    most _MAX_BLOCK_ENTRIES: node i has the rows of n_panels[i] psi
-    panels and of evan's y grid, each with width orders.  A node larger
-    than that is a run of its own."""
+def _groups(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
+    """(run, rows) of each run of consecutive nodes whose block entries
+    add up to at most _MAX_BLOCK_ENTRIES, with rows the _rows of the
+    run: node i has the rows of n_panels[i] psi panels and of evan's y
+    grid, each with the width of orders.  A node larger than that is a
+    run of its own."""
     n_y = 0 if evan is None else evan[0].size
     starts, total = [], 0
     for i, p in enumerate(n_panels):
-        size = (_psi_grid(p)[0].size + n_y) * width
+        size = (_psi_grid(p)[0].size + n_y) * orders.size
         if not starts or total + size > _MAX_BLOCK_ENTRIES:
             starts.append(i)
             total = 0
         total += size
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(n_panels)])]
+    for a, b in zip(starts, starts[1:] + [len(n_panels)]):
+        yield slice(a, b), _rows(src_prov, tgt_prov, omegas[a:b], d, orders,
+                                 n_panels[a:b], evan)
 
 
 def _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor, evan):
     """The axial integrals of a pass at omegas, shape (m, len(sums)),
     on grids of density factor: factor times the psi panels its densest
-    psi sum asks for (_PER_PANEL), and evan's y grid.  One _inner call
-    serves each run of consecutive nodes within the entry budget."""
+    psi sum asks for (_PER_PANEL), and evan's y grid.  Each group of
+    nodes within the entry budget is one _integrals call."""
     n_panels = [factor * max(_npanels(w * d / C_LIGHT, _PER_PANEL[s])
                              for s in sums if s in _PER_PANEL)
                 for w in omegas]
     out = np.empty((len(omegas), len(sums)))
-    for run in _runs(n_panels, evan, orders.size):
-        out[run] = _inner(src_prov, tgt_prov, omegas[run], d, orders, sums,
-                          n_panels[run], evan)
+    for run, rows in _groups(src_prov, tgt_prov, omegas, d, orders,
+                             n_panels, evan):
+        out[run] = _integrals(src_prov, int(orders[-1]), sums, d, *rows,
+                              evan)
     return out
 
 
-def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap, tol):
+def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap, tol,
+                  y_edges):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
     kernel is at most tol of its integrals: the interaction integrals
     ('f' with 'e') and the pair integral ('s') each by its own shell
     test, and the largest order any of them needs at any frequency
-    wins.  A pass takes tol = rel_tol / 10.  Each run of frequencies
-    within the entry budget makes one provider call per distinct
-    cylinder at the cap, on 2 psi panels and the y grid on the edges of
-    _EVAN_EDGES up to y = 12 (with the pass's rules), and each shell is
-    the _integrals of its central orders.  The K-product table is built
-    once at the cap, and only for the interaction kind; where it
-    overflows below the cap, the blocks stop at the first shell that
-    reads an overflowing order, and that shell raises."""
+    wins.  A pass takes tol = rel_tol / 10 and its own y_edges.  Each
+    group of frequencies within the entry budget makes one provider
+    call per distinct cylinder at the cap, on 2 psi panels and the y
+    grid on y_edges, and each shell is the _integrals of its central
+    orders.  The K-product table is built once at the cap, and only
+    for the interaction kind; where it overflows below the cap, the
+    blocks stop at the first shell that reads an overflowing order,
+    and that shell raises."""
     if n_cap <= 1:
         return 1
     sums = sum((_SUMS[k] for k in kinds), ())
     first = np.cumsum([0] + [len(_SUMS[k]) for k in kinds[:-1]])
     evan, top = None, n_cap
     if "int" in kinds:
-        evan = _evan_tables(1, np.arange(-n_cap, n_cap + 1), tuple(
-            e for e in _EVAN_EDGES if e <= _PROBE_Y_MAX))
+        evan = _evan_tables(1, np.arange(-n_cap, n_cap + 1), y_edges)
         # the blocks stop at the first shell whose table orders overflow
         # at some y: its sum raises, naming the order and the y, where
         # higher blocks would first overflow in the block solve
@@ -484,9 +477,8 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap, tol):
     cap_orders = np.arange(-top, top + 1)
     omegas = np.asarray(omegas, dtype=float)
     need = np.zeros((omegas.size, len(kinds)), dtype=int)
-    for run in _runs([2] * omegas.size, evan, cap_orders.size):
-        rows = _rows(src_prov, tgt_prov, omegas[run], d, cap_orders,
-                     [2] * omegas[run].size, evan)
+    for run, rows in _groups(src_prov, tgt_prov, omegas, d, cap_orders,
+                             [2] * omegas.size, evan):
         prev, got = _integrals(src_prov, 1, sums, d, *rows, evan), need[run]
         for n in range(2, top + 1):
             cur = _integrals(src_prov, n, sums, d, *rows, evan)
@@ -512,16 +504,17 @@ def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
     integral an integral is held to at least GROUP_FLOOR of the largest
     of its (temperature, kind) group, so an evanescent integral a
     millionth of the propagating one cannot drive the grid.  Each
-    factor tried is one _axial call."""
+    factor tried is one _axial call.  Returns (factor, evan), whose y
+    tables (None without an evanescent sum) the outer integral reuses."""
     def integrals(factor):
-        return _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor,
-                      _evan_tables(factor, orders, y_edges)
-                      if "e" in sums else None)
+        evan = _evan_tables(factor, orders, y_edges) if "e" in sums else None
+        return evan, _axial(src_prov, tgt_prov, omegas, d, orders, sums,
+                            factor, evan)
 
     pair = np.array([s == "s" for s in sums])
-    factor, prev = 1, integrals(1)
+    factor, (evan, prev) = 1, integrals(1)
     for _ in range(_MAX_GRID_BUMPS):
-        cur = integrals(2 * factor)
+        finer, cur = integrals(2 * factor)
         size = np.maximum(np.abs(prev), np.abs(cur))
         largest = np.empty_like(size)
         for group in (pair, ~pair):
@@ -530,11 +523,11 @@ def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
         scale = np.maximum(np.maximum(size, GROUP_FLOOR * largest), 1e-300)
         rel = np.max(np.abs(cur - prev) / scale)
         if rel <= 0.2 * rel_tol:
-            return factor
-        factor, prev = 2 * factor, cur
+            return factor, evan
+        factor, evan, prev = 2 * factor, finer, cur
     if rel > rel_tol:
         warnings.warn(_GRID_CAP_WARNING, RuntimeWarning, stacklevel=4)
-    return factor
+    return factor, evan
 
 
 def _distinct(values):
@@ -629,14 +622,13 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     sums = sum((_SUMS[k] for k in kinds), ())
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
     n_cap = int(src_prov.max_order or controls.n_max or 8)
+    y_edges = _evan_edges(src_prov.radius + tgt_prov.radius, d)
     n_use = _probe_orders(src_prov, tgt_prov,
                           sorted({u * s for s in scales for u in _PROBE_US}),
-                          d, kinds, n_cap, 0.1 * controls.rel_tol)
+                          d, kinds, n_cap, 0.1 * controls.rel_tol, y_edges)
     orders = np.arange(-n_use, n_use + 1)
-    y_edges = _evan_edges(src_prov.radius + tgt_prov.radius, d)
-    factor = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales), d,
-                          orders, sums, controls.rel_tol, y_edges)
-    evan = _evan_tables(factor, orders, y_edges) if "e" in sums else None
+    factor, evan = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales),
+                                d, orders, sums, controls.rel_tol, y_edges)
 
     # seed edges in omega; _distinct is idempotent, so without windows
     # they are bitwise the thermal ones

@@ -47,6 +47,8 @@ Material JSON files carry {"name", "model", "parameters", "units"}.
 Parameters declared in eV or um are converted to SI on load, and
 resolve_material returns the model with its SI document
 {"name", "model", "parameters"}, which loads back to an equal model.
+A field, parameter or unit the model does not take is an error that
+names it, and so is a unit on a dimensionless parameter.
 """
 
 import cmath
@@ -64,6 +66,7 @@ from .units import (
     EPSILON_0,
     HBAR,
     K_BOLTZMANN,
+    conductivity_to_si,
     frequency_to_radps,
     length_to_m,
 )
@@ -273,53 +276,69 @@ def _parameter(params, units, field, convert=None, si_unit=None):
         raise MaterialError("%s for %s" % (exc, field)) from None
 
 
-# models whose fields are exactly their SI parameters, with the
-# converter and SI unit of each parameter that may declare a unit
+# the parameters of each model (of each term, for conductivity_sum),
+# with the converter and SI unit of each that may declare a unit, or
+# () for a dimensionless one, and those a document may leave out
 _RADPS, _METERS = (frequency_to_radps, "rad/s"), (length_to_m, "m")
-_FIELD_MODELS = {
-    "lorentz": (Lorentz, {"eps_inf": (), "omega_lo": _RADPS,
-                          "omega_to": _RADPS, "gamma": _RADPS}),
-    "low_freq": (LowFreqExpansion, {"eps0": (), "lambda_in": _METERS}),
+_PARAMETERS = {
+    "vacuum": {},
+    "constant": {"eps_re": (), "eps_im": ()},
+    "lorentz": {"eps_inf": (), "omega_lo": _RADPS, "omega_to": _RADPS,
+                "gamma": _RADPS},
+    "low_freq": {"eps0": (), "lambda_in": _METERS},
+    "conductivity_sum": {"sigma": (conductivity_to_si, "1/(ohm m)"),
+                         "lambda_r": _METERS},
 }
+_DEFAULTS = {"eps_im": 0.0}
+# the model of each SI parameter set, but conductivity_sum's
+_MODELS = {
+    "vacuum": Vacuum, "lorentz": Lorentz, "low_freq": LowFreqExpansion,
+    "constant": lambda eps_re, eps_im: Constant(complex(eps_re, eps_im))}
+
+
+def _known(names, valid, what):
+    """Raise a MaterialError naming every entry of names not in valid."""
+    unknown = sorted(set(names) - set(valid))
+    if unknown:
+        raise MaterialError("unknown %s %s; valid ones are %s"
+                            % (what, unknown, sorted(valid)))
 
 
 def _build_model(model_name, params, units):
     """(model, SI parameters) of a material document."""
-    if model_name == "vacuum":
-        return Vacuum(), {}
-    if model_name == "constant":
-        if params.get("eps_re") is None:
-            raise MaterialError("constant model needs parameters.eps_re")
-        si = {"eps_re": _parameter(params, units, "eps_re"),
-              "eps_im": _parameter({"eps_im": 0.0, **params}, units, "eps_im")}
-        return Constant(complex(si["eps_re"], si["eps_im"])), si
-    if model_name in _FIELD_MODELS:
-        cls, fields = _FIELD_MODELS[model_name]
+    if model_name not in _PARAMETERS:
+        raise MaterialError("unknown dielectric model %r" % (model_name,))
+    fields = _PARAMETERS[model_name]
+    _known(units, [f for f, conversion in fields.items() if conversion],
+           "unit keys")
+    if model_name in _MODELS:
+        _known(params, fields, "parameters")
+        params = {**_DEFAULTS, **params}
         try:
             si = {field: _parameter(params, units, field, *conversion)
                   for field, conversion in fields.items()}
         except KeyError as exc:
             raise MaterialError("%s model missing parameter %s"
                                 % (model_name, exc)) from None
-        return cls(**si), si
-    if model_name == "conductivity_sum":
-        raw = params.get("terms")
-        if not raw or not isinstance(raw, (list, tuple)):
-            raise MaterialError("conductivity_sum model needs parameters.terms")
-        terms = []
-        for i, term in enumerate(raw):
-            if not isinstance(term, dict):
-                raise MaterialError("conductivity term %d must be an object, "
-                                    "got %r" % (i, term))
-            try:
-                terms.append((_parameter(term, units, "sigma"),
-                              _parameter(term, units, "lambda_r", *_METERS)))
-            except KeyError as exc:
-                raise MaterialError(
-                    "conductivity term %d missing %s" % (i, exc)) from None
-        return ConductivitySum(terms=tuple(terms)), {"terms": [
-            {"sigma": sigma, "lambda_r": lam_r} for sigma, lam_r in terms]}
-    raise MaterialError("unknown dielectric model %r" % (model_name,))
+        return _MODELS[model_name](**si), si
+    _known(params, ("terms",), "parameters")
+    raw = params.get("terms")
+    if not raw or not isinstance(raw, (list, tuple)):
+        raise MaterialError("conductivity_sum model needs parameters.terms")
+    terms = []
+    for i, term in enumerate(raw):
+        if not isinstance(term, dict):
+            raise MaterialError("conductivity term %d must be an object, "
+                                "got %r" % (i, term))
+        _known(term, fields, "parameters of conductivity term %d" % (i,))
+        try:
+            terms.append(tuple(_parameter(term, units, field, *conversion)
+                               for field, conversion in fields.items()))
+        except KeyError as exc:
+            raise MaterialError(
+                "conductivity term %d missing %s" % (i, exc)) from None
+    return ConductivitySum(terms=tuple(terms)), {"terms": [
+        {"sigma": sigma, "lambda_r": lam_r} for sigma, lam_r in terms]}
 
 
 def resolve_material(source):
@@ -350,6 +369,8 @@ def resolve_material(source):
             raise MaterialError("bad JSON in %s: %s" % (path, exc)) from None
     if not isinstance(doc, dict):
         raise MaterialError("material document must be an object")
+    _known(doc, ("name", "model", "parameters", "units"),
+           "material document fields")
     for field in ("name", "model", "parameters"):
         if field not in doc:
             raise MaterialError("material document missing %r" % (field,))

@@ -27,7 +27,7 @@ scenario file.  Optional fields: "temperature_sets" (several
 {T1, T2, T_env} triples sharing one geometry; mutually exclusive with
 per-cylinder temperatures), "controls" (rel_tol, u_min, n_max),
 "equilibrium_file" / "equilibrium" (ingested equilibrium force table),
-"output".  Any other field is an error that names it.
+"output".  Any other field, in any object, is an error that names it.
 
 Here the JSON shape, types, units and ordering are checked.  Value
 ranges are checked once, by the dataclass that owns the value
@@ -58,16 +58,23 @@ from .materials import CylinderSpec, resolve_material
 from .quadrature import QuadratureControls
 from .units import length_to_m
 
-_CONTROL_FIELDS = [f.name for f in dataclasses.fields(QuadratureControls)]
-
 
 def _fail(path, message):
     raise SchemaError("%s: %s" % (path, message))
 
 
-def _require_object(node, path):
+def _fields(node, path, required, optional=()):
+    """node, checked to be an object that has every field of required
+    and no field outside required and optional."""
     if not isinstance(node, dict):
         _fail(path, "expected an object, got %s" % (type(node).__name__,))
+    unknown = set(node) - set(required) - set(optional)
+    if unknown:
+        _fail(path, "unknown fields %s; valid ones are %s"
+              % (sorted(unknown), sorted({*required, *optional})))
+    for key in required:
+        if key not in node:
+            _fail(path, "missing required field %r" % (key,))
     return node
 
 
@@ -77,12 +84,6 @@ def _build(cls, path, **fields):
         return cls(**fields)
     except ValueError as exc:
         _fail(path, str(exc))
-
-
-def _get(doc, key, path):
-    if key not in doc:
-        _fail(path, "missing required field %r" % (key,))
-    return doc[key]
 
 
 def _number(node, path, *, positive=False):
@@ -97,32 +98,32 @@ def _number(node, path, *, positive=False):
 
 
 def _length_m(node, path):
-    node = _require_object(node, path)
-    value = _number(_get(node, "value", path), path + ".value", positive=True)
-    unit = _get(node, "unit", path)
+    node = _fields(node, path, ("value", "unit"))
+    value = _number(node["value"], path + ".value", positive=True)
     try:
-        return length_to_m(value, unit)
+        return length_to_m(value, node["unit"])
     except ValueError as exc:
         _fail(path + ".unit", str(exc))
 
 
 def _temperature_k(node, path):
-    node = _require_object(node, path)
-    value = _number(_get(node, "value", path), path + ".value")
-    unit = _get(node, "unit", path)
-    if unit != "K":
+    node = _fields(node, path, ("value", "unit"))
+    value = _number(node["value"], path + ".value")
+    if node["unit"] != "K":
         _fail(path + ".unit", "temperatures must be in 'K', got %r"
-              % (unit,))
+              % (node["unit"],))
     return value
 
 
 def _material(node, path, base_dir):
-    """Resolve a material reference to (model, SI material document)."""
-    if not isinstance(node, str):
-        node = _require_object(node, path)
-        if "path" in node and "model" not in node:
-            node = str(Path(base_dir) / str(node["path"]))
-            path += ".path"
+    """Resolve a material reference to (model, SI material document): a
+    packaged name or file, an inline document, or {"path": file}
+    relative to base_dir."""
+    if not isinstance(node, (str, dict)):
+        _fail(path, "expected an object, got %s" % (type(node).__name__,))
+    if isinstance(node, dict) and "path" in node and "model" not in node:
+        ref = _fields(node, path, ("path",))["path"]
+        node, path = str(Path(base_dir) / str(ref)), path + ".path"
     try:
         return resolve_material(node)
     except MaterialError as exc:
@@ -131,16 +132,16 @@ def _material(node, path, base_dir):
 
 def _cylinder(node, path, base_dir, *, allow_temperature):
     """(CylinderSpec, resolved cylinder) of a cylinder node."""
-    node = _require_object(node, path)
-    radius = _length_m(_get(node, "radius", path), path + ".radius")
-    model, mat_doc = _material(_get(node, "material", path),
-                               path + ".material", base_dir)
+    node = _fields(node, path, ("radius", "material", "temperature")
+                   if allow_temperature else ("radius", "material"),
+                   ("temperature",))
+    radius = _length_m(node["radius"], path + ".radius")
+    model, mat_doc = _material(node["material"], path + ".material",
+                               base_dir)
     temp_node = node.get("temperature")
     if temp_node is not None and not allow_temperature:
         _fail(path + ".temperature", "per-cylinder temperatures are "
               "mutually exclusive with temperature_sets")
-    if temp_node is None and allow_temperature:
-        _fail(path, "missing required field 'temperature'")
     temperature = (_temperature_k(temp_node, path + ".temperature")
                    if temp_node is not None else 0.0)
     spec = _build(CylinderSpec, path, radius=radius, material=model,
@@ -152,9 +153,10 @@ def _cylinder(node, path, base_dir, *, allow_temperature):
 
 
 def _separations(node, path):
-    node = _require_object(node, path)
-    if "values" in node:
-        unit = _get(node, "unit", path)
+    """The grid of either form, {values, unit} or {min, max, count,
+    spacing}; a field of the other form is an unknown field."""
+    if isinstance(node, dict) and "values" in node:
+        unit = _fields(node, path, ("values", "unit"))["unit"]
         raw = node["values"]
         if not isinstance(raw, list) or not raw:
             _fail(path + ".values", "expected a non-empty list")
@@ -168,11 +170,12 @@ def _separations(node, path):
                 _fail(path + ".unit", str(exc))
         grid = tuple(out)
     else:
-        lo = _length_m(_get(node, "min", path), path + ".min")
-        hi = _length_m(_get(node, "max", path), path + ".max")
+        node = _fields(node, path, ("min", "max", "count"), ("spacing",))
+        lo = _length_m(node["min"], path + ".min")
+        hi = _length_m(node["max"], path + ".max")
         if hi <= lo:
             _fail(path, "max must exceed min")
-        count_node = _get(node, "count", path)
+        count_node = node["count"]
         if isinstance(count_node, bool) or not isinstance(count_node, int):
             _fail(path + ".count", "expected an integer")
         if count_node < 2:
@@ -193,13 +196,9 @@ def _separations(node, path):
 def _controls(node, path):
     if node is None:
         return QuadratureControls()
-    node = _require_object(node, path)
-    unknown = set(node) - set(_CONTROL_FIELDS)
-    if unknown:
-        _fail(path, "unknown control fields %s; valid ones are %s"
-              % (sorted(unknown), _CONTROL_FIELDS))
     kwargs = {}
-    for key, value in node.items():
+    names = [f.name for f in dataclasses.fields(QuadratureControls)]
+    for key, value in _fields(node, path, (), names).items():
         where = "%s.%s" % (path, key)
         if key != "n_max":
             value = _number(value, where)
@@ -210,12 +209,11 @@ def _controls(node, path):
 
 
 def _temperature_sets(node, path):
-    node = _require_object(node, path)
-    unit = _get(node, "unit", path)
-    if unit != "K":
+    node = _fields(node, path, ("unit", "sets"))
+    if node["unit"] != "K":
         _fail(path + ".unit", "temperature sets must be in 'K', got %r"
-              % (unit,))
-    raw = _get(node, "sets", path)
+              % (node["unit"],))
+    raw = node["sets"]
     if not isinstance(raw, list) or not raw:
         _fail(path + ".sets", "expected a non-empty list of "
               "[T1, T2, T_env] triples")
@@ -239,9 +237,8 @@ def _equilibrium(doc, base_dir):
     if not isinstance(allow, bool):
         _fail("allow_equilibrium_extrapolation", "expected a boolean")
     if inline is not None:
-        inline = _require_object(inline, "equilibrium")
-        d = _get(inline, "d_m", "equilibrium")
-        f = _get(inline, "F_eq_N_per_m", "equilibrium")
+        inline = _fields(inline, "equilibrium", ("d_m", "F_eq_N_per_m"))
+        d, f = inline["d_m"], inline["F_eq_N_per_m"]
         if not isinstance(d, list) or not isinstance(f, list):
             _fail("equilibrium", "d_m and F_eq_N_per_m must be lists")
         try:
@@ -257,13 +254,6 @@ def _equilibrium(doc, base_dir):
     return None
 
 
-_TOP_FIELDS = {"name", "cylinder1", "cylinder2", "environment_temperature",
-               "separations", "provider", "controls",
-               "equilibrium_file", "equilibrium",
-               "allow_equilibrium_extrapolation", "temperature_sets",
-               "output"}
-
-
 def parse_scenario(doc, base_dir="."):
     """Build an engine scenario from a parsed JSON document.
 
@@ -273,10 +263,11 @@ def parse_scenario(doc, base_dir="."):
     equivalent scenario.  Raises SchemaError naming the offending
     field on any violation.
     """
-    doc = _require_object(doc, "scenario")
-    unknown = set(doc) - _TOP_FIELDS
-    if unknown:
-        _fail("scenario", "unknown fields %s" % (sorted(unknown),))
+    doc = _fields(doc, "scenario", ("cylinder1", "cylinder2", "separations"),
+                  ("name", "environment_temperature", "provider", "controls",
+                   "equilibrium_file", "equilibrium",
+                   "allow_equilibrium_extrapolation", "temperature_sets",
+                   "output"))
     name = doc.get("name", "scenario")
     if not isinstance(name, str) or not name:
         _fail("name", "expected a non-empty string")
@@ -287,8 +278,7 @@ def parse_scenario(doc, base_dir="."):
     per_cylinder = temperature_sets is None
 
     (cyl1, resolved1), (cyl2, resolved2) = (
-        _cylinder(_get(doc, key, "scenario"), key, base_dir,
-                  allow_temperature=per_cylinder)
+        _cylinder(doc[key], key, base_dir, allow_temperature=per_cylinder)
         for key in ("cylinder1", "cylinder2"))
 
     env_node = doc.get("environment_temperature")
@@ -303,8 +293,7 @@ def parse_scenario(doc, base_dir="."):
                   "'environment_temperature'")
         t_env = _temperature_k(env_node, "environment_temperature")
 
-    separations = _separations(_get(doc, "separations", "scenario"),
-                               "separations")
+    separations = _separations(doc["separations"], "separations")
     provider = doc.get("provider", "thin")
     controls = _controls(doc.get("controls"), "controls")
     equilibrium = _equilibrium(doc, base_dir)

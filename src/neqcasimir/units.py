@@ -50,3 +50,10 @@ def frequency_to_radps(value, unit):
             raise ValueError("wavelength must be positive, got %r" % (value,))
         return 2.0 * math.pi * C_LIGHT / (value * 1e-6)
     raise ValueError("unsupported frequency unit %r" % (unit,))
+
+
+def conductivity_to_si(value, unit):
+    """A conductivity declared in 1/(ohm m), the one unit accepted."""
+    if unit != "1/(ohm m)":
+        raise ValueError("unsupported conductivity unit %r" % (unit,))
+    return value

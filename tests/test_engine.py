@@ -198,9 +198,9 @@ def test_tolerance_refinement_consistency():
 def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     # the evanescent y-grids are fixed for the whole integral, so the
     # order probe builds its K-product table once for all its
-    # frequencies, the grid calibration once per factor it tries, and
-    # past both the outer frequency integral builds its table once,
-    # however many nodes it takes
+    # frequencies and the grid calibration once per factor it tries;
+    # the outer frequency integral reuses the calibration's table of
+    # the factor it settles on, however many nodes it takes
     calls = []
     phase = {"name": "outside"}
     real_table = kernels.k_product_table
@@ -243,8 +243,8 @@ def test_one_k_product_table_per_integral(monkeypatch, provider, rel_tol):
     assert calls.count("outer") == 0
     assert calls.count("grid") >= 2
     assert calls.count("probe") == (1 if provider == "full" else 0)
-    assert calls.count("outside") == 1
-    assert len(calls) == (calls.count("probe") + calls.count("grid") + 1)
+    assert calls.count("outside") == 0
+    assert len(calls) == calls.count("probe") + calls.count("grid")
 
 
 def _counting_outer(monkeypatch, phase=None):
@@ -398,8 +398,8 @@ def test_fused_integral_one_blocks_call_per_node(monkeypatch):
 
 def test_every_provider_call_within_the_entry_budget(monkeypatch):
     # six temperatures give the order probe 18 frequencies, whose
-    # 117 rows each (30 psi and 87 y rows) at the full provider's 17
-    # cap orders would make 35,802 block entries in one call: the probe
+    # 124 rows each (30 psi and 94 y rows) at the full provider's 17
+    # cap orders would make 37,944 block entries in one call: the probe
     # splits them into runs within the budget, as the grid calibration
     # and the outer integral split theirs
     phase = {"outer": False}
@@ -421,26 +421,41 @@ def test_every_provider_call_within_the_entry_budget(monkeypatch):
     assert len(probed) == 18 and len(probe) >= 3
 
 
+def _one_group(prov, omegas, d, orders, sums, n_panels, evan):
+    """The axial integrals of one group of nodes: the _integrals of
+    their _rows, as _axial forms them for each group."""
+    rows = engine._rows(prov, prov, omegas, d, orders, n_panels, evan)
+    return engine._integrals(prov, int(orders[-1]), sums, d, *rows, evan)
+
+
 @pytest.mark.parametrize("provider", ["thin", "full"])
-def test_inner_does_not_depend_on_its_batch(provider):
+def test_inner_does_not_depend_on_its_batch(monkeypatch, provider):
     # a node's axial integrals do not depend on the other nodes of its
-    # _inner call, on ragged psi grids (4 to 6 panels): bitwise with
-    # thin blocks, and with full blocks within the BLAS rounding of the
+    # group, on ragged psi grids (4 to 18 panels): bitwise with thin
+    # blocks, and with full blocks within the BLAS rounding of the
     # order sums, which depends on a row's position in the batch
     prov = engine._make_provider(provider, C1)
     orders = np.arange(-2, 3)
     d = 20e-6
     omegas = np.geomspace(2e12, 8e14, 15)
-    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 10.0)
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 3.0)
                 for w in omegas]
     assert len(set(n_panels)) > 1
-    evan = engine._evan_tables(1, orders)
+    evan = engine._evan_tables(1, orders, engine._evan_edges(2 * R, d))
     sums = ("f", "e", "s")
-    batch = engine._inner(prov, prov, omegas, d, orders, sums, n_panels,
-                          evan)
-    single = np.vstack([
-        engine._inner(prov, prov, omegas[i:i + 1], d, orders, sums,
-                      n_panels[i:i + 1], evan) for i in range(15)])
+    sizes = []
+    real_rows = engine._rows
+
+    def counting_rows(src, tgt, omegas, *args):
+        sizes.append(len(omegas))
+        return real_rows(src, tgt, omegas, *args)
+
+    monkeypatch.setattr(engine, "_rows", counting_rows)
+    monkeypatch.setattr(engine, "_MAX_BLOCK_ENTRIES", 10 ** 6)
+    batch = engine._axial(prov, prov, omegas, d, orders, sums, 1, evan)
+    monkeypatch.setattr(engine, "_MAX_BLOCK_ENTRIES", 1)
+    single = engine._axial(prov, prov, omegas, d, orders, sums, 1, evan)
+    assert sizes == [15] + [1] * 15
     assert batch.shape == (15, 3)
     if provider == "thin":
         assert np.array_equal(batch, single)
@@ -450,7 +465,7 @@ def test_inner_does_not_depend_on_its_batch(provider):
 
 def test_inner_working_set_per_block_entry():
     # the entry budget of a group is sized by the memory that one
-    # _inner call holds per block entry (rows x orders); a peak above
+    # group holds per block entry (rows x orders); a peak above
     # 250 bytes per entry would call for a smaller _MAX_BLOCK_ENTRIES
     _, tungsten = materials.load_material("tungsten_2400k")
     prov = engine._make_provider(
@@ -461,13 +476,12 @@ def test_inner_working_set_per_block_entry():
         * K_BOLTZMANN * 2400.0 / HBAR
     n_panels = [engine._npanels(w * d / materials.C_LIGHT, 10.0)
                 for w in omegas]
-    evan = engine._evan_tables(1, orders)
+    evan = engine._evan_tables(1, orders, engine._evan_edges(40e-9, d))
     rows = sum(engine._psi_grid(n)[0].size for n in n_panels) \
         + omegas.size * evan[0].size
     tracemalloc.start()
     try:
-        engine._inner(prov, prov, omegas, d, orders, ("f", "e", "s"),
-                      n_panels, evan)
+        _one_group(prov, omegas, d, orders, ("f", "e", "s"), n_panels, evan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -475,19 +489,19 @@ def test_inner_working_set_per_block_entry():
 
 
 def test_sweep_repeats_with_one_node_per_call(monkeypatch):
-    # the entry budget only groups nodes: with one node per _inner call
-    # a thin sweep repeats the default sweep bitwise
+    # the entry budget only groups nodes: with one node per group a
+    # thin sweep repeats the default sweep bitwise
     sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6, 20e-6),
                   controls=QuadratureControls(rel_tol=1e-3),
                   environment_temperature=300.0, temperature_sets=HOT_SETS)
     calls = []
-    real_inner = engine._inner
+    real_rows = engine._rows
 
-    def counting_inner(src, tgt, omegas, *args):
+    def counting_rows(src, tgt, omegas, *args):
         calls.append(len(omegas))
-        return real_inner(src, tgt, omegas, *args)
+        return real_rows(src, tgt, omegas, *args)
 
-    monkeypatch.setattr(engine, "_inner", counting_inner)
+    monkeypatch.setattr(engine, "_rows", counting_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rows = sweep(sc)
@@ -755,38 +769,48 @@ def test_lone_full_tungsten_call_stops_bisecting_toward_zero(monkeypatch):
 
 
 def _recording_y_grids(monkeypatch):
-    """Patch the engine's y tables to record the panel edges of every
-    pass's y grid, without the order probe's, which stops at 12."""
-    seen = []
-    real = engine._evan_tables
+    """Patch the engine's passes and y tables to record the panel edges
+    of every y grid, the order probe's included, as one list per
+    pass."""
+    passes = []
+    real_pass, real_tables = engine._pass, engine._evan_tables
 
-    def recording(factor, orders, panels=engine._EVAN_EDGES):
-        if panels[-1] > engine._PROBE_Y_MAX:
-            seen.append(tuple(panels))
-        return real(factor, orders, panels)
+    def recording_pass(*args):
+        passes.append([])
+        return real_pass(*args)
 
-    monkeypatch.setattr(engine, "_evan_tables", recording)
-    return seen
+    def recording_tables(factor, orders, panels):
+        passes[-1].append(tuple(panels))
+        return real_tables(factor, orders, panels)
+
+    monkeypatch.setattr(engine, "_pass", recording_pass)
+    monkeypatch.setattr(engine, "_evan_tables", recording_tables)
+    return passes
 
 
 def test_y_grid_ends_at_the_gaps_decay(monkeypatch):
     # the evanescent integrand is bounded by e^(-2 y (1 - (R1 + R2) / d)),
     # so a thin-wire pass ends its y grid on one panel [12, y_max] below
-    # y = 18.5, while a pair at d = 1.2 (R1 + R2) keeps the tail to 35
-    seen = _recording_y_grids(monkeypatch)
+    # y = 18.5, while a pair at d = 1.2 (R1 + R2) keeps the tail to 35;
+    # the order probe and the grid calibration of a pass read one grid
+    passes = _recording_y_grids(monkeypatch)
     wire = CylinderSpec(20e-9, TUNGSTEN, 2400.0)
     interaction_force(wire, wire, 2400.0, 0.5e-6, provider="full",
                       controls=QuadratureControls(rel_tol=1e-2))
     for d in (1.7e-6, 23e-6):
         interaction_force(C1, C2, 300.0, d, controls=CTL)
-    assert len(seen) >= 3
-    for edges in seen:
-        assert 16.0 < edges[-1] < 18.5 and edges[-2] == 12.0
-    seen.clear()
+    # the full provider's pass adds the probe's table to the two or
+    # more of the calibration
+    assert len(passes) == 3 and len(passes[0]) >= 3
+    for seen in passes:
+        assert len(set(seen)) == 1
+        assert 16.0 < seen[0][-1] < 18.5 and seen[0][-2] == 12.0
+    passes.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         interaction_force(C1, C2, 300.0, 1.2 * 2 * R, controls=CTL)
-    assert seen and all(edges == engine._EVAN_EDGES for edges in seen)
+    assert len(passes) == 1 and passes[0]
+    assert set(passes[0]) == {engine._EVAN_EDGES}
 
 
 def _worst_move(rows, other):
@@ -853,7 +877,9 @@ def test_order_probe_shells_at_a_tenth_of_rel_tol(monkeypatch):
     picked, shells = [], {}
 
     def probe(*args):
-        picked.append(real(*args[:-1], shells.get("tol", args[-1])))
+        args = list(args)
+        args[6] = shells.get("tol", args[6])
+        picked.append(real(*args))
         return picked[-1]
 
     monkeypatch.setattr(engine, "_probe_orders", probe)
@@ -880,8 +906,9 @@ def test_grid_calibration_floors_each_integral_at_its_group(monkeypatch):
     real = engine._grid_factor
 
     def grid_factor(*args):
-        factors.append(real(*args))
-        return factors[-1]
+        out = real(*args)
+        factors.append(out[0])
+        return out
 
     phase = {"outer": False}
     calls = _recording_blocks(monkeypatch, phase)
@@ -898,11 +925,15 @@ def test_order_probe_weights_its_shells_as_the_pass_does():
     # the interaction shell is scored on the integrals the pass forms,
     # k^2 times the psi sum and 2 / d^2 times the y sum: here the shell
     # of order 5 at u = 15 is 1.5e-6 of the integral, above a shell
-    # tolerance of 1e-6, which the unweighted sums put below it
+    # tolerance of 1e-6, which the unweighted sums put below it; the
+    # pass's y grid and the grid cut at y = 12 give the same order
     prov = tmatrix.FullSolve(SIC, 0.5e-6)
     omegas = [u * K_BOLTZMANN * 450.0 / HBAR for u in engine._PROBE_US]
-    assert engine._probe_orders(prov, prov, omegas, 3e-6, ("int",), 8,
-                                1e-6) == 6
+    pass_edges = engine._evan_edges(1e-6, 3e-6)
+    assert pass_edges[-1] == pytest.approx(24.0)
+    for edges in (pass_edges, engine._EVAN_EDGES[:10]):
+        assert engine._probe_orders(prov, prov, omegas, 3e-6, ("int",), 8,
+                                    1e-6, edges) == 6
 
 
 def test_full_provider_with_a_high_order_cap():
@@ -939,13 +970,12 @@ def test_overflowing_tables_raise_at_the_first_sum():
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 4\.27231e-05"):
-            engine._inner(prov, prov, omegas, d, orders, ("e",), (),
-                          engine._evan_tables(1, orders))
+            _one_group(prov, omegas, d, orders, ("e",), (),
+                       engine._evan_tables(1, orders, engine._EVAN_EDGES))
         for kernel in ("f", "s"):
             with pytest.raises(QuadratureError,
                                match=r"order -?\d+ overflows at qd = "):
-                engine._inner(prov, prov, omegas, d, orders, (kernel,),
-                              (4,), None)
+                _one_group(prov, omegas, d, orders, (kernel,), (4,), None)
     # end to end: 8 um cylinders need more orders than the order probe
     # can represent at its smallest y node, and it stops there at once
     thick = CylinderSpec(8e-6, SIC, 300.0)

@@ -297,7 +297,7 @@ def test_k_product_ceiling_at_the_engines_smallest_y_node():
     # table is finite through order 26 and overflows from order 27, so
     # blocks on orders up to 13 (the table runs to twice the order) are
     # the most an evanescent integral can carry
-    y = engine._evan_tables(1, np.arange(-1, 2))[0][:1]
+    y = engine._evan_tables(1, np.arange(-1, 2), engine._EVAN_EDGES)[0][:1]
     assert y[0] == pytest.approx(4.27231e-5, rel=1e-5)
     kk = kernels.k_product_table(y, 27)
     nus = np.arange(-27, 28)

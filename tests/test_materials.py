@@ -196,6 +196,62 @@ def test_unit_conversion_in_files(tmp_path):
         materials.load_material(bad_term)
 
 
+_LORENTZ = {"name": "polar", "model": "lorentz",
+            "parameters": {"eps_inf": 6.7, "omega_lo": 0.12,
+                           "omega_to": 0.098, "gamma": 5.88e-4},
+            "units": {"omega_lo": "eV", "omega_to": "eV", "gamma": "eV"}}
+_METAL = {"name": "metal", "model": "conductivity_sum",
+          "parameters": {"terms": [{"sigma": 1.19e6, "lambda_r": 3.66}]},
+          "units": {"sigma": "1/(ohm m)", "lambda_r": "um"}}
+
+
+@pytest.mark.parametrize("doc, named", [
+    # a conductivity in S/cm would load 100x off as 1/(ohm m)
+    (dict(_METAL, units={"sigma": "S/cm"}), "sigma"),
+    # a misspelt eps_im would load as eps_im = 0
+    ({"name": "glass", "model": "constant",
+      "parameters": {"eps_re": 2.0, "eps_img": 0.5}}, "eps_img"),
+    # a misspelt unit key would leave gamma in rad/s, 1.5e15 too narrow
+    (dict(_LORENTZ, units={"omega_lo": "eV", "omega_to": "eV",
+                           "gama": "eV"}), "gama"),
+    (dict(_LORENTZ, comment="from a table"), "comment"),
+    (dict(_LORENTZ, parameters={**_LORENTZ["parameters"], "q": 1.0}),
+     "'q'"),
+    (dict(_METAL, parameters={"terms": _METAL["parameters"]["terms"],
+                              "sigma": 1.0}), "'sigma'"),
+    (dict(_METAL, parameters={"terms": [{"sigma": 1.19e6, "lambda_r": 3.66,
+                                         "lambda": 3.0}]}), "'lambda'"),
+    ({"name": "void", "model": "vacuum", "parameters": {"eps_re": 1.0}},
+     "eps_re"),
+    # a unit on a dimensionless parameter
+    (dict(_LORENTZ, units={**_LORENTZ["units"], "eps_inf": "eV"}),
+     "eps_inf"),
+    ({"name": "absorber", "model": "low_freq",
+      "parameters": {"eps0": 4.0, "lambda_in": 0.25},
+      "units": {"eps0": "um"}}, "eps0"),
+    ({"name": "glass", "model": "constant",
+      "parameters": {"eps_re": 2.0, "eps_im": 0.5},
+      "units": {"eps_im": "eV"}}, "eps_im"),
+    ({"name": "glass", "model": "constant", "parameters": {"eps_re": 2.0},
+      "units": {"eps_re": "m"}}, "eps_re"),
+])
+def test_undeclared_parameters_and_units_named(doc, named):
+    # each model declares its parameters and the units they may carry:
+    # anything else in a document is an error naming it, not a value
+    # silently read as something else
+    with pytest.raises(MaterialError, match=named):
+        materials.resolve_material(doc)
+
+
+def test_conductivity_in_its_one_unit():
+    # sigma is read in 1/(ohm m) with or without that declared unit
+    declared = materials.resolve_material(_METAL)[0]
+    bare = materials.resolve_material(dict(_METAL,
+                                           units={"lambda_r": "um"}))[0]
+    assert declared == bare
+    assert declared.terms[0][0] == 1.19e6
+
+
 def test_cylinder_spec():
     spec = materials.CylinderSpec(radius=1e-7, material=SIC,
                                   temperature=300.0)

@@ -159,6 +159,59 @@ def test_unknown_fields_named():
         parse_scenario(doc)
 
 
+def _set(path, value, sets=False):
+    """A change to a scenario document: the field at the dotted path set
+    to value, after the temperatures moved into temperature_sets if
+    sets."""
+    def change(doc):
+        if sets:
+            for key in ("cylinder1", "cylinder2"):
+                del doc[key]["temperature"]
+            del doc["environment_temperature"]
+            doc["temperature_sets"] = {"unit": "K", "sets": [[300, 0, 0]]}
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        return doc
+    return change
+
+
+@pytest.mark.parametrize("change, where, field", [
+    (_set("cylinder1.temprature", {"value": 300, "unit": "K"}, sets=True),
+     "cylinder1", "temprature"),
+    (_set("separations.min", {"value": 1, "unit": "um"}),
+     "separations", "min"),
+    (_set("separations", {"min": {"value": 1, "unit": "um"},
+                          "max": {"value": 10, "unit": "um"},
+                          "count": 5, "spacng": "linear"}),
+     "separations", "spacng"),
+    (_set("temperature_sets.note", "hot", sets=True), "temperature_sets",
+     "note"),
+    (_set("flavour", "strange"), "scenario", "flavour"),
+    (_set("cylinder1.radius.scale", 2), r"cylinder1\.radius", "scale"),
+    (_set("environment_temperature.units", "K"),
+     "environment_temperature", "units"),
+    (_set("controls", {"rel_tol": 1e-3, "reltol": 1e-3}), "controls",
+     "reltol"),
+    (_set("equilibrium", {"d_m": [1e-7, 1e-5],
+                          "F_eq_N_per_m": [-2.0, -1.0], "unit": "m"}),
+     "equilibrium", "unit"),
+    (_set("cylinder1.material", {"path": "sic.json", "format": "json"}),
+     r"cylinder1\.material", "format"),
+])
+def test_misspelt_or_extra_fields_named(change, where, field):
+    # every object of a scenario names a field it does not take, so a
+    # misspelt field is never dropped without a word: a per-cylinder
+    # temperature that a temperature-set scenario would not read, the
+    # second form of a separation grid, a misspelt spacing that would
+    # give a log grid
+    with pytest.raises(SchemaError, match=r"^%s: unknown fields .*'%s'"
+                       % (where, field)):
+        parse_scenario(change(_minimal_doc()))
+
+
 def test_unit_validation():
     doc = _minimal_doc()
     doc["cylinder1"]["radius"]["unit"] = "furlong"

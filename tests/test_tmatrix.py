@@ -246,7 +246,8 @@ def test_full_blocks_next_to_the_light_line():
     # relative to its largest entry.  Worst measured: 2.7e-15
     prov = tmatrix.FullSolve(TUNGSTEN, 20e-9)
     temp, d = 2400.0, 0.5e-6
-    y_first = engine._evan_tables(1, np.arange(-1, 2))[0][0]
+    y_first = engine._evan_tables(1, np.arange(-1, 2),
+                                  engine._EVAN_EDGES)[0][0]
     orders = np.arange(0, 9)
     worst = 0.0
     for u in (0.05, 2.5, 40.0):
