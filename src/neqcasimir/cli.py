@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -204,28 +205,47 @@ def _cmd_zeros(args):
     return 0
 
 
-def _cmd_weight(args):
-    value = weight_per_length(args.density, args.radius)
-    sys.stdout.write("weight_per_length_N_per_m = %s\n" % (_FMT % value))
-    if args.force is not None:
-        sys.stdout.write("force_N_per_m = %s\n" % (_FMT % args.force))
-        if args.force != 0.0:
-            sys.stdout.write("weight_to_force_ratio = %.6g\n"
-                             % (value / abs(args.force)))
+def _compare(label, value, ratio_label, force):
+    """Write a reference force per length and, with --force, that force
+    and the ratio of the reference to its magnitude."""
+    if force is not None:
+        _require_finite(force=force)
+    sys.stdout.write("%s_N_per_m = %s\n" % (label, _FMT % value))
+    if force is not None:
+        sys.stdout.write("force_N_per_m = %s\n" % (_FMT % force))
+        if force != 0.0:
+            sys.stdout.write("%s_to_force_ratio = %.6g\n"
+                             % (ratio_label, value / abs(force)))
     return 0
+
+
+def _cmd_weight(args):
+    return _compare("weight_per_length",
+                    weight_per_length(args.density, args.radius),
+                    "weight", args.force)
 
 
 def _cmd_ampere(args):
-    value = ampere_force_per_length(args.current1, args.current2,
-                                    args.distance)
-    sys.stdout.write("ampere_force_per_length_N_per_m = %s\n"
-                     % (_FMT % value))
-    if args.force is not None:
-        sys.stdout.write("force_N_per_m = %s\n" % (_FMT % args.force))
-        if args.force != 0.0:
-            sys.stdout.write("ampere_to_force_ratio = %.6g\n"
-                             % (value / abs(args.force)))
-    return 0
+    return _compare("ampere_force_per_length", ampere_force_per_length(
+        args.current1, args.current2, args.distance), "ampere", args.force)
+
+
+# a negative number as an option's value, which argparse reads as a flag
+# in exponent form (-2.4e-10, as `run` writes it) or as inf or nan
+_NEGATIVE = re.compile(r"-(inf|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.I)
+
+
+def _attach_negative_values(argv):
+    """argv with each negative number after an option attached to it,
+    as in --force=-2.4e-10: every option of the commands takes a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1][:2] == "--" and "=" not in out[-1] \
+                and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser():
@@ -256,36 +276,28 @@ def _build_parser():
                               "(default 1e-3)")
     zeros_p.set_defaults(handler=_cmd_zeros)
 
-    weight_p = sub.add_parser(
-        "compare-weight", help="weight per unit length of a cylinder")
-    weight_p.add_argument("--density", type=float, required=True,
-                          help="mass density in kg/m^3")
-    weight_p.add_argument("--radius", type=float, required=True,
-                          help="cylinder radius in m")
-    weight_p.add_argument("--force", type=float,
-                          help="force per length in N/m to compare "
-                               "against")
-    weight_p.set_defaults(handler=_cmd_weight)
-
-    ampere_p = sub.add_parser(
-        "compare-ampere", help="force per length between parallel "
-                               "currents")
-    ampere_p.add_argument("--current1", type=float, required=True,
-                          help="current in wire 1, A")
-    ampere_p.add_argument("--current2", type=float, required=True,
-                          help="current in wire 2, A")
-    ampere_p.add_argument("--distance", type=float, required=True,
-                          help="wire separation in m")
-    ampere_p.add_argument("--force", type=float,
-                          help="force per length in N/m to compare "
-                               "against")
-    ampere_p.set_defaults(handler=_cmd_ampere)
+    for name, about, handler, required in (
+            ("compare-weight", "weight per unit length of a cylinder",
+             _cmd_weight, (("--density", "mass density in kg/m^3"),
+                           ("--radius", "cylinder radius in m"))),
+            ("compare-ampere", "force per length between parallel currents",
+             _cmd_ampere, (("--current1", "current in wire 1, A"),
+                           ("--current2", "current in wire 2, A"),
+                           ("--distance", "wire separation in m")))):
+        compare_p = sub.add_parser(name, help=about)
+        for option, text in required:
+            compare_p.add_argument(option, type=float, required=True,
+                                   help=text)
+        compare_p.add_argument("--force", type=float, help="force per "
+                               "length in N/m to compare against")
+        compare_p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -61,7 +61,7 @@ row, so one provider call per distinct cylinder, one hankel_tables
 call and one call of each kernel sum serve the whole group.  A group
 holds at most _MAX_BLOCK_ENTRIES = 12,288 block entries (rows x
 orders), which bounds the working set of its blocks, tables and sums.
-One group peaks at about 150 bytes per entry (tracemalloc, five
+One group peaks at about 190 bytes per entry (tracemalloc, five
 full-provider tungsten nodes at orders -4 .. 4), so the budget costs
 at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
 14,336 entries cost over 3%.  A node's values do not depend on its group.
@@ -345,9 +345,11 @@ def _integrals(src_prov, n, sums, d, k, tsrc, ttgt, psi, evan):
     untiled.  The -k_z evanescent blocks are T(k_z) * [[1, -1],
     [-1, 1]] on both cylinders and the sum multiplies their entries
     pairwise, so the -k_z sum is the +k_z sum bitwise and the branch is
-    twice the +k_z sum.  The evanescent sum runs before the Hankel
-    tables and source amplitudes are built, so its working set does not
-    add to theirs.  Every sum is checked finite."""
+    twice the +k_z sum.  'f' and 's' contract the same diagonal sums of
+    the source amplitude against the target blocks, which
+    kernels.prop_order_sums forms once per call.  The evanescent sum
+    runs before the Hankel tables and those sums are built, so its
+    working set does not add to theirs.  Every sum is checked finite."""
     mid = tsrc.shape[1] // 2
     tsrc, ttgt = tsrc[:, mid - n:mid + n + 1], ttgt[:, mid - n:mid + n + 1]
     nu_max = 2 * n
@@ -365,15 +367,16 @@ def _integrals(src_prov, n, sums, d, k, tsrc, ttgt, psi, evan):
     if n_psi:
         qd, w_sin2, starts = psi
         hp, h, jp = kernels.hankel_tables(qd, nu_max)
-        amp = kernels.prop_amplitude(tsrc[:n_psi], src_prov.quadratic_term)
+        d_sums, dq_sums = kernels.prop_order_sums(
+            tsrc[:n_psi], ttgt[:n_psi], nu_max, src_prov.quadratic_term,
+            "f" in sums)
     for col, s in enumerate(sums):
         if s == "f":
             vals = kernels.require_finite(kernels.prop_kernel_sum(
-                amp, ttgt[:n_psi], hp, nu_max, src_prov.quadratic_term),
-                hp, qd, nu_max, "qd")
+                d_sums, dq_sums, hp), hp, qd, nu_max, "qd")
         elif s == "s":
             vals = kernels.require_finite(kernels.pair_kernel_sum(
-                amp, ttgt[:n_psi], h, jp, nu_max), h, qd, nu_max, "qd")
+                d_sums, h, jp), h, qd, nu_max, "qd")
         else:
             continue
         out[:, col] = k * k * np.add.reduceat(w_sin2 * vals, starts)

@@ -13,7 +13,9 @@ The folded sums reindex the (m, m+1) pairs of the literal kernels
 that each target order appears exactly once; the result equals the
 literal double sum extended over every term in which a retained block
 appears, and it is manifestly even under k_z -> -k_z together with
-(n, m) -> (-n, -m).
+(n, m) -> (-n, -m).  Each kernel contracts diagonal sums of the
+(n, m) order matrix with one Bessel table; the propagating interaction
+and pair kernels read the same sums, which prop_order_sums forms once.
 
 Propagating kernels use products of outgoing cylindrical waves
 H1_nu(q d); the evanescent kernel is their continuation to imaginary
@@ -257,27 +259,23 @@ _ORDER_SUM_BYTES = 1 << 18
 
 
 @lru_cache(maxsize=64)
-def _diagonal_projector(n_src, n_tgt, nu_max, alternate):
+def _diagonal_projector(n_src, n_tgt, nu_max):
     """0/1 matrix P of shape (n_src * n_tgt, 2 nu_max + 1) that sums a
     flattened (n, m) order matrix along its diagonals: P[(n, m), j] = 1
     where n - m = j - nu_max.  Source orders are the contiguous
-    symmetric set of n_src; target orders are its first n_tgt.  With
-    alternate, each entry carries (-1)^(n+m)."""
+    symmetric set of n_src; target orders are its first n_tgt."""
     half = (n_src - 1) // 2
     n = np.arange(-half, half + 1)[:, None]
     m = np.arange(-half, half + 1)[None, :n_tgt]
     p = np.zeros((n_src * n_tgt, 2 * nu_max + 1))
     p[np.arange(n_src * n_tgt), (n - m + nu_max).ravel()] = 1.0
-    if alternate:
-        p *= np.where((n + m) % 2 == 0, 1.0, -1.0).reshape(-1, 1)
     p.flags.writeable = False  # shared by every caller through the cache
     return p
 
 
-def _order_sums(a, b, nu_max, alternate=False):
+def _order_sums(a, b, nu_max):
     """D[k, j] = sum over order pairs (n, m) with n - m = j - nu_max of
-    G[k, n, m] (times (-1)^(n+m) when alternate), where
-    G[k, n, m] = sum_PP' a[k, n, P, P'] b[k, m, P, P'].
+    G[k, n, m], where G[k, n, m] = sum_PP' a[k, n, P, P'] b[k, m, P, P'].
 
     G is one batched matmul over the flattened 2x2 polarization axis.
     Every folded kernel depends on n and m only through nu = n - m, so
@@ -296,8 +294,8 @@ def _order_sums(a, b, nu_max, alternate=False):
     """
     if np.iscomplexobj(b) and not np.iscomplexobj(a):
         d = np.empty((a.shape[0], 2 * nu_max + 1), dtype=complex)
-        d.real = _order_sums(a, b.real, nu_max, alternate)
-        d.imag = _order_sums(a, b.imag, nu_max, alternate)
+        d.real = _order_sums(a, b.real, nu_max)
+        d.imag = _order_sums(a, b.imag, nu_max)
         return d
     nk, n_src = a.shape[:2]
     n_tgt = b.shape[1]
@@ -306,43 +304,51 @@ def _order_sums(a, b, nu_max, alternate=False):
     rows = max(1, _ORDER_SUM_BYTES // per_row)
     if nk > rows:
         return np.concatenate([
-            _order_sums(a[i:i + rows], b[i:i + rows], nu_max, alternate)
+            _order_sums(a[i:i + rows], b[i:i + rows], nu_max)
             for i in range(0, nk, rows)])
     # contiguous operands keep the batched matmul on its fast path
     g = np.matmul(np.ascontiguousarray(a.reshape(nk, n_src, 4)),
                   np.ascontiguousarray(b.reshape(nk, n_tgt, 4)
                                        .swapaxes(1, 2)))
     return g.reshape(nk, n_src * n_tgt) @ _diagonal_projector(
-        n_src, n_tgt, nu_max, alternate)
+        n_src, n_tgt, nu_max)
 
 
-def prop_kernel_sum(a2, t1, hp, nu_max, include_quadratic=True):
+def prop_order_sums(tsrc, ttgt, nu_max, quadratic, interaction=True):
+    """Diagonal sums (d, dq) of the source amplitude
+    a = prop_amplitude(tsrc, quadratic) against the target blocks, both
+    (Nk, No, 2, 2) on one contiguous symmetric order set,
+    No <= 2 nu_max + 1: d of sum_PP' Re a[n] ttgt[m], dq of
+    sum_PP' a[n] (ttgt[m] ttgt[m+1]^dagger), which only the interaction
+    kernel reads (None without the quadratic term, with one order or
+    without interaction).
+
+    ttgt[m+1]^dagger is formed as conj(ttgt[m+1]) (see
+    _quadratic_product): the transpose is the block itself, since every
+    block is symmetric, T^MN = T^NM by reciprocity.
+    """
+    amp = prop_amplitude(tsrc, quadratic)
+    d = _order_sums(amp.real, ttgt, nu_max)
+    if not (quadratic and interaction) or tsrc.shape[1] == 1:
+        return d, None
+    return d, _order_sums(amp, _quadratic_product(ttgt), nu_max)
+
+
+def prop_kernel_sum(d, dq, hp):
     """Folded propagating interaction sum over orders and polarizations.
 
-    a2, t1 : (Nk, No, 2, 2) stacked source factors and target blocks on
-        the same contiguous symmetric order set, No <= 2 nu_max + 1.
+    d, dq : diagonal sums from prop_order_sums.
     hp : (Nk, 2 nu_max + 2) products from hankel_tables.
-    Returns (Nk,) real.
-
-    With D the diagonal sums of G = sum_PP' Re a2[n] t1[m], the linear
-    part is sum_nu Im(HP_nu D_nu + HP_[nu+1] conj(D_nu)); the
-    quadratic part is 2 sum_nu Im(HP_nu Dq_nu), with Dq the diagonal
-    sums of sum_PP' a2[n] (t1[m] t1[m+1]^dagger).
-
-    The product t1[m] t1[m+1]^dagger is formed as t1[m] conj(t1[m+1]),
-    without the transpose, four entries written out (see
-    _quadratic_product).  That is exact only because every block is
-    symmetric, T^MN = T^NM by reciprocity, so the transpose is the
-    block itself.
+    Returns (Nk,) real: the linear part
+    sum_nu Im(HP_nu D_nu + HP_[nu+1] conj(D_nu)), plus the quadratic
+    part 2 sum_nu Im(HP_nu Dq_nu) when dq is given.
     """
-    d = _order_sums(a2.real, t1, nu_max)
-    lin = hp[:, :-1] * d
-    lin += np.multiply(hp[:, 1:], np.conj(d, out=d), out=d)
-    out = lin.imag.sum(axis=1)
-    del d, lin
-    if include_quadratic and a2.shape[1] > 1:
-        dq = _order_sums(a2, _quadratic_product(t1), nu_max)
-        out += 2.0 * np.multiply(hp[:, :-1], dq, out=dq).imag.sum(axis=1)
+    # np.multiply keeps HP on the left of a complex product, which NumPy
+    # rounds by operand order, where `*` may swap in the temporary
+    out = (hp[:, :-1] * d + np.multiply(hp[:, 1:], np.conj(d))) \
+        .imag.sum(axis=1)
+    if dq is not None:
+        out += 2.0 * (hp[:, :-1] * dq).imag.sum(axis=1)
     return out
 
 
@@ -372,23 +378,22 @@ def evan_kernel_sum(t2, t1, kk, nu_max):
     kk : (Ny, 2 nu_max + 1) table from k_product_table, with Nk a
         multiple of Ny: block row k reads table row k mod Ny, so blocks
         of several frequencies on one y grid share one table.
-    Returns (Nk,) real: sum_nu KK_nu D_nu with D the alternating
-    diagonal sums of sum_PP' Re t2[n] Im t1[m].
+    Returns (Nk,) real: sum_nu (-1)^nu KK_nu D_nu with D the diagonal
+    sums of sum_PP' Re t2[n] Im t1[m], since (-1)^(n+m) = (-1)^nu.
     """
-    d = _order_sums(t2.real, t1.imag, nu_max, alternate=True)
+    d = _order_sums(t2.real, t1.imag, nu_max)
+    d[:, (nu_max + 1) % 2::2] *= -1.0  # the odd nu
     ny, width = kk.shape
     return (kk * d.reshape(-1, ny, width)).sum(axis=2).ravel()
 
 
-def pair_kernel_sum(a1, t2, h, jp, nu_max):
+def pair_kernel_sum(d, h, jp):
     """Folded pair-source sum over orders and polarizations.
 
-    a1 : (Nk, No, 2, 2) amplitude factors of the emitting cylinder.
-    t2 : (Nk, No, 2, 2) blocks of the other cylinder.
+    d : diagonal sums from prop_order_sums, with the emitting cylinder
+        as the source and the other as the target.
     h, jp : tables from hankel_tables (values and J' at the same nu
         layout).
-    Returns (Nk,) real: 4 sum_nu J'_nu Im(H_nu D_nu) with D the
-    diagonal sums of sum_PP' Re a1[n] t2[m].
+    Returns (Nk,) real: 4 sum_nu J'_nu Im(H_nu D_nu).
     """
-    d = _order_sums(a1.real, t2, nu_max)
-    return 4.0 * (jp * np.multiply(h, d, out=d).imag).sum(axis=1)
+    return 4.0 * (jp * (h * d).imag).sum(axis=1)

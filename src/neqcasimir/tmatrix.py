@@ -337,12 +337,9 @@ class _Provider:
 
     def _eps_x(self, ktz, omega):
         """eps and x of every ktz node, for omega given per node or as
-        one frequency for every node.  One epsilon call covers the
-        distinct frequencies."""
+        one frequency for every node, from one epsilon call."""
         w = np.broadcast_to(np.asarray(omega, dtype=float), np.shape(ktz))
-        uniq, inv = np.unique(w, return_inverse=True)
-        return (_epsilon(self.material, uniq)[inv],
-                self.size_parameter(uniq)[inv])
+        return _epsilon(self.material, w), self.size_parameter(w)
 
 
 class ThinExpansion(_Provider):

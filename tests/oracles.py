@@ -225,7 +225,7 @@ def prop_amplitude_matmul(blocks):
 def quadratic_product_matmul(t):
     """t[:, m] conj(t[:, m + 1]) by batched np.matmul over stacked
     (Nk, No, 2, 2) blocks: the form that the quadratic term of
-    kernels.prop_kernel_sum writes out entry by entry."""
+    kernels.prop_order_sums writes out entry by entry."""
     return np.matmul(t[:, :-1], np.conj(t[:, 1:]))
 
 

@@ -526,12 +526,42 @@ def test_compare_ampere(capsys):
     (["compare-ampere", "--current1", "1", "--current2={}",
       "--distance", "1e-6"], "current2"),
     (["compare-ampere", "--current1", "1", "--current2", "1",
-      "--distance={}"], "separation")])
+      "--distance={}"], "separation"),
+    (["compare-weight", "--density", "19300", "--radius", "2e-8",
+      "--force={}"], "force"),
+    (["compare-ampere", "--current1", "1", "--current2", "1",
+      "--distance", "1e-6", "--force", "{}"], "force")])
 def test_compare_rejects_non_finite_arguments(capsys, argv, name, bad):
     assert _run([a.format(bad) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "%s must be finite" % name in captured.err
+
+
+@pytest.mark.parametrize("argv, value, force", [
+    # a negative force as `run` writes it, after a space
+    (["compare-weight", "--density", "19300", "--radius", "2e-8",
+      "--force", "-2.378416168836e-10"],
+     19300.0 * math.pi * (2e-8) ** 2 * G_STANDARD, -2.378416168836e-10),
+    (["compare-weight", "--density", "19300", "--radius", "2e-8",
+      "--force=-2.378416168836e-10"],
+     19300.0 * math.pi * (2e-8) ** 2 * G_STANDARD, -2.378416168836e-10),
+    (["compare-ampere", "--current1", "-1e-3", "--current2", "1e-3",
+      "--distance", "1e-6", "--force", "-1.5e-12"],
+     -MU_0 * 1e-6 / (2 * math.pi * 1e-6), -1.5e-12),
+    (["compare-ampere", "--current1", "2", "--current2", "-.5",
+      "--distance", "1e-6", "--force", "3E+2"],
+     -MU_0 / (2 * math.pi * 1e-6), 300.0)])
+def test_compare_reads_negative_numbers_after_a_space(capsys, argv, value,
+                                                      force):
+    assert _run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    got = [float(line.split("=")[1]) for line in lines]
+    assert [line.split(" = ")[0] for line in lines][1:] == [
+        "force_N_per_m", argv[0].split("-")[1] + "_to_force_ratio"]
+    assert got[0] == pytest.approx(value, rel=1e-12)
+    assert got[1] == force
+    assert got[2] == pytest.approx(value / abs(force), rel=1e-5)
 
 
 class _ClosedPipe(io.StringIO):

@@ -463,6 +463,41 @@ def test_inner_does_not_depend_on_its_batch(monkeypatch, provider):
         assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
 
 
+def test_one_group_forms_the_propagating_order_sums_once(monkeypatch):
+    # the interaction and pair kernels on the propagating branch
+    # contract the same diagonal sums of Re(T + T T^dagger) against the
+    # target blocks: one _integrals call forms them once, next to one
+    # evanescent sum and one sum of the quadratic term
+    prov = engine._make_provider("full", C1)
+    orders = np.arange(-2, 3)
+    d = 20e-6
+    omegas = np.geomspace(2e12, 8e14, 4)
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 3.0)
+                for w in omegas]
+    evan = engine._evan_tables(1, orders, engine._evan_edges(2 * R, d))
+    calls, depth = [], [0]
+    real_order_sums = kernels._order_sums
+
+    def counting(a, b, *args, **kwargs):
+        # _order_sums calls itself on runs of rows and on parts of b;
+        # only the outermost call is one set of sums
+        if not depth[0]:
+            calls.append((a.dtype.kind, b.dtype.kind))
+        depth[0] += 1
+        try:
+            return real_order_sums(a, b, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "_order_sums", counting)
+    out = _one_group(prov, omegas, d, orders, ("f", "e", "s"), n_panels,
+                     evan)
+    assert np.all(np.isfinite(out)) and np.all(out != 0.0)
+    # real by real: evanescent; real by complex: propagating;
+    # complex by complex: quadratic
+    assert sorted(calls) == [("c", "c"), ("f", "c"), ("f", "f")]
+
+
 def test_inner_working_set_per_block_entry():
     # the entry budget of a group is sized by the memory that one
     # group holds per block entry (rows x orders); a peak above

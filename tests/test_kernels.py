@@ -357,8 +357,8 @@ def test_prop_kernel_sum_matches_literal():
             [oracles.a_factor(PROV, int(n), KZ_P, OMEGA,
                               include_quadratic=False)
              for n in ORDERS])[None, :]
-        folded = kernels.prop_kernel_sum(a2_use, t1, hp, NU_MAX,
-                                         include_quadratic=inc)[0]
+        d, dq = kernels.prop_order_sums(t1, t1, NU_MAX, inc)
+        folded = kernels.prop_kernel_sum(d, dq, hp)[0]
         literal = sum(
             oracles.f_kernel(int(n), int(m), KZ_P, OMEGA, _blk(int(m)),
                              _blk(int(m) + 1), a2_use[0, int(n) + HALF],
@@ -388,7 +388,8 @@ def test_pair_kernel_sum_matches_literal():
     a1 = np.stack([oracles.a_factor(PROV, int(n), KZ_P, OMEGA)
                    for n in ORDERS])[None, :]
     _, h, jp = kernels.hankel_tables(np.array([qd]), NU_MAX)
-    folded = kernels.pair_kernel_sum(a1, t1, h, jp, NU_MAX)[0]
+    d, _ = kernels.prop_order_sums(t1, t1, NU_MAX, True)
+    folded = kernels.pair_kernel_sum(d, h, jp)[0]
     literal = sum(
         oracles.s_kernel(int(n), int(m), KZ_P, OMEGA,
                          a1[0, int(n) + HALF], _blk(int(m)),
@@ -437,12 +438,19 @@ def test_folded_sums_against_loops_on_full_blocks():
             q = oracles.quadratic_product_matmul(t)
             ref += 2.0 * _loop_sum(amp, q, lambda k, c, n, m:
                                    hp[k, c]).imag
-        folded = kernels.prop_kernel_sum(amp, t, hp, FULL_NU_MAX, inc)
+        d, dq = kernels.prop_order_sums(t, t, FULL_NU_MAX, inc)
+        folded = kernels.prop_kernel_sum(d, dq, hp)
         assert np.all(np.abs(folded - ref.real) <= 1e-12 * np.abs(ref.real))
     amp = kernels.prop_amplitude(t, True)
     ref = 4.0 * _loop_sum(amp.real, t, lambda k, c, n, m:
                           jp[k, c] * h[k, c]).imag
-    folded = kernels.pair_kernel_sum(amp, t, h, jp, FULL_NU_MAX)
+    # without the interaction kernel only d is formed, bitwise the same
+    d, dq = kernels.prop_order_sums(t, t, FULL_NU_MAX, True,
+                                    interaction=False)
+    assert dq is None
+    assert np.array_equal(d, kernels.prop_order_sums(
+        t, t, FULL_NU_MAX, True)[0])
+    folded = kernels.pair_kernel_sum(d, h, jp)
     assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
 
     ktz_e = np.array([-2.5, -1.3, 1.1, 1.7, 3.0])
@@ -467,11 +475,11 @@ def test_order_sums_in_runs_match_one_run(monkeypatch):
         np.sqrt(ktz_e ** 2 - 1.0) * OMEGA / C_LIGHT * D, FULL_NU_MAX)
     t, te = FULL.blocks(FULL_ORDERS, ktz, OMEGA), \
         FULL.blocks(FULL_ORDERS, ktz_e, OMEGA)
-    amp = kernels.prop_amplitude(t)
 
     def sums():
-        return (kernels.prop_kernel_sum(amp, t, hp, FULL_NU_MAX),
-                kernels.pair_kernel_sum(amp, t, h, jp, FULL_NU_MAX),
+        d, dq = kernels.prop_order_sums(t, t, FULL_NU_MAX, True)
+        return (kernels.prop_kernel_sum(d, dq, hp),
+                kernels.pair_kernel_sum(d, h, jp),
                 kernels.evan_kernel_sum(te, te, kk, FULL_NU_MAX))
 
     whole = sums()
@@ -493,11 +501,10 @@ def test_propagating_sums_even_in_kz(prov):
     assert np.any(t_neg != t_pos)
     for inc in (True, False):
         pos, neg = (
-            (kernels.prop_kernel_sum(kernels.prop_amplitude(t, inc), t, hp,
-                                     FULL_NU_MAX, inc),
-             kernels.pair_kernel_sum(kernels.prop_amplitude(t, inc), t, h,
-                                     jp, FULL_NU_MAX))
-            for t in (t_pos, t_neg))
+            (kernels.prop_kernel_sum(*sums, hp),
+             kernels.pair_kernel_sum(sums[0], h, jp))
+            for sums in (kernels.prop_order_sums(t, t, FULL_NU_MAX, inc)
+                         for t in (t_pos, t_neg)))
         for plus, minus in zip(pos, neg):
             assert np.all(np.abs(minus - plus) <= 1e-13 * np.abs(plus))
 
