@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from .analysis import find_zero_crossings, refine_zero
@@ -67,10 +67,9 @@ def weight_per_length(density, radius):
 
 
 def ampere_force_per_length(current1, current2, separation):
-    """Magnitude of the force per length between parallel currents.
-
-    mu0 I1 I2 / (2 pi d); attractive when the currents are parallel.
-    """
+    """Force per length between parallel currents, mu0 I1 I2 / (2 pi d),
+    in N/m: positive for currents in the same direction, which
+    attract, and negative for opposite currents, which repel."""
     _require_finite(current1=current1, current2=current2,
                     separation=separation)
     if separation <= 0:
@@ -78,16 +77,17 @@ def ampere_force_per_length(current1, current2, separation):
     return MU_0 * current1 * current2 / (2.0 * math.pi * separation)
 
 
+def _sign(force):
+    """The sign column of a total force on a cylinder, positive away
+    from the other one."""
+    if force == 0.0:
+        return "zero"
+    return "repel" if force > 0 else "attract"
+
+
 def _breakdown_row(b):
-    values = (b.separation, b.t1, b.t2, b.t_env,
-              b.f_total_1, b.f_total_2,
-              b.f_int_21, b.f_int_21_prop, b.f_int_21_evan,
-              b.f_self_1, b.f_pair_source_1, b.f_env_subtraction_1,
-              b.f_int_12, b.f_int_12_prop, b.f_int_12_evan,
-              b.f_self_2, b.f_pair_source_2, b.f_env_subtraction_2,
-              b.f_eq)
-    return ",".join(_FMT % v for v in values) + ",%s,%s" % (b.f1_sign,
-                                                            b.f2_sign)
+    return ",".join([_FMT % v for v in astuple(b)]
+                    + [_sign(b.f_total_1), _sign(-b.f_total_2)])
 
 
 def write_sweep_csv(rows, resolved, stream):
@@ -207,7 +207,7 @@ def _cmd_zeros(args):
 
 def _compare(label, value, ratio_label, force):
     """Write a reference force per length and, with --force, that force
-    and the ratio of the reference to its magnitude."""
+    and the ratio of their magnitudes."""
     if force is not None:
         _require_finite(force=force)
     sys.stdout.write("%s_N_per_m = %s\n" % (label, _FMT % value))
@@ -215,7 +215,7 @@ def _compare(label, value, ratio_label, force):
         sys.stdout.write("force_N_per_m = %s\n" % (_FMT % force))
         if force != 0.0:
             sys.stdout.write("%s_to_force_ratio = %.6g\n"
-                             % (ratio_label, value / abs(force)))
+                             % (ratio_label, abs(value) / abs(force)))
     return 0
 
 

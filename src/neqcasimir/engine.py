@@ -28,9 +28,12 @@ channels of one frequency integral per (source, target, separation),
 run by one driver (_pass) in absolute omega: the kernels are summed
 once per outer node, and each temperature weights them with its Bose
 factor inside its own window [u_min, X_MAX] of
-u = hbar omega / (k_B T).  The outer integral is globally adaptive
-with one tolerance group per temperature and kind, so each channel
-converges as if it were integrated alone.
+u = hbar omega / (k_B T).  The axial integrals go by name: 'f' and 'e'
+are the propagating and evanescent interaction integrals, and 's' is
+the pair integral.  The outer integral is globally adaptive with one
+tolerance group per temperature and integral group (_GROUP: 'f' and
+'e' share one, 's' has its own), so each channel converges as if it
+were integrated alone.
 
 It runs in a variable x with one piecewise map x -> (omega,
 d omega / dx) per pass (_outer_map).  On the first seed panel
@@ -68,40 +71,31 @@ at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
 
 The axial integral is split at the light line: the propagating side is
 mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
-side uses the decaying scale y = |q| d.  Inner grids are fixed
-composite rules with one density factor per pass: the psi and y grids
-double together until every integral of the pass at u = 2.5 of every
-temperature stops moving, each held to at least 1% of the largest
-integral of its (temperature, kind) group, as the outer integral holds
-its channels.  The y panels are graded toward y = 0 (edges 0, 0.01,
-0.05, 0.25, 0.5, 1, 2, 4, 8, 12), since a conductor's evanescent peak
-sits near y = (d / R) / |sqrt(eps)|, below 0.05 at low frequency, and a
-coarser first panel aliases it.  The three panels up to y = 0.25, where
-that peak sits, take the 15-point Kronrod rule; the smooth panels
-above take the 7-point Gauss rule embedded in it, which moves no field
-of the benchmark sweeps by more than 2.1e-10 (Gauss on [0, 0.01] would
-move a thin tungsten wire's evanescent channel by 7.3e-4).  The psi
-grid stays Kronrod: Gauss on its interior panels moves the SiC pair
-source by 0.07 rel_tol.
-The y grid ends at y_max = min(35, 16 / (1 - (R1 + R2) / d)), where the
-integrand's bound e^(-2 y (1 - (R1 + R2) / d)) is e^(-32)
-(_evan_edges): one panel past y = 12 for thin wires, which then have
-94 y rows per outer node.  The azimuthal truncation is calibrated once
-per pass by a multipole shell probe of both kernels, whose shells are
-the pass's own integrals (_integrals) on its y grid and the central
-orders of blocks built once at the cap, each shell held to
-rel_tol / 10.  Both take the largest value any temperature needs.
+side uses the decaying scale y = |q| d, on the panels of _EVAN_EDGES
+cut by _evan_edges.  Inner grids are fixed composite rules with one
+density factor per pass: the psi and y grids double together until
+every integral of the pass at u = 2.5 of every temperature stops
+moving, each held to at least 1% of the largest integral of its
+tolerance group at its temperature, as the outer integral holds its
+channels.  The
+psi grid takes the 15-point Kronrod rule: Gauss on its interior panels
+moves the SiC pair source by 0.07 rel_tol.  The azimuthal truncation
+is calibrated once per pass by a multipole shell probe of both
+kernels, whose shells are the pass's own integrals (_integrals) on its
+y grid and the central orders of blocks built once at the cap, each
+shell held to rel_tol / 10.  Both take the largest value any
+temperature needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
 accumulated in a fixed order, and passes are memoized.  total_force
 and self_force hand the scenario's temperatures (its own and all its
 temperature sets) to interaction_force and pair_source_force as the
-private keyword _temps, and those passes cover both kinds at all of
-them.  So a force depends only on (scenario, separation): equal
+private keyword _temps, and those passes cover all three integrals at
+all of them.  So a force depends only on (scenario, separation): equal
 temperatures cancel exactly, identical cylinders share a pass, so
 mirrored rows agree bitwise, and a sweep row is the total_force of
-its set.  A call without _temps integrates only its
-own kind and temperature, whatever its memo holds.  The provider's
+its set.  A call without _temps integrates only its own integrals at
+its own temperature, whatever its memo holds.  The provider's
 quadratic_term decides whether the source amplitude keeps T T^dagger.
 
 The accuracy settings, QuadratureControls, live in quadrature with the
@@ -125,13 +119,15 @@ from .quadrature import (GROUP_FLOOR, MAX_PANELS, X_MAX, QuadratureControls,
 from .tmatrix import FullSolve, ThinExpansion
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
-# panel edges of the y grid, graded toward y = 0; a pass ends it at
-# _evan_edges' y_max, for its order probe as well.  Panels
-# that end at or below _KRONROD_Y_MAX, where a conductor's
-# low-frequency peak sits, take the 15-point Kronrod rule, and the
-# panels above it the 7-point Gauss rule that Kronrod embeds: Gauss on
-# [0.05, 0.25] moves a thin tungsten wire's evanescent channel by
-# 1.1e-6, and on [0, 0.01] by 7.3e-4
+# panel edges of the y grid, graded toward y = 0: a conductor's
+# evanescent peak sits near y = (d / R) / |sqrt(eps)|, below 0.05 at low
+# frequency, and a coarser first panel aliases it.  A pass cuts them at
+# the y_max of _evan_edges, for its order probe as well.  Panels that
+# end at or below _KRONROD_Y_MAX, where that peak sits, take the
+# 15-point Kronrod rule, and the panels above it the 7-point Gauss rule
+# that Kronrod embeds, which moves no field of the benchmark sweeps by
+# more than 2.1e-10: Gauss on [0.05, 0.25] moves a thin tungsten wire's
+# evanescent channel by 1.1e-6, and on [0, 0.01] by 7.3e-4
 _EVAN_EDGES = (0.0, 0.01, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0,
                12.0, 18.0, 26.0, 35.0)
 _KRONROD_Y_MAX = 0.25
@@ -140,15 +136,17 @@ _KRONROD_Y_MAX = 0.25
 _EVAN_DECAY = 32.0
 # order probe: frequencies in u
 _PROBE_US = (2.5, 7.0, 15.0)
-# axial integrals of each kind (see _integrals), and psi panels per unit kd
-# of the propagating interaction and pair sums
+# axial integrals (see _integrals) of interaction_force and of
+# pair_source_force, the tolerance group of each, and psi panels per
+# unit kd of the propagating interaction and pair sums
 _SUMS = {"int": ("f", "e"), "pair": ("s",)}
+_GROUP = {"f": 0, "e": 0, "s": 1}
 _PER_PANEL = {"f": 10.0, "s": 3.0}
 _MAX_GRID_BUMPS = 4
 # block entries (rows x orders) of one provider call: _axial and the
 # order probe split their frequencies into runs of at most this size,
 # which bounds the working set of every call's tables and sums.
-# At about 150 bytes per entry this is the largest budget, in steps of
+# At about 190 bytes per entry this is the largest budget, in steps of
 # 2,048, that keeps the peak RSS of every benchmark workload within 3%
 # of 6,144 entries at 335 bytes each: +1.0 to +2.2% measured, against
 # +3.3% at 14,336
@@ -180,40 +178,29 @@ class ForceBreakdown:
     with f_int_j the force the same sources exert on the other
     cylinder, holds by construction.  f_eq is the ingested equilibrium
     force on cylinder 1; on cylinder 2 it is -f_eq.  f_total_1 > 0 and
-    f_total_2 < 0 mean repulsion.
+    f_total_2 < 0 mean repulsion.  The fields run in the order of the
+    numeric columns of a sweep CSV (cli.CSV_COLUMNS).
     """
 
     separation: float
     t1: float
     t2: float
     t_env: float
-    f_eq: float
+    f_total_1: float
+    f_total_2: float
     f_int_21: float
     f_int_21_prop: float
     f_int_21_evan: float
+    f_self_1: float
+    f_pair_source_1: float
+    f_env_subtraction_1: float
     f_int_12: float
     f_int_12_prop: float
     f_int_12_evan: float
-    f_pair_source_1: float
-    f_pair_source_2: float
-    f_self_1: float
     f_self_2: float
-    f_env_subtraction_1: float
+    f_pair_source_2: float
     f_env_subtraction_2: float
-    f_total_1: float
-    f_total_2: float
-
-    @property
-    def f1_sign(self):
-        if self.f_total_1 == 0.0:
-            return "zero"
-        return "repel" if self.f_total_1 > 0 else "attract"
-
-    @property
-    def f2_sign(self):
-        if self.f_total_2 == 0.0:
-            return "zero"
-        return "repel" if self.f_total_2 < 0 else "attract"
+    f_eq: float
 
 
 @dataclass
@@ -263,9 +250,10 @@ def _make_provider(provider, spec):
     raise ValueError("provider must be 'thin' or 'full'")
 
 
-def _check_geometry(source, target, separation, stacklevel=3):
+def _check_geometry(source, target, separation):
     """Raise on a missing, nonpositive or overlapping separation; warn
-    of the near field at stacklevel, once per public call, unless None."""
+    of the near field where the public function was called from, two
+    frames above the caller: _force or _scenario_keywords."""
     if separation is None:
         raise TypeError("separation is required")
     rsum = source.radius + target.radius
@@ -274,9 +262,8 @@ def _check_geometry(source, target, separation, stacklevel=3):
     if separation <= rsum:
         raise ValueError("cylinders overlap: separation must exceed "
                          "the sum of the radii")
-    if stacklevel and separation < 5.0 * rsum:
-        warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning,
-                      stacklevel=stacklevel)
+    if separation < 5.0 * rsum:
+        warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning, stacklevel=4)
 
 
 def _npanels(kd, per_panel):
@@ -304,7 +291,8 @@ def _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
     branches.  Node i has n_panels[i] uniform psi panels (none if
     n_panels is empty) and the y grid of evan (none if None).  Returns
     (k, tsrc, ttgt, psi): k = omega / c per node, and psi = (qd, weights
-    times sin(psi)^2, first row of each node) or None."""
+    times sin(psi)^2, first row of each node) or None.  Identical
+    cylinders share one provider (_force), and then one set of blocks."""
     k = np.asarray(omegas, dtype=float) / C_LIGHT
     kd = k * d
     ktz, w_rows, psi = [], [], None
@@ -321,10 +309,8 @@ def _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
         w_rows.append(np.repeat(omegas, evan[0].size))
     ktz, w_rows = np.concatenate(ktz), np.concatenate(w_rows)
     tsrc = src_prov.blocks(orders, ktz, w_rows)
-    same = (type(src_prov) is type(tgt_prov)
-            and src_prov.material == tgt_prov.material
-            and src_prov.radius == tgt_prov.radius)
-    ttgt = tsrc if same else tgt_prov.blocks(orders, ktz, w_rows)
+    ttgt = (tsrc if tgt_prov is src_prov
+            else tgt_prov.blocks(orders, ktz, w_rows))
     return k, tsrc, ttgt, psi
 
 
@@ -404,9 +390,9 @@ def _evan_edges(rsum, d):
 def _evan_tables(factor, orders, panels):
     """Evanescent y-grid (nodes, weights), with every panel of panels
     split into factor equal parts, and its K-product table.  A part
-    keeps its panel's rule: Kronrod if the panel ends at or below
-    _KRONROD_Y_MAX, else Gauss.  Neither depends on the frequency, so
-    one pass builds them once and reuses them at every outer node."""
+    keeps its panel's rule (see _EVAN_EDGES).  Neither depends on the
+    frequency, so one pass builds them once and reuses them at every
+    outer node."""
     edges, kronrod = [panels[0]], []
     for lo, hi in zip(panels[:-1], panels[1:]):
         edges.extend(np.linspace(lo, hi, factor + 1)[1:])
@@ -450,27 +436,27 @@ def _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor, evan):
     return out
 
 
-def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap, tol,
+def _probe_orders(src_prov, tgt_prov, omegas, d, sums, n_cap, tol,
                   y_edges):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
-    kernel is at most tol of its integrals: the interaction integrals
-    ('f' with 'e') and the pair integral ('s') each by its own shell
-    test, and the largest order any of them needs at any frequency
-    wins.  A pass takes tol = rel_tol / 10 and its own y_edges.  Each
-    group of frequencies within the entry budget makes one provider
-    call per distinct cylinder at the cap, on 2 psi panels and the y
-    grid on y_edges, and each shell is the _integrals of its central
-    orders.  The K-product table is built once at the cap, and only
-    for the interaction kind; where it overflows below the cap, the
-    blocks stop at the first shell that reads an overflowing order,
-    and that shell raises."""
+    tolerance group of the integrals sums is at most tol of its
+    integrals: the interaction integrals ('f' with 'e') and the pair
+    integral ('s') each by its own shell test, and the largest order
+    any of them needs at any frequency wins.  sums keeps each group
+    together.  A pass takes tol = rel_tol / 10 and its own y_edges.
+    Each group of frequencies within the entry budget makes one
+    provider call per distinct cylinder at the cap, on 2 psi panels
+    and the y grid on y_edges, and each shell is the _integrals of its
+    central orders.  The K-product table is built once at the cap, and
+    only for 'e'; where it overflows below the cap, the blocks stop at
+    the first shell that reads an overflowing order, and that shell
+    raises."""
     if n_cap <= 1:
         return 1
-    sums = sum((_SUMS[k] for k in kinds), ())
-    first = np.cumsum([0] + [len(_SUMS[k]) for k in kinds[:-1]])
+    first = np.flatnonzero(np.diff([_GROUP[s] for s in sums], prepend=-1))
     evan, top = None, n_cap
-    if "int" in kinds:
+    if "e" in sums:
         evan = _evan_tables(1, np.arange(-n_cap, n_cap + 1), y_edges)
         # the blocks stop at the first shell whose table orders overflow
         # at some y: its sum raises, naming the order and the y, where
@@ -479,7 +465,7 @@ def _probe_orders(src_prov, tgt_prov, omegas, d, kinds, n_cap, tol,
         top = n_cap if held.all() else int(np.argmin(held))
     cap_orders = np.arange(-top, top + 1)
     omegas = np.asarray(omegas, dtype=float)
-    need = np.zeros((omegas.size, len(kinds)), dtype=int)
+    need = np.zeros((omegas.size, first.size), dtype=int)
     for run, rows in _groups(src_prov, tgt_prov, omegas, d, cap_orders,
                              [2] * omegas.size, evan):
         prev, got = _integrals(src_prov, 1, sums, d, *rows, evan), need[run]
@@ -505,8 +491,8 @@ def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
     sums at every frequency of omegas stops moving at the 0.2 * rel_tol
     level.  Each frequency is one temperature's, and as in the outer
     integral an integral is held to at least GROUP_FLOOR of the largest
-    of its (temperature, kind) group, so an evanescent integral a
-    millionth of the propagating one cannot drive the grid.  Each
+    of its tolerance group at that frequency, so an evanescent integral
+    a millionth of the propagating one cannot drive the grid.  Each
     factor tried is one _axial call.  Returns (factor, evan), whose y
     tables (None without an evanescent sum) the outer integral reuses."""
     def integrals(factor):
@@ -514,15 +500,13 @@ def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
         return evan, _axial(src_prov, tgt_prov, omegas, d, orders, sums,
                             factor, evan)
 
-    pair = np.array([s == "s" for s in sums])
+    group = np.array([_GROUP[s] for s in sums])
     factor, (evan, prev) = 1, integrals(1)
     for _ in range(_MAX_GRID_BUMPS):
         finer, cur = integrals(2 * factor)
         size = np.maximum(np.abs(prev), np.abs(cur))
-        largest = np.empty_like(size)
-        for group in (pair, ~pair):
-            largest[:, group] = size[:, group].max(axis=1, keepdims=True,
-                                                   initial=0.0)
+        largest = np.stack([size[:, group == g].max(axis=1) for g in group],
+                           axis=1)
         scale = np.maximum(np.maximum(size, GROUP_FLOOR * largest), 1e-300)
         rel = np.max(np.abs(cur - prev) / scale)
         if rel <= 0.2 * rel_tol:
@@ -598,16 +582,16 @@ def _outer_map(omega_1, windows):
     return omega_of, [a - t_a / slope for a, _, _, _, t_a, slope in pieces]
 
 
-def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
-    """Every channel of kinds at every temperature of temps (positive,
+def _pass(sums, temps, src_prov, tgt_prov, d, controls):
+    """Every integral of sums at every temperature of temps (positive,
     increasing) in one adaptive frequency integral.
 
-    kind 'int': the interaction channels (propagating, evanescent) on
-    the target cylinder, on the axis running source -> target.
-    Negative means attraction.  kind 'pair': the one channel of the
-    force on the rigid pair, on the axis running target -> source.
-    Only propagating modes carry momentum to infinity; the evanescent
-    part vanishes.  Returns {(kind, T): channels}.
+    'f' and 'e' are the propagating and evanescent interaction channels
+    on the target cylinder, on the axis running source -> target.
+    Negative means attraction.  's' is the force on the rigid pair, on
+    the axis running target -> source.  Only propagating modes carry
+    momentum to infinity; the pair force has no evanescent part.
+    Returns {(integral, T): value}.
 
     The kernels do not depend on the temperature, which enters only
     through the Bose factor, so each outer node evaluates them once and
@@ -622,13 +606,12 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
     Its seed edges are every temperature's thermal seed edges, less
     those inside a window, plus each window's ends and pole.
     """
-    sums = sum((_SUMS[k] for k in kinds), ())
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
     n_cap = int(src_prov.max_order or controls.n_max or 8)
     y_edges = _evan_edges(src_prov.radius + tgt_prov.radius, d)
     n_use = _probe_orders(src_prov, tgt_prov,
                           sorted({u * s for s in scales for u in _PROBE_US}),
-                          d, kinds, n_cap, 0.1 * controls.rel_tol, y_edges)
+                          d, sums, n_cap, 0.1 * controls.rel_tol, y_edges)
     orders = np.arange(-n_use, n_use + 1)
     factor, evan = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales),
                                 d, orders, sums, controls.rel_tol, y_edges)
@@ -660,21 +643,16 @@ def _pass(kinds, temps, src_prov, tgt_prov, d, controls):
         out[at] = weights[at, :, None] * vals[:, None, :]
         return out.reshape(x_nodes.size, -1)
 
-    # one tolerance group per (temperature, kind): the interaction
-    # channels share one, the pair channel has its own
-    groups = [2 * j + (s == "s") for j in range(len(temps)) for s in sums]
+    groups = [2 * j + _GROUP[s] for j in range(len(temps)) for s in sums]
     vals, _ = adaptive_vector(integrand, x_edges[0], x_edges[-1],
                               controls.rel_tol, seed_edges=x_edges,
                               max_panels=MAX_PANELS * len(temps),
                               groups=groups)
     vals = HBAR / (2.0 * math.pi ** 2) * vals.reshape(len(temps), len(sums))
-    out = {}
-    for t, v in zip(temps, vals):
-        if "int" in kinds:
-            out["int", t] = (-float(v[0]), float(v[1]))
-        if "pair" in kinds:
-            out["pair", t] = (float(v[-1]),)
-    return out
+    # the propagating interaction sum carries the opposite sign to the
+    # force on the axis source -> target
+    return {(s, t): -float(v) if s == "f" else float(v)
+            for t, row in zip(temps, vals) for s, v in zip(sums, row)}
 
 
 def _scenario_keywords(scenario, source, other, separation, memo):
@@ -682,7 +660,7 @@ def _scenario_keywords(scenario, source, other, separation, memo):
     return the keywords of its force calls: one memo, and as _temps the
     positive temperatures of the scenario's own (T1, T2, T_env) and of
     every temperature set."""
-    _check_geometry(source, other, separation, stacklevel=4)
+    _check_geometry(source, other, separation)
     own = (scenario.cylinder1.temperature, scenario.cylinder2.temperature,
            scenario.environment_temperature)
     temps = frozenset(float(t) for t in own + sum(
@@ -694,34 +672,40 @@ def _scenario_keywords(scenario, source, other, separation, memo):
 def _force(kind, source, target, temperature, separation, provider,
            controls, memo, scenario_temps):
     """The checks, defaults and memo lookup of interaction_force and
-    pair_source_force around one _pass: of both kinds at scenario_temps
-    (from total_force or self_force) and this temperature, or else of
-    this kind and temperature only.  A memo key names both.  Only a
-    lone call warns of the near field; total_force and self_force
-    warn once for their calls."""
-    _check_geometry(source, target, separation,
-                    4 if scenario_temps is None else None)
-    provs = (_make_provider(provider, source),
-             _make_provider(provider, target))
+    pair_source_force around one _pass: the integrals _SUMS[kind] of
+    this temperature, from a pass of all three integrals at
+    scenario_temps (from total_force or self_force) and this
+    temperature, or else of this kind's integrals at this temperature
+    only.  A memo key names the integrals and the temperatures.
+    Identical cylinders share one provider.  Only a lone call checks
+    the geometry here; total_force and self_force check it once for
+    their calls."""
+    if scenario_temps is None:
+        _check_geometry(source, target, separation)
+    src = _make_provider(provider, source)
+    same = (target.material, target.radius) == (source.material,
+                                                source.radius)
+    tgt = src if same else _make_provider(provider, target)
     controls = controls if controls is not None else QuadratureControls()
     temp = source.temperature if temperature is None else float(temperature)
     if not 0 <= temp < math.inf:
         raise ValueError("temperature must be finite and >= 0, got %r"
                          % (temp,))
+    sums = _SUMS[kind]
     if temp == 0 or isinstance(source.material, Vacuum) \
             or isinstance(target.material, Vacuum):
-        return (0.0, 0.0) if kind == "int" else (0.0,)
+        return (0.0,) * len(sums)
     if scenario_temps is None:
-        kinds, temps = (kind,), (temp,)
+        integrals, temps = sums, (temp,)
     else:
-        kinds = ("int", "pair")
+        integrals = _SUMS["int"] + _SUMS["pair"]
         temps = tuple(sorted(scenario_temps | {temp}))
-    key = (kinds, provider, source.material, source.radius,
+    key = (integrals, provider, source.material, source.radius,
            target.material, target.radius, temps, separation, controls)
     memo = {} if memo is None else memo
     if key not in memo:
-        memo[key] = _pass(kinds, temps, *provs, separation, controls)
-    return memo[key][kind, temp]
+        memo[key] = _pass(integrals, temps, src, tgt, separation, controls)
+    return tuple(memo[key][s, temp] for s in sums)
 
 
 def interaction_force(source, target, temperature=None, separation=None,
@@ -761,6 +745,20 @@ def pair_source_force(source, other, temperature=None, separation=None,
                   provider, controls, _memo, _temps)[0]
 
 
+def _source_forces(source, other, temperature, separation, kw):
+    """(self, pair, onto_other, channels) of the sources in source at
+    temperature: the pair force (pair_source_force, on the axis from
+    other toward source), the force those sources exert on the other
+    cylinder with its channels (interaction_force, on the axis from
+    source toward other), and the self force on source, pair +
+    onto_other: the pair force minus the axis-reflected force on the
+    other cylinder."""
+    pair = pair_source_force(source, other, temperature, separation, **kw)
+    onto_other, channels = interaction_force(source, other, temperature,
+                                             separation, **kw)
+    return pair + onto_other, pair, onto_other, channels
+
+
 def self_force(index, scenario, separation, *, temperature=None,
                _memo=None):
     """Force per length on cylinder `index` (1 or 2) of the scenario
@@ -778,11 +776,7 @@ def self_force(index, scenario, separation, *, temperature=None,
     if index == 2:
         source, other = other, source
     kw = _scenario_keywords(scenario, source, other, separation, _memo)
-    pair = pair_source_force(source, other, temperature, separation, **kw)
-    onto_other, _ = interaction_force(source, other, temperature,
-                                      separation, **kw)
-    # minus the axis-reflected force on the other cylinder: a plain sum
-    return pair + onto_other
+    return _source_forces(source, other, temperature, separation, kw)[0]
 
 
 def total_force(scenario, separation, *, _memo=None):
@@ -799,46 +793,32 @@ def total_force(scenario, separation, *, _memo=None):
         else scenario.equilibrium.force(separation)
     t1, t2, te = (c1.temperature, c2.temperature,
                   float(scenario.environment_temperature))
-    pair1_t1 = pair_source_force(c1, c2, t1, separation, **kw)
-    pair1_te = pair_source_force(c1, c2, te, separation, **kw)
-    int12_t1, ch12_t1 = interaction_force(c1, c2, t1, separation, **kw)
-    int12_te, _ = interaction_force(c1, c2, te, separation, **kw)
-    int21_t2, ch21_t2 = interaction_force(c2, c1, t2, separation, **kw)
-    int21_te, _ = interaction_force(c2, c1, te, separation, **kw)
-    pair2_t2 = pair_source_force(c2, c1, t2, separation, **kw)
-    pair2_te = pair_source_force(c2, c1, te, separation, **kw)
-
-    self1_t1 = pair1_t1 + int12_t1
-    self1_te = pair1_te + int12_te
-    self2_t2 = pair2_t2 + int21_t2
-    self2_te = pair2_te + int21_te
+    self1, pair1, int12, ch12 = _source_forces(c1, c2, t1, separation, kw)
+    self1_te, _, int12_te, _ = _source_forces(c1, c2, te, separation, kw)
+    self2, pair2, int21, ch21 = _source_forces(c2, c1, t2, separation, kw)
+    self2_te, _, int21_te, _ = _source_forces(c2, c1, te, separation, kw)
 
     # Difference-first assembly: when a driving temperature equals the
     # environment temperature both terms come from the same memo entry
     # and the correction vanishes exactly, so equal-temperature rows
     # reproduce f_eq bitwise.
-    f1_env_sub = -self1_te - int21_te
-    f1_total = f_eq + (self1_t1 - self1_te) + (int21_t2 - int21_te)
-
-    f2_env_sub = self2_te + int12_te
-    f2_total = -(f_eq + (self2_t2 - self2_te) + (int12_t1 - int12_te))
-
     return ForceBreakdown(
-        separation=separation, t1=t1, t2=t2, t_env=te, f_eq=f_eq,
-        f_int_21=int21_t2,
-        f_int_21_prop=ch21_t2["propagating"],
-        f_int_21_evan=ch21_t2["evanescent"],
-        f_int_12=-int12_t1,
-        f_int_12_prop=-ch12_t1["propagating"],
-        f_int_12_evan=-ch12_t1["evanescent"],
-        f_pair_source_1=pair1_t1,
-        f_pair_source_2=-pair2_t2,
-        f_self_1=self1_t1,
-        f_self_2=-self2_t2,
-        f_env_subtraction_1=f1_env_sub,
-        f_env_subtraction_2=f2_env_sub,
-        f_total_1=f1_total,
-        f_total_2=f2_total,
+        separation=separation, t1=t1, t2=t2, t_env=te,
+        f_total_1=f_eq + (self1 - self1_te) + (int21 - int21_te),
+        f_total_2=-(f_eq + (self2 - self2_te) + (int12 - int12_te)),
+        f_int_21=int21,
+        f_int_21_prop=ch21["propagating"],
+        f_int_21_evan=ch21["evanescent"],
+        f_self_1=self1,
+        f_pair_source_1=pair1,
+        f_env_subtraction_1=-self1_te - int21_te,
+        f_int_12=-int12,
+        f_int_12_prop=-ch12["propagating"],
+        f_int_12_evan=-ch12["evanescent"],
+        f_self_2=-self2,
+        f_pair_source_2=-pair2,
+        f_env_subtraction_2=self2_te + int12_te,
+        f_eq=f_eq,
     )
 
 
@@ -846,11 +826,9 @@ def set_scenarios(scenario):
     """The scenario at each temperature set's (T1, T2, T_env), in file
     order, or at its own without sets.  Each keeps every set, so its
     passes cover the temperatures of the whole sweep."""
-    sets = scenario.temperature_sets
-    if sets is None:
-        sets = ((scenario.cylinder1.temperature,
-                 scenario.cylinder2.temperature,
-                 scenario.environment_temperature),)
+    sets = scenario.temperature_sets or ((scenario.cylinder1.temperature,
+                                          scenario.cylinder2.temperature,
+                                          scenario.environment_temperature),)
     return [replace(scenario,
                     cylinder1=replace(scenario.cylinder1, temperature=t1),
                     cylinder2=replace(scenario.cylinder2, temperature=t2),

@@ -342,9 +342,11 @@ def _build_model(model_name, params, units):
 
 
 def resolve_material(source):
-    """Load a material from a JSON file, a dict, or a packaged name.
+    """Load a material from a dict, a JSON file, or a packaged name.
 
-    Packaged names: 'vacuum', 'sic', 'tungsten_2400K'.
+    A Path, or a string with a suffix such as '.json', is a file.  A
+    string without one is a packaged name, whatever the working
+    directory holds: 'vacuum', 'sic', 'tungsten_2400K'.
 
     Returns
     -------
@@ -356,13 +358,12 @@ def resolve_material(source):
     elif str(source) == "vacuum":
         doc = {"name": "vacuum", "model": "vacuum", "parameters": {}}
     else:
-        name = str(source)
-        path = Path(name)
-        if not path.suffix and not path.exists():
-            path = _DATA_DIR / (name.lower() + ".json")
+        path = Path(str(source))
+        if not (isinstance(source, Path) or path.suffix):
+            path = _DATA_DIR / (str(source).lower() + ".json")
         if not path.exists():
             raise MaterialError("no material file or packaged name %r"
-                                % (source,))
+                                % (str(source),))
         try:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:

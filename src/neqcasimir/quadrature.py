@@ -81,9 +81,9 @@ class QuadratureControls:
 
     Fixed: 200 outer panels per temperature (MAX_PANELS),
     a converged multipole shell of rel_tol / 10 relative, and the
-    evanescent grid in y = |q| d, graded toward y = 0 and ending at
-    min(35, 16 / (1 - (R1 + R2) / d)).  The provider decides whether
-    the source amplitude keeps its quadratic term.
+    evanescent grid in y = |q| d (engine._EVAN_EDGES, cut by
+    engine._evan_edges).  The provider decides whether the source
+    amplitude keeps its quadratic term.
     """
 
     rel_tol: float = 1e-4

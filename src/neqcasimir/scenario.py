@@ -117,13 +117,15 @@ def _temperature_k(node, path):
 
 def _material(node, path, base_dir):
     """Resolve a material reference to (model, SI material document): a
-    packaged name or file, an inline document, or {"path": file}
-    relative to base_dir."""
+    packaged name, an inline document, or a file relative to base_dir,
+    named as {"path": file} or as a string with a suffix."""
     if not isinstance(node, (str, dict)):
         _fail(path, "expected an object, got %s" % (type(node).__name__,))
     if isinstance(node, dict) and "path" in node and "model" not in node:
         ref = _fields(node, path, ("path",))["path"]
-        node, path = str(Path(base_dir) / str(ref)), path + ".path"
+        node, path = Path(base_dir) / str(ref), path + ".path"
+    elif isinstance(node, str) and Path(node).suffix:
+        node = Path(base_dir) / node
     try:
         return resolve_material(node)
     except MaterialError as exc:

@@ -1,6 +1,7 @@
 """Command line round trips: scenario sweeps to CSV, zero-crossing
 refinement, reference-force comparisons, and the exit code contract."""
 
+import dataclasses
 import io
 import json
 import math
@@ -513,6 +514,15 @@ def test_compare_ampere(capsys):
         MU_0 * 17e-6 * 17e-6 / (2 * math.pi * 0.4e-6), rel=1e-12)
     assert value == pytest.approx(1.445e-10, rel=1e-3)
 
+    # opposite currents repel: a negative force, and still a ratio of
+    # magnitudes, as the weight's
+    assert _run(["compare-ampere", "--current1", "-17e-6",
+                 "--current2", "17e-6", "--distance", "0.4e-6",
+                 "--force", "-1e-10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0].split("=")[1]) == -value
+    assert lines[2] == "ampere_to_force_ratio = %.6g" % (value / 1e-10)
+
     assert _run(["compare-ampere", "--current1", "1", "--current2", "1",
                  "--distance", "0"]) == 2
 
@@ -561,7 +571,49 @@ def test_compare_reads_negative_numbers_after_a_space(capsys, argv, value,
         "force_N_per_m", argv[0].split("-")[1] + "_to_force_ratio"]
     assert got[0] == pytest.approx(value, rel=1e-12)
     assert got[1] == force
-    assert got[2] == pytest.approx(value / abs(force), rel=1e-5)
+    assert got[2] == pytest.approx(abs(value) / abs(force), rel=1e-5)
+
+
+# the breakdown field that each numeric column of a sweep CSV names
+_COLUMN_FIELDS = {
+    "d_m": "separation", "T1_K": "t1", "T2_K": "t2", "Tenv_K": "t_env",
+    "F1_total": "f_total_1", "F2_total": "f_total_2",
+    "F1_int": "f_int_21", "F1_int_prop": "f_int_21_prop",
+    "F1_int_evan": "f_int_21_evan", "F1_self": "f_self_1",
+    "F1_pair_source": "f_pair_source_1",
+    "F1_env_subtraction": "f_env_subtraction_1",
+    "F2_int": "f_int_12", "F2_int_prop": "f_int_12_prop",
+    "F2_int_evan": "f_int_12_evan", "F2_self": "f_self_2",
+    "F2_pair_source": "f_pair_source_2",
+    "F2_env_subtraction": "f_env_subtraction_2", "F_eq": "f_eq"}
+
+
+def test_each_csv_column_holds_the_field_it_names(tmp_path):
+    # every field differs, so a column that holds another field fails;
+    # the sign columns read f_total_1 > 0 and f_total_2 < 0 as repel
+    names = [f.name for f in dataclasses.fields(engine.ForceBreakdown)]
+    assert sorted(names) == sorted(_COLUMN_FIELDS.values())
+    assert [c for c in CSV_COLUMNS if c not in _COLUMN_FIELDS] == [
+        "F1_sign", "F2_sign"]
+    base = engine.ForceBreakdown(**{
+        name: float("%s%d.5e-12" % ("-" if i % 3 else "", i + 1))
+        for i, name in enumerate(names)})
+    rows = [(dataclasses.replace(base, f_total_1=f1, f_total_2=f2), signs)
+            for f1, f2, signs in ((1.25e-10, -2.25e-10, ("repel", "repel")),
+                                  (-1.25e-10, 2.25e-10, ("attract", "attract")),
+                                  (0.0, -0.0, ("zero", "zero")),
+                                  (1.25e-10, 2.25e-10, ("repel", "attract")))]
+    path = tmp_path / "columns.csv"
+    with open(path, "w", newline="") as handle:
+        cli.write_sweep_csv([b for b, _ in rows], {"name": "columns"},
+                            handle)
+    doc, read = read_sweep_csv(path)
+    assert doc == {"name": "columns"}
+    assert len(read) == len(rows)
+    for (b, signs), got in zip(rows, read):
+        for column, name in _COLUMN_FIELDS.items():
+            assert got[column] == getattr(b, name), column
+        assert (got["F1_sign"], got["F2_sign"]) == signs
 
 
 class _ClosedPipe(io.StringIO):

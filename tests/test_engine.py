@@ -120,14 +120,16 @@ def test_cold_environment_assembly():
 
 
 def test_self_force_of_cylinder_2_is_its_breakdown_entry():
-    # self_force(2) runs on the axis from cylinder 1 toward 2, so it is
-    # the lab-axis f_self_2 negated, bitwise from one memo
-    sc = Scenario(cylinder1=CylinderSpec(R, SIC, 0.0),
+    # self_force(1) runs on the lab axis, and self_force(2) on the axis
+    # from cylinder 1 toward 2, so they are f_self_1 and the lab-axis
+    # f_self_2 negated, bitwise from one memo
+    sc = Scenario(cylinder1=CylinderSpec(R, SIC, 450.0),
                   cylinder2=CylinderSpec(0.05e-6, SIC, 300.0),
                   separations=(2e-6,), controls=CTL)
     memo = {}
     b = total_force(sc, 2e-6, _memo=memo)
-    assert b.f_self_2 != 0.0
+    assert b.f_self_1 != 0.0 and b.f_self_2 != 0.0
+    assert self_force(1, sc, 2e-6, _memo=memo) == b.f_self_1
     assert self_force(2, sc, 2e-6, _memo=memo) == -b.f_self_2
 
 
@@ -967,8 +969,8 @@ def test_order_probe_weights_its_shells_as_the_pass_does():
     pass_edges = engine._evan_edges(1e-6, 3e-6)
     assert pass_edges[-1] == pytest.approx(24.0)
     for edges in (pass_edges, engine._EVAN_EDGES[:10]):
-        assert engine._probe_orders(prov, prov, omegas, 3e-6, ("int",), 8,
-                                    1e-6, edges) == 6
+        assert engine._probe_orders(prov, prov, omegas, 3e-6, ("f", "e"),
+                                    8, 1e-6, edges) == 6
 
 
 def test_full_provider_with_a_high_order_cap():

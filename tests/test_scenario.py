@@ -81,32 +81,39 @@ def test_inline_material():
     assert resolved["cylinder1"]["material"]["model"] == "constant"
 
 
-def test_material_path_resolved_relative_and_inlined(tmp_path):
-    # a {"path": ...} material is read relative to the scenario file,
-    # not the working directory; its frequencies may be vacuum
-    # wavelengths in um, and the resolved header inlines it in SI
+def test_material_path_resolved_relative_and_inlined(tmp_path, monkeypatch):
+    # a {"path": ...} material, or a string with a suffix, is read
+    # relative to the scenario file, not the working directory; its
+    # frequencies may be vacuum wavelengths in um, and the resolved
+    # header inlines it in SI.  A name without a suffix is packaged,
+    # even where the working directory holds a folder of that name
     (tmp_path / "mats").mkdir()
     (tmp_path / "mats" / "polar.json").write_text(json.dumps({
         "name": "polar", "model": "lorentz",
         "parameters": {"eps_inf": 6.7, "omega_lo": 10.3, "omega_to": 12.6,
                        "gamma": 2100.0},
         "units": {"omega_lo": "um", "omega_to": "um", "gamma": "um"}}))
+    (tmp_path / "elsewhere" / "sic").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "elsewhere")
     doc = _minimal_doc()
-    doc["cylinder1"]["material"] = {"path": "mats/polar.json"}
     scenario_file = tmp_path / "run.json"
-    scenario_file.write_text(json.dumps(doc))
-    sc, resolved = load_scenario(scenario_file)
-    mat = sc.cylinder1.material
-    two_pi_c = 2.0 * math.pi * C_LIGHT
-    assert isinstance(mat, Lorentz) and mat.eps_inf == 6.7
-    for got, wavelength in ((mat.omega_lo, 10.3e-6), (mat.omega_to, 12.6e-6),
-                            (mat.gamma, 2100e-6)):
-        assert got == pytest.approx(two_pi_c / wavelength, rel=1e-15)
-    assert resolved["cylinder1"]["material"] == {
-        "name": "polar", "model": "lorentz",
-        "parameters": {"eps_inf": 6.7, "omega_lo": mat.omega_lo,
-                       "omega_to": mat.omega_to, "gamma": mat.gamma}}
-    assert parse_scenario(resolved)[0].cylinder1.material == mat
+    for ref in ({"path": "mats/polar.json"}, "mats/polar.json"):
+        doc["cylinder1"]["material"] = ref
+        scenario_file.write_text(json.dumps(doc))
+        sc, resolved = load_scenario(scenario_file)
+        mat = sc.cylinder1.material
+        two_pi_c = 2.0 * math.pi * C_LIGHT
+        assert isinstance(mat, Lorentz) and mat.eps_inf == 6.7
+        for got, wavelength in ((mat.omega_lo, 10.3e-6),
+                                (mat.omega_to, 12.6e-6),
+                                (mat.gamma, 2100e-6)):
+            assert got == pytest.approx(two_pi_c / wavelength, rel=1e-15)
+        assert resolved["cylinder1"]["material"] == {
+            "name": "polar", "model": "lorentz",
+            "parameters": {"eps_inf": 6.7, "omega_lo": mat.omega_lo,
+                           "omega_to": mat.omega_to, "gamma": mat.gamma}}
+        assert parse_scenario(resolved)[0].cylinder1.material == mat
+        assert resolved["cylinder2"]["material"]["name"] == "SiC"
 
     doc["cylinder1"]["material"] = {"path": "mats/absent.json"}
     with pytest.raises(SchemaError, match=r"^cylinder1\.material\.path: "
