@@ -103,8 +103,9 @@ def write_sweep_csv(rows, resolved, stream):
 def read_sweep_csv(path):
     """Parse a sweep CSV back into (scenario doc, list of row dicts).
 
-    Each row dict is keyed by the ``CSV_COLUMNS`` names; the ``*_sign``
-    values are strings and all others are floats.
+    Each row dict is keyed by the ``CSV_COLUMNS`` names, which the
+    header must hold; the ``*_sign`` values are strings and all others
+    are floats.
     """
     doc = None
     body = []
@@ -125,6 +126,10 @@ def read_sweep_csv(path):
         raise SchemaError("%s has no '# scenario:' header; only sweep "
                           "CSVs written by 'run' can be refined" % (path,))
     reader = csv.DictReader(io.StringIO("".join(body)))
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise SchemaError("%s lacks the sweep columns %s"
+                          % (path, ", ".join(missing)))
     rows = []
     for record in reader:
         try:
@@ -149,7 +154,9 @@ def _cmd_run(args):
                                     rel_tol=args.rel_tol)
         resolved["controls"]["rel_tol"] = args.rel_tol
     out = args.out or scenario.output
-    # checked before the sweep, so that a mistyped folder fails at once
+    # checked before the sweep, so that a mistyped path fails at once
+    if out and Path(out).is_dir():
+        raise OSError("cannot write %s: it is a folder" % (out,))
     if out and not Path(out).parent.is_dir():
         raise OSError("cannot write %s: its folder does not exist" % (out,))
     rows = sweep(scenario)

@@ -28,31 +28,19 @@ channels of one frequency integral per (source, target, separation),
 run by one driver (_pass) in absolute omega: the kernels are summed
 once per outer node, and each temperature weights them with its Bose
 factor inside its own window [u_min, X_MAX] of
-u = hbar omega / (k_B T).  The axial integrals go by name: 'f' and 'e'
-are the propagating and evanescent interaction integrals, and 's' is
-the pair integral.  The outer integral is globally adaptive with one
-tolerance group per temperature and integral group (_GROUP: 'f' and
-'e' share one, 's' has its own), so each channel converges as if it
-were integrated alone.
+u = hbar omega / (k_B T).  Every pass integrates the same three axial
+integrals, by name (_INTEGRALS): 'f' and 'e' are the propagating and
+evanescent interaction integrals, and 's' is the pair integral.  The
+outer integral is globally adaptive with one tolerance group per
+temperature and integral group (_GROUPS: 'f' and 'e' share one, 's'
+has its own), so each channel converges as if it were integrated
+alone.
 
 It runs in a variable x with one piecewise map x -> (omega,
-d omega / dx) per pass (_outer_map).  On the first seed panel
-[omega_0, omega_1], omega = x^2 / omega_1, which makes the u^(-1/2)
-endpoint singularity of a conductor's evanescent integrand regular.
-Each material declares the real-axis poles of the integrand
-(materials.resonances: a polar crystal's omega_to and its surface mode,
-each of width gamma), and the pass takes the union over both cylinders.
-Around each pole a window of +-10 widths is integrated in
-t = arctan(2 (omega - omega_k) / gamma_k), with x linear in t and
-x = omega at both window ends, which turns the Lorentzian peak flat;
-so the adaptive integral no longer bisects its way into gamma-wide
-peaks.  Each window's ends and pole are seed edges, and the thermal
-seed edges inside it are dropped.  A window is skipped if it reaches
-into the first seed panel or past the last edge, or holds any
-temperature's u_min or X_MAX edge, where the live mask jumps;
-overlapping windows shrink to meet halfway between their poles
-(_windows).  Elsewhere omega = x, and every node there is the one the
-two-piece map gives, so a pass without poles (a conductor) is unchanged.
+d omega / dx) per pass, which makes a conductor's u^(-1/2) endpoint
+singularity regular and turns the Lorentzian peak of each material
+resonance flat inside its window (_outer_map, whose windows _windows
+picks).
 
 Each outer panel is one array pass.  The frequency map, its Jacobian
 and the Bose weights of all 15 nodes come at once, and the live nodes
@@ -90,13 +78,14 @@ Identical inputs produce bitwise identical outputs: panel sums are
 accumulated in a fixed order, and passes are memoized.  total_force
 and self_force hand the scenario's temperatures (its own and all its
 temperature sets) to interaction_force and pair_source_force as the
-private keyword _temps, and those passes cover all three integrals at
-all of them.  So a force depends only on (scenario, separation): equal
-temperatures cancel exactly, identical cylinders share a pass, so
-mirrored rows agree bitwise, and a sweep row is the total_force of
-its set.  A call without _temps integrates only its own integrals at
-its own temperature, whatever its memo holds.  The provider's
-quadratic_term decides whether the source amplitude keeps T T^dagger.
+private keyword _temps, and their passes run at all of them.  So a
+force depends only on (scenario, separation): equal temperatures
+cancel exactly, identical cylinders share a pass, so mirrored rows
+agree bitwise, and a sweep row is the total_force of its set.  A call
+without _temps runs the same pass at its own temperature only,
+whatever its memo holds, so a lone interaction_force and a lone
+pair_source_force of one memo share it.  The provider's quadratic_term
+decides whether the source amplitude keeps T T^dagger.
 
 The accuracy settings, QuadratureControls, live in quadrature with the
 constants of the thermal integrals; engine imports the class back, so
@@ -136,12 +125,15 @@ _KRONROD_Y_MAX = 0.25
 _EVAN_DECAY = 32.0
 # order probe: frequencies in u
 _PROBE_US = (2.5, 7.0, 15.0)
-# axial integrals (see _integrals) of interaction_force and of
-# pair_source_force, the tolerance group of each, and psi panels per
-# unit kd of the propagating interaction and pair sums
-_SUMS = {"int": ("f", "e"), "pair": ("s",)}
-_GROUP = {"f": 0, "e": 0, "s": 1}
-_PER_PANEL = {"f": 10.0, "s": 3.0}
+# the axial integrals of every pass (see _integrals) in _force's order,
+# the tolerance group of each, adjacent, and each group's force and start
+_INTEGRALS = ("f", "e", "s")
+_GROUPS = (0, 0, 1)
+_GROUP_FORCES = ("interaction", "pair")
+_GROUP_STARTS = tuple(np.flatnonzero(np.diff(_GROUPS, prepend=-1)))
+# units of kd per psi panel: the pair sum needs this density, the
+# propagating interaction sum only one panel per 10
+_PER_PANEL = 3.0
 _MAX_GRID_BUMPS = 4
 # block entries (rows x orders) of one provider call: _axial and the
 # order probe split their frequencies into runs of at most this size,
@@ -159,8 +151,8 @@ _WINDOW_WIDTHS = 10.0
 _NEAR_FIELD_WARNING = ("separation is below five times the sum of the "
                        "radii; the one-reflection approximation "
                        "degrades at close range")
-_ORDER_CAP_WARNING = ("multipole series still changing at the order "
-                      "cap; raise n_max for this geometry")
+_ORDER_CAP_WARNING = ("multipole series of the %s force still changing "
+                      "at the order cap; raise n_max for this geometry")
 _GRID_CAP_WARNING = ("inner wavenumber grid still changing at the "
                      "refinement cap; results may be less accurate "
                      "than rel_tol")
@@ -266,8 +258,8 @@ def _check_geometry(source, target, separation):
         warnings.warn(_NEAR_FIELD_WARNING, RuntimeWarning, stacklevel=4)
 
 
-def _npanels(kd, per_panel):
-    return max(4, int(math.ceil(kd / per_panel)))
+def _npanels(kd):
+    return max(4, int(math.ceil(kd / _PER_PANEL)))
 
 
 @lru_cache(maxsize=256)
@@ -288,36 +280,32 @@ def _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
     """Blocks on orders at m frequencies, on the rows [psi rows of node
     0 .. m-1 | y rows of node 0 .. m-1] with omega per row, so one
     provider call per distinct cylinder covers every node and both
-    branches.  Node i has n_panels[i] uniform psi panels (none if
-    n_panels is empty) and the y grid of evan (none if None).  Returns
-    (k, tsrc, ttgt, psi): k = omega / c per node, and psi = (qd, weights
-    times sin(psi)^2, first row of each node) or None.  Identical
-    cylinders share one provider (_force), and then one set of blocks."""
+    branches.  Node i has n_panels[i] uniform psi panels and the y grid
+    of evan.  Returns (k, tsrc, ttgt, psi): k = omega / c per node, and
+    psi = (qd, weights times sin(psi)^2, first row of each node).
+    Identical cylinders share one provider (_force), and then one set
+    of blocks."""
     k = np.asarray(omegas, dtype=float) / C_LIGHT
     kd = k * d
-    ktz, w_rows, psi = [], [], None
-    if len(n_panels):
-        grids = [_psi_grid(int(n)) for n in n_panels]
-        sizes = [g[0].size for g in grids]
-        cos_psi, sin_psi, w_sin2 = (np.concatenate(a) for a in zip(*grids))
-        psi = (np.repeat(kd, sizes) * sin_psi, w_sin2,
-               np.cumsum([0] + sizes[:-1]))
-        ktz.append(cos_psi)
-        w_rows.append(np.repeat(omegas, sizes))
-    if evan is not None:
-        ktz.append(np.sqrt(1.0 + (evan[0] / kd[:, None]) ** 2).ravel())
-        w_rows.append(np.repeat(omegas, evan[0].size))
-    ktz, w_rows = np.concatenate(ktz), np.concatenate(w_rows)
+    grids = [_psi_grid(int(n)) for n in n_panels]
+    sizes = [g[0].size for g in grids]
+    cos_psi, sin_psi, w_sin2 = (np.concatenate(a) for a in zip(*grids))
+    psi = (np.repeat(kd, sizes) * sin_psi, w_sin2,
+           np.cumsum([0] + sizes[:-1]))
+    ktz = np.concatenate(
+        [cos_psi, np.sqrt(1.0 + (evan[0] / kd[:, None]) ** 2).ravel()])
+    w_rows = np.concatenate([np.repeat(omegas, sizes),
+                             np.repeat(omegas, evan[0].size)])
     tsrc = src_prov.blocks(orders, ktz, w_rows)
     ttgt = (tsrc if tgt_prov is src_prov
             else tgt_prov.blocks(orders, ktz, w_rows))
     return k, tsrc, ttgt, psi
 
 
-def _integrals(src_prov, n, sums, d, k, tsrc, ttgt, psi, evan):
+def _integrals(src_prov, n, d, k, tsrc, ttgt, psi, evan):
     """Axial integrals of the _rows output (k, tsrc, ttgt, psi) on
-    orders -n .. n, shape (m, len(sums)): row i holds the integrals at
-    node i, one column per entry of sums.  The blocks may hold more
+    orders -n .. n, shape (m, 3): row i holds the integrals at node i,
+    one column per name of _INTEGRALS.  The blocks may hold more
     orders, and the K-product table of evan = (y, weights, table) a
     higher table order; both are read at their central columns.
 
@@ -335,37 +323,31 @@ def _integrals(src_prov, n, sums, d, k, tsrc, ttgt, psi, evan):
     the source amplitude against the target blocks, which
     kernels.prop_order_sums forms once per call.  The evanescent sum
     runs before the Hankel tables and those sums are built, so its
-    working set does not add to theirs.  Every sum is checked finite."""
+    working set does not add to theirs.  Every call forms all three
+    integrals, and checks each sum finite as it forms it: 'e', then 'f',
+    then 's'."""
     mid = tsrc.shape[1] // 2
     tsrc, ttgt = tsrc[:, mid - n:mid + n + 1], ttgt[:, mid - n:mid + n + 1]
     nu_max = 2 * n
-    n_psi = 0 if psi is None else psi[0].size
-    out = np.empty((k.size, len(sums)))
-    if "e" in sums:
-        y, y_wts, kk = evan
-        mid = kk.shape[1] // 2
-        kk = kk[:, mid - nu_max:mid + nu_max + 1]
-        vals = kernels.require_finite(kernels.evan_kernel_sum(
-            tsrc[n_psi:], ttgt[n_psi:], kk, nu_max), kk, y, nu_max, "y")
-        weights = y_wts * y * y / np.sqrt(np.square(k * d)[..., None] + y * y)
-        out[:, sums.index("e")] = 2.0 / (d * d) * np.sum(
-            weights * vals.reshape(-1, y.size), axis=1)
-    if n_psi:
-        qd, w_sin2, starts = psi
-        hp, h, jp = kernels.hankel_tables(qd, nu_max)
-        d_sums, dq_sums = kernels.prop_order_sums(
-            tsrc[:n_psi], ttgt[:n_psi], nu_max, src_prov.quadratic_term,
-            "f" in sums)
-    for col, s in enumerate(sums):
-        if s == "f":
-            vals = kernels.require_finite(kernels.prop_kernel_sum(
-                d_sums, dq_sums, hp), hp, qd, nu_max, "qd")
-        elif s == "s":
-            vals = kernels.require_finite(kernels.pair_kernel_sum(
-                d_sums, h, jp), h, qd, nu_max, "qd")
-        else:
-            continue
-        out[:, col] = k * k * np.add.reduceat(w_sin2 * vals, starts)
+    qd, w_sin2, starts = psi
+    y, y_wts, kk = evan
+    out = np.empty((k.size, 3))
+    mid = kk.shape[1] // 2
+    kk = kk[:, mid - nu_max:mid + nu_max + 1]
+    vals = kernels.require_finite(kernels.evan_kernel_sum(
+        tsrc[qd.size:], ttgt[qd.size:], kk, nu_max), kk, y, nu_max, "y")
+    weights = y_wts * y * y / np.sqrt(np.square(k * d)[..., None] + y * y)
+    out[:, 1] = 2.0 / (d * d) * np.sum(weights * vals.reshape(-1, y.size),
+                                       axis=1)
+    hp, h, jp = kernels.hankel_tables(qd, nu_max)
+    d_sums, dq_sums = kernels.prop_order_sums(
+        tsrc[:qd.size], ttgt[:qd.size], nu_max, src_prov.quadratic_term)
+    vals = kernels.require_finite(kernels.prop_kernel_sum(
+        d_sums, dq_sums, hp), hp, qd, nu_max, "qd")
+    out[:, 0] = k * k * np.add.reduceat(w_sin2 * vals, starts)
+    vals = kernels.require_finite(kernels.pair_kernel_sum(
+        d_sums, h, jp), h, qd, nu_max, "qd")
+    out[:, 2] = k * k * np.add.reduceat(w_sin2 * vals, starts)
     return out
 
 
@@ -407,10 +389,9 @@ def _groups(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
     run: node i has the rows of n_panels[i] psi panels and of evan's y
     grid, each with the width of orders.  A node larger than that is a
     run of its own."""
-    n_y = 0 if evan is None else evan[0].size
     starts, total = [], 0
     for i, p in enumerate(n_panels):
-        size = (_psi_grid(p)[0].size + n_y) * orders.size
+        size = (_psi_grid(p)[0].size + evan[0].size) * orders.size
         if not starts or total + size > _MAX_BLOCK_ENTRIES:
             starts.append(i)
             total = 0
@@ -420,93 +401,82 @@ def _groups(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
                                  n_panels[a:b], evan)
 
 
-def _axial(src_prov, tgt_prov, omegas, d, orders, sums, factor, evan):
-    """The axial integrals of a pass at omegas, shape (m, len(sums)),
-    on grids of density factor: factor times the psi panels its densest
-    psi sum asks for (_PER_PANEL), and evan's y grid.  Each group of
-    nodes within the entry budget is one _integrals call."""
-    n_panels = [factor * max(_npanels(w * d / C_LIGHT, _PER_PANEL[s])
-                             for s in sums if s in _PER_PANEL)
-                for w in omegas]
-    out = np.empty((len(omegas), len(sums)))
+def _axial(src_prov, tgt_prov, omegas, d, orders, factor, evan):
+    """The three axial integrals of a pass at omegas, shape (m, 3), on
+    grids of density factor: factor times the psi panels of _npanels,
+    and evan's y grid.  Each group of nodes within the entry budget is
+    one _integrals call."""
+    n_panels = [factor * _npanels(w * d / C_LIGHT) for w in omegas]
+    out = np.empty((len(omegas), len(_INTEGRALS)))
     for run, rows in _groups(src_prov, tgt_prov, omegas, d, orders,
                              n_panels, evan):
-        out[run] = _integrals(src_prov, int(orders[-1]), sums, d, *rows,
-                              evan)
+        out[run] = _integrals(src_prov, int(orders[-1]), d, *rows, evan)
     return out
 
 
-def _probe_orders(src_prov, tgt_prov, omegas, d, sums, n_cap, tol,
-                  y_edges):
+def _probe_orders(src_prov, tgt_prov, omegas, d, n_cap, tol, y_edges):
     """Pick the azimuthal truncation by growing shells on coarse grids
     at a few representative frequencies until the last shell of every
-    tolerance group of the integrals sums is at most tol of its
+    tolerance group of the three integrals is at most tol of its
     integrals: the interaction integrals ('f' with 'e') and the pair
     integral ('s') each by its own shell test, and the largest order
-    any of them needs at any frequency wins.  sums keeps each group
-    together.  A pass takes tol = rel_tol / 10 and its own y_edges.
-    Each group of frequencies within the entry budget makes one
-    provider call per distinct cylinder at the cap, on 2 psi panels
-    and the y grid on y_edges, and each shell is the _integrals of its
-    central orders.  The K-product table is built once at the cap, and
-    only for 'e'; where it overflows below the cap, the blocks stop at
-    the first shell that reads an overflowing order, and that shell
-    raises."""
+    any of them needs at any frequency wins.  A pass takes
+    tol = rel_tol / 10 and its own y_edges.  Each group of frequencies
+    within the entry budget makes one provider call per distinct
+    cylinder at the cap, on 2 psi panels and the y grid on y_edges, and
+    each shell is the _integrals of its central orders.  The K-product
+    table is built once at the cap; where it overflows below the cap,
+    the blocks stop at the first shell that reads an overflowing order,
+    and that shell raises."""
     if n_cap <= 1:
         return 1
-    first = np.flatnonzero(np.diff([_GROUP[s] for s in sums], prepend=-1))
-    evan, top = None, n_cap
-    if "e" in sums:
-        evan = _evan_tables(1, np.arange(-n_cap, n_cap + 1), y_edges)
-        # the blocks stop at the first shell whose table orders overflow
-        # at some y: its sum raises, naming the order and the y, where
-        # higher blocks would first overflow in the block solve
-        held = np.isfinite(evan[2]).all(axis=0)[2 * n_cap::2]
-        top = n_cap if held.all() else int(np.argmin(held))
+    evan = _evan_tables(1, np.arange(-n_cap, n_cap + 1), y_edges)
+    # the blocks stop at the first shell whose table orders overflow at
+    # some y: its sum raises, naming the order and the y, where higher
+    # blocks would first overflow in the block solve
+    held = np.isfinite(evan[2]).all(axis=0)[2 * n_cap::2]
+    top = n_cap if held.all() else int(np.argmin(held))
     cap_orders = np.arange(-top, top + 1)
-    omegas = np.asarray(omegas, dtype=float)
-    need = np.zeros((omegas.size, first.size), dtype=int)
+    need = np.zeros((len(omegas), len(_GROUP_STARTS)), dtype=int)
     for run, rows in _groups(src_prov, tgt_prov, omegas, d, cap_orders,
-                             [2] * omegas.size, evan):
-        prev, got = _integrals(src_prov, 1, sums, d, *rows, evan), need[run]
+                             [2] * len(omegas), evan):
+        prev, got = _integrals(src_prov, 1, d, *rows, evan), need[run]
         for n in range(2, top + 1):
-            cur = _integrals(src_prov, n, sums, d, *rows, evan)
-            shell = np.add.reduceat(np.abs(cur - prev), first, axis=1)
-            scale = np.add.reduceat(np.abs(cur), first, axis=1)
+            cur = _integrals(src_prov, n, d, *rows, evan)
+            shell = np.add.reduceat(np.abs(cur - prev), _GROUP_STARTS, axis=1)
+            scale = np.add.reduceat(np.abs(cur), _GROUP_STARTS, axis=1)
             got[(got == 0) & (shell <= tol
                               * np.maximum(scale, 1e-300))] = n
             if got.all():
                 break
             prev = cur
-    if not need.all():
-        warnings.warn(_ORDER_CAP_WARNING, RuntimeWarning, stacklevel=4)
-        return n_cap
-    return int(need.max())
+    unsettled = [f for f, ok in zip(_GROUP_FORCES, need.all(axis=0)) if not ok]
+    if unsettled:
+        warnings.warn(_ORDER_CAP_WARNING % " and ".join(unsettled),
+                      RuntimeWarning, stacklevel=4)
+    return n_cap if unsettled else int(need.max())
 
 
-def _grid_factor(src_prov, tgt_prov, omegas, d, orders, sums, rel_tol,
-                 y_edges):
+def _grid_factor(src_prov, tgt_prov, omegas, d, orders, rel_tol, y_edges):
     """The grid-density factor of a pass: its psi panels and its y grid
-    on y_edges double together, from factor 1, until every integral of
-    sums at every frequency of omegas stops moving at the 0.2 * rel_tol
-    level.  Each frequency is one temperature's, and as in the outer
-    integral an integral is held to at least GROUP_FLOOR of the largest
-    of its tolerance group at that frequency, so an evanescent integral
-    a millionth of the propagating one cannot drive the grid.  Each
-    factor tried is one _axial call.  Returns (factor, evan), whose y
-    tables (None without an evanescent sum) the outer integral reuses."""
+    on y_edges double together, from factor 1, until each of the three
+    integrals at every frequency of omegas stops moving at the
+    0.2 * rel_tol level.  Each frequency is one temperature's, and as in
+    the outer integral an integral is held to at least GROUP_FLOOR of
+    the largest of its tolerance group at that frequency, so an
+    evanescent integral a millionth of the propagating one cannot drive
+    the grid.  Each factor tried is one _axial call.  Returns
+    (factor, evan), whose y tables the outer integral reuses."""
     def integrals(factor):
-        evan = _evan_tables(factor, orders, y_edges) if "e" in sums else None
-        return evan, _axial(src_prov, tgt_prov, omegas, d, orders, sums,
-                            factor, evan)
+        evan = _evan_tables(factor, orders, y_edges)
+        return evan, _axial(src_prov, tgt_prov, omegas, d, orders, factor,
+                            evan)
 
-    group = np.array([_GROUP[s] for s in sums])
     factor, (evan, prev) = 1, integrals(1)
     for _ in range(_MAX_GRID_BUMPS):
         finer, cur = integrals(2 * factor)
         size = np.maximum(np.abs(prev), np.abs(cur))
-        largest = np.stack([size[:, group == g].max(axis=1) for g in group],
-                           axis=1)
+        largest = np.maximum.reduceat(size, _GROUP_STARTS, axis=1)[:, _GROUPS]
         scale = np.maximum(np.maximum(size, GROUP_FLOOR * largest), 1e-300)
         rel = np.max(np.abs(cur - prev) / scale)
         if rel <= 0.2 * rel_tol:
@@ -533,12 +503,17 @@ def _windows(poles, edges, jumps):
     """The windows of the outer integral around poles, a set of
     (omega_k, gamma_k), as (a, b, omega_k, gamma_k) in increasing order.
 
-    A window reaches _WINDOW_WIDTHS widths gamma_k to either side of
-    its pole.  It is skipped if it reaches into the first seed panel
-    [edges[0], edges[1]] or past edges[-1], or if it holds a jump of
-    the live mask (one of jumps: a temperature's u_min or X_MAX edge),
-    which must stay a panel edge.  Windows that overlap then shrink to
-    meet halfway between their poles."""
+    Each material declares the real-axis poles of the integrand
+    (materials.resonances: a polar crystal's omega_to and its surface
+    mode, each of width gamma), and a pass takes the union over both
+    cylinders.  A window reaches _WINDOW_WIDTHS widths gamma_k to either
+    side of its pole.  It is skipped if it reaches into the first seed
+    panel [edges[0], edges[1]] or past edges[-1], or if it holds a jump
+    of the live mask (one of jumps: a temperature's u_min or X_MAX
+    edge), which must stay a panel edge.  Windows that overlap then
+    shrink to meet halfway between their poles.  A pass drops the
+    thermal seed edges inside a window and seeds each window's ends and
+    pole instead."""
     kept = []
     for w, g in sorted(poles):
         a, b = w - _WINDOW_WIDTHS * g, w + _WINDOW_WIDTHS * g
@@ -555,13 +530,17 @@ def _outer_map(omega_1, windows):
     """The piecewise map x -> (omega, d omega / dx) of the outer
     integral, and the x of each window's pole.
 
-    Below omega_1, omega = x^2 / omega_1; inside a window (a, b,
-    omega_k, gamma_k) of _windows, omega = omega_k + (gamma_k / 2) tan t
-    with x linear in t and x = omega at a and b; elsewhere omega = x.
-    The windows lie above omega_1, so the map is continuous and
-    monotone, and t = arctan(2 (omega - omega_k) / gamma_k) turns the
-    Lorentzian peak at omega_k flat.  Outside the windows every value
-    is bitwise that of the two-piece map without them."""
+    Below omega_1, the end of the first seed panel, omega = x^2 / omega_1,
+    which makes the u^(-1/2) endpoint singularity of a conductor's
+    evanescent integrand regular.  Inside a window (a, b, omega_k,
+    gamma_k) of _windows, omega = omega_k + (gamma_k / 2) tan t with x
+    linear in t and x = omega at a and b: t = arctan(2 (omega - omega_k)
+    / gamma_k) turns the Lorentzian peak at omega_k flat, so the
+    adaptive integral does not bisect its way into a gamma-wide peak.
+    Elsewhere omega = x.  The windows lie above omega_1, so the map is
+    continuous and monotone.  Outside the windows every value is
+    bitwise that of the two-piece map without them, so a pass without
+    poles (a conductor) has the nodes of that map."""
     pieces = []
     for a, b, w, g in windows:
         t_a = math.atan(2.0 * (a - w) / g)
@@ -582,9 +561,9 @@ def _outer_map(omega_1, windows):
     return omega_of, [a - t_a / slope for a, _, _, _, t_a, slope in pieces]
 
 
-def _pass(sums, temps, src_prov, tgt_prov, d, controls):
-    """Every integral of sums at every temperature of temps (positive,
-    increasing) in one adaptive frequency integral.
+def _pass(temps, src_prov, tgt_prov, d, controls):
+    """The three integrals of _INTEGRALS at every temperature of temps
+    (positive, increasing) in one adaptive frequency integral.
 
     'f' and 'e' are the propagating and evanescent interaction channels
     on the target cylinder, on the axis running source -> target.
@@ -599,22 +578,20 @@ def _pass(sums, temps, src_prov, tgt_prov, d, controls):
     its own u = hbar omega / k_B T holds the node.  The orders and the
     grid factor are the largest that any temperature needs.
 
-    The integral runs in x through _outer_map: omega = x^2 / omega_1 on
-    the first seed panel, omega = omega_k + (gamma_k / 2) tan t with x
-    linear in t inside the window of each resonance of either
-    cylinder's material that _windows keeps, and omega = x elsewhere.
-    Its seed edges are every temperature's thermal seed edges, less
-    those inside a window, plus each window's ends and pole.
+    The integral runs in x through _outer_map, on the windows that
+    _windows keeps.  Its seed edges are every temperature's thermal
+    seed edges, less those inside a window, plus each window's ends and
+    pole.
     """
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
     n_cap = int(src_prov.max_order or controls.n_max or 8)
     y_edges = _evan_edges(src_prov.radius + tgt_prov.radius, d)
     n_use = _probe_orders(src_prov, tgt_prov,
                           sorted({u * s for s in scales for u in _PROBE_US}),
-                          d, sums, n_cap, 0.1 * controls.rel_tol, y_edges)
+                          d, n_cap, 0.1 * controls.rel_tol, y_edges)
     orders = np.arange(-n_use, n_use + 1)
     factor, evan = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales),
-                                d, orders, sums, controls.rel_tol, y_edges)
+                                d, orders, controls.rel_tol, y_edges)
 
     # seed edges in omega; _distinct is idempotent, so without windows
     # they are bitwise the thermal ones
@@ -636,23 +613,23 @@ def _pass(sums, temps, src_prov, tgt_prov, d, controls):
         live = (controls.u_min <= us) & (us <= X_MAX)
         bose = np.expm1(us, where=live, out=np.ones_like(us))
         weights = np.where(live, jac[:, None] / bose, 0.0)
-        out = np.zeros((x_nodes.size, len(temps), len(sums)))
+        out = np.zeros((x_nodes.size, len(temps), len(_INTEGRALS)))
         at = np.flatnonzero(live.any(axis=1))
-        vals = _axial(src_prov, tgt_prov, omegas[at], d, orders, sums,
-                      factor, evan)
+        vals = _axial(src_prov, tgt_prov, omegas[at], d, orders, factor,
+                      evan)
         out[at] = weights[at, :, None] * vals[:, None, :]
         return out.reshape(x_nodes.size, -1)
 
-    groups = [2 * j + _GROUP[s] for j in range(len(temps)) for s in sums]
+    groups = [g + len(_GROUPS) * j for j in range(len(temps)) for g in _GROUPS]
     vals, _ = adaptive_vector(integrand, x_edges[0], x_edges[-1],
                               controls.rel_tol, seed_edges=x_edges,
                               max_panels=MAX_PANELS * len(temps),
                               groups=groups)
-    vals = HBAR / (2.0 * math.pi ** 2) * vals.reshape(len(temps), len(sums))
+    vals = HBAR / (2.0 * math.pi ** 2) * vals.reshape(len(temps), -1)
     # the propagating interaction sum carries the opposite sign to the
     # force on the axis source -> target
     return {(s, t): -float(v) if s == "f" else float(v)
-            for t, row in zip(temps, vals) for s, v in zip(sums, row)}
+            for t, row in zip(temps, vals) for s, v in zip(_INTEGRALS, row)}
 
 
 def _scenario_keywords(scenario, source, other, separation, memo):
@@ -669,14 +646,14 @@ def _scenario_keywords(scenario, source, other, separation, memo):
                 _memo={} if memo is None else memo, _temps=temps)
 
 
-def _force(kind, source, target, temperature, separation, provider,
-           controls, memo, scenario_temps):
+def _force(source, target, temperature, separation, provider, controls,
+           memo, scenario_temps):
     """The checks, defaults and memo lookup of interaction_force and
-    pair_source_force around one _pass: the integrals _SUMS[kind] of
-    this temperature, from a pass of all three integrals at
-    scenario_temps (from total_force or self_force) and this
-    temperature, or else of this kind's integrals at this temperature
-    only.  A memo key names the integrals and the temperatures.
+    pair_source_force around one _pass: the integrals (f, e, s) of this
+    temperature, from a pass at scenario_temps (from total_force or
+    self_force) and this temperature, or else at this temperature only.
+    A memo key names the temperatures, so a lone interaction_force and
+    a lone pair_source_force at one temperature share one pass.
     Identical cylinders share one provider.  Only a lone call checks
     the geometry here; total_force and self_force check it once for
     their calls."""
@@ -691,21 +668,17 @@ def _force(kind, source, target, temperature, separation, provider,
     if not 0 <= temp < math.inf:
         raise ValueError("temperature must be finite and >= 0, got %r"
                          % (temp,))
-    sums = _SUMS[kind]
     if temp == 0 or isinstance(source.material, Vacuum) \
             or isinstance(target.material, Vacuum):
-        return (0.0,) * len(sums)
-    if scenario_temps is None:
-        integrals, temps = sums, (temp,)
-    else:
-        integrals = _SUMS["int"] + _SUMS["pair"]
-        temps = tuple(sorted(scenario_temps | {temp}))
-    key = (integrals, provider, source.material, source.radius,
-           target.material, target.radius, temps, separation, controls)
+        return (0.0,) * len(_INTEGRALS)
+    temps = (temp,) if scenario_temps is None \
+        else tuple(sorted(scenario_temps | {temp}))
+    key = (provider, source.material, source.radius, target.material,
+           target.radius, temps, separation, controls)
     memo = {} if memo is None else memo
     if key not in memo:
-        memo[key] = _pass(integrals, temps, src, tgt, separation, controls)
-    return tuple(memo[key][s, temp] for s in sums)
+        memo[key] = _pass(temps, src, tgt, separation, controls)
+    return tuple(memo[key][s, temp] for s in _INTEGRALS)
 
 
 def interaction_force(source, target, temperature=None, separation=None,
@@ -717,7 +690,8 @@ def interaction_force(source, target, temperature=None, separation=None,
     The axis runs from source to target, so a negative value attracts
     the target back toward the source.  Returns (force, channels)
     where channels maps 'propagating' and 'evanescent' to the two
-    light-line contributions.
+    light-line contributions.  Its pass, like every pass, integrates
+    the pair force too, for pair_source_force on the same memo.
 
     Parameters
     ----------
@@ -730,8 +704,8 @@ def interaction_force(source, target, temperature=None, separation=None,
         Scattering block route: small-radius expansion or the exact
         boundary-value solve.
     """
-    prop, evan = _force("int", source, target, temperature, separation,
-                        provider, controls, _memo, _temps)
+    prop, evan, _ = _force(source, target, temperature, separation,
+                           provider, controls, _memo, _temps)
     return prop + evan, {"propagating": prop, "evanescent": evan}
 
 
@@ -740,9 +714,10 @@ def pair_source_force(source, other, temperature=None, separation=None,
                       _temps=None):
     """Force per length on the rigid two-cylinder pair from thermal
     sources in the source cylinder, on the axis from other to source.
-    Only propagating modes contribute."""
-    return _force("pair", source, other, temperature, separation,
-                  provider, controls, _memo, _temps)[0]
+    Only propagating modes contribute, but its pass, like every pass,
+    integrates the interaction force too, and fails where that fails."""
+    return _force(source, other, temperature, separation, provider,
+                  controls, _memo, _temps)[2]
 
 
 def _source_forces(source, other, temperature, separation, kw):

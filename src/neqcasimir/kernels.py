@@ -314,14 +314,15 @@ def _order_sums(a, b, nu_max):
         n_src, n_tgt, nu_max)
 
 
-def prop_order_sums(tsrc, ttgt, nu_max, quadratic, interaction=True):
+def prop_order_sums(tsrc, ttgt, nu_max, quadratic):
     """Diagonal sums (d, dq) of the source amplitude
     a = prop_amplitude(tsrc, quadratic) against the target blocks, both
     (Nk, No, 2, 2) on one contiguous symmetric order set,
-    No <= 2 nu_max + 1: d of sum_PP' Re a[n] ttgt[m], dq of
+    No <= 2 nu_max + 1: d of sum_PP' Re a[n] ttgt[m], which both
+    propagating kernels read, and dq of
     sum_PP' a[n] (ttgt[m] ttgt[m+1]^dagger), which only the interaction
-    kernel reads (None without the quadratic term, with one order or
-    without interaction).
+    kernel reads (None without the quadratic term or with one order).
+    Every engine pass carries both kernels, so it forms both sums.
 
     ttgt[m+1]^dagger is formed as conj(ttgt[m+1]) (see
     _quadratic_product): the transpose is the block itself, since every
@@ -329,7 +330,7 @@ def prop_order_sums(tsrc, ttgt, nu_max, quadratic, interaction=True):
     """
     amp = prop_amplitude(tsrc, quadratic)
     d = _order_sums(amp.real, ttgt, nu_max)
-    if not (quadratic and interaction) or tsrc.shape[1] == 1:
+    if not quadratic or tsrc.shape[1] == 1:
         return d, None
     return d, _order_sums(amp, _quadratic_product(ttgt), nu_max)
 

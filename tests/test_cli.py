@@ -419,6 +419,18 @@ def test_exit_2_on_malformed_inputs(tmp_path, capsys):
     assert _run(["zeros", str(nan_force)]) == 2
     assert "must be finite" in capsys.readouterr().err
 
+    # a scenario header over rows without the force columns fails
+    # before the output header is written
+    cut = tmp_path / "c.csv"
+    cut.write_text("\n".join([lines[0], "d_m,T1_K,T2_K,Tenv_K"] + [
+        ",".join(line.split(",")[:4]) for line in lines[2:]]) + "\n")
+    assert _run(["zeros", str(cut)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "F1_total" in err[0]
+
     # a material parameter that is not a number
     doc = _vacuum_root_doc()
     doc["cylinder1"]["material"] = {
@@ -433,26 +445,26 @@ def test_exit_2_on_malformed_inputs(tmp_path, capsys):
 
 def test_exit_2_on_unreadable_and_unwritable_files(tmp_path, capsys,
                                                    monkeypatch):
-    # a sweep CSV that is not there and an output path in a missing
-    # folder each end with one error line naming the file and exit 2,
-    # not a traceback
+    # a sweep CSV that is not there, and an output path in a missing
+    # folder or naming a folder, each end with one error line naming
+    # the file and exit 2, not a traceback
     missing = tmp_path / "missing.csv"
     assert _run(["zeros", str(missing)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(missing) in err[0]
 
-    # the missing folder is found before any sweep runs
+    # both output paths are found before any sweep runs
     def no_sweep(scenario):
-        raise AssertionError("swept before checking the output folder")
+        raise AssertionError("swept before checking the output path")
 
     monkeypatch.setattr(cli, "sweep", no_sweep)
     path = _write(tmp_path, "root.json", _vacuum_root_doc())
-    out = tmp_path / "no" / "such" / "dir" / "x.csv"
-    assert _run(["run", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert str(out) in err[0]
+    for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
+        assert _run(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(out) in err[0]
 
 
 def test_exit_3_on_quadrature_failure(tmp_path, capsys, monkeypatch):

@@ -423,11 +423,11 @@ def test_every_provider_call_within_the_entry_budget(monkeypatch):
     assert len(probed) == 18 and len(probe) >= 3
 
 
-def _one_group(prov, omegas, d, orders, sums, n_panels, evan):
+def _one_group(prov, omegas, d, orders, n_panels, evan):
     """The axial integrals of one group of nodes: the _integrals of
     their _rows, as _axial forms them for each group."""
     rows = engine._rows(prov, prov, omegas, d, orders, n_panels, evan)
-    return engine._integrals(prov, int(orders[-1]), sums, d, *rows, evan)
+    return engine._integrals(prov, int(orders[-1]), d, *rows, evan)
 
 
 @pytest.mark.parametrize("provider", ["thin", "full"])
@@ -440,11 +440,9 @@ def test_inner_does_not_depend_on_its_batch(monkeypatch, provider):
     orders = np.arange(-2, 3)
     d = 20e-6
     omegas = np.geomspace(2e12, 8e14, 15)
-    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 3.0)
-                for w in omegas]
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT) for w in omegas]
     assert len(set(n_panels)) > 1
     evan = engine._evan_tables(1, orders, engine._evan_edges(2 * R, d))
-    sums = ("f", "e", "s")
     sizes = []
     real_rows = engine._rows
 
@@ -454,9 +452,9 @@ def test_inner_does_not_depend_on_its_batch(monkeypatch, provider):
 
     monkeypatch.setattr(engine, "_rows", counting_rows)
     monkeypatch.setattr(engine, "_MAX_BLOCK_ENTRIES", 10 ** 6)
-    batch = engine._axial(prov, prov, omegas, d, orders, sums, 1, evan)
+    batch = engine._axial(prov, prov, omegas, d, orders, 1, evan)
     monkeypatch.setattr(engine, "_MAX_BLOCK_ENTRIES", 1)
-    single = engine._axial(prov, prov, omegas, d, orders, sums, 1, evan)
+    single = engine._axial(prov, prov, omegas, d, orders, 1, evan)
     assert sizes == [15] + [1] * 15
     assert batch.shape == (15, 3)
     if provider == "thin":
@@ -474,8 +472,7 @@ def test_one_group_forms_the_propagating_order_sums_once(monkeypatch):
     orders = np.arange(-2, 3)
     d = 20e-6
     omegas = np.geomspace(2e12, 8e14, 4)
-    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 3.0)
-                for w in omegas]
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT) for w in omegas]
     evan = engine._evan_tables(1, orders, engine._evan_edges(2 * R, d))
     calls, depth = [], [0]
     real_order_sums = kernels._order_sums
@@ -492,8 +489,7 @@ def test_one_group_forms_the_propagating_order_sums_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(kernels, "_order_sums", counting)
-    out = _one_group(prov, omegas, d, orders, ("f", "e", "s"), n_panels,
-                     evan)
+    out = _one_group(prov, omegas, d, orders, n_panels, evan)
     assert np.all(np.isfinite(out)) and np.all(out != 0.0)
     # real by real: evanescent; real by complex: propagating;
     # complex by complex: quadratic
@@ -511,14 +507,13 @@ def test_inner_working_set_per_block_entry():
     d = 0.5e-6
     omegas = np.array([0.5, 1.5, 3.0, 6.0, 12.0]) \
         * K_BOLTZMANN * 2400.0 / HBAR
-    n_panels = [engine._npanels(w * d / materials.C_LIGHT, 10.0)
-                for w in omegas]
+    n_panels = [engine._npanels(w * d / materials.C_LIGHT) for w in omegas]
     evan = engine._evan_tables(1, orders, engine._evan_edges(40e-9, d))
     rows = sum(engine._psi_grid(n)[0].size for n in n_panels) \
         + omegas.size * evan[0].size
     tracemalloc.start()
     try:
-        _one_group(prov, omegas, d, orders, ("f", "e", "s"), n_panels, evan)
+        _one_group(prov, omegas, d, orders, n_panels, evan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -748,41 +743,74 @@ def test_cutoff_inside_a_window_skips_it(monkeypatch):
     assert [[w for _, _, w, _ in windows] for _, windows in seen] == [[w_sp]]
 
 
-def test_pair_integral_evaluates_no_evanescent_blocks(monkeypatch):
-    # only propagating modes enter the pair force, so neither its order
-    # probe nor its outer integral asks a provider for ktilde_z > 1
-    ktz_max = []
+def test_lone_interaction_and_pair_calls_share_one_pass(monkeypatch):
+    # every pass integrates 'f', 'e' and 's', whoever calls it: given
+    # one memo, a lone interaction_force and a lone pair_source_force at
+    # one temperature make one pass between them, and each repeats its
+    # memo-free call bitwise
+    kw = dict(controls=QuadratureControls(rel_tol=1e-2))
+    alone = (interaction_force(C1, C2, 300.0, 2e-6, **kw),
+             pair_source_force(C1, C2, 300.0, 2e-6, **kw))
+    temps = []
+    real_pass = engine._pass
 
-    def recording(blocks):
-        def wrapped(self, orders, ktz, omega):
-            ktz_max.append(float(np.max(ktz)))
-            return blocks(self, orders, ktz, omega)
-        return wrapped
+    def counting_pass(*args):
+        temps.append(args[0])
+        return real_pass(*args)
 
-    for cls in (tmatrix.ThinExpansion, tmatrix.FullSolve):
-        monkeypatch.setattr(cls, "blocks", recording(cls.blocks))
-    pair = pair_source_force(C1, C2, 300.0, 2e-6, provider="full",
-                             controls=QuadratureControls(rel_tol=1e-2,
-                                                         n_max=2))
-    assert np.isfinite(pair)
-    assert max(ktz_max) < 1.0
+    monkeypatch.setattr(engine, "_pass", counting_pass)
+    memo = {}
+    shared = (interaction_force(C1, C2, 300.0, 2e-6, _memo=memo, **kw),
+              pair_source_force(C1, C2, 300.0, 2e-6, _memo=memo, **kw))
+    assert temps == [(300.0,)]
+    assert shared == alone
+
+
+def test_lone_pair_call_fails_where_its_interaction_integral_does(
+        monkeypatch):
+    # a lone pair_source_force runs the pass of both forces, so it
+    # raises wherever the pass's interaction integrals cannot converge,
+    # though the pair integral would.  Thick low-loss dielectrics do
+    # this (guided modes make 'e' sampling noise, ROADMAP item 13); here
+    # 'e' gets noise on the scale of 'f' that no panel can resolve, and
+    # a call that converges within the panel budget without it fails
+    kw = dict(controls=QuadratureControls(rel_tol=1e-2, n_max=2))
+    monkeypatch.setattr(engine, "MAX_PANELS", 20)
+    assert np.isfinite(pair_source_force(C1, C2, 300.0, 2e-6, **kw))
+    real_axial = engine._axial
+
+    def noisy_axial(src, tgt, omegas, *args):
+        out = real_axial(src, tgt, omegas, *args)
+        out[:, 1] += np.abs(out[:, 0]) * np.sin(1e3 * np.asarray(omegas))
+        return out
+
+    monkeypatch.setattr(engine, "_axial", noisy_axial)
+    with pytest.raises(QuadratureError,
+                       match="no convergence after 20 panels"):
+        pair_source_force(C1, C2, 300.0, 2e-6, **kw)
 
 
 def test_order_cap_warns_where_the_series_has_not_settled():
-    # the pair series of 0.3 um SiC cylinders at 2 um needs order 3 to
-    # settle at shells of rel_tol / 10 = 1e-3: a cap of 2 warns and
-    # still gives a finite force, and a cap of 3 does not warn
+    # the pass of a pair of 0.3 um SiC cylinders at 2 um carries the
+    # interaction and pair series; at shells of rel_tol / 10 = 1e-3 the
+    # pair series settles at order 3 and the interaction series at 4.
+    # A cap below either warns, naming each force whose series has not
+    # settled, and still gives a finite force; a cap of 4 does not warn
     thick = CylinderSpec(0.3e-6, SIC, 300.0)
     pairs = []
-    for n_max in (2, 3):
+    for n_max, forces in ((2, "interaction and pair"), (3, "interaction"),
+                          (4, None)):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             pairs.append(pair_source_force(
                 thick, thick, 300.0, 2e-6, provider="full",
                 controls=QuadratureControls(rel_tol=1e-2, n_max=n_max)))
         capped = [w for w in seen if "order cap" in str(w.message)]
-        assert len(capped) == (1 if n_max == 2 else 0)
         assert all(w.category is RuntimeWarning for w in capped)
+        expected = [] if forces is None else [
+            "multipole series of the %s force still changing at the "
+            "order cap; raise n_max for this geometry" % forces]
+        assert [str(w.message) for w in capped] == expected
     assert np.isfinite(pairs).all()
 
 
@@ -915,7 +943,7 @@ def test_order_probe_shells_at_a_tenth_of_rel_tol(monkeypatch):
 
     def probe(*args):
         args = list(args)
-        args[6] = shells.get("tol", args[6])
+        args[5] = shells.get("tol", args[5])
         picked.append(real(*args))
         return picked[-1]
 
@@ -969,8 +997,8 @@ def test_order_probe_weights_its_shells_as_the_pass_does():
     pass_edges = engine._evan_edges(1e-6, 3e-6)
     assert pass_edges[-1] == pytest.approx(24.0)
     for edges in (pass_edges, engine._EVAN_EDGES[:10]):
-        assert engine._probe_orders(prov, prov, omegas, 3e-6, ("f", "e"),
-                                    8, 1e-6, edges) == 6
+        assert engine._probe_orders(prov, prov, omegas, 3e-6, 8, 1e-6,
+                                    edges) == 6
 
 
 def test_full_provider_with_a_high_order_cap():
@@ -998,7 +1026,10 @@ def test_overflowing_tables_raise_at_the_first_sum():
     # orders -32 .. 32 need table orders up to 64, which overflow at the
     # smallest y and qd nodes; the first kernel sum that reads them
     # raises, naming the order and the argument, instead of passing nan
-    # on to the outer integral
+    # on to the outer integral.  A group sums 'e' first, so the default
+    # y grid names y; on a y grid of [12, 18] the K-products hold, and
+    # the propagating interaction sum names qd before the pair sum can
+    # (tests/test_kernels.py checks the pair sum's own qd error)
     prov = tmatrix.ThinExpansion(SIC, R)
     orders = np.arange(-32, 33)
     d = 2e-6
@@ -1007,12 +1038,12 @@ def test_overflowing_tables_raise_at_the_first_sum():
     with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
         with pytest.raises(QuadratureError, match=r"order -?\d+ "
                            r"overflows at y = 4\.27231e-05"):
-            _one_group(prov, omegas, d, orders, ("e",), (),
+            _one_group(prov, omegas, d, orders, (4,),
                        engine._evan_tables(1, orders, engine._EVAN_EDGES))
-        for kernel in ("f", "s"):
-            with pytest.raises(QuadratureError,
-                               match=r"order -?\d+ overflows at qd = "):
-                _one_group(prov, omegas, d, orders, (kernel,), (4,), None)
+        with pytest.raises(QuadratureError,
+                           match=r"order -?\d+ overflows at qd = "):
+            _one_group(prov, omegas, d, orders, (4,),
+                       engine._evan_tables(1, orders, (12.0, 18.0)))
     # end to end: 8 um cylinders need more orders than the order probe
     # can represent at its smallest y node, and it stops there at once
     thick = CylinderSpec(8e-6, SIC, 300.0)
@@ -1039,8 +1070,8 @@ def test_memo_reuse_is_bitwise():
 
 def test_lone_calls_ignore_what_total_force_memoized():
     # the memo holds pass values only: after total_force has filled it,
-    # a lone call still integrates only its own kind and temperature,
-    # at a scenario temperature and at one outside the scenario
+    # a lone call still runs its pass at its own temperature only, at a
+    # scenario temperature and at one outside the scenario
     sc = Scenario(cylinder1=C1, cylinder2=CylinderSpec(R, SIC, 0.0),
                   separations=(2e-6,), environment_temperature=150.0,
                   controls=CTL)

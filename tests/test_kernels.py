@@ -337,6 +337,23 @@ def test_table_overflow_caught_at_the_sums(table):
                                order - 1, "x")
 
 
+def test_pair_sum_over_an_overflowing_table_raises():
+    # orders -32 .. 32 need Hankel orders up to 64, which overflow at
+    # small qd; the pair sum reads every column of h, so it is not
+    # finite there, and require_finite names the order and the qd
+    orders = np.arange(-32, 33)
+    ktz = np.array([0.1, 0.5, 0.9])
+    qd = 1e-3 * np.sqrt(1.0 - ktz ** 2)
+    t = PROV.blocks(orders, ktz, OMEGA)
+    _, h, jp = kernels.hankel_tables(qd, 64)
+    d, _ = kernels.prop_order_sums(t, t, 64, PROV.quadratic_term)
+    with np.errstate(invalid="ignore"):  # inf * 0 inside the sum
+        vals = kernels.pair_kernel_sum(d, h, jp)
+    with pytest.raises(QuadratureError,
+                       match=r"order -?\d+ overflows at qd = 0\.000435"):
+        kernels.require_finite(vals, h, qd, 64, "qd")
+
+
 # --- folded sums against literal double sums ---------------------------------
 # with thin blocks every order beyond |n| = 1 is zero, so the folded
 # edge handling and the literal block-pair convention coincide exactly
@@ -444,12 +461,7 @@ def test_folded_sums_against_loops_on_full_blocks():
     amp = kernels.prop_amplitude(t, True)
     ref = 4.0 * _loop_sum(amp.real, t, lambda k, c, n, m:
                           jp[k, c] * h[k, c]).imag
-    # without the interaction kernel only d is formed, bitwise the same
-    d, dq = kernels.prop_order_sums(t, t, FULL_NU_MAX, True,
-                                    interaction=False)
-    assert dq is None
-    assert np.array_equal(d, kernels.prop_order_sums(
-        t, t, FULL_NU_MAX, True)[0])
+    d, _ = kernels.prop_order_sums(t, t, FULL_NU_MAX, True)
     folded = kernels.pair_kernel_sum(d, h, jp)
     assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
 
