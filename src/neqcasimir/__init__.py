@@ -38,7 +38,6 @@ from .engine import (
     Scenario,
     interaction_force,
     pair_source_force,
-    self_force,
     sweep,
     total_force,
 )
@@ -80,8 +79,7 @@ __all__ = [
     "thermal_wavelength",
     "ThinExpansion", "FullSolve",
     "QuadratureControls", "Scenario", "ForceBreakdown",
-    "interaction_force", "pair_source_force", "self_force", "total_force",
-    "sweep",
+    "interaction_force", "pair_source_force", "total_force", "sweep",
     "EquilibriumTable",
     "g6", "g4", "g1", "f6", "f4", "f1",
     "interaction_near", "interaction_far",

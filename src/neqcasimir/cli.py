@@ -28,13 +28,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from pathlib import Path
 
 from .analysis import find_zero_crossings, refine_zero
 from .engine import set_scenarios, sweep, total_force
 from .errors import QuadratureError, SchemaError, TMatrixError
 from .scenario import load_scenario, parse_scenario
+from .tmatrix import PROVIDERS
 from .units import G_STANDARD, MU_0
 
 CSV_COLUMNS = (
@@ -145,15 +146,14 @@ def read_sweep_csv(path):
 
 
 def _cmd_run(args):
-    scenario, resolved = load_scenario(args.scenario)
+    # overrides edit the header document, which parses as the scenario run
+    _, resolved = load_scenario(args.scenario)
     if args.provider:
-        scenario.provider = args.provider
         resolved["provider"] = args.provider
     if args.rel_tol is not None:
-        scenario.controls = replace(scenario.controls,
-                                    rel_tol=args.rel_tol)
         resolved["controls"]["rel_tol"] = args.rel_tol
-    out = args.out or scenario.output
+    scenario, resolved = parse_scenario(resolved)
+    out = args.out or resolved.get("output")
     # checked before the sweep, so that a mistyped path fails at once
     if out and Path(out).is_dir():
         raise OSError("cannot write %s: it is a folder" % (out,))
@@ -180,11 +180,8 @@ def _cmd_zeros(args):
     # refined on that set's scenario at the scenario's own floats, as
     # in the sweep that wrote them: then grid-point forces repeat the
     # rows bitwise
-    sets = {}
-    for one in set_scenarios(scenario):
-        temps = (one.cylinder1.temperature, one.cylinder2.temperature,
-                 one.environment_temperature)
-        sets[tuple(_FMT % t for t in temps)] = one
+    sets = {tuple(_FMT % t for t in temps): one for temps, one
+            in zip(scenario.temperature_sets, set_scenarios(scenario))}
     groups = {}
     for row in rows:
         key = tuple(_FMT % row[c] for c in ("T1_K", "T2_K", "Tenv_K"))
@@ -267,7 +264,7 @@ def _build_parser():
     run_p.add_argument("scenario", help="scenario JSON file")
     run_p.add_argument("--out", help="output CSV path (default: the "
                        "scenario's 'output' field, else stdout)")
-    run_p.add_argument("--provider", choices=("thin", "full"),
+    run_p.add_argument("--provider", choices=tuple(PROVIDERS),
                        help="override the scattering provider")
     run_p.add_argument("--rel-tol", type=float, dest="rel_tol",
                        help="override the quadrature relative tolerance")

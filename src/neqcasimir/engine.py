@@ -76,16 +76,16 @@ temperature needs.
 
 Identical inputs produce bitwise identical outputs: panel sums are
 accumulated in a fixed order, and passes are memoized.  total_force
-and self_force hand the scenario's temperatures (its own and all its
-temperature sets) to interaction_force and pair_source_force as the
-private keyword _temps, and their passes run at all of them.  So a
-force depends only on (scenario, separation): equal temperatures
-cancel exactly, identical cylinders share a pass, so mirrored rows
-agree bitwise, and a sweep row is the total_force of its set.  A call
-without _temps runs the same pass at its own temperature only,
-whatever its memo holds, so a lone interaction_force and a lone
-pair_source_force of one memo share it.  The provider's quadratic_term
-decides whether the source amplitude keeps T T^dagger.
+hands the temperatures of every set of its scenario, which lists its
+own, to interaction_force and pair_source_force as the private keyword
+_temps, and their passes run at all of them.  So a force depends only
+on (scenario, separation): equal temperatures cancel exactly,
+identical cylinders share a pass, so mirrored rows agree bitwise, and
+a sweep row is the total_force of its set.  A call without _temps runs
+the same pass at its own temperature only, whatever its memo holds, so
+a lone interaction_force and a lone pair_source_force of one memo
+share it.  The provider's quadratic_term decides whether the source
+amplitude keeps T T^dagger.
 
 The accuracy settings, QuadratureControls, live in quadrature with the
 constants of the thermal integrals; engine imports the class back, so
@@ -105,7 +105,7 @@ from .materials import CylinderSpec, Vacuum, resonances
 from .quadrature import (GROUP_FLOOR, MAX_PANELS, X_MAX, QuadratureControls,
                          adaptive_vector, composite_nodes,
                          thermal_seed_edges, uniform_edges)
-from .tmatrix import FullSolve, ThinExpansion
+from .tmatrix import PROVIDERS
 from .units import C_LIGHT, HBAR, K_BOLTZMANN
 
 # panel edges of the y grid, graded toward y = 0: a conductor's
@@ -197,8 +197,9 @@ class ForceBreakdown:
 
 @dataclass
 class Scenario:
-    """One computable configuration set: a cylinder pair, an
-    environment, separations, and solver settings."""
+    """A cylinder pair, an environment, separations, solver settings,
+    and temperature sets, which always list the scenario's own (T1, T2,
+    T_env): as the only set when none are given."""
 
     cylinder1: CylinderSpec
     cylinder2: CylinderSpec
@@ -208,38 +209,37 @@ class Scenario:
     controls: QuadratureControls = field(default_factory=QuadratureControls)
     equilibrium: EquilibriumTable | None = None
     temperature_sets: tuple | None = None
-    name: str = "scenario"
-    output: str | None = None
 
     def __post_init__(self):
         seps = tuple(float(d) for d in np.atleast_1d(self.separations))
         if not seps or any(not (d > 0 and math.isfinite(d)) for d in seps):
             raise ValueError("separations must be positive and finite")
         self.separations = seps
-        if self.provider not in ("thin", "full"):
-            raise ValueError("provider must be 'thin' or 'full', got %r"
-                             % (self.provider,))
+        _provider_class(self.provider)
         if not 0 <= self.environment_temperature < math.inf:
             raise ValueError("environment_temperature must be finite and "
                              ">= 0, got %r"
                              % (self.environment_temperature,))
-        if self.temperature_sets is not None:
-            sets = tuple(tuple(float(t) for t in s)
-                         for s in self.temperature_sets)
-            if any(len(s) != 3 or not all(0 <= t < math.inf for t in s)
-                   for s in sets):
-                raise ValueError("temperature_sets must be (T1, T2, T_env) "
-                                 "with finite nonnegative entries, got %r"
-                                 % (sets,))
-            self.temperature_sets = sets
+        own = (self.cylinder1.temperature, self.cylinder2.temperature,
+               self.environment_temperature)
+        sets = tuple(tuple(float(t) for t in s)
+                     for s in self.temperature_sets or (own,))
+        if own not in sets or any(
+                len(s) != 3 or not all(0 <= t < math.inf for t in s)
+                for s in sets):
+            raise ValueError("temperature_sets must be (T1, T2, T_env) "
+                             "with finite nonnegative entries, one of "
+                             "them the scenario's own %r, got %r"
+                             % (own, sets))
+        self.temperature_sets = sets
 
 
-def _make_provider(provider, spec):
-    if provider == "thin":
-        return ThinExpansion(spec.material, spec.radius)
-    if provider == "full":
-        return FullSolve(spec.material, spec.radius)
-    raise ValueError("provider must be 'thin' or 'full'")
+def _provider_class(provider):
+    """The tmatrix.PROVIDERS class named provider."""
+    if not isinstance(provider, str) or provider not in PROVIDERS:
+        raise ValueError("provider must be %s, got %r"
+                         % (" or ".join(map(repr, PROVIDERS)), provider))
+    return PROVIDERS[provider]
 
 
 def _check_geometry(source, target, separation):
@@ -633,15 +633,13 @@ def _pass(temps, src_prov, tgt_prov, d, controls):
 
 
 def _scenario_keywords(scenario, source, other, separation, memo):
-    """Check the geometry of a total_force or self_force call, and
-    return the keywords of its force calls: one memo, and as _temps the
-    positive temperatures of the scenario's own (T1, T2, T_env) and of
-    every temperature set."""
+    """Check the geometry of a total_force call, and return the
+    keywords of its force calls: one memo, and as _temps the positive
+    temperatures of every temperature set, which list the scenario's
+    own (T1, T2, T_env)."""
     _check_geometry(source, other, separation)
-    own = (scenario.cylinder1.temperature, scenario.cylinder2.temperature,
-           scenario.environment_temperature)
-    temps = frozenset(float(t) for t in own + sum(
-        scenario.temperature_sets or (), ()) if t > 0)
+    temps = frozenset(t for s in scenario.temperature_sets for t in s
+                      if t > 0)
     return dict(provider=scenario.provider, controls=scenario.controls,
                 _memo={} if memo is None else memo, _temps=temps)
 
@@ -650,19 +648,21 @@ def _force(source, target, temperature, separation, provider, controls,
            memo, scenario_temps):
     """The checks, defaults and memo lookup of interaction_force and
     pair_source_force around one _pass: the integrals (f, e, s) of this
-    temperature, from a pass at scenario_temps (from total_force or
-    self_force) and this temperature, or else at this temperature only.
-    A memo key names the temperatures, so a lone interaction_force and
-    a lone pair_source_force at one temperature share one pass.
-    Identical cylinders share one provider.  Only a lone call checks
-    the geometry here; total_force and self_force check it once for
-    their calls."""
+    temperature, from a pass at scenario_temps (the temperatures of
+    every set of total_force's scenario) and this temperature, or else
+    at this temperature only.  A memo key names the temperatures, so a
+    lone interaction_force and a lone pair_source_force at one
+    temperature share one pass.  Identical cylinders share one
+    provider, of the class tmatrix.PROVIDERS names.  Only a lone call
+    checks the geometry here; total_force checks it once for its
+    calls."""
     if scenario_temps is None:
         _check_geometry(source, target, separation)
-    src = _make_provider(provider, source)
+    make = _provider_class(provider)
+    src = make(source.material, source.radius)
     same = (target.material, target.radius) == (source.material,
                                                 source.radius)
-    tgt = src if same else _make_provider(provider, target)
+    tgt = src if same else make(target.material, target.radius)
     controls = controls if controls is not None else QuadratureControls()
     temp = source.temperature if temperature is None else float(temperature)
     if not 0 <= temp < math.inf:
@@ -734,28 +734,9 @@ def _source_forces(source, other, temperature, separation, kw):
     return pair + onto_other, pair, onto_other, channels
 
 
-def self_force(index, scenario, separation, *, temperature=None,
-               _memo=None):
-    """Force per length on cylinder `index` (1 or 2) of the scenario
-    from its own thermal sources, in the presence of the other
-    cylinder, on the axis pointing from the other cylinder toward
-    this one.
-
-    Computed through the pair route: the force on the pair from this
-    cylinder's sources, minus the force those sources exert on the
-    other cylinder.
-    """
-    if index not in (1, 2):
-        raise ValueError("index must be 1 or 2")
-    source, other = scenario.cylinder1, scenario.cylinder2
-    if index == 2:
-        source, other = other, source
-    kw = _scenario_keywords(scenario, source, other, separation, _memo)
-    return _source_forces(source, other, temperature, separation, kw)[0]
-
-
 def total_force(scenario, separation, *, _memo=None):
-    """Full nonequilibrium force breakdown at one separation.
+    """Full nonequilibrium force breakdown at one separation and the
+    scenario's own (T1, T2, T_env), one of its temperature sets.
 
     Combines the equilibrium force at the environment temperature
     (interpolated from the scenario's ingested table, zero without
@@ -799,16 +780,13 @@ def total_force(scenario, separation, *, _memo=None):
 
 def set_scenarios(scenario):
     """The scenario at each temperature set's (T1, T2, T_env), in file
-    order, or at its own without sets.  Each keeps every set, so its
-    passes cover the temperatures of the whole sweep."""
-    sets = scenario.temperature_sets or ((scenario.cylinder1.temperature,
-                                          scenario.cylinder2.temperature,
-                                          scenario.environment_temperature),)
+    order; a scenario given no sets has one, its own.  Each keeps every
+    set, so its passes cover the temperatures of the whole sweep."""
     return [replace(scenario,
                     cylinder1=replace(scenario.cylinder1, temperature=t1),
                     cylinder2=replace(scenario.cylinder2, temperature=t2),
                     environment_temperature=te)
-            for t1, t2, te in sets]
+            for t1, t2, te in scenario.temperature_sets]
 
 
 def sweep(scenario):

@@ -258,16 +258,14 @@ def skin_depth(model, omega):
 def _parameter(params, units, field, convert=None, si_unit=None):
     """params[field] (KeyError when absent) as a float, converted to SI
     from units[field] (si_unit when absent) if convert is given.  A
-    boolean, a value float() cannot read, or a unit or value the
-    converter rejects is a MaterialError naming the field."""
+    value that is not an int or a float (a boolean or a string among
+    them), or a unit or value the converter rejects, is a MaterialError
+    naming the field."""
     value, unit = params[field], units.get(field)
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = float(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MaterialError("expected a number for %s, got %r"
-                            % (field, value)) from None
+                            % (field, value))
+    value = float(value)
     if convert is None:
         return value
     try:
@@ -401,8 +399,9 @@ class CylinderSpec:
 
     def __post_init__(self):
         if not isinstance(self.radius, numbers.Real) \
-                or isinstance(self.radius, bool) or self.radius <= 0:
-            raise ValueError("radius must be positive, got %r"
+                or isinstance(self.radius, bool) \
+                or not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite, got %r"
                              % (self.radius,))
         if not isinstance(self.temperature, numbers.Real) \
                 or isinstance(self.temperature, bool) \

@@ -28,6 +28,8 @@ scenario file.  Optional fields: "temperature_sets" (several
 per-cylinder temperatures), "controls" (rel_tol, u_min, n_max),
 "equilibrium_file" / "equilibrium" (ingested equilibrium force table),
 "output".  Any other field, in any object, is an error that names it.
+A scenario with temperature sets is evaluated at its first set until
+`engine.set_scenarios` picks another.
 
 Here the JSON shape, types, units and ordering are checked.  Value
 ranges are checked once, by the dataclass that owns the value
@@ -78,10 +80,10 @@ def _fields(node, path, required, optional=()):
     return node
 
 
-def _build(cls, path, **fields):
-    """cls(**fields), with its ValueError as a SchemaError at path."""
+def _build(cls, path, *args, **fields):
+    """cls(*args, **fields), with its ValueError as a SchemaError at path."""
     try:
-        return cls(**fields)
+        return cls(*args, **fields)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -288,7 +290,10 @@ def parse_scenario(doc, base_dir="."):
         if env_node is not None:
             _fail("environment_temperature", "mutually exclusive with "
                   "temperature_sets")
-        t_env = 0.0
+        cyl1, cyl2 = (_build(dataclasses.replace, "temperature_sets", cyl,
+                             temperature=t)
+                      for cyl, t in zip((cyl1, cyl2), temperature_sets[0]))
+        t_env = temperature_sets[0][2]
     else:
         if env_node is None:
             _fail("scenario", "missing required field "
@@ -307,7 +312,7 @@ def parse_scenario(doc, base_dir="."):
         Scenario, "scenario", cylinder1=cyl1, cylinder2=cyl2,
         separations=separations, environment_temperature=t_env,
         provider=provider, controls=controls, equilibrium=equilibrium,
-        temperature_sets=temperature_sets, name=name, output=output)
+        temperature_sets=temperature_sets)
 
     resolved = {
         "name": name,

@@ -327,8 +327,8 @@ class _Provider:
     """Material and radius of one cylinder, shared by both providers."""
 
     def __init__(self, material, radius):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError("radius must be positive and finite")
         self.material = material
         self.radius = float(radius)
 
@@ -375,3 +375,7 @@ class FullSolve(_Provider):
         omega per ktz node or one for every node."""
         eps, x = self._eps_x(ktz, omega)
         return _full_blocks_batch(orders, ktz, eps, x)
+
+
+# the providers by the name a scenario gives them
+PROVIDERS = {"thin": ThinExpansion, "full": FullSolve}

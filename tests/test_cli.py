@@ -229,10 +229,13 @@ def test_provider_override_recorded(tmp_path):
     assert doc["provider"] == "full"
 
 
-def test_rel_tol_override_validation(tmp_path):
+def test_rel_tol_override_validation(tmp_path, capsys):
     path = _write(tmp_path, "root.json", _vacuum_root_doc())
     out = tmp_path / "o.csv"
     assert _run(["run", path, "--rel-tol", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "rel_tol" in err[0]
     assert _run(["run", path, "--rel-tol", "1e-2", "--out", str(out)]) == 0
     doc, _ = read_sweep_csv(out)
     assert doc["controls"]["rel_tol"] == 1e-2

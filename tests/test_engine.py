@@ -15,7 +15,7 @@ import pytest
 from neqcasimir import asymptotics, engine, kernels, materials, tmatrix
 from neqcasimir.engine import (QuadratureControls, Scenario,
                                interaction_force, pair_source_force,
-                               self_force, sweep, total_force)
+                               set_scenarios, sweep, total_force)
 from neqcasimir.equilibrium import EquilibriumTable
 from neqcasimir.errors import QuadratureError
 from neqcasimir.materials import (CylinderSpec, Vacuum, thermal_wavelength)
@@ -114,23 +114,8 @@ def test_cold_environment_assembly():
     sc = Scenario(cylinder1=C1, cylinder2=CylinderSpec(R, SIC, 0.0),
                   separations=(2e-6,), controls=CTL)
     b = total_force(sc, 2e-6)
-    self1 = self_force(1, sc, 2e-6)
-    assert b.f_total_1 == pytest.approx(self1, rel=1e-12)
+    assert b.f_total_1 == pytest.approx(b.f_self_1, rel=1e-12)
     assert b.f_env_subtraction_1 == 0.0
-
-
-def test_self_force_of_cylinder_2_is_its_breakdown_entry():
-    # self_force(1) runs on the lab axis, and self_force(2) on the axis
-    # from cylinder 1 toward 2, so they are f_self_1 and the lab-axis
-    # f_self_2 negated, bitwise from one memo
-    sc = Scenario(cylinder1=CylinderSpec(R, SIC, 450.0),
-                  cylinder2=CylinderSpec(0.05e-6, SIC, 300.0),
-                  separations=(2e-6,), controls=CTL)
-    memo = {}
-    b = total_force(sc, 2e-6, _memo=memo)
-    assert b.f_self_1 != 0.0 and b.f_self_2 != 0.0
-    assert self_force(1, sc, 2e-6, _memo=memo) == b.f_self_1
-    assert self_force(2, sc, 2e-6, _memo=memo) == -b.f_self_2
 
 
 def test_far_field_positive_and_inverse_d():
@@ -370,7 +355,8 @@ def test_total_force_repeats_its_sweep_row():
     # every set, as the sweep's passes do, so it repeats that set's
     # row bitwise
     sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
-                  controls=CTL, temperature_sets=HOT_SETS)
+                  controls=CTL, environment_temperature=300.0,
+                  temperature_sets=HOT_SETS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rows = sweep(sc)
@@ -436,7 +422,7 @@ def test_inner_does_not_depend_on_its_batch(monkeypatch, provider):
     # group, on ragged psi grids (4 to 18 panels): bitwise with thin
     # blocks, and with full blocks within the BLAS rounding of the
     # order sums, which depends on a row's position in the batch
-    prov = engine._make_provider(provider, C1)
+    prov = tmatrix.PROVIDERS[provider](C1.material, C1.radius)
     orders = np.arange(-2, 3)
     d = 20e-6
     omegas = np.geomspace(2e12, 8e14, 15)
@@ -468,7 +454,7 @@ def test_one_group_forms_the_propagating_order_sums_once(monkeypatch):
     # contract the same diagonal sums of Re(T + T T^dagger) against the
     # target blocks: one _integrals call forms them once, next to one
     # evanescent sum and one sum of the quadratic term
-    prov = engine._make_provider("full", C1)
+    prov = tmatrix.PROVIDERS["full"](C1.material, C1.radius)
     orders = np.arange(-2, 3)
     d = 20e-6
     omegas = np.geomspace(2e12, 8e14, 4)
@@ -501,8 +487,7 @@ def test_inner_working_set_per_block_entry():
     # group holds per block entry (rows x orders); a peak above
     # 250 bytes per entry would call for a smaller _MAX_BLOCK_ENTRIES
     _, tungsten = materials.load_material("tungsten_2400k")
-    prov = engine._make_provider(
-        "full", CylinderSpec(20e-9, tungsten, 2400.0))
+    prov = tmatrix.PROVIDERS["full"](tungsten, 20e-9)
     orders = np.arange(-4, 5)
     d = 0.5e-6
     omegas = np.array([0.5, 1.5, 3.0, 6.0, 12.0]) \
@@ -1107,6 +1092,7 @@ def test_sweep_temperature_sets():
     table = EquilibriumTable([1e-7, 1e-4], [-2.0, -2.0])
     sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6,),
                   controls=CTL, equilibrium=table,
+                  environment_temperature=300.0,
                   temperature_sets=((300.0, 300.0, 300.0),
                                     (0.0, 300.0, 0.0)))
     rows = sweep(sc)
@@ -1115,6 +1101,22 @@ def test_sweep_temperature_sets():
     assert rows[0].f_total_1 == -2.0
     assert rows[1].t_env == 0.0
     assert rows[1].f_total_1 != -2.0
+    # a scenario's own temperatures are one of its sets, so total_force
+    # cannot report a row at temperatures the scenario does not list
+    with pytest.raises(ValueError, match="temperature_sets"):
+        replace(sc, environment_temperature=0.0)
+
+
+def test_total_force_of_a_parsed_scenario_is_at_its_first_set():
+    # a scenario file with temperature sets gives no per-cylinder
+    # temperatures: the parsed scenario is at its first set, (0, 0, 300)
+    # K, and total_force repeats that set's scenario bitwise
+    sc, _ = load_scenario(SCENARIOS / "sic_warm_environment.json")
+    sc = replace(sc, controls=QuadratureControls(rel_tol=1e-2))
+    b = total_force(sc, 6.7e-6)
+    assert (b.t1, b.t2, b.t_env) == sc.temperature_sets[0] \
+        == (0.0, 0.0, 300.0)
+    assert b == total_force(set_scenarios(sc)[0], 6.7e-6)
 
 
 def test_geometry_validation():
@@ -1124,9 +1126,6 @@ def test_geometry_validation():
         interaction_force(C1, C2, 300.0, controls=CTL)
     with pytest.raises(ValueError):
         interaction_force(C1, C2, -5.0, 2e-6, controls=CTL)
-    with pytest.raises(ValueError):
-        self_force(3, Scenario(cylinder1=C1, cylinder2=C2,
-                               separations=(2e-6,), controls=CTL), 2e-6)
     # a cold source or a vacuum cylinder needs no pass, and the
     # provider name is checked all the same
     with pytest.raises(ValueError, match="provider"):
@@ -1164,7 +1163,6 @@ def test_one_reflection_warning():
             (lambda: interaction_force(cold, cold, 0.0, 0.8e-6), 1),
             (lambda: pair_source_force(cold, cold, 0.0, 0.8e-6), 1),
             (lambda: total_force(sc, 0.8e-6), 1),
-            (lambda: self_force(1, sc, 0.8e-6), 1),
             (lambda: sweep(replace(sc, separations=(0.8e-6, 0.9e-6))), 2)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -234,6 +234,9 @@ _METAL = {"name": "metal", "model": "conductivity_sum",
       "units": {"eps_im": "eV"}}, "eps_im"),
     ({"name": "glass", "model": "constant", "parameters": {"eps_re": 2.0},
       "units": {"eps_re": "m"}}, "eps_re"),
+    # a number in a JSON string, which a scenario rejects too
+    (dict(_LORENTZ, parameters={**_LORENTZ["parameters"], "eps_inf": "6.7"}),
+     "eps_inf"),
 ])
 def test_undeclared_parameters_and_units_named(doc, named):
     # each model declares its parameters and the units they may carry:
@@ -260,7 +263,8 @@ def test_cylinder_spec():
         materials.CylinderSpec(radius=-1e-7, material=SIC, temperature=0.0)
     with pytest.raises(ValueError):
         materials.CylinderSpec(radius=1e-7, material=SIC, temperature=-1.0)
-    for radius, temperature in ((True, 0.0), (1e-7, True), (1e-7, False)):
+    for radius, temperature in ((True, 0.0), (1e-7, True), (1e-7, False),
+                                (float("nan"), 0.0), (float("inf"), 0.0)):
         with pytest.raises(ValueError):
             materials.CylinderSpec(radius=radius, material=SIC,
                                    temperature=temperature)

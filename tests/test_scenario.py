@@ -36,7 +36,7 @@ def _minimal_doc():
 
 def test_minimal_parse():
     sc, resolved = parse_scenario(_minimal_doc())
-    assert sc.name == "demo"
+    assert resolved["name"] == "demo"
     assert sc.cylinder1.radius == pytest.approx(1e-7, rel=1e-15)
     assert sc.cylinder2.radius == pytest.approx(1e-7, rel=1e-15)
     assert sc.cylinder1.temperature == 300.0
@@ -309,6 +309,8 @@ _DELETE = object()
       "temperature_sets": {"unit": "K", "sets": [[300, -1, 0]]}},
      "temperature_sets"),
     ({"controls.n_max": 33}, "n_max"),
+    # an unhashable value, which the table of providers cannot look up
+    ({"provider": ["thin"]}, "provider"),
 ])
 def test_rejected_inputs_name_their_field(changes, field, tmp_path, capsys):
     # each value is checked once, in the dataclass that owns it, and
@@ -427,8 +429,8 @@ def test_resolved_round_trip(kind, tmp_path):
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(_minimal_doc()))
-    sc, _ = load_scenario(path)
-    assert sc.name == "demo"
+    _, resolved = load_scenario(path)
+    assert resolved["name"] == "demo"
     with pytest.raises(SchemaError):
         load_scenario(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"

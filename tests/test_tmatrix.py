@@ -398,6 +398,9 @@ def test_full_checks_only_the_requested_orders(monkeypatch):
 
 
 def test_thin_argument_errors():
+    # NaN passes a "radius <= 0" check
+    with pytest.raises(ValueError, match="radius"):
+        tmatrix.ThinExpansion(SIC, float("nan"))
     with pytest.raises(TMatrixError):
         _thin(0, 0.4, EPS, 0.0)
     with pytest.raises(TMatrixError):
@@ -408,6 +411,8 @@ def test_thin_argument_errors():
 
 
 def test_full_argument_errors():
+    with pytest.raises(ValueError, match="radius"):
+        tmatrix.FullSolve(SIC, float("nan"))
     with pytest.raises(TMatrixError):
         _full(0, 0.4, EPS, 0.0)
 
