@@ -153,7 +153,11 @@ def _cmd_run(args):
     if args.rel_tol is not None:
         resolved["controls"]["rel_tol"] = args.rel_tol
     scenario, resolved = parse_scenario(resolved)
-    out = args.out or resolved.get("output")
+    out = args.out
+    if not out and resolved.get("output"):
+        # read from the scenario's folder, as its material files are;
+        # --out from the working folder
+        out = Path(args.scenario).parent / resolved["output"]
     # checked before the sweep, so that a mistyped path fails at once
     if out and Path(out).is_dir():
         raise OSError("cannot write %s: it is a folder" % (out,))
@@ -262,8 +266,9 @@ def _build_parser():
     run_p = sub.add_parser(
         "run", help="sweep a scenario file and emit a breakdown CSV")
     run_p.add_argument("scenario", help="scenario JSON file")
-    run_p.add_argument("--out", help="output CSV path (default: the "
-                       "scenario's 'output' field, else stdout)")
+    run_p.add_argument("--out", help="output CSV path, relative to the "
+                       "working folder (default: the scenario's 'output' "
+                       "field, relative to the scenario file, else stdout)")
     run_p.add_argument("--provider", choices=tuple(PROVIDERS),
                        help="override the scattering provider")
     run_p.add_argument("--rel-tol", type=float, dest="rel_tol",

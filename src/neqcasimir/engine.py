@@ -42,11 +42,13 @@ singularity regular and turns the Lorentzian peak of each material
 resonance flat inside its window (_outer_map, whose windows _windows
 picks).
 
-Each outer panel is one array pass.  The frequency map, its Jacobian
-and the Bose weights of all 15 nodes come at once, and the live nodes
-go in node order to _axial.  Every provider call of a pass (order
-probe, grid calibration and outer integral) goes through _groups, so
-it keeps to the same group budget.  A group's block rows are
+Each call of the outer integrand is one array pass over the nodes
+adaptive_vector batches into it: every seed panel at once, then both
+halves of each split.  The frequency map, its Jacobian and the Bose
+weights of all its nodes come at once, and the live nodes go in node
+order to _axial.  Every provider call of a pass (order probe, grid
+calibration and outer integral) goes through _groups, so it keeps to
+the same group budget.  A group's block rows are
 [psi rows of node 0 .. m-1 | y rows of node 0 .. m-1], with omega per
 row, so one provider call per distinct cylinder, one hankel_tables
 call and one call of each kernel sum serve the whole group.  A group
@@ -60,13 +62,15 @@ at most 2.2% more peak RSS than 6,144 entries did at 335 bytes each;
 The axial integral is split at the light line: the propagating side is
 mapped to an angle psi with k_z = (omega / c) cos(psi); the evanescent
 side uses the decaying scale y = |q| d, on the panels of _EVAN_EDGES
-cut by _evan_edges.  Inner grids are fixed composite rules with one
-density factor per pass: the psi and y grids double together until
-every integral of the pass at u = 2.5 of every temperature stops
-moving, each held to at least 1% of the largest integral of its
-tolerance group at its temperature, as the outer integral holds its
-channels.  The
-psi grid takes the 15-point Kronrod rule: Gauss on its interior panels
+cut by _evan_edges.  Both sides are even in k_z, because every block
+obeys T(-k_z) = S T(k_z) S with S = diag(1, -1): the psi grid is folded
+at pi / 2 (_psi_grid) and the y grid takes k_z > 0 only, each counted
+twice.  Inner grids are fixed composite rules with one density factor
+per pass: the psi and y grids double together until every integral of
+the pass at u = 2.5 of every temperature stops moving, each held to at
+least 1% of the largest integral of its tolerance group at its
+temperature, as the outer integral holds its channels.  The psi grid
+takes the 15-point Kronrod rule: Gauss on its interior panels
 moves the SiC pair source by 0.07 rel_tol.  The azimuthal truncation
 is calibrated once per pass by a multipole shell probe of both
 kernels, whose shells are the pass's own integrals (_integrals) on its
@@ -131,7 +135,8 @@ _INTEGRALS = ("f", "e", "s")
 _GROUPS = (0, 0, 1)
 _GROUP_FORCES = ("interaction", "pair")
 _GROUP_STARTS = tuple(np.flatnonzero(np.diff(_GROUPS, prepend=-1)))
-# units of kd per psi panel: the pair sum needs this density, the
+# units of kd per psi panel over [0, pi], of which _psi_grid keeps the
+# half below pi / 2: the pair sum needs this density, the
 # propagating interaction sum only one panel per 10
 _PER_PANEL = 3.0
 _MAX_GRID_BUMPS = 4
@@ -265,10 +270,17 @@ def _npanels(kd):
 @lru_cache(maxsize=256)
 def _psi_grid(n_panels):
     """cos(psi), sin(psi) and the weights times sin(psi)^2 of the
-    propagating sums at the composite Kronrod nodes on n_panels uniform
-    panels of psi in [0, pi].  Read-only: the cache hands the same
-    arrays to every caller."""
+    propagating sums on the composite Kronrod rule of n_panels uniform
+    panels of psi in [0, pi], folded at pi / 2.  The rule is symmetric
+    about pi / 2 and both propagating sums are even in k_z (see
+    _integrals), so of its N nodes the first ceil(N / 2) are kept and
+    the first floor(N / 2) of them weigh twice; with an odd panel count
+    the middle panel's centre node, psi = pi / 2, keeps its one weight.
+    Read-only: the cache hands the same arrays to every caller."""
     nodes, wts = composite_nodes(uniform_edges(0.0, math.pi, n_panels))
+    half = nodes.size // 2
+    nodes, wts = nodes[:nodes.size - half], wts[:nodes.size - half]
+    wts[:half] *= 2.0
     sin_psi = np.sin(nodes)
     grid = (np.cos(nodes), sin_psi, wts * (sin_psi * sin_psi))
     for a in grid:
@@ -280,9 +292,11 @@ def _rows(src_prov, tgt_prov, omegas, d, orders, n_panels, evan):
     """Blocks on orders at m frequencies, on the rows [psi rows of node
     0 .. m-1 | y rows of node 0 .. m-1] with omega per row, so one
     provider call per distinct cylinder covers every node and both
-    branches.  Node i has n_panels[i] uniform psi panels and the y grid
-    of evan.  Returns (k, tsrc, ttgt, psi): k = omega / c per node, and
-    psi = (qd, weights times sin(psi)^2, first row of each node).
+    branches.  Node i has the folded psi grid of n_panels[i] uniform
+    panels over [0, pi] (_psi_grid: psi <= pi / 2, so k_z >= 0 only)
+    and the y grid of evan.  Returns (k, tsrc, ttgt, psi): k = omega / c
+    per node, and psi = (qd, weights times sin(psi)^2, first row of each
+    node).
     Identical cylinders share one provider (_force), and then one set
     of blocks."""
     k = np.asarray(omegas, dtype=float) / C_LIGHT
@@ -316,16 +330,19 @@ def _integrals(src_prov, n, d, k, tsrc, ttgt, psi, evan):
     2 / d^2.  The psi integrals are segment sums over the ragged
     per-node grids; every node shares the y grid, so its integrals come
     from an (m, ny) reshape and the K-product table serves all nodes
-    untiled.  The -k_z evanescent blocks are T(k_z) * [[1, -1],
-    [-1, 1]] on both cylinders and the sum multiplies their entries
-    pairwise, so the -k_z sum is the +k_z sum bitwise and the branch is
-    twice the +k_z sum.  'f' and 's' contract the same diagonal sums of
-    the source amplitude against the target blocks, which
-    kernels.prop_order_sums forms once per call.  The evanescent sum
-    runs before the Hankel tables and those sums are built, so its
-    working set does not add to theirs.  Every call forms all three
-    integrals, and checks each sum finite as it forms it: 'e', then 'f',
-    then 's'."""
+    untiled.  Both branches count k_z > 0 twice, which the block parity
+    T(-k_z) = S T(k_z) S, S = diag(1, -1), allows: the -k_z evanescent
+    blocks are T(k_z) * [[1, -1], [-1, 1]] on both cylinders and the
+    sum multiplies their entries pairwise, so the -k_z sum is the +k_z
+    sum bitwise and the branch is twice the +k_z sum; the propagating
+    sums take the same value at -k_z as at k_z to rounding, so the psi
+    grid is folded at pi / 2 with doubled weights (_psi_grid).  'f'
+    and 's' contract the same diagonal sums of the source amplitude
+    against the target blocks, which kernels.prop_order_sums forms once
+    per call.  The evanescent sum runs before the Hankel tables and
+    those sums are built, so its working set does not add to theirs.
+    Every call forms all three integrals, and checks each sum finite as
+    it forms it: 'e', then 'f', then 's'."""
     mid = tsrc.shape[1] // 2
     tsrc, ttgt = tsrc[:, mid - n:mid + n + 1], ttgt[:, mid - n:mid + n + 1]
     nu_max = 2 * n

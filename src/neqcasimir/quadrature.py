@@ -5,7 +5,11 @@ The 7-15 pair gives a 7-point Gauss estimate embedded in a 15-point
 Kronrod estimate; their difference is a conservative error bound for
 the Kronrod value.  The adaptive driver bisects the worst panel until
 every output channel meets its tolerance, then sums panels in position
-order with math.fsum so reruns are bit-identical.
+order with math.fsum so reruns are bit-identical.  It asks its
+integrand for panels in batches: every seed panel in one call, then
+both halves of each split in one call, so an integrand that vectorizes
+over nodes (the force engine's) pays its per-call cost once per batch;
+x has shape (15 k,) for k panels.
 
 The integral settings live here too: QuadratureControls (rel_tol,
 u_min, n_max) and the constants the thermal frequency integrals hold
@@ -161,8 +165,11 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
     Parameters
     ----------
     f : callable
-        f(x) with x shape (15,) returning shape (15, C): the integrand
-        evaluated at one panel's nodes, C output channels.
+        f(x) with x shape (15 k,) returning shape (15 k, C): the
+        integrand at the nodes of k panels, one after another, with C
+        output channels.  The first call holds every seed panel and
+        each later call the two halves of one split, so a node's value
+        must not depend on the other nodes of its call.
     a, b : float
         Integration limits, a < b.
     rel_tol : float
@@ -198,14 +205,19 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
         if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0):
             raise ValueError("seed_edges must increase from a to b")
 
-    def make_panel(lo, hi):
-        vals = np.asarray(f(panel_nodes(lo, hi)), dtype=float)
-        vk, err = panel_estimates(lo, hi, vals)
-        return (lo, hi, vk, err)
+    def make_panels(bounds):
+        # one f call at the nodes of every (lo, hi) of bounds; each
+        # panel's estimates come from a fresh contiguous copy of its
+        # rows, so they are bitwise those of a call at its nodes alone
+        vals = np.asarray(f(np.concatenate(
+            [panel_nodes(lo, hi) for lo, hi in bounds])), dtype=float)
+        return [(lo, hi, *panel_estimates(lo, hi, rows.copy()))
+                for (lo, hi), rows in zip(bounds,
+                                          np.split(vals, len(bounds)))]
 
     # panels stay in the order they were made, so the first of equal
     # errors is the oldest panel
-    panels = [make_panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    panels = make_panels(list(zip(edges[:-1], edges[1:])))
     if groups is None:
         labels = np.zeros(panels[0][2].shape[0], dtype=int)
     else:
@@ -243,7 +255,7 @@ def adaptive_vector(f, a, b, rel_tol, seed_edges=None, max_panels=2000,
                 "panel [%g, %g] cannot be split further" % (lo, hi),
                 worst_panel=(lo, hi, worst[2].tolist(), worst[3].tolist()))
         del panels[i]
-        panels.extend((make_panel(lo, mid), make_panel(mid, hi)))
+        panels.extend(make_panels([(lo, mid), (mid, hi)]))
 
     final = sorted(panels, key=lambda p: p[0])
     n_channels = final[0][2].shape[0]

@@ -27,7 +27,10 @@ scenario file.  Optional fields: "temperature_sets" (several
 {T1, T2, T_env} triples sharing one geometry; mutually exclusive with
 per-cylinder temperatures), "controls" (rel_tol, u_min, n_max),
 "equilibrium_file" / "equilibrium" (ingested equilibrium force table),
-"output".  Any other field, in any object, is an error that names it.
+"output" (the CSV that `neqcasimir run` writes without --out).  The
+paths of "path", "equilibrium_file" and "output" are read relative to
+the scenario file.  Any other field, in any object, is an error that
+names it.
 A scenario with temperature sets is evaluated at its first set until
 `engine.set_scenarios` picks another.
 

@@ -220,6 +220,23 @@ def test_run_to_stdout(tmp_path, capsys):
     assert len(lines) == 2 + 3
 
 
+def test_scenario_output_is_beside_the_scenario(tmp_path, monkeypatch):
+    # a scenario's "output" is read relative to the scenario file, as
+    # its material and equilibrium files are; --out relative to the
+    # working folder
+    (tmp_path / "sub").mkdir()
+    doc = _vacuum_root_doc()
+    doc["output"] = "v.csv"
+    _write(tmp_path / "sub", "v.json", doc)
+    monkeypatch.chdir(tmp_path)
+    assert _run(["run", "sub/v.json"]) == 0
+    assert (tmp_path / "sub" / "v.csv").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    assert _run(["run", "sub/v.json", "--out", "w.csv"]) == 0
+    assert (tmp_path / "w.csv").read_text() \
+        == (tmp_path / "sub" / "v.csv").read_text()
+
+
 def test_provider_override_recorded(tmp_path):
     path = _write(tmp_path, "root.json", _vacuum_root_doc())
     out = tmp_path / "full.csv"

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neqcasimir import asymptotics, engine, kernels, materials, tmatrix
+from neqcasimir import (asymptotics, engine, kernels, materials,
+                        quadrature, tmatrix)
 from neqcasimir.engine import (QuadratureControls, Scenario,
                                interaction_force, pair_source_force,
                                set_scenarios, sweep, total_force)
@@ -281,7 +282,8 @@ def _recording_blocks(monkeypatch, phase):
 
 
 def _check_outer_calls(calls, counts, distinct):
-    """The outer integral's provider calls batch a panel's nodes: every
+    """The outer integral's provider calls batch the nodes of its
+    integrand calls: every
     outer node is a distinct value, its omega appears in exactly one
     call per distinct cylinder, with both light-line branches; there
     are fewer calls than nodes, and no provider call of the pass (order
@@ -311,7 +313,7 @@ def test_evanescent_blocks_once_per_node(monkeypatch, provider, rel_tol,
     # interaction integral never asks a provider for ktilde_z < -1, and
     # each outer node's propagating and evanescent blocks come from one
     # call per distinct provider, shared with the other nodes of its
-    # panel up to the entry budget
+    # integrand call up to the entry budget
     phase = {"outer": False}
     calls = _recording_blocks(monkeypatch, phase)
     counts = _counting_outer(monkeypatch, phase)
@@ -449,6 +451,58 @@ def test_inner_does_not_depend_on_its_batch(monkeypatch, provider):
         assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
 
 
+def _full_range_psi_grid(n_panels):
+    """The propagating sums' grid before the fold: the composite
+    Kronrod rule of n_panels uniform panels over all of psi in [0, pi],
+    as _psi_grid returns it."""
+    nodes, wts = quadrature.composite_nodes(
+        quadrature.uniform_edges(0.0, math.pi, n_panels))
+    sin_psi = np.sin(nodes)
+    return np.cos(nodes), sin_psi, wts * (sin_psi * sin_psi)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8, 9])
+def test_psi_grid_is_the_full_range_rule_folded(n):
+    # the composite rule on uniform panels of [0, pi] is symmetric about
+    # pi / 2: the folded grid keeps its first ceil(15 n / 2) nodes, all
+    # in [0, pi / 2], and integrates sin^2 as the whole rule does
+    cos_psi, sin_psi, w_sin2 = engine._psi_grid(n)
+    full_cos, full_sin, full_w = _full_range_psi_grid(n)
+    assert cos_psi.size == sin_psi.size == w_sin2.size \
+        == math.ceil(15 * n / 2)
+    psi = np.arctan2(sin_psi, cos_psi)
+    assert np.all((psi >= 0.0) & (psi <= math.pi / 2))
+    assert np.all(np.abs(psi - np.arctan2(full_sin, full_cos)[:psi.size])
+                  <= 1e-15)
+    assert abs(np.sum(w_sin2) - np.sum(full_w)) <= 1e-15 * np.sum(full_w)
+
+
+@pytest.mark.parametrize("provider, tol", [("thin", 1e-13),
+                                           ("full", 1e-12)])
+def test_folded_psi_grid_repeats_the_full_range_sums(monkeypatch, provider,
+                                                     tol):
+    # both propagating sums are even in k_z, so 'f' and 's' on the
+    # folded grid are those of the full-range rule to rounding, at odd
+    # and even panel counts; no provider call asks for k_z < 0.  Full
+    # blocks at -k_z round differently from S T(k_z) S, by up to 1e-13
+    # per row, and at kd = 53 the psi sum cancels in part: measured,
+    # they move a sum by up to 3.2e-13, the thin ones by 7.3e-15
+    prov = tmatrix.PROVIDERS[provider](C1.material, C1.radius)
+    orders = np.arange(-2, 3)
+    d = 20e-6
+    omegas = np.geomspace(2e12, 8e14, 6)
+    n_panels = [5, 8, 9, 4, 7, 12]
+    evan = engine._evan_tables(1, orders, engine._evan_edges(2 * R, d))
+    calls = _recording_blocks(monkeypatch, {})
+    folded = _one_group(prov, omegas, d, orders, n_panels, evan)
+    assert min(c["ktz"].min() for c in calls) >= 0.0
+    monkeypatch.setattr(engine, "_psi_grid", _full_range_psi_grid)
+    full = _one_group(prov, omegas, d, orders, n_panels, evan)
+    for col in (0, 2):
+        assert np.all(np.abs(folded[:, col] - full[:, col])
+                      <= tol * np.abs(full[:, col]))
+
+
 def test_one_group_forms_the_propagating_order_sums_once(monkeypatch):
     # the interaction and pair kernels on the propagating branch
     # contract the same diagonal sums of Re(T + T T^dagger) against the
@@ -528,6 +582,52 @@ def test_sweep_repeats_with_one_node_per_call(monkeypatch):
         single = sweep(sc)
     assert max(calls) == 1
     assert single == rows
+
+
+def test_force_repeats_with_one_outer_panel_per_call(monkeypatch):
+    # the outer integral asks for every seed panel in one integrand call
+    # and for both halves of each split in one call; a node's values do
+    # not depend on the other nodes of its call, so a thin SiC sweep and
+    # a lone full tungsten call repeat bitwise with one panel per call,
+    # seed panels and splits alike
+    ctl = QuadratureControls(rel_tol=1e-4)
+    sc = Scenario(cylinder1=C1, cylinder2=C2, separations=(2e-6, 20e-6),
+                  controls=ctl, environment_temperature=300.0,
+                  temperature_sets=HOT_SETS)
+    wire = CylinderSpec(20e-9, TUNGSTEN, 2400.0)
+    sizes = []
+    real_outer = engine.adaptive_vector
+
+    def recording(f):
+        def integrand(x):
+            sizes.append(x.size)
+            return f(x)
+        return integrand
+
+    def outer(f, *args, **kwargs):
+        return real_outer(recording(f), *args, **kwargs)
+
+    def one_panel_per_call(f, *args, **kwargs):
+        f = recording(f)
+
+        def integrand(x):
+            return np.concatenate([f(x[i:i + 15])
+                                   for i in range(0, x.size, 15)])
+        return real_outer(integrand, *args, **kwargs)
+
+    def forces():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return sweep(sc), interaction_force(
+                wire, wire, 2400.0, 0.5e-6, provider="full", controls=ctl)
+
+    monkeypatch.setattr(engine, "adaptive_vector", outer)
+    batched = forces()
+    assert max(sizes) > 30 and sizes.count(30) >= 4
+    sizes.clear()
+    monkeypatch.setattr(engine, "adaptive_vector", one_panel_per_call)
+    assert forces() == batched
+    assert set(sizes) == {15}
 
 
 def test_order_probe_repeats_no_block_call(monkeypatch):

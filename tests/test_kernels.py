@@ -502,9 +502,10 @@ def test_order_sums_in_runs_match_one_run(monkeypatch):
 
 @pytest.mark.parametrize("prov", [PROV, FULL], ids=["thin", "full"])
 def test_propagating_sums_even_in_kz(prov):
-    # the propagating integral runs over the whole psi range; its
-    # interaction and pair sums take the same value at -k_z as at k_z,
-    # with and without the quadratic term of the source amplitude
+    # the interaction and pair sums of the propagating integral take
+    # the same value at -k_z as at k_z, with and without the quadratic
+    # term of the source amplitude, which lets the engine fold its psi
+    # grid at pi / 2
     ktz = np.array([0.05, 0.3, 0.6, 0.85, 0.99])
     qd = np.sqrt(1.0 - ktz ** 2) * OMEGA / C_LIGHT * D * 3.0
     hp, h, jp = kernels.hankel_tables(qd, FULL_NU_MAX)

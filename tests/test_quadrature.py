@@ -153,6 +153,40 @@ def test_one_group_reproduces_the_ungrouped_driver():
             assert np.array_equal(v0, v1) and np.array_equal(e0, e1)
 
 
+def test_driver_batches_seed_panels_and_splits():
+    # the driver asks its integrand for every seed panel in one call and
+    # for both halves of each split in one call; each panel's estimates
+    # are bitwise those of a call at its own 15 nodes
+    def kink_and_wave(x):
+        return np.stack([np.sqrt(x), 0.05 * np.cos(20.0 * x) * np.exp(-x),
+                         np.exp(-x)], axis=1)
+
+    seeds = [0.0, 0.4, 2.0, 5.0, 12.0, 40.0]
+    for groups in (None, [0, 1, 1]):
+        batched, single = [], []
+
+        def f(x):
+            batched.append(x.size)
+            return kink_and_wave(x)
+
+        def one_panel_per_call(x):
+            def panel(part):
+                single.append(part.size)
+                return kink_and_wave(part)
+            return np.concatenate([panel(x[i:i + 15])
+                                   for i in range(0, x.size, 15)])
+
+        v0, e0 = quadrature.adaptive_vector(
+            one_panel_per_call, 0.0, 40.0, 1e-9, seed_edges=seeds,
+            groups=groups)
+        v1, e1 = quadrature.adaptive_vector(
+            f, 0.0, 40.0, 1e-9, seed_edges=seeds, groups=groups)
+        assert np.array_equal(v0, v1) and np.array_equal(e0, e1)
+        splits = (len(single) - (len(seeds) - 1)) // 2
+        assert splits > 0 and set(single) == {15}
+        assert batched == [15 * (len(seeds) - 1)] + [30] * splits
+
+
 def test_budget_exhaustion_raises_with_diagnostics():
     def kink(x):
         return np.sqrt(np.abs(x - 0.3))[:, None]
