@@ -27,11 +27,15 @@ force of one source, at every temperature a computation needs, are
 channels of one frequency integral per (source, target, separation),
 run by one driver (_pass) in absolute omega: the kernels are summed
 once per outer node, and each temperature weights them with its Bose
-factor inside its own window [u_min, X_MAX] of
-u = hbar omega / (k_B T).  Every pass integrates the same three axial
-integrals, by name (_INTEGRALS): 'f' and 'e' are the propagating and
-evanescent interaction integrals, and 's' is the pair integral.  The
-outer integral is globally adaptive with one tolerance group per
+factor from its own u_min of u = hbar omega / (k_B T) to the end of
+the pass.  The pass has one outer grid, seeded as a pass at its
+hottest temperature alone would be, and ends at that temperature's
+u = X_MAX.  A cooler channel runs on past its own u = X_MAX, into
+its e^-u Bose tail: 4e-12 of a channel whose weight grows like u^5.
+Every pass integrates the same three axial integrals, by name
+(_INTEGRALS): 'f' and 'e' are the propagating and evanescent
+interaction integrals, and 's' is the pair integral.  The outer
+integral is globally adaptive with one tolerance group per
 temperature and integral group (_GROUPS: 'f' and 'e' share one, 's'
 has its own), so each channel converges as if it were integrated
 alone.
@@ -106,7 +110,7 @@ import numpy as np
 from . import kernels
 from .equilibrium import EquilibriumTable
 from .materials import CylinderSpec, Vacuum, resonances
-from .quadrature import (GROUP_FLOOR, MAX_PANELS, X_MAX, QuadratureControls,
+from .quadrature import (GROUP_FLOOR, MAX_PANELS, QuadratureControls,
                          adaptive_vector, composite_nodes,
                          thermal_seed_edges, uniform_edges)
 from .tmatrix import PROVIDERS
@@ -506,9 +510,10 @@ def _grid_factor(src_prov, tgt_prov, omegas, d, orders, rel_tol, y_edges):
 
 def _distinct(values):
     """values in increasing order, without those within four units in
-    the last place of the one kept before them: temperatures in integer
-    ratios give one seed edge twice, one rounding apart, and the panel
-    between the two would repeat one node."""
+    the last place of the one kept before them: a pass lists its
+    hottest temperature's u_min edge twice, and another temperature's
+    u_min edge or a window's end can meet a seed edge one rounding
+    apart; the panel between the two would repeat one node."""
     out = []
     for v in sorted(values):
         if not out or v - out[-1] > 4.0 * math.ulp(v):
@@ -526,8 +531,9 @@ def _windows(poles, edges, jumps):
     cylinders.  A window reaches _WINDOW_WIDTHS widths gamma_k to either
     side of its pole.  It is skipped if it reaches into the first seed
     panel [edges[0], edges[1]] or past edges[-1], or if it holds a jump
-    of the live mask (one of jumps: a temperature's u_min or X_MAX
-    edge), which must stay a panel edge.  Windows that overlap then
+    of the live mask (one of jumps: a temperature's u_min edge, the
+    only place where a channel starts or stops inside the pass), which
+    must stay a panel edge.  Windows that overlap then
     shrink to meet halfway between their poles.  A pass drops the
     thermal seed edges inside a window and seeds each window's ends and
     pole instead."""
@@ -591,14 +597,17 @@ def _pass(temps, src_prov, tgt_prov, d, controls):
 
     The kernels do not depend on the temperature, which enters only
     through the Bose factor, so each outer node evaluates them once and
-    weights them for every temperature whose window [u_min, X_MAX] in
-    its own u = hbar omega / k_B T holds the node.  The orders and the
-    grid factor are the largest that any temperature needs.
+    weights them for every temperature whose own u = hbar omega / k_B T
+    at the node is at least u_min.  The orders and the grid factor are
+    the largest that any temperature needs.
 
     The integral runs in x through _outer_map, on the windows that
-    _windows keeps.  Its seed edges are every temperature's thermal
-    seed edges, less those inside a window, plus each window's ends and
-    pole.
+    _windows keeps.  Its seed edges are the thermal seed edges of the
+    hottest temperature, which end the pass at its u = X_MAX, and each
+    other temperature's u_min, where its channel starts; less those
+    inside a window, plus each window's ends and pole.  So a pass seeds
+    as one at its hottest temperature alone, apart from those u_min
+    edges, and its adaptive splits serve every channel.
     """
     scales = [K_BOLTZMANN * t / HBAR for t in temps]
     n_cap = int(src_prov.max_order or controls.n_max or 8)
@@ -610,14 +619,16 @@ def _pass(temps, src_prov, tgt_prov, d, controls):
     factor, evan = _grid_factor(src_prov, tgt_prov, 2.5 * np.asarray(scales),
                                 d, orders, controls.rel_tol, y_edges)
 
-    # seed edges in omega; _distinct is idempotent, so without windows
-    # they are bitwise the thermal ones
-    edges = _distinct(u * s for s in scales
-                      for u in thermal_seed_edges(controls))
+    # seed edges in omega: the hottest temperature's thermal ones and
+    # every temperature's u_min; _distinct is idempotent, so with
+    # one temperature and no windows they are bitwise the thermal ones
+    jumps = [controls.u_min * s for s in scales]
+    edges = _distinct([u * scales[-1] for u in thermal_seed_edges(controls)]
+                      + jumps)
     omega_1 = edges[1]
     windows = _windows(
         set(resonances(src_prov.material) + resonances(tgt_prov.material)),
-        edges, [u * s for s in scales for u in (controls.u_min, X_MAX)])
+        edges, jumps)
     omega_of, centres = _outer_map(omega_1, windows)
     edges = _distinct([w for w in edges if not any(
         a < w < b for a, b, _, _ in windows)] + centres
@@ -627,8 +638,10 @@ def _pass(temps, src_prov, tgt_prov, d, controls):
     def integrand(x_nodes):
         omegas, jac = omega_of(x_nodes)
         us = omegas[:, None] / np.asarray(scales)
-        live = (controls.u_min <= us) & (us <= X_MAX)
-        bose = np.expm1(us, where=live, out=np.ones_like(us))
+        live = controls.u_min <= us
+        # past u = 709 expm1 overflows, and the weight 1 / inf is 0
+        with np.errstate(over="ignore"):
+            bose = np.expm1(us, where=live, out=np.ones_like(us))
         weights = np.where(live, jac[:, None] / bose, 0.0)
         out = np.zeros((x_nodes.size, len(temps), len(_INTEGRALS)))
         at = np.flatnonzero(live.any(axis=1))

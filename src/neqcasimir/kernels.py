@@ -171,7 +171,9 @@ def require_finite(vals, table, args, nu_max, arg_name):
 
     The tables overflow at small arguments and high orders, where Y_n
     and K_n grow like (n - 1)! (2 / x)^n; they return inf there, and a
-    folded sum turns the inf into nan.  Only the sums are checked, so a
+    folded sum turns the inf into nan.  The three kernel sums form their
+    products with NumPy's invalid and overflow warnings off, so this
+    error is the only report of it.  Only the sums are checked, so a
     table column that a caller never reads may overflow freely.  The
     error names the lowest order whose column of table (column j holds
     order j - nu_max, one row per argument in args) is not finite and
@@ -344,12 +346,14 @@ def prop_kernel_sum(d, dq, hp):
     sum_nu Im(HP_nu D_nu + HP_[nu+1] conj(D_nu)), plus the quadratic
     part 2 sum_nu Im(HP_nu Dq_nu) when dq is given.
     """
-    # np.multiply keeps HP on the left of a complex product, which NumPy
-    # rounds by operand order, where `*` may swap in the temporary
-    out = (hp[:, :-1] * d + np.multiply(hp[:, 1:], np.conj(d))) \
-        .imag.sum(axis=1)
-    if dq is not None:
-        out += 2.0 * (hp[:, :-1] * dq).imag.sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # np.multiply keeps HP on the left of a complex product, which
+        # NumPy rounds by operand order, where `*` may swap in the
+        # temporary
+        out = (hp[:, :-1] * d + np.multiply(hp[:, 1:], np.conj(d))) \
+            .imag.sum(axis=1)
+        if dq is not None:
+            out += 2.0 * (hp[:, :-1] * dq).imag.sum(axis=1)
     return out
 
 
@@ -385,7 +389,8 @@ def evan_kernel_sum(t2, t1, kk, nu_max):
     d = _order_sums(t2.real, t1.imag, nu_max)
     d[:, (nu_max + 1) % 2::2] *= -1.0  # the odd nu
     ny, width = kk.shape
-    return (kk * d.reshape(-1, ny, width)).sum(axis=2).ravel()
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (kk * d.reshape(-1, ny, width)).sum(axis=2).ravel()
 
 
 def pair_kernel_sum(d, h, jp):
@@ -397,4 +402,5 @@ def pair_kernel_sum(d, h, jp):
         layout).
     Returns (Nk,) real: 4 sum_nu J'_nu Im(H_nu D_nu).
     """
-    return 4.0 * (jp * (h * d).imag).sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return 4.0 * (jp * (h * d).imag).sum(axis=1)

@@ -53,15 +53,19 @@ GK_WEIGHTS_KRONROD = np.array([_GK15[i][2] for i in _order])
 
 # Thermal frequency integrals run over u = hbar omega / k_B T up to
 # X_MAX, where exp(-40) leaves no visible tail, on at most MAX_PANELS
-# adaptive panels per temperature.
+# adaptive panels per temperature.  An engine pass at several
+# temperatures ends at its hottest temperature's X_MAX, so its cooler
+# channels run past their own.
 X_MAX = 40.0
 MAX_PANELS = 200
 # a channel is held to at least this fraction of the largest channel of
 # its tolerance group
 GROUP_FLOOR = 0.01
 # Seed panel edges of thermal frequency integrals, as fractions of
-# X_MAX: dense near u = 0, where the Bose factor varies fastest.
-_SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 0.5, 1.0)
+# X_MAX: dense near u = 0, where the Bose factor varies fastest.  One
+# panel [10, 40] covers the tail, where the Bose factor falls like
+# e^-u; the adaptive driver splits it where its error estimate asks.
+_SEED_FRACTIONS = (0.0, 0.01, 0.03, 0.0625, 0.125, 0.25, 1.0)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,9 @@ class QuadratureControls:
         held per temperature channel: each temperature's channels
         converge as if integrated alone.
     u_min : lower cutoff of u = hbar omega / k_B T, normally 0, per
-        temperature channel; the upper cutoff is X_MAX = 40.
+        temperature channel.  The upper cutoff is X_MAX = 40 of the
+        hottest temperature of an engine pass, so a cooler channel
+        runs on to u = 40 T_hot / T.
         Needed for idealized frequency-independent lossy
         permittivities, whose near-field frequency integrand behaves
         like 1/u at u -> 0 and diverges logarithmically; causal

@@ -918,6 +918,103 @@ def test_lone_full_tungsten_call_stops_bisecting_toward_zero(monkeypatch):
     assert abs(values[0] - values[1]) <= 1e-3 * abs(values[1])
 
 
+def _pass_values(source, temps, d, provider, controls):
+    """{(integral, T): value} of the one pass that a memo holds after
+    an interaction call between identical cylinders at the
+    temperatures temps, as total_force calls it."""
+    memo = {}
+    interaction_force(source, source, temps[0], d, provider=provider,
+                      controls=controls, _memo=memo,
+                      _temps=frozenset(temps))
+    (values,) = memo.values()
+    return values
+
+
+@pytest.mark.parametrize("source, temps, d, provider, rel_tol", [
+    (CylinderSpec(R, SIC, 300.0), (150.0, 300.0, 450.0), 6.7e-6, "thin",
+     1e-4),
+    (CylinderSpec(R, SIC, 300.0), (3.0, 3000.0), 2e-6, "thin", 1e-2),
+    (CylinderSpec(20e-9, TUNGSTEN, 2400.0), (2.4, 2400.0), 2e-6, "full",
+     1e-2)])
+def test_every_channel_of_a_pass_as_a_lone_call(source, temps, d,
+                                                provider, rel_tol):
+    # a pass runs on the seeds of its hottest temperature, and every
+    # channel runs to the pass's end; each temperature's integrals still
+    # land within rel_tol of a pass at that temperature alone, held to
+    # the group floor as the outer integral holds them.  The first case
+    # is the pass of a sweep of the sets (450, 300, 300) and
+    # (300, 150, 300); in the others the cold channel's u reaches far
+    # past the overflow of exp(u), which must stay silent
+    ctl = QuadratureControls(rel_tol=rel_tol)
+    shared = _pass_values(source, temps, d, provider, ctl)
+    for temp in temps:
+        alone = _pass_values(source, (temp,), d, provider, ctl)
+        for names in (("f", "e"), ("s",)):
+            largest = max(abs(alone[n, temp]) for n in names)
+            for n in names:
+                assert abs(shared[n, temp] - alone[n, temp]) <= rel_tol \
+                    * max(abs(alone[n, temp]),
+                          quadrature.GROUP_FLOOR * largest)
+
+
+def _recording_seeds(monkeypatch):
+    """Patch the engine's outer integrator to record the seed edges, in
+    x, of every pass."""
+    seeds = []
+    real_outer = engine.adaptive_vector
+
+    def recording(f, a, b, rel_tol, seed_edges=None, **kwargs):
+        seeds.append(list(seed_edges))
+        return real_outer(f, a, b, rel_tol, seed_edges=seed_edges,
+                          **kwargs)
+
+    monkeypatch.setattr(engine, "adaptive_vector", recording)
+    return seeds
+
+
+def test_a_pass_takes_the_seeds_of_its_hottest_temperature(monkeypatch):
+    # cooler temperatures add no seed edge of their own at u_min = 0, so
+    # a (150, 300, 450) K pass seeds as the 450 K pass alone does, its
+    # windows included; at u_min > 0 each temperature's u_min is a jump
+    # of its channel and a seed edge.  Below the first seed panel's end
+    # omega_1 the outer variable is x = sqrt(omega omega_1)
+    seeds = _recording_seeds(monkeypatch)
+    source = CylinderSpec(R, SIC, 300.0)
+    temps = (150.0, 300.0, 450.0)
+    for ts in (temps, temps[-1:]):
+        _pass_values(source, ts, 6.7e-6, "thin",
+                     QuadratureControls(rel_tol=1e-2))
+    assert seeds[0] == seeds[1]
+    u_min = 0.5
+    _pass_values(source, temps, 6.7e-6, "thin",
+                 QuadratureControls(rel_tol=1e-2, u_min=u_min))
+    x, omega_1 = np.array(seeds[2]), seeds[2][1]
+    omegas = np.where(x < omega_1, x * x / omega_1, x)
+    for temp in temps:
+        jump = u_min * K_BOLTZMANN * temp / HBAR
+        assert np.min(np.abs(omegas / jump - 1.0)) <= 1e-12
+    assert omegas[0] == pytest.approx(u_min * K_BOLTZMANN * 150.0 / HBAR,
+                                      rel=1e-12)
+
+
+def test_overflowing_table_raises_without_a_numpy_warning():
+    # full SiC cylinders 0.3 um apart: the series has not settled at
+    # the order cap, and a propagating table overflows at the smallest
+    # qd; the package's own warnings and its error report it, and no
+    # NumPy floating-point warning escapes the kernel sums first
+    source = CylinderSpec(R, SIC, 100.0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureError,
+                           match=r"table of order -15 overflows at "
+                                 r"qd = 3\.20957e-10"):
+            interaction_force(source, source, 100.0, 0.3e-6,
+                              provider="full", controls=CTL)
+    assert [str(w.message) for w in seen] == [
+        engine._NEAR_FIELD_WARNING,
+        engine._ORDER_CAP_WARNING % "interaction"]
+
+
 def _recording_y_grids(monkeypatch):
     """Patch the engine's passes and y tables to record the panel edges
     of every y grid, the order probe's included, as one list per
@@ -1120,15 +1217,14 @@ def test_overflowing_tables_raise_at_the_first_sum():
     d = 2e-6
     omega = 1e-3 * materials.C_LIGHT / d  # kd = 1e-3
     omegas = np.array([omega])
-    with np.errstate(invalid="ignore"):  # inf * 0 inside the sums
-        with pytest.raises(QuadratureError, match=r"order -?\d+ "
-                           r"overflows at y = 4\.27231e-05"):
-            _one_group(prov, omegas, d, orders, (4,),
-                       engine._evan_tables(1, orders, engine._EVAN_EDGES))
-        with pytest.raises(QuadratureError,
-                           match=r"order -?\d+ overflows at qd = "):
-            _one_group(prov, omegas, d, orders, (4,),
-                       engine._evan_tables(1, orders, (12.0, 18.0)))
+    with pytest.raises(QuadratureError, match=r"order -?\d+ "
+                       r"overflows at y = 4\.27231e-05"):
+        _one_group(prov, omegas, d, orders, (4,),
+                   engine._evan_tables(1, orders, engine._EVAN_EDGES))
+    with pytest.raises(QuadratureError,
+                       match=r"order -?\d+ overflows at qd = "):
+        _one_group(prov, omegas, d, orders, (4,),
+                   engine._evan_tables(1, orders, (12.0, 18.0)))
     # end to end: 8 um cylinders need more orders than the order probe
     # can represent at its smallest y node, and it stops there at once
     thick = CylinderSpec(8e-6, SIC, 300.0)

@@ -288,7 +288,7 @@ def test_thermal_seed_edges_window():
     assert edges[0] == 0.0 and edges[-1] == 40.0
     assert np.all(np.diff(edges) > 0)
     edges = quadrature.thermal_seed_edges(QuadratureControls(u_min=1.0))
-    assert edges == [1.0, 1.2, 2.5, 5.0, 10.0, 20.0, 40.0]
+    assert edges == [1.0, 1.2, 2.5, 5.0, 10.0, 40.0]
 
 
 if __name__ == "__main__":
